@@ -221,26 +221,13 @@ def check_image_vs_fft(grid_n: int | None, tol: float = 1e-3) -> VerificationChe
         s0, p, x_center=setup.x0
     ).mirror_u()
 
-    # one grid holding the mirrored packet over the whole flight
-    evolved = mirrored.free_evolve(setup.t)
-    c0, cov0 = mirrored.center_cov()
-    c1, cov1 = evolved.center_cov()
-    kx, kX = evolved.phase_wavenumbers()
-    sx = max(np.sqrt(cov0[0, 0].real), np.sqrt(cov1[0, 0].real))
-    sX = max(np.sqrt(cov0[1, 1].real), np.sqrt(cov1[1, 1].real))
-    x_lo = min(c0[0], c1[0]) - 8.5 * sx
-    x_hi = max(c0[0], c1[0]) + 8.5 * sx
-    X_lo = min(c0[1], c1[1]) - 8.5 * sX
-    X_hi = max(c0[1], c1[1]) + 8.5 * sX
-    nx = oracles._axis_points(x_hi - x_lo, kx, 512)
-    nX = oracles._axis_points(X_hi - X_lo, kX, 256)
-    grid = oracles.GridSpec(x_min=x_lo, x_max=x_hi, X_min=X_lo, X_max=X_hi, nx=nx, nX=nX)
-
+    grid = propagation.grid_for_flight(mirrored, setup.t)
     res = propagation.image_propagate(setup, grid=grid)
-    xx, XX = grid.meshes()
-    via_fft = -propagation.fft_free_evolve(
-        mirrored.evaluate(xx, XX), grid, setup.m, setup.M, setup.t
+    via_fft = propagation.fft_free_evolve(
+        mirrored.evaluate(grid.x_nodes()[None, :], grid.X_nodes()[:, None]),
+        grid, setup.m, setup.M, setup.t,
     )
+    np.negative(via_fft, out=via_fft)
     dist, _ = propagation.phase_aligned_l2(res.psi, via_fft, grid)
     return _result("image_vs_fft", tol, dist,
                    f"L2 distance, separation ratio {ratio:.3f}", res.warnings)
@@ -280,6 +267,9 @@ def run_verification(grid_n: int | None = None,
     tol_overrides maps check names to replacement tolerances.
     """
     overrides = tol_overrides or {}
+    unknown = set(overrides) - set(CHECK_NAMES)
+    if unknown:
+        raise ValueError(f"unknown check names in tolerance overrides: {sorted(unknown)}")
     results = []
     for fn in _CHECKS:
         name = fn.__name__.removeprefix("check_")
@@ -289,7 +279,4 @@ def run_verification(grid_n: int | None = None,
         else:
             check = fn(n)
         results.append(check)
-    unknown = set(overrides) - set(CHECK_NAMES)
-    if unknown:
-        raise ValueError(f"unknown check names in tolerance overrides: {sorted(unknown)}")
     return results

@@ -38,9 +38,14 @@ __all__ = [
     "free_evolve_gaussian_1d",
     "phase_aligned_l2",
     "grid_for_wave",
+    "grid_for_flight",
+    "fft_size",
 ]
 
 SEPARATION_LIMIT = 0.1
+# envelope cover, in standard deviations, of a grid that holds a wave over
+# its whole free flight: the FFT step wraps anything that reaches an edge
+FLIGHT_COVER_SIGMAS = 8.5
 
 
 @dataclass(frozen=True)
@@ -185,17 +190,36 @@ class GaussianWave2D:
         )
         return GaussianWave2D(A=A_new, b=b_new, c=complex(c_new), params=p)
 
+    def _lab_form(self):
+        """The exponent in lab coordinates about the probability center z0:
+
+            -(z - z0)^T A_lab (z - z0) + beta^T (z - z0) + c0,  z = (x, X).
+        """
+        Tinv = self._from_lab()
+        A_lab = Tinv.T @ self.A @ Tinv
+        b_lab = Tinv.T @ self.b
+        z0 = np.linalg.solve(2.0 * A_lab.real, b_lab.real)
+        beta = b_lab - 2.0 * A_lab @ z0
+        c0 = self.c + b_lab @ z0 - z0 @ A_lab @ z0
+        return z0, A_lab, beta, complex(c0)
+
     def evaluate(self, x, X) -> np.ndarray:
-        """Sample the wave in lab coordinates; broadcasts over x, X."""
-        p = self.params
-        R = p.delta * x + p.gamma * X
-        u = x - X
-        quad = (
-            self.A[0, 0] * R * R
-            + 2.0 * self.A[0, 1] * R * u
-            + self.A[1, 1] * u * u
-        )
-        return np.exp(-quad + self.b[0] * R + self.b[1] * u + self.c)
+        """Sample the wave in lab coordinates; broadcasts over x, X.
+
+        Works on the lab-frame exponent expanded about the wave's center, so
+        the per-axis terms cost 1-D work on broadcast node axes
+        (x[None, :], X[:, None]) and only the cross term and the single
+        complex exp run over the full grid.  The exponents are summed before
+        the exp so strongly correlated tails cannot underflow factor by
+        factor.
+        """
+        z0, A, beta, c0 = self._lab_form()
+        xi = np.asarray(x, dtype=float) - z0[0]
+        eta = np.asarray(X, dtype=float) - z0[1]
+        z = (-2.0 * A[0, 1] * xi) * eta
+        z += (beta[0] - A[0, 0] * xi) * xi + c0
+        z += (beta[1] - A[1, 1] * eta) * eta
+        return np.exp(z, out=z) if isinstance(z, np.ndarray) else np.exp(z)
 
     def __call__(self, x, X) -> np.ndarray:
         return self.evaluate(x, X)
@@ -204,6 +228,10 @@ class GaussianWave2D:
     def _lab_transform(self) -> np.ndarray:
         p = self.params
         return np.array([[1.0, p.gamma], [1.0, -p.delta]])  # (R, u) -> (x, X)
+
+    def _from_lab(self) -> np.ndarray:
+        p = self.params
+        return np.array([[p.delta, p.gamma], [1.0, -1.0]])  # (x, X) -> (R, u)
 
     def center_cov(self):
         """Probability center and covariance in lab coordinates."""
@@ -216,9 +244,7 @@ class GaussianWave2D:
     def phase_gradient(self, v: np.ndarray) -> np.ndarray:
         """Local wavenumbers (k_x, k_X) at a point v = (R, u)."""
         g = -2.0 * self.A.imag @ v + self.b.imag
-        p = self.params
-        Tinv = np.array([[p.delta, p.gamma], [1.0, -1.0]])  # (x, X) -> (R, u)
-        return Tinv.T @ g
+        return self._from_lab().T @ g
 
     def position_spreads(self) -> tuple[float, float]:
         _, cov = self.center_cov()
@@ -258,6 +284,45 @@ def grid_for_wave(wave: GaussianWave2D, n: int = 512,
         x_min=float(center[0] - hx), x_max=float(center[0] + hx),
         X_min=float(center[1] - hX), X_max=float(center[1] + hX),
         nx=_axis_points(2.0 * hx, kx, n), nX=_axis_points(2.0 * hX, kX, n),
+    )
+
+
+def fft_size(n: int) -> int:
+    """Smallest integer >= n whose prime factors are all at most 5."""
+    n = max(int(n), 1)
+    while True:
+        m = n
+        for prime in (2, 3, 5):
+            while m % prime == 0:
+                m //= prime
+        if m == 1:
+            return n
+        n += 1
+
+
+def grid_for_flight(wave: GaussianWave2D, t: float) -> GridSpec:
+    """One grid holding a wave over its free flight from time 0 to t.
+
+    Each axis spans FLIGHT_COVER_SIGMAS envelope widths (the wider of start
+    and end) beyond both centers; the step resolves the end wave's local
+    oscillations to MAX_PHASE_STEP, with at least 512 points on x and 256
+    on X.  Point counts are then rounded up to FFT-friendly sizes (prime
+    factors <= 5), which only refines the grid.
+    """
+    end = wave.free_evolve(t)
+    c0, cov0 = wave.center_cov()
+    c1, cov1 = end.center_cov()
+    kx, kX = end.phase_wavenumbers()
+    sx = math.sqrt(max(cov0[0, 0].real, cov1[0, 0].real))
+    sX = math.sqrt(max(cov0[1, 1].real, cov1[1, 1].real))
+    x_lo = min(c0[0], c1[0]) - FLIGHT_COVER_SIGMAS * sx
+    x_hi = max(c0[0], c1[0]) + FLIGHT_COVER_SIGMAS * sx
+    X_lo = min(c0[1], c1[1]) - FLIGHT_COVER_SIGMAS * sX
+    X_hi = max(c0[1], c1[1]) + FLIGHT_COVER_SIGMAS * sX
+    return GridSpec(
+        x_min=float(x_lo), x_max=float(x_hi), X_min=float(X_lo), X_max=float(X_hi),
+        nx=fft_size(_axis_points(x_hi - x_lo, kx, 512)),
+        nX=fft_size(_axis_points(X_hi - X_lo, kX, 256)),
     )
 
 
@@ -313,11 +378,12 @@ def image_propagate(setup: PropagatorSetup, grid: GridSpec | None = None,
 
     if grid is None:
         grid = grid_for_wave(wave if wave is not None else reflected, n=n)
-    xx, XX = grid.meshes()
+    x, X = grid.x_nodes()[None, :], grid.X_nodes()[:, None]
     if mode == "full":
-        psi = direct.evaluate(xx, XX) + reflected.evaluate(xx, XX)
+        psi = direct.evaluate(x, X)
+        psi += reflected.evaluate(x, X)
     else:
-        psi = wave.evaluate(xx, XX)
+        psi = wave.evaluate(x, X)
     return PropagationResult(
         psi=psi, grid=grid, t=setup.t, mode=mode, wave=wave, warnings=tuple(warnings)
     )
@@ -329,13 +395,22 @@ def fft_free_evolve(psi: np.ndarray, grid: GridSpec, m: float, M: float,
 
     Independent of the Gaussian algebra above; accuracy is set purely by the
     grid (the packet must stay inside it for the whole evolution).
+
+    One spectrum array is allocated and everything after the first transform
+    runs in place on it: the transforms go axis by axis with out= (numpy's
+    ifft2 allocates two full-grid intermediates even with out=), and the
+    kinetic phase exp(-i t (kx^2/2m + kX^2/2M)) is applied as its two 1-D
+    factors.  psi is left untouched.  Point counts with small prime factors
+    (see fft_size) keep the transforms fast.
     """
     kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, d=grid.dx)
     kX = 2.0 * np.pi * np.fft.fftfreq(grid.nX, d=grid.dX)
-    phase = np.exp(
-        -1j * t * (kx[None, :] ** 2 / (2.0 * m) + kX[:, None] ** 2 / (2.0 * M))
-    )
-    return np.fft.ifft2(np.fft.fft2(psi) * phase)
+    spec = np.fft.fft(psi, axis=-1)
+    np.fft.fft(spec, axis=-2, out=spec)
+    spec *= np.exp(-1j * t * kx**2 / (2.0 * m))[None, :]
+    spec *= np.exp(-1j * t * kX**2 / (2.0 * M))[:, None]
+    np.fft.ifft(spec, axis=-2, out=spec)
+    return np.fft.ifft(spec, axis=-1, out=spec)
 
 
 def free_evolve_gaussian_1d(x, t: float, center: float, spread: float, k: float,
@@ -371,13 +446,16 @@ def phase_aligned_l2(candidate: np.ndarray, reference: np.ndarray,
     """Relative L2 distance after optimizing away the global phase.
 
     Returns (distance, theta) where theta maximizes
-    Re<reference | candidate e^{-i theta}>.
+    Re<reference | candidate e^{-i theta}>.  The 2-D trapezoid rule is the
+    product of the two 1-D rules, applied as wX @ f @ wx.
     """
-    W = np.outer(_trapezoid_weights(grid.nX, grid.dX),
-                 _trapezoid_weights(grid.nx, grid.dx))
-    ip = np.sum(W * np.conj(reference) * candidate)
+    wX = _trapezoid_weights(grid.nX, grid.dX)
+    wx = _trapezoid_weights(grid.nx, grid.dx)
+    ip = wX @ (np.conj(reference) * candidate) @ wx
     theta = float(np.angle(ip))
-    aligned = candidate * np.exp(-1j * theta)
-    num = math.sqrt(float(np.sum(W * np.abs(aligned - reference) ** 2)))
-    den = math.sqrt(float(np.sum(W * np.abs(reference) ** 2)))
+    diff = candidate * np.exp(-1j * theta)
+    diff -= reference
+    num = math.sqrt(float(wX @ (np.abs(diff) ** 2) @ wx))
+    del diff
+    den = math.sqrt(float(wX @ (np.abs(reference) ** 2) @ wx))
     return num / den, theta

@@ -1,15 +1,22 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoh.entanglement import kernel_params, largest_eigenvalue
 from decoh.kinematics import collision_params, initial_state, post_collision_state
+from decoh.oracles import MAX_PHASE_STEP, _axis_points
 from decoh.propagation import (
+    FLIGHT_COVER_SIGMAS,
     GaussianWave2D,
     PropagatorSetup,
     fft_free_evolve,
+    fft_size,
     free_evolve_gaussian_1d,
+    grid_for_flight,
     grid_for_wave,
     image_propagate,
     phase_aligned_l2,
@@ -124,36 +131,125 @@ def test_reflected_entanglement_matches_static_analysis():
     assert sv[0] ** 2 == pytest.approx(f0, abs=1e-3)
 
 
+def _mirrored(setup):
+    s0 = initial_state(setup.Sigma, setup.sigma, setup.k)
+    return GaussianWave2D.from_product_state(s0, setup.params, x_center=setup.x0).mirror_u()
+
+
 def test_image_term_against_fft_route():
     """Gaussian-algebra image term vs an FFT kinetic-step evolution of the
     sampled mirrored state."""
     setup = _setup(k=40.0, x0=-6.0, Sigma=0.25)
     assert separation_check(setup) < 0.1
-    p = setup.params
-    s0 = initial_state(setup.Sigma, setup.sigma, setup.k)
-    mirrored = GaussianWave2D.from_product_state(s0, p, x_center=setup.x0).mirror_u()
-
-    evolved = mirrored.free_evolve(setup.t)
-    c0, cov0 = mirrored.center_cov()
-    c1, cov1 = evolved.center_cov()
-    kx, kX = evolved.phase_wavenumbers()
-    sx = max(np.sqrt(cov0[0, 0].real), np.sqrt(cov1[0, 0].real))
-    sX = max(np.sqrt(cov0[1, 1].real), np.sqrt(cov1[1, 1].real))
-    from decoh.oracles import GridSpec, _axis_points
-
-    x_lo = min(c0[0], c1[0]) - 8.5 * sx
-    x_hi = max(c0[0], c1[0]) + 8.5 * sx
-    X_lo = min(c0[1], c1[1]) - 8.5 * sX
-    X_hi = max(c0[1], c1[1]) + 8.5 * sX
-    grid = GridSpec(
-        x_min=x_lo, x_max=x_hi, X_min=X_lo, X_max=X_hi,
-        nx=_axis_points(x_hi - x_lo, kx, 512), nX=_axis_points(X_hi - X_lo, kX, 256),
-    )
+    mirrored = _mirrored(setup)
+    grid = grid_for_flight(mirrored, setup.t)
     res = image_propagate(setup, grid=grid)
-    xx, XX = grid.meshes()
-    via_fft = -fft_free_evolve(mirrored.evaluate(xx, XX), grid, setup.m, setup.M, setup.t)
+    sampled = mirrored.evaluate(grid.x_nodes()[None, :], grid.X_nodes()[:, None])
+    via_fft = -fft_free_evolve(sampled, grid, setup.m, setup.M, setup.t)
     dist, _ = phase_aligned_l2(res.psi, via_fft, grid)
     assert dist < 1e-3
+
+
+def _is_5_smooth(n):
+    for prime in (2, 3, 5):
+        while n % prime == 0:
+            n //= prime
+    return n == 1
+
+
+@given(st.integers(min_value=1, max_value=100_000))
+def test_fft_size_is_next_5_smooth_count(n):
+    size = fft_size(n)
+    assert size >= n and _is_5_smooth(size)
+    assert not any(_is_5_smooth(j) for j in range(n, size))
+
+
+@pytest.mark.parametrize("k, x0, Sigma", [(40.0, -6.0, 0.25), (6.0, -8.0, 0.3),
+                                          (10.0, -4.0, 1.0)])
+def test_flight_grid_contract(k, x0, Sigma):
+    """FFT-friendly counts no smaller than the phase-step minimum, on the
+    8.5-sigma hull of the start and end envelopes."""
+    setup = _setup(k=k, x0=x0, Sigma=Sigma)
+    mirrored = _mirrored(setup)
+    end = mirrored.free_evolve(setup.t)
+    grid = grid_for_flight(mirrored, setup.t)
+
+    (c0, cov0), (c1, cov1) = mirrored.center_cov(), end.center_cov()
+    sx = max(math.sqrt(cov0[0, 0].real), math.sqrt(cov1[0, 0].real))
+    sX = max(math.sqrt(cov0[1, 1].real), math.sqrt(cov1[1, 1].real))
+    h = FLIGHT_COVER_SIGMAS
+    assert (grid.x_min, grid.x_max) == (min(c0[0], c1[0]) - h * sx, max(c0[0], c1[0]) + h * sx)
+    assert (grid.X_min, grid.X_max) == (min(c0[1], c1[1]) - h * sX, max(c0[1], c1[1]) + h * sX)
+
+    kx, kX = end.phase_wavenumbers()
+    assert grid.nx >= _axis_points(grid.x_max - grid.x_min, kx, 512)
+    assert grid.nX >= _axis_points(grid.X_max - grid.X_min, kX, 256)
+    assert _is_5_smooth(grid.nx) and _is_5_smooth(grid.nX)
+    assert grid.dx * kx <= MAX_PHASE_STEP
+    assert grid.dX * kX <= MAX_PHASE_STEP
+
+
+def test_flight_grid_of_the_verify_check():
+    """The image_vs_fft check's grid: 4036 x 1182 by the phase-step rule,
+    rounded up to 4050 = 2 3^4 5^2 by 1200 = 2^4 3 5^2."""
+    setup = _setup(k=40.0, x0=-6.0, Sigma=0.25)
+    grid = grid_for_flight(_mirrored(setup), setup.t)
+    assert (grid.nx, grid.nX) == (4050, 1200)
+
+
+def _quadratic_form(wave, x, X):
+    """Reference: the exponent in (R, u), expanded about the origin."""
+    p = wave.params
+    R = p.delta * x + p.gamma * X
+    u = x - X
+    quad = wave.A[0, 0] * R * R + 2.0 * wave.A[0, 1] * R * u + wave.A[1, 1] * u * u
+    return np.exp(-quad + wave.b[0] * R + wave.b[1] * u + wave.c)
+
+
+def _wave_family(M, Sigma, k, x0, t):
+    p = collision_params(1.0, M)
+    w = GaussianWave2D.from_product_state(initial_state(Sigma, 1.0, k), p, x_center=x0)
+    return {
+        "product": w,
+        "mirrored": w.mirror_u(),
+        "evolved": w.free_evolve(t),
+        "negated": w.mirror_u().free_evolve(t).negated(),
+    }
+
+
+_CORNERS = [(-10.0, -10.0), (-10.0, 10.0), (10.0, -10.0), (10.0, 10.0), (0.0, 0.0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    M=st.floats(0.0, 4.0).map(lambda e: 10.0**e),
+    Sigma=st.floats(0.2, 1.0),
+    k=st.floats(-10.0, 10.0),
+    x0=st.floats(-8.0, 0.0),
+    t=st.floats(0.05, 2.0),
+    offsets=st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+                     min_size=1, max_size=8),
+)
+def test_lab_frame_evaluate_matches_quadratic_form(M, Sigma, k, x0, t, offsets):
+    """Points up to 10 standard deviations off-center along the Cholesky
+    axes of each wave's lab-frame envelope."""
+    s = np.array(offsets + _CORNERS).T
+    for name, wave in _wave_family(M, Sigma, k, x0, t).items():
+        center, cov = wave.center_cov()
+        x, X = center[:, None] + np.linalg.cholesky(cov) @ s
+        np.testing.assert_allclose(wave.evaluate(x, X), _quadratic_form(wave, x, X),
+                                   rtol=1e-12, atol=0.0, err_msg=name)
+
+
+def test_evaluate_broadcast_axes_match_meshes():
+    for name, wave in _wave_family(99.0, 0.25, 6.0, -6.0, 1.5).items():
+        g = grid_for_wave(wave, n=96)
+        xx, XX = g.meshes()
+        on_mesh = wave.evaluate(xx, XX)
+        np.testing.assert_array_equal(
+            wave.evaluate(g.x_nodes()[None, :], g.X_nodes()[:, None]), on_mesh, err_msg=name
+        )
+        assert wave.evaluate(xx[7, 11], XX[7, 11]) == pytest.approx(on_mesh[7, 11], rel=1e-15)
 
 
 def test_fixed_wall_limit_factorizes():
