@@ -31,7 +31,6 @@ from .entanglement import (
     KernelParams,
     entanglement_measure,
     entanglement_report,
-    k_independence_check,
     kernel_params,
     largest_eigenvalue,
     optimal_spreads,

@@ -198,9 +198,10 @@ def _image_setup(k_sigma: float, x0_sigmas: float, Sigma: float) -> propagation.
 
 def check_image_f0(grid_n: int | None, tol: float = 1e-3) -> VerificationCheck:
     """Entanglement of the time-evolved reflected wave matches the static
-    analysis (invariance under free evolution)."""
+    analysis (invariance under free evolution).  The grid is sized from the
+    wave's oscillation content, starting at 256 points; grid_n is ignored."""
     setup = _image_setup(k_sigma=6.0, x0_sigmas=8.0, Sigma=0.3)
-    res = propagation.image_propagate(setup, n=256 if grid_n is None else grid_n)
+    res = propagation.image_propagate(setup, n=256)
     sv = np.linalg.svd(res.psi * np.sqrt(res.grid.dx * res.grid.dX), compute_uv=False)
     sf = post_collision_state(
         initial_state(setup.Sigma, setup.sigma, setup.k), setup.params
@@ -250,21 +251,13 @@ _CHECKS = [
 
 CHECK_NAMES = [fn.__name__.removeprefix("check_") for fn in _CHECKS]
 
-# checks whose oracle grid follows the --grid override; the propagation pair
-# sizes its own grids from the oscillation content
-_GRID_SENSITIVE = {
-    "check_matched_overlap", "check_overlap_closed_form",
-    "check_gauss_legendre_overlap", "check_schmidt_f0",
-    "check_schmidt_ratios", "check_kernel_eigensolve", "check_oscillator_lemma",
-    "check_reduced_kernel", "check_k_independence", "check_matched_momentum",
-}
-
 
 def run_verification(grid_n: int | None = None,
                      tol_overrides: dict[str, float] | None = None) -> list[VerificationCheck]:
     """Run every check, optionally forcing oracle grids to grid_n points.
 
-    tol_overrides maps check names to replacement tolerances.
+    tol_overrides maps check names to replacement tolerances.  The two
+    propagation checks size their own grids and ignore grid_n.
     """
     overrides = tol_overrides or {}
     unknown = set(overrides) - set(CHECK_NAMES)
@@ -273,10 +266,8 @@ def run_verification(grid_n: int | None = None,
     results = []
     for fn in _CHECKS:
         name = fn.__name__.removeprefix("check_")
-        n = grid_n if fn.__name__ in _GRID_SENSITIVE else None
         if name in overrides:
-            check = fn(n, tol=overrides[name])
+            results.append(fn(grid_n, tol=overrides[name]))
         else:
-            check = fn(n)
-        results.append(check)
+            results.append(fn(grid_n))
     return results

@@ -194,7 +194,7 @@ def cmd_error(args) -> int:
     opt = eb.optimal_lambda(k_sigma, p)
     if lam is None:
         lam = opt.lambda_max
-    rep = eb.error_report(lam, k_sigma, p)
+    rep = eb.error_report(lam, k_sigma, p, opt=opt)
     params = {"delta": p.delta, "gamma": p.gamma, "lambda": rep.lam,
               "k_sigma": rep.k_sigma}
     results = {"A": rep.A, "one_minus_A": rep.one_minus_A,
@@ -308,11 +308,10 @@ def _sweep_values(args) -> np.ndarray:
 def _sweep_row(parameter: str, value: float, args, p: CollisionParams | None):
     if parameter == "lambda":
         lam, k_sigma = value, (args.ksigma or 0.0)
-        rep = eb.error_report(lam, k_sigma, p)
+        half_h = -0.5 * float(eb.overlap_log_inverse_sq(lam, k_sigma, p))
         sf = post_collision_state(initial_state(math.sqrt(lam), 1.0, 0.0), p)
-        kp = ent.kernel_params(sf)
-        f0 = ent.largest_eigenvalue(kp.w)
-        return [lam, k_sigma, rep.A, rep.one_minus_A, f0, 1.0 - f0]
+        f0 = ent.largest_eigenvalue(ent.kernel_params(sf).w)
+        return [lam, k_sigma, float(np.exp(half_h)), float(-np.expm1(half_h)), f0, 1.0 - f0]
     if parameter == "k_sigma":
         opt = eb.optimal_lambda(value, p)
         lam_small, err_small = eb.error_asymptotic(value, p.delta, "small")

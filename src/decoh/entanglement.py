@@ -25,7 +25,7 @@ Omega delta = omega gamma, i.e. Sigma^2/sigma^2 = delta/gamma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ __all__ = [
     "entanglement_measure",
     "entanglement_report",
     "optimal_spreads",
-    "k_independence_check",
 ]
 
 # rho below this fraction of sqrt(omega*Omega) counts as exactly matched;
@@ -232,16 +231,3 @@ def optimal_spreads(sigma: float, p: CollisionParams) -> float:
         raise ValueError(f"particle spread must be positive and finite, got {sigma}")
     return sigma * np.sqrt(p.delta / p.gamma)
 
-
-def k_independence_check(s: PostCollisionState, n: int = 512, tol: float = 1e-6) -> bool:
-    """Numerically confirm that the momentum cannot entangle the state.
-
-    Compares the largest squared Schmidt coefficient of the state at its own
-    k against the k = 0 state via the SVD oracle.  The closed form is
-    manifestly k-free; this checks the discretized route agrees.
-    """
-    from .oracles import schmidt_decompose  # deferred to avoid an import cycle
-
-    sv_k = schmidt_decompose(s, n=n).singular_values
-    sv_0 = schmidt_decompose(replace(s, k=0.0), n=n).singular_values
-    return bool(abs(sv_k[0] ** 2 - sv_0[0] ** 2) <= tol)

@@ -219,10 +219,16 @@ class ErrorReport:
     regime: str
 
 
-def error_report(lam: float, k_sigma: float, p: CollisionParams) -> ErrorReport:
-    """Evaluate A at the given ratio and attach the optimized comparison."""
+def error_report(lam: float, k_sigma: float, p: CollisionParams, *,
+                 opt: Optimum | None = None) -> ErrorReport:
+    """Evaluate A at the given ratio and attach the optimized comparison.
+
+    opt is optimal_lambda(k_sigma, p), solved here unless the caller
+    already holds it.
+    """
     h = float(overlap_log_inverse_sq(lam, k_sigma, p))
-    opt = optimal_lambda(k_sigma, p)
+    if opt is None:
+        opt = optimal_lambda(k_sigma, p)
     return ErrorReport(
         lam=float(lam),
         k_sigma=float(k_sigma),

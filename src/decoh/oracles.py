@@ -84,31 +84,28 @@ def _axis_points(width: float, k_eff: float, n: int) -> int:
     return n
 
 
-def grid_for_state(state, n: int = 512, extent_factor: float = COVER_SIGMAS,
-                   force_n: int | None = None) -> GridSpec:
-    """Size a grid to a state's envelope and oscillation content.
+def grid_for_state(*states, n: int = 512, force_n: int | None = None) -> GridSpec:
+    """Size one grid to the envelopes and oscillation content of states.
 
-    Extents are extent_factor standard deviations either side of the state
-    center per axis; point counts start at n and grow until the phase
-    advances at most MAX_PHASE_STEP per step.  force_n pins both counts
-    (marking the grid as forced, so downstream validation only warns).
+    Each axis spans the union of every state's center +- COVER_SIGMAS
+    standard deviations.  Point counts start at n and grow until the summed
+    phase wavenumbers (the oscillation of a product such as a* b) advance
+    at most MAX_PHASE_STEP per step.  force_n pins both counts instead and
+    marks the grid as forced, so downstream validation only warns.
     """
-    sx, sX = state.position_spreads()
-    kx, kX = state.phase_wavenumbers()
-    cx, cX = state.centers()
-    hx = extent_factor * sx
-    hX = extent_factor * sX
-    if force_n is not None:
-        nx = nX = int(force_n)
-        forced = True
+    lo, hi, k = [math.inf, math.inf], [-math.inf, -math.inf], [0.0, 0.0]
+    for state in states:
+        for axis, (c, s, ks) in enumerate(zip(state.centers(), state.position_spreads(),
+                                              state.phase_wavenumbers())):
+            lo[axis] = min(lo[axis], c - COVER_SIGMAS * s)
+            hi[axis] = max(hi[axis], c + COVER_SIGMAS * s)
+            k[axis] += ks
+    if force_n is None:
+        nx, nX = (_axis_points(hi[a] - lo[a], k[a], n) for a in (0, 1))
     else:
-        nx = _axis_points(2.0 * hx, kx, n)
-        nX = _axis_points(2.0 * hX, kX, n)
-        forced = False
-    return GridSpec(
-        x_min=cx - hx, x_max=cx + hx, X_min=cX - hX, X_max=cX + hX,
-        nx=nx, nX=nX, forced=forced,
-    )
+        nx = nX = int(force_n)
+    return GridSpec(x_min=lo[0], x_max=hi[0], X_min=lo[1], X_max=hi[1],
+                    nx=nx, nX=nX, forced=force_n is not None)
 
 
 def validate_grid(grid: GridSpec, state) -> list[str]:
@@ -138,23 +135,6 @@ def validate_grid(grid: GridSpec, state) -> list[str]:
     return problems
 
 
-def _joint_grid(a, b, n: int) -> GridSpec:
-    """Grid adequate for both evaluators; phase content adds conservatively."""
-    sax, saX = a.position_spreads()
-    sbx, sbX = b.position_spreads()
-    kax, kaX = a.phase_wavenumbers()
-    kbx, kbX = b.phase_wavenumbers()
-    cax, caX = a.centers()
-    cbx, cbX = b.centers()
-    x_min = min(cax - COVER_SIGMAS * sax, cbx - COVER_SIGMAS * sbx)
-    x_max = max(cax + COVER_SIGMAS * sax, cbx + COVER_SIGMAS * sbx)
-    X_min = min(caX - COVER_SIGMAS * saX, cbX - COVER_SIGMAS * sbX)
-    X_max = max(caX + COVER_SIGMAS * saX, cbX + COVER_SIGMAS * sbX)
-    nx = _axis_points(x_max - x_min, kax + kbx, n)
-    nX = _axis_points(X_max - X_min, kaX + kbX, n)
-    return GridSpec(x_min=x_min, x_max=x_max, X_min=X_min, X_max=X_max, nx=nx, nX=nX)
-
-
 @dataclass(frozen=True)
 class OverlapResult:
     """Quadrature value of an overlap integral with a refinement estimate."""
@@ -181,7 +161,7 @@ def quadrature_overlap(a, b, grid: GridSpec | None = None, n: int = 512,
     the violations are attached as warnings.
     """
     if grid is None:
-        grid = _joint_grid(a, b, n)
+        grid = grid_for_state(a, b, n=n)
     warnings: list[str] = []
     for state in (a, b):
         if not hasattr(state, "position_spreads"):
@@ -298,15 +278,14 @@ def kernel_eigensolve(state, grid: GridSpec | None = None, n: int = 512) -> Kern
     return KernelEigsResult(eigenvalues=eigs, grid=grid)
 
 
-def oscillator_grid(beta: float, u: float, n: int = 512,
-                    extent_factor: float = COVER_SIGMAS) -> np.ndarray:
+def oscillator_grid(beta: float, u: float, n: int = 512) -> np.ndarray:
     """Uniform nodes adapted to the oscillator kernel's diagonal width.
 
     G(x, x) falls off like exp(-2 beta tanh(u/2) x^2), giving an effective
     standard deviation 1/(2 sqrt(beta tanh(u/2))).
     """
     s = 0.5 / math.sqrt(beta * math.tanh(0.5 * u))
-    half = extent_factor * s
+    half = COVER_SIGMAS * s
     return np.linspace(-half, half, n)
 
 

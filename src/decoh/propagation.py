@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import CollisionParams, GaussianProductState, collision_params, initial_state
-from .oracles import GridSpec, _axis_points, COVER_SIGMAS
+from .oracles import GridSpec, _axis_points, grid_for_state
 
 __all__ = [
     "PropagatorSetup",
@@ -37,7 +37,6 @@ __all__ = [
     "fft_free_evolve",
     "free_evolve_gaussian_1d",
     "phase_aligned_l2",
-    "grid_for_wave",
     "grid_for_flight",
     "fft_size",
 ]
@@ -271,22 +270,6 @@ class GaussianWave2D:
         return kx_max, kX_max
 
 
-def grid_for_wave(wave: GaussianWave2D, n: int = 512,
-                  extent_factor: float = COVER_SIGMAS) -> GridSpec:
-    """Grid sized to an evolved wave's envelope and local oscillations."""
-    center, cov = wave.center_cov()
-    sx = math.sqrt(cov[0, 0].real)
-    sX = math.sqrt(cov[1, 1].real)
-    kx, kX = wave.phase_wavenumbers()
-    hx = extent_factor * sx
-    hX = extent_factor * sX
-    return GridSpec(
-        x_min=float(center[0] - hx), x_max=float(center[0] + hx),
-        X_min=float(center[1] - hX), X_max=float(center[1] + hX),
-        nx=_axis_points(2.0 * hx, kx, n), nX=_axis_points(2.0 * hX, kX, n),
-    )
-
-
 def fft_size(n: int) -> int:
     """Smallest integer >= n whose prime factors are all at most 5."""
     n = max(int(n), 1)
@@ -303,11 +286,14 @@ def fft_size(n: int) -> int:
 def grid_for_flight(wave: GaussianWave2D, t: float) -> GridSpec:
     """One grid holding a wave over its free flight from time 0 to t.
 
-    Each axis spans FLIGHT_COVER_SIGMAS envelope widths (the wider of start
-    and end) beyond both centers; the step resolves the end wave's local
-    oscillations to MAX_PHASE_STEP, with at least 512 points on x and 256
-    on X.  Point counts are then rounded up to FFT-friendly sizes (prime
-    factors <= 5), which only refines the grid.
+    The one sizer besides oracles.grid_for_state, which covers states at a
+    single instant: the FFT step wraps anything that reaches an edge, so
+    each axis spans FLIGHT_COVER_SIGMAS envelope widths (the wider of start
+    and end) beyond both the start and the end center.  The step resolves
+    the end wave's local oscillations to MAX_PHASE_STEP, with at least 512
+    points on x and 256 on X.  Point counts are then rounded up to
+    FFT-friendly sizes (prime factors <= 5), which only refines the grid;
+    the image_vs_fft check's grid comes out 4050 x 1200.
     """
     end = wave.free_evolve(t)
     c0, cov0 = wave.center_cov()
@@ -377,7 +363,7 @@ def image_propagate(setup: PropagatorSetup, grid: GridSpec | None = None,
         wave = None
 
     if grid is None:
-        grid = grid_for_wave(wave if wave is not None else reflected, n=n)
+        grid = grid_for_state(wave if wave is not None else reflected, n=n)
     x, X = grid.x_nodes()[None, :], grid.X_nodes()[:, None]
     if mode == "full":
         psi = direct.evaluate(x, X)

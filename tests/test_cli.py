@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from decoh import cli
+from decoh import error_bounds as eb
+from decoh.kinematics import collision_params_from_delta
 
 
 def run_cli(capsys, *argv):
@@ -326,3 +328,30 @@ def test_output_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(out_path.read_text())["results"]["A"] > 0.7
+
+
+def test_each_optimum_is_solved_once(capsys, monkeypatch):
+    """error solves its optimum once; a lambda sweep has none to solve."""
+    solved = []
+    solve = eb.optimal_lambda
+
+    def counted(k_sigma, p, *args, **kwargs):
+        solved.append(k_sigma)
+        return solve(k_sigma, p, *args, **kwargs)
+
+    monkeypatch.setattr(eb, "optimal_lambda", counted)
+    for argv in (["--ksigma", "1"], ["--ksigma", "2", "--lambda", "0.3", "--grid", "64"]):
+        solved.clear()
+        code, _, _ = run_cli(capsys, "error", "--delta", "0.01", "--format", "json", *argv)
+        assert code == 0 and len(solved) == 1
+
+    solved.clear()
+    code, out, _ = run_cli(capsys, "sweep", "--parameter", "lambda", "--delta", "0.01",
+                           "--ksigma", "1", "--start", "0.001", "--stop", "1", "--points", "9")
+    assert code == 0 and solved == []
+    _, header, rows = cli.parse_emitted_csv(out)
+    p = collision_params_from_delta(0.01)
+    for lam, row in zip(np.linspace(0.001, 1.0, 9), rows, strict=True):
+        rep = eb.error_report(float(lam), 1.0, p)
+        assert row[header.index("A")] == f"{rep.A:.12g}"
+        assert row[header.index("one_minus_A")] == f"{rep.one_minus_A:.12g}"

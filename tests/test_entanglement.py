@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from decoh import checks
 from decoh.entanglement import (
     entanglement_measure,
     entanglement_report,
-    k_independence_check,
     kernel_params,
     largest_eigenvalue,
     optimal_spreads,
@@ -173,6 +173,5 @@ def test_reduced_kernel_origin_and_trace(state_equal_spreads):
     assert trace == pytest.approx(1.0, abs=1e-10)
 
 
-def test_k_independence_check(params_1_99):
-    sf = post_collision_state(initial_state(1.0, 1.0, 3.0), params_1_99)
-    assert k_independence_check(sf, n=256)
+def test_k_independence_check():
+    assert checks.check_k_independence(256).passed

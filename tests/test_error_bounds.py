@@ -193,3 +193,4 @@ def test_error_report_fields(params_1_99):
     assert rep.one_minus_A == pytest.approx(1.0 - rep.A, rel=1e-12)
     assert rep.lambda_max > 0.0
     assert rep.regime == "crossover"
+    assert error_report(1.0, 0.5, params_1_99, opt=optimal_lambda(0.5, params_1_99)) == rep

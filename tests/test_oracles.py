@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoh.entanglement import (
     kernel_params,
@@ -15,6 +17,8 @@ from decoh.kinematics import (
     post_collision_state,
 )
 from decoh.oracles import (
+    COVER_SIGMAS,
+    MAX_PHASE_STEP,
     GridError,
     GridSpec,
     grid_for_state,
@@ -23,9 +27,11 @@ from decoh.oracles import (
     oscillator_grid,
     quadrature_overlap,
     schmidt_decompose,
+    validate_grid,
     write_kernel_csv,
     write_wavefunction_csv,
 )
+from decoh.propagation import GaussianWave2D
 
 
 def test_self_overlap_is_unity():
@@ -66,6 +72,71 @@ def test_auto_grid_respects_phase_density():
     kx, kX = sf.phase_wavenumbers()
     assert g.dx * kx <= 0.3 * (1 + 1e-9)
     assert g.dX * kX <= 0.3 * (1 + 1e-9)
+
+
+_STATE_SETUPS = dict(
+    M=st.floats(1.0, 1e4),
+    Sigma=st.floats(0.05, 5.0),
+    sigma=st.floats(0.05, 5.0),
+    k=st.floats(0.0, 20.0),
+    x0=st.floats(-10.0, 0.0),
+    t=st.floats(0.05, 2.0),
+    n=st.integers(1, 1024),
+)
+
+
+def _sized_states(M, Sigma, sigma, k, x0, t):
+    """Every state kind the sizer is asked to cover, one bounce setup."""
+    p = collision_params(1.0, M)
+    s0 = initial_state(Sigma, sigma, k)
+    evolved = GaussianWave2D.from_product_state(s0, p, x_center=x0).mirror_u().free_evolve(t)
+    return {"product": s0, "ideal": ideal_reflected_state(s0),
+            "post-collision": post_collision_state(s0, p), "evolved wave": evolved}
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_STATE_SETUPS)
+def test_grid_for_one_state_covers_its_envelope_and_phase(M, Sigma, sigma, k, x0, t, n):
+    for name, state in _sized_states(M, Sigma, sigma, k, x0, t).items():
+        g = grid_for_state(state, n=n)
+        (cx, cX), (sx, sX) = state.centers(), state.position_spreads()
+        kx, kX = state.phase_wavenumbers()
+        assert (g.x_min, g.x_max) == (cx - COVER_SIGMAS * sx, cx + COVER_SIGMAS * sx), name
+        assert (g.X_min, g.X_max) == (cX - COVER_SIGMAS * sX, cX + COVER_SIGMAS * sX), name
+        assert min(g.nx, g.nX) >= max(n, 64) and not g.forced, name
+        assert g.dx * kx <= MAX_PHASE_STEP * (1 + 1e-9), name
+        assert g.dX * kX <= MAX_PHASE_STEP * (1 + 1e-9), name
+        assert validate_grid(g, state) == [], name
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_STATE_SETUPS)
+def test_grid_for_a_pair_serves_both_states(M, Sigma, sigma, k, x0, t, n):
+    states = _sized_states(M, Sigma, sigma, k, x0, t)
+    for a, b in (("ideal", "post-collision"), ("product", "evolved wave")):
+        g = grid_for_state(states[a], states[b], n=n)
+        assert validate_grid(g, states[a]) == [] and validate_grid(g, states[b]) == [], (a, b)
+        # the integrand a* b oscillates with the summed wavenumbers
+        (kax, kaX), (kbx, kbX) = states[a].phase_wavenumbers(), states[b].phase_wavenumbers()
+        assert g.dx * (kax + kbx) <= MAX_PHASE_STEP * (1 + 1e-9), (a, b)
+        assert g.dX * (kaX + kbX) <= MAX_PHASE_STEP * (1 + 1e-9), (a, b)
+        # the union box: the pair's grid holds each state's own grid
+        for s in (states[a], states[b]):
+            own = grid_for_state(s, n=n)
+            assert g.x_min <= own.x_min and g.x_max >= own.x_max
+            assert g.X_min <= own.X_min and g.X_max >= own.X_max
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_STATE_SETUPS, force_n=st.integers(2, 4096))
+def test_grid_force_n_sets_both_counts(M, Sigma, sigma, k, x0, t, n, force_n):
+    states = list(_sized_states(M, Sigma, sigma, k, x0, t).values())
+    for chosen in (states[:1], states[1:3]):
+        g = grid_for_state(*chosen, n=n, force_n=force_n)
+        free = grid_for_state(*chosen, n=n)
+        assert (g.nx, g.nX, g.forced) == (force_n, force_n, True)
+        assert (g.x_min, g.x_max, g.X_min, g.X_max) == (
+            free.x_min, free.x_max, free.X_min, free.X_max)
 
 
 def test_truncation_estimate_bounds_refinement():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from decoh.entanglement import kernel_params, largest_eigenvalue
 from decoh.kinematics import collision_params, initial_state, post_collision_state
-from decoh.oracles import MAX_PHASE_STEP, _axis_points
+from decoh.oracles import MAX_PHASE_STEP, _axis_points, grid_for_state
 from decoh.propagation import (
     FLIGHT_COVER_SIGMAS,
     GaussianWave2D,
@@ -17,7 +17,6 @@ from decoh.propagation import (
     fft_size,
     free_evolve_gaussian_1d,
     grid_for_flight,
-    grid_for_wave,
     image_propagate,
     phase_aligned_l2,
     separation_check,
@@ -76,7 +75,7 @@ def test_wave_matches_product_state():
     p = collision_params(1.0, 99.0)
     s = initial_state(0.3, 1.0, 6.0)
     w = GaussianWave2D.from_product_state(s, p, x_center=-8.0)
-    g = grid_for_wave(w, n=128)
+    g = grid_for_state(w, n=128)
     xx, XX = g.meshes()
     direct = np.sqrt(s.norm) * np.exp(
         -(XX**2) / (4 * s.Sigma**2)
@@ -105,7 +104,7 @@ def test_short_time_evolution_is_identity():
     p = collision_params(1.0, 99.0)
     s = initial_state(0.3, 1.0, 6.0)
     w = GaussianWave2D.from_product_state(s, p, x_center=-8.0)
-    g = grid_for_wave(w, n=96)
+    g = grid_for_state(w, n=96)
     xx, XX = g.meshes()
     drifted = w.free_evolve(1e-7)
     np.testing.assert_allclose(drifted.evaluate(xx, XX), w.evaluate(xx, XX), atol=1e-4)
@@ -243,7 +242,7 @@ def test_lab_frame_evaluate_matches_quadratic_form(M, Sigma, k, x0, t, offsets):
 
 def test_evaluate_broadcast_axes_match_meshes():
     for name, wave in _wave_family(99.0, 0.25, 6.0, -6.0, 1.5).items():
-        g = grid_for_wave(wave, n=96)
+        g = grid_for_state(wave, n=96)
         xx, XX = g.meshes()
         on_mesh = wave.evaluate(xx, XX)
         np.testing.assert_array_equal(
