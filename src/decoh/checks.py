@@ -27,6 +27,10 @@ from .kinematics import (
 
 __all__ = ["VerificationCheck", "run_verification", "CHECK_NAMES"]
 
+# spectrum levels the SVD and eigensolve checks compare; a forced grid needs
+# at least this many points per axis to have them
+_LEVELS = 5
+
 
 @dataclass(frozen=True)
 class VerificationCheck:
@@ -117,7 +121,7 @@ def check_schmidt_ratios(grid_n: int | None, tol: float = 1e-4) -> VerificationC
     sf, _ = _state(1.0, 1.0, 0.0, 0.01)
     kp = ent.kernel_params(sf)
     sv = oracles.schmidt_decompose(sf, n=512 if grid_n is None else grid_n).singular_values
-    ratios = sv[1:5] ** 2 / sv[0:4] ** 2
+    ratios = sv[1:_LEVELS] ** 2 / sv[0:_LEVELS - 1] ** 2
     dev = float(np.max(np.abs(ratios - np.exp(-kp.u))))
     return _result("schmidt_ratios", tol, dev, "first 5 levels vs e^{-u}")
 
@@ -127,7 +131,7 @@ def check_kernel_eigensolve(grid_n: int | None, tol: float = 1e-6) -> Verificati
     sf, _ = _state(1.0, 1.0, 0.0, 0.01)
     kp = ent.kernel_params(sf)
     eigs = oracles.kernel_eigensolve(sf, n=512 if grid_n is None else grid_n).eigenvalues
-    dev = float(np.max(np.abs(eigs[:5] - ent.spectrum(kp.w, 5))))
+    dev = float(np.max(np.abs(eigs[:_LEVELS] - ent.spectrum(kp.w, _LEVELS))))
     return _result("kernel_eigensolve", tol, dev, "first 5 eigenvalues vs spectrum")
 
 
@@ -135,14 +139,14 @@ def check_oscillator_lemma(grid_n: int | None, tol: float = 1e-6) -> Verificatio
     """Oscillator kernel reproduces e^{-u(n+1/2)} for very different beta."""
     u = 0.7
     n = 512 if grid_n is None else grid_n
-    expected = ent.oscillator_kernel_spectrum(1.0, u, 5)
+    expected = ent.oscillator_kernel_spectrum(1.0, u, _LEVELS)
     devs = []
     spectra = []
     for beta in (0.1, 10.0):
         nodes = oracles.oscillator_grid(beta, u, n=n)
         eigs = oracles.hermitian_kernel_eigenvalues(ent.oscillator_kernel(beta, u), nodes)
-        spectra.append(eigs[:5])
-        devs.append(float(np.max(np.abs(eigs[:5] - expected))))
+        spectra.append(eigs[:_LEVELS])
+        devs.append(float(np.max(np.abs(eigs[:_LEVELS] - expected))))
     cross = float(np.max(np.abs(spectra[0] - spectra[1])))
     dev = max(max(devs), cross)
     return _result("oscillator_lemma", tol, dev,
@@ -257,12 +261,16 @@ def run_verification(grid_n: int | None = None,
     """Run every check, optionally forcing oracle grids to grid_n points.
 
     tol_overrides maps check names to replacement tolerances.  The two
-    propagation checks size their own grids and ignore grid_n.
+    propagation checks size their own grids and ignore grid_n.  Both
+    arguments are validated before any check runs.
     """
     overrides = tol_overrides or {}
     unknown = set(overrides) - set(CHECK_NAMES)
     if unknown:
         raise ValueError(f"unknown check names in tolerance overrides: {sorted(unknown)}")
+    if grid_n is not None and grid_n < _LEVELS:
+        raise ValueError(f"grid must have at least {_LEVELS} points per axis, got {grid_n}: "
+                         f"the checks compare {_LEVELS} spectrum levels")
     results = []
     for fn in _CHECKS:
         name = fn.__name__.removeprefix("check_")

@@ -6,11 +6,16 @@ Output is human-readable text by default; --format csv or json switches to
 machine-readable forms with 12 significant digits.  A plain key=value
 config file can seed any flag; explicit flags win.  DECOH_NUM_THREADS caps
 sweep parallelism.
+
+The argument parser is built once per process and reused by every call to
+main, so callers that run many commands in one process (tests, notebooks,
+a benchmark loop) pay for it once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -490,7 +495,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="include extra diagnostics in text output")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="decoh",
         description="decoherence and error bounds for a particle bouncing off a quantum wall",
@@ -500,12 +506,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_err = subs.add_parser("error", help="overlap error against the fixed-wall ideal")
     _add_common(p_err)
-    p_err.set_defaults(fn=cmd_error)
 
     p_ent = subs.add_parser("entangle", help="reduced-kernel entanglement report")
     _add_common(p_ent)
     p_ent.add_argument("--n-spectrum", type=int, help="eigenvalues to list (default 8)")
-    p_ent.set_defaults(fn=cmd_entangle)
 
     p_sw = subs.add_parser("sweep", help="parameter sweep to CSV/JSON")
     _add_common(p_sw)
@@ -516,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--points", type=int, required=True)
     p_sw.add_argument("--scale", choices=("linear", "log"), default="linear")
     p_sw.add_argument("--mu-kg", dest="mu_kg", type=float, help="mass for T sweeps")
-    p_sw.set_defaults(fn=cmd_sweep, format="csv")
+    p_sw.set_defaults(format="csv")
 
     p_ver = subs.add_parser("verify", help="run every oracle-vs-closed-form check")
     p_ver.add_argument("--grid", type=int, help="force oracle grids to N points per axis")
@@ -525,7 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_ver.add_argument("--out")
     p_ver.add_argument("--config")
-    p_ver.set_defaults(fn=cmd_verify)
 
     p_th = subs.add_parser("thermal", help="thermal packet size and collision budget")
     p_th.add_argument("--mu-kg", dest="mu_kg", type=float, help="object mass in kg")
@@ -538,15 +541,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_th.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_th.add_argument("--out")
     p_th.add_argument("--config")
-    p_th.set_defaults(fn=cmd_thermal)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it;
+    callers must not modify it."""
+    return _parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so a command replaced on the module is the one run
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return command(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

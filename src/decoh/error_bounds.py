@@ -62,6 +62,11 @@ def overlap_log_inverse_sq(lam, k_sigma: float, p: CollisionParams):
     lam = np.asarray(lam, dtype=float)
     if np.any(lam <= 0.0) or not np.all(np.isfinite(lam)):
         raise ValueError("spread ratio lambda must be positive and finite")
+    return _log_inverse_sq(lam, k_sigma, p)
+
+
+def _log_inverse_sq(lam, k_sigma: float, p: CollisionParams):
+    """ln(A^{-2}) for lam already known to be positive and finite."""
     root = np.sqrt(lam)
     mismatch = p.gamma * root - p.delta / root
     return np.log1p(mismatch * mismatch) + 4.0 * k_sigma**2 * lam / (1.0 + lam)
@@ -152,7 +157,8 @@ def optimal_lambda(k_sigma: float, p: CollisionParams, tol: float = _LN_LAMBDA_T
     hi = math.log(_BRACKET_HI)
 
     def objective(t: float) -> float:
-        return float(overlap_log_inverse_sq(math.exp(t), k_sigma, p))
+        # exp of a finite bracket point is positive and finite: skip the checks
+        return float(_log_inverse_sq(math.exp(t), k_sigma, p))
 
     t_min, f_min, iterations = golden_section_minimize(objective, lo, hi, tol=tol)
     return Optimum(

@@ -355,3 +355,67 @@ def test_each_optimum_is_solved_once(capsys, monkeypatch):
         rep = eb.error_report(float(lam), 1.0, p)
         assert row[header.index("A")] == f"{rep.A:.12g}"
         assert row[header.index("one_minus_A")] == f"{rep.one_minus_A:.12g}"
+
+
+def test_repeated_calls_print_the_same_bytes(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("delta=0.01\nksigma=2\n")
+    argvs = [
+        ["error", "--delta", "0.01", "--ksigma", "1", "--grid", "64", "-v"],
+        ["error", "--delta", "0.01"],
+        ["error", "--config", str(cfg)],
+        ["error", "--delta", "0.01", "--format", "csv"],
+        ["entangle", "--delta", "0.01", "--Sigma", "1", "--k", "1", "-v"],
+        ["thermal", "--T", "300", "--mu-kg", "1e-25", "--format", "json"],
+        ["sweep", "--parameter", "w", "--start", "0.1", "--stop", "10", "--points", "5"],
+        ["error", "--lambda", "-1", "--delta", "0.01"],
+    ]
+    first = [run_cli(capsys, *argv) for argv in argvs]
+    again = [run_cli(capsys, *argv) for argv in argvs]
+    again_reversed = [run_cli(capsys, *argv) for argv in reversed(argvs)]
+    assert again == first
+    assert again_reversed == first[::-1]
+
+
+def test_flags_and_config_do_not_leak_into_the_next_call(capsys, tmp_path):
+    plain = ["error", "--delta", "0.01", "--ksigma", "1"]
+    _, fresh, _ = run_cli(capsys, *plain)
+    run_cli(capsys, *plain, "--grid", "64", "-v")
+    _, after, _ = run_cli(capsys, *plain)
+    assert after == fresh
+    assert "quadrature" not in after and "optimizer" not in after
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda=0.5\n")
+    _, with_config, _ = run_cli(capsys, *plain, "--config", str(cfg))
+    assert "  lambda      = 0.5\n" in with_config
+    _, after, _ = run_cli(capsys, *plain)
+    assert after == fresh
+
+
+def test_dispatch_reads_the_command_at_call_time(capsys, monkeypatch):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser  # built once per process
+    seen = []
+
+    def fake_error(args):
+        seen.append(args.delta)
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_error", fake_error)
+    code, out, _ = run_cli(capsys, "error", "--delta", "0.25")
+    assert code == 7 and seen == [0.25] and out == ""
+
+
+@pytest.mark.parametrize("grid", ["0", "1", "2", "4", "-3"])
+def test_verify_grid_below_five_exits_2_with_a_message(capsys, grid):
+    code, out, err = run_cli(capsys, "verify", "--grid", grid)
+    assert code == 2 and out == ""
+    assert err == (f"error: grid must have at least 5 points per axis, got {grid}: "
+                   "the checks compare 5 spectrum levels\n")
+
+
+def test_verify_grid_five_runs_every_check(capsys):
+    code, out, err = run_cli(capsys, "verify", "--grid", "5", "--format", "json")
+    assert code in (0, 1) and err == ""
+    assert json.loads(out)["results"]["n_checks"] == 12

@@ -1,8 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from decoh import error_bounds as eb
 from decoh.error_bounds import (
     ConvergenceError,
+    Optimum,
     classify_regime,
     error_asymptotic,
     error_report,
@@ -43,10 +49,13 @@ def test_amplitude_matched_small_momentum():
 
 
 def test_amplitude_rejects_nonpositive_ratio(params_1_99):
-    with pytest.raises(ValueError):
-        overlap_amplitude(0.0, 1.0, params_1_99)
-    with pytest.raises(ValueError):
-        overlap_amplitude(-1.0, 1.0, params_1_99)
+    bad = (0.0, -1.0, np.nan, np.inf, -np.inf, [1.0, np.nan], [0.5, 0.0])
+    for lam in bad:
+        with pytest.raises(ValueError):
+            overlap_log_inverse_sq(lam, 1.0, params_1_99)
+        if np.ndim(lam) == 0:
+            with pytest.raises(ValueError):
+                overlap_amplitude(lam, 1.0, params_1_99)
 
 
 def test_amplitude_scaling_invariance(params_1_99):
@@ -91,6 +100,26 @@ def test_optimal_lambda_small_momentum():
     opt = optimal_lambda(0.01, p)
     assert opt.one_minus_A == pytest.approx(2e-3 * 1e-4, rel=0.05)
     assert opt.regime == "small-ksigma"
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_delta=st.floats(-6.0, math.log10(0.99)), k_sigma=st.floats(1e-4, 1e4))
+def test_optimum_equals_golden_search_over_public_overlap(log_delta, k_sigma):
+    """The solver's unchecked objective gives the same optimum, bit for bit,
+    as a golden search over the checked public function."""
+    p = collision_params_from_delta(10.0**log_delta)
+    t, f, steps = golden_section_minimize(
+        lambda t: float(overlap_log_inverse_sq(math.exp(t), k_sigma, p)),
+        math.log(p.delta**2 * eb._BRACKET_LO_FACTOR), math.log(eb._BRACKET_HI),
+        tol=eb._LN_LAMBDA_TOL,
+    )
+    assert optimal_lambda(k_sigma, p) == Optimum(
+        lambda_max=math.exp(t),
+        A_max=float(np.exp(-0.5 * f)),
+        one_minus_A=float(-np.expm1(-0.5 * f)),
+        regime=classify_regime(k_sigma),
+        iterations=steps,
+    )
 
 
 def test_optimal_lambda_rejects_negative(params_1_99):
