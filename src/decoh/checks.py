@@ -123,7 +123,7 @@ def check_schmidt_ratios(grid_n: int | None, tol: float = 1e-4) -> VerificationC
     sv = oracles.schmidt_decompose(sf, n=512 if grid_n is None else grid_n).singular_values
     ratios = sv[1:_LEVELS] ** 2 / sv[0:_LEVELS - 1] ** 2
     dev = float(np.max(np.abs(ratios - np.exp(-kp.u))))
-    return _result("schmidt_ratios", tol, dev, "first 5 levels vs e^{-u}")
+    return _result("schmidt_ratios", tol, dev, f"first {_LEVELS} levels vs e^{{-u}}")
 
 
 def check_kernel_eigensolve(grid_n: int | None, tol: float = 1e-6) -> VerificationCheck:
@@ -132,7 +132,7 @@ def check_kernel_eigensolve(grid_n: int | None, tol: float = 1e-6) -> Verificati
     kp = ent.kernel_params(sf)
     eigs = oracles.kernel_eigensolve(sf, n=512 if grid_n is None else grid_n).eigenvalues
     dev = float(np.max(np.abs(eigs[:_LEVELS] - ent.spectrum(kp.w, _LEVELS))))
-    return _result("kernel_eigensolve", tol, dev, "first 5 eigenvalues vs spectrum")
+    return _result("kernel_eigensolve", tol, dev, f"first {_LEVELS} eigenvalues vs spectrum")
 
 
 def check_oscillator_lemma(grid_n: int | None, tol: float = 1e-6) -> VerificationCheck:

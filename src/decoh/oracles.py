@@ -196,8 +196,7 @@ def quadrature_overlap(a, b, grid: GridSpec | None = None, n: int = 512,
 
 def _gauss_legendre_2d(a, b, grid: GridSpec, nx: int, nX: int) -> complex:
     tx, wx = np.polynomial.legendre.leggauss(nx)
-    # square grids (the default GL check, every forced grid) need one node set
-    tX, wX = (tx, wx) if nX == nx else np.polynomial.legendre.leggauss(nX)
+    tX, wX = np.polynomial.legendre.leggauss(nX)
     xs = 0.5 * (grid.x_max + grid.x_min) + 0.5 * (grid.x_max - grid.x_min) * tx
     Xs = 0.5 * (grid.X_max + grid.X_min) + 0.5 * (grid.X_max - grid.X_min) * tX
     wx = wx * 0.5 * (grid.x_max - grid.x_min)
