@@ -3,9 +3,15 @@
 Subcommands: error, entangle, sweep, verify, thermal.  Exit codes: 0 on
 success, 1 when a verification check fails, 2 for usage or domain errors.
 Output is human-readable text by default; --format csv or json switches to
-machine-readable forms with 12 significant digits.  A plain key=value
-config file can seed any flag; explicit flags win.  DECOH_NUM_THREADS caps
+machine-readable forms with 12 significant digits.  DECOH_NUM_THREADS caps
 sweep parallelism.
+
+Every command reads its inputs one way and writes its output one way.  Each
+key=value line of a --config file becomes a --key=value option spliced into
+argv right after the subcommand, so the one argument parser checks it like
+any flag and a flag given on the command line wins.  Every command hands
+its params, results, CSV header and text lines to _render, which writes the
+chosen format.
 
 The argument parser is built once per process and reused by every call to
 main, so callers that run many commands in one process (tests, notebooks,
@@ -61,14 +67,6 @@ def _jsonify(obj):
     return _sig12(obj)
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def format_json(params: dict, results: dict, checks: list[dict]) -> str:
     doc = {"params": _jsonify(params), "results": _jsonify(results),
            "checks": _jsonify(checks)}
@@ -89,6 +87,28 @@ def format_csv(params: dict, header: list[str], rows: list[list]) -> str:
                 cells.append(str(v))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def _render(args, params: dict, results: dict, header: list[str], rows=None,
+            lines: list[str] | None = None, checks=()) -> None:
+    """Write a command's output in args.format to args.out or stdout.
+
+    rows defaults to the one row of header's values, looked up in results
+    and then params; a command without text lines prints CSV for text.
+    """
+    if args.format == "json":
+        text = format_json(params, results, checks)
+    elif args.format == "csv" or lines is None:
+        if rows is None:
+            rows = [[results[h] if h in results else params[h] for h in header]]
+        text = format_csv(params, header, rows)
+    else:
+        text = "\n".join(lines) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def parse_emitted_csv(text: str):
@@ -118,84 +138,87 @@ def reemit_csv(comments: list[str], header: list[str], rows: list[list[str]]) ->
     return "\n".join(lines) + "\n"
 
 
-def _load_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _config_options(path: str) -> list[str]:
+    """--key=value for each key=value line of a config file, in file order."""
+    options = []
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, sep, value = line.partition("=")
+            if not (sep and key.strip()):
                 raise ValueError(f"config line is not key=value: {raw.strip()!r}")
-            key, val = line.split("=", 1)
-            values[key.strip()] = val.strip()
-    return values
+            options.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return options
 
 
-_CONFIG_TYPES = {
-    "m": float, "M": float, "sigma": float, "Sigma": str, "k": float,
-    "lambda": float, "ksigma": float, "delta": float, "grid": int,
-    "format": str, "out": str, "parameter": str, "start": float,
-    "stop": float, "points": int, "scale": str, "mu_kg": float, "T": float,
-    "collisions": int, "F0": float, "n_spectrum": int,
-}
+@functools.cache
+def _config_parser() -> argparse.ArgumentParser:
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    return pre
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
-    overrides = _load_config(args.config)
-    for key, raw in overrides.items():
-        norm = key.replace("-", "_")
-        if norm not in _CONFIG_TYPES:
-            raise ValueError(f"unknown config key {key!r}")
-        attr = "lambda_" if norm == "lambda" else norm  # argparse dest for --lambda
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, _CONFIG_TYPES[norm](raw))
+def _with_config(argv: list[str]) -> list[str]:
+    """argv with its --config file's options spliced in right after the
+    subcommand, so that flags given on the command line override them."""
+    # argparse reads --config only from an argument named by a prefix of it
+    if not any("--config".startswith(arg.split("=", 1)[0]) for arg in argv):
+        return argv
+    try:
+        path = _config_parser().parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        return argv  # the full parser reports it
+    return argv if path is None else argv[:1] + _config_options(path) + argv[1:]
 
 
 def _build_params(args) -> CollisionParams:
-    if getattr(args, "delta", None) is not None:
-        if getattr(args, "m", None) is not None or getattr(args, "M", None) is not None:
+    if args.delta is not None:
+        if args.m is not None or args.M is not None:
             raise ValueError("give either --delta or --m/--M, not both")
         return collision_params_from_delta(args.delta)
-    if getattr(args, "m", None) is None or getattr(args, "M", None) is None:
+    if args.m is None or args.M is None:
         raise ValueError("masses are required: --m and --M (or --delta)")
     return collision_params(args.m, args.M)
 
 
-def _resolve_spreads(args, p: CollisionParams):
-    """(Sigma, sigma) from flags; --Sigma auto applies spread matching."""
-    sigma = args.sigma if getattr(args, "sigma", None) is not None else 1.0
-    Sigma_raw = getattr(args, "Sigma", None)
-    if Sigma_raw is None:
-        return None, sigma
-    if isinstance(Sigma_raw, str) and Sigma_raw.strip().lower() == "auto":
-        return ent.optimal_spreads(sigma, p), sigma
-    return float(Sigma_raw), sigma
+def _resolve_state(args, p: CollisionParams):
+    """(Sigma, sigma, lambda, k, k sigma) from the flags.
 
-
-def _resolve_lambda_ksigma(args, p: CollisionParams):
-    Sigma, sigma = _resolve_spreads(args, p)
-    if getattr(args, "lambda_", None) is not None:
-        lam = args.lambda_
-    elif Sigma is not None:
-        lam = (Sigma / sigma) ** 2
-    else:
-        lam = None
-    if getattr(args, "ksigma", None) is not None:
+    sigma defaults to 1 and --Sigma auto applies spread matching; Sigma and
+    lambda are None when their flag is not given.  --ksigma beats --k; k is
+    signed, k sigma is |k| sigma.
+    """
+    sigma = args.sigma if args.sigma is not None else 1.0
+    Sigma = args.Sigma
+    if Sigma is not None:
+        Sigma = (ent.optimal_spreads(sigma, p) if Sigma.strip().lower() == "auto"
+                 else float(Sigma))
+    if args.ksigma is not None:
         k_sigma = args.ksigma
-    elif getattr(args, "k", None) is not None:
-        k_sigma = abs(args.k) * sigma
+        k = k_sigma / sigma if sigma else math.nan  # sigma = 0 fails with the state
     else:
-        k_sigma = 0.0
-    return lam, k_sigma
+        k = args.k if args.k is not None else 0.0
+        k_sigma = abs(k) * sigma
+    return Sigma, sigma, args.lambda_, k, k_sigma
+
+
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {n}")
+    return n
 
 
 def cmd_error(args) -> int:
-    _apply_config(args)
     p = _build_params(args)
-    lam, k_sigma = _resolve_lambda_ksigma(args, p)
+    Sigma, sigma, lam, _, k_sigma = _resolve_state(args, p)
+    if lam is None and Sigma is not None:
+        lam = (Sigma / sigma) ** 2
     opt = eb.optimal_lambda(k_sigma, p)
     if lam is None:
         lam = opt.lambda_max
@@ -206,12 +229,20 @@ def cmd_error(args) -> int:
                "lambda": rep.lam, "lambda_max": rep.lambda_max,
                "A_max": rep.A_max, "one_minus_A_max": opt.one_minus_A,
                "regime": rep.regime}
-    if getattr(args, "grid", None):
+    lines = [
+        f"overlap error (delta={p.delta:.6g}, k sigma={k_sigma:.6g})",
+        f"  lambda      = {rep.lam:.12g}",
+        f"  A           = {rep.A:.12g}",
+        f"  1 - A       = {rep.one_minus_A:.12g}",
+        f"  lambda_max  = {rep.lambda_max:.12g}",
+        f"  A_max       = {rep.A_max:.12g}",
+        f"  regime      = {rep.regime}",
+    ]
+    if args.grid:
         # cross-check the closed form on a quadrature grid of the given size
         from .kinematics import ideal_reflected_state
         from .oracles import grid_for_state, quadrature_overlap
 
-        sigma = args.sigma if args.sigma is not None else 1.0
         s0 = initial_state(sigma * math.sqrt(rep.lam), sigma,
                            rep.k_sigma / sigma)
         sf = post_collision_state(s0, p)
@@ -221,42 +252,23 @@ def cmd_error(args) -> int:
         )
         results["A_quadrature"] = abs(quad.value)
         results["A_quadrature_deviation"] = abs(abs(quad.value) - rep.A)
-    if args.format == "json":
-        _emit(format_json(params, results, []), args.out)
-    elif args.format == "csv":
-        header = ["lambda", "k_sigma", "A", "one_minus_A", "lambda_max", "A_max", "regime"]
-        row = [rep.lam, rep.k_sigma, rep.A, rep.one_minus_A, rep.lambda_max,
-               rep.A_max, rep.regime]
-        _emit(format_csv(params, header, [row]), args.out)
-    else:
-        lines = [
-            f"overlap error (delta={p.delta:.6g}, k sigma={k_sigma:.6g})",
-            f"  lambda      = {rep.lam:.12g}",
-            f"  A           = {rep.A:.12g}",
-            f"  1 - A       = {rep.one_minus_A:.12g}",
-            f"  lambda_max  = {rep.lambda_max:.12g}",
-            f"  A_max       = {rep.A_max:.12g}",
-            f"  regime      = {rep.regime}",
-        ]
-        if "A_quadrature" in results:
-            lines.append(f"  A quadrature = {results['A_quadrature']:.12g} "
-                         f"(deviation {results['A_quadrature_deviation']:.3e})")
-        if getattr(args, "verbose", False):
-            lines.append(f"  optimizer: {opt.iterations} golden-section steps, "
-                         f"1 - A_max = {opt.one_minus_A:.12g}")
-        _emit("\n".join(lines) + "\n", args.out)
+        lines.append(f"  A quadrature = {results['A_quadrature']:.12g} "
+                     f"(deviation {results['A_quadrature_deviation']:.3e})")
+    if args.verbose:
+        lines.append(f"  optimizer: {opt.iterations} golden-section steps, "
+                     f"1 - A_max = {opt.one_minus_A:.12g}")
+    header = ["lambda", "k_sigma", "A", "one_minus_A", "lambda_max", "A_max", "regime"]
+    _render(args, params, results, header, lines=lines)
     return 0
 
 
 def cmd_entangle(args) -> int:
-    _apply_config(args)
     p = _build_params(args)
-    Sigma, sigma = _resolve_spreads(args, p)
-    if Sigma is None and getattr(args, "lambda_", None) is not None:
-        Sigma = sigma * math.sqrt(args.lambda_)
+    Sigma, sigma, lam, k, _ = _resolve_state(args, p)
+    if Sigma is None and lam is not None:
+        Sigma = sigma * math.sqrt(lam)
     if Sigma is None:
         raise ValueError("wall spread is required: --Sigma (or --lambda)")
-    k = args.k if args.k is not None else 0.0
     sf = post_collision_state(initial_state(Sigma, sigma, k), p)
     kp = ent.kernel_params(sf)
     n_spec = args.n_spectrum if args.n_spectrum is not None else 8
@@ -267,36 +279,29 @@ def cmd_entangle(args) -> int:
                "F0": rep.F0, "measure": rep.measure, "matched": kp.matched,
                "spectrum": list(rep.spectrum_prefix),
                "spectrum_tail_bound": rep.tail_bound}
-    if getattr(args, "grid", None):
+    w_str = "inf (matched)" if kp.matched else f"{kp.w:.12g}"
+    lines = [
+        f"entanglement (delta={p.delta:.6g}, Sigma={Sigma:.6g}, sigma={sigma:.6g}, k={k:.6g})",
+        f"  D        = {kp.D:.12g}",
+        f"  rho      = {kp.rho:.12g}",
+        f"  w        = {w_str}",
+        f"  u        = {kp.u:.12g}",
+        f"  F0       = {rep.F0:.12g}",
+        f"  1 - F0   = {rep.measure:.12g}",
+        f"  spectrum = {', '.join(f'{v:.6g}' for v in rep.spectrum_prefix)}",
+    ]
+    if args.grid:
         from .oracles import schmidt_decompose
 
         sv = schmidt_decompose(sf, n=args.grid).singular_values
         results["F0_svd"] = float(sv[0] ** 2)
         results["F0_svd_deviation"] = abs(float(sv[0] ** 2) - rep.F0)
-    if args.format == "json":
-        _emit(format_json(params, results, []), args.out)
-    elif args.format == "csv":
-        header = ["D", "rho", "w", "u", "F0", "measure", "matched"]
-        row = [kp.D, kp.rho, kp.w, kp.u, rep.F0, rep.measure, kp.matched]
-        _emit(format_csv(params, header, [row]), args.out)
-    else:
-        w_str = "inf (matched)" if kp.matched else f"{kp.w:.12g}"
-        lines = [
-            f"entanglement (delta={p.delta:.6g}, Sigma={Sigma:.6g}, sigma={sigma:.6g}, k={k:.6g})",
-            f"  D        = {kp.D:.12g}",
-            f"  rho      = {kp.rho:.12g}",
-            f"  w        = {w_str}",
-            f"  u        = {kp.u:.12g}",
-            f"  F0       = {rep.F0:.12g}",
-            f"  1 - F0   = {rep.measure:.12g}",
-            f"  spectrum = {', '.join(f'{v:.6g}' for v in rep.spectrum_prefix)}",
-        ]
-        if "F0_svd" in results:
-            lines.append(f"  F0 (SVD oracle) = {results['F0_svd']:.12g} "
-                         f"(deviation {results['F0_svd_deviation']:.3e})")
-        if getattr(args, "verbose", False):
-            lines.append(f"  spectrum tail bound = {rep.tail_bound:.3e}")
-        _emit("\n".join(lines) + "\n", args.out)
+        lines.append(f"  F0 (SVD oracle) = {results['F0_svd']:.12g} "
+                     f"(deviation {results['F0_svd_deviation']:.3e})")
+    if args.verbose:
+        lines.append(f"  spectrum tail bound = {rep.tail_bound:.3e}")
+    header = ["D", "rho", "w", "u", "F0", "measure", "matched"]
+    _render(args, params, results, header, lines=lines)
     return 0
 
 
@@ -353,7 +358,6 @@ _SWEEP_HEADERS = {
 
 
 def cmd_sweep(args) -> int:
-    _apply_config(args)
     if args.parameter not in SWEEP_PARAMETERS:
         raise ValueError(
             f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {args.parameter!r}"
@@ -374,16 +378,11 @@ def cmd_sweep(args) -> int:
     if p is not None:
         params["delta"] = p.delta
     header = _SWEEP_HEADERS[args.parameter]
-    if args.format == "json":
-        results = {"columns": header, "rows": rows}
-        _emit(format_json(params, results, []), args.out)
-    else:
-        _emit(format_csv(params, header, rows), args.out)
+    _render(args, params, {"columns": header, "rows": rows}, header, rows)
     return 0
 
 
 def cmd_verify(args) -> int:
-    _apply_config(args)
     overrides: dict[str, float] = {}
     for item in args.tol or []:
         if "=" not in item:
@@ -403,29 +402,23 @@ def cmd_verify(args) -> int:
     ]
     summary = {"n_checks": len(results), "n_passed": sum(c.passed for c in results),
                "all_passed": ok}
-    if args.format == "json":
-        _emit(format_json(params, summary, checks), args.out)
-    elif args.format == "csv":
-        header = ["name", "tolerance", "deviation", "passed"]
-        rows = [[c.name, c.tolerance, c.deviation, c.passed] for c in results]
-        _emit(format_csv(params, header, rows), args.out)
-    else:
-        lines = []
-        for c in results:
-            status = "PASS" if c.passed else "FAIL"
-            lines.append(
-                f"{status}  {c.name:<24} deviation={c.deviation:.3e}  "
-                f"tol={c.tolerance:.1e}  ({c.detail})"
-            )
-            for w in c.warnings:
-                lines.append(f"      warning: {w}")
-        lines.append(f"{summary['n_passed']}/{summary['n_checks']} checks passed")
-        _emit("\n".join(lines) + "\n", args.out)
+    lines = []
+    for c in results:
+        status = "PASS" if c.passed else "FAIL"
+        lines.append(
+            f"{status}  {c.name:<24} deviation={c.deviation:.3e}  "
+            f"tol={c.tolerance:.1e}  ({c.detail})"
+        )
+        for w in c.warnings:
+            lines.append(f"      warning: {w}")
+    lines.append(f"{summary['n_passed']}/{summary['n_checks']} checks passed")
+    header = ["name", "tolerance", "deviation", "passed"]
+    _render(args, params, summary, header, [[c[h] for h in header] for c in checks],
+            lines, checks)
     return 0 if ok else 1
 
 
 def cmd_thermal(args) -> int:
-    _apply_config(args)
     if args.T is None:
         raise ValueError("temperature is required: --T")
     if args.report_length_scale and args.mu_kg is None:
@@ -456,23 +449,17 @@ def cmd_thermal(args) -> int:
         })
     if budget is not None:
         results.update({"amplitude": budget.amplitude, "n_half": budget.n_half})
-    if args.format == "json":
-        _emit(format_json(params, results, []), args.out)
-    elif args.format == "csv":
-        header = sorted(results)
-        _emit(format_csv(params, header, [[results[k] for k in header]]), args.out)
-    else:
-        lines = [f"thermal design (T={args.T:.6g} K)"]
-        lines.append(f"  hbar c / k_B T        = {results['thermal_length']:.12g} m")
-        if design is not None:
-            lines.append(f"  sigma_mu              = {design.sigma_mu:.12g} m")
-            lines.append(f"  compton wavelength    = {design.compton_wavelength:.12g} m")
-            lines.append(f"  k sigma estimate      = {design.k_sigma_est:.12g}")
-        lines.append(f"  (1-A)/delta at ksigma=1 = {coeff:.6g}")
-        if budget is not None:
-            lines.append(f"  amplitude after {budget.n} collisions = {budget.amplitude:.12g}")
-            lines.append(f"  collisions to half amplitude = {budget.n_half:.6g}")
-        _emit("\n".join(lines) + "\n", args.out)
+    lines = [f"thermal design (T={args.T:.6g} K)",
+             f"  hbar c / k_B T        = {results['thermal_length']:.12g} m"]
+    if design is not None:
+        lines.append(f"  sigma_mu              = {design.sigma_mu:.12g} m")
+        lines.append(f"  compton wavelength    = {design.compton_wavelength:.12g} m")
+        lines.append(f"  k sigma estimate      = {design.k_sigma_est:.12g}")
+    lines.append(f"  (1-A)/delta at ksigma=1 = {coeff:.6g}")
+    if budget is not None:
+        lines.append(f"  amplitude after {budget.n} collisions = {budget.amplitude:.12g}")
+        lines.append(f"  collisions to half amplitude = {budget.n_half:.6g}")
+    _render(args, params, results, sorted(results), lines=lines)
     return 0
 
 
@@ -486,13 +473,17 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--lambda", dest="lambda_", type=float,
                      help="spread ratio Sigma^2/sigma^2")
     sub.add_argument("--ksigma", type=float, help="dimensionless momentum k*sigma")
-    sub.add_argument("--grid", type=int,
+    sub.add_argument("--grid", type=_positive_int,
                      help="also run the matching numeric oracle at N points per axis")
+    _add_output(sub)
+    sub.add_argument("-v", "--verbose", action="store_true",
+                     help="include extra diagnostics in text output")
+
+
+def _add_output(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("text", "csv", "json"), default="text")
     sub.add_argument("--out", help="write output to this path instead of stdout")
     sub.add_argument("--config", help="key=value config file; flags override it")
-    sub.add_argument("-v", "--verbose", action="store_true",
-                     help="include extra diagnostics in text output")
 
 
 @functools.cache
@@ -526,9 +517,7 @@ def _parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--grid", type=int, help="force oracle grids to N points per axis")
     p_ver.add_argument("--tol", action="append",
                        help="override a check tolerance, name=value (repeatable)")
-    p_ver.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p_ver.add_argument("--out")
-    p_ver.add_argument("--config")
+    _add_output(p_ver)
 
     p_th = subs.add_parser("thermal", help="thermal packet size and collision budget")
     p_th.add_argument("--mu-kg", dest="mu_kg", type=float, help="object mass in kg")
@@ -538,9 +527,7 @@ def _parser() -> argparse.ArgumentParser:
     p_th.add_argument("--F0", type=float, help="per-collision largest eigenvalue")
     p_th.add_argument("--report-length-scale", action="store_true",
                       help="report hbar c/k_B T without needing a mass")
-    p_th.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p_th.add_argument("--out")
-    p_th.add_argument("--config")
+    _add_output(p_th)
     return parser
 
 
@@ -551,11 +538,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    # looked up per call, so a command replaced on the module is the one run
-    command = globals()[f"cmd_{args.command}"]
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        return command(args)
+        args = build_parser().parse_args(_with_config(argv))
+        # looked up per call, so a command replaced on the module is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

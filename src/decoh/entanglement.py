@@ -57,7 +57,8 @@ class KernelParams:
     w = sqrt(omega Omega)/rho sets the spectrum through sinh(u/2) = w/2 and
     z = e^{-u/2}.  The matched flag marks the degenerate rho = 0 case, where
     w is infinite and the state is an exact product; u and z are then set to
-    inf and 0 rather than fed through the formulas.
+    inf and 0 rather than fed through the formulas, and the spectrum, its
+    tail e^{-n u} and 1 - F0 = z^2 take their product-state values as they are.
     """
 
     D: float
@@ -181,8 +182,6 @@ def entanglement_measure(s: PostCollisionState) -> float:
     Zero iff the state is a product: equal masses or matched spreads.
     """
     kp = kernel_params(s)
-    if kp.matched:
-        return 0.0
     return kp.z * kp.z
 
 
@@ -202,21 +201,14 @@ class EntanglementReport:
 def entanglement_report(s: PostCollisionState, n: int = 64) -> EntanglementReport:
     """Bundle F0, 1 - F0 and the first n eigenvalues with their tail bound."""
     kp = kernel_params(s)
-    if kp.matched:
-        prefix = np.zeros(n)
-        prefix[0] = 1.0
-        tail = 0.0
-    else:
-        prefix = spectrum(kp.w, n)
-        tail = float(np.exp(-n * kp.u))
     return EntanglementReport(
         F0=largest_eigenvalue(kp.w),
-        measure=0.0 if kp.matched else kp.z * kp.z,
+        measure=kp.z * kp.z,
         w=kp.w,
         u=kp.u,
         matched=kp.matched,
-        spectrum_prefix=tuple(float(v) for v in prefix),
-        tail_bound=tail,
+        spectrum_prefix=tuple(float(v) for v in spectrum(kp.w, n)),
+        tail_bound=float(np.exp(-n * kp.u)),
     )
 
 

@@ -10,7 +10,11 @@ from decoh.kinematics import collision_params_from_delta
 
 
 def run_cli(capsys, *argv):
-    code = cli.main(list(argv))
+    """(exit code, stdout, stderr) of one call; a usage error's exit counts too."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -246,12 +250,13 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["results"]["A"] == pytest.approx(0.7142128, rel=1e-6)
-    # explicit flag beats the file
-    code, out, _ = run_cli(
-        capsys, "error", "--config", str(cfg), "--lambda", "0.0101010101010101",
-        "--format", "json",
-    )
-    assert json.loads(out)["results"]["A"] == pytest.approx(1.0, abs=1e-6)
+    # explicit flag beats the file, on either side of --config
+    flag = ["--lambda", "0.0101010101010101"]
+    config = ["--config", str(cfg)]
+    for argv in (config + flag, flag + config):
+        code, out, _ = run_cli(capsys, "error", *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["results"]["A"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_json_outputs_validate_against_schema(capsys, tmp_path):
@@ -419,3 +424,80 @@ def test_verify_grid_five_runs_every_check(capsys):
     code, out, err = run_cli(capsys, "verify", "--grid", "5", "--format", "json")
     assert code in (0, 1) and err == ""
     assert json.loads(out)["results"]["n_checks"] == 12
+
+
+def test_entangle_honours_ksigma_over_k(capsys):
+    code, out, _ = run_cli(capsys, "entangle", "--delta", "0.01", "--Sigma", "1",
+                           "--ksigma", "3")
+    assert code == 0 and "k=3)" in out
+    code, out, _ = run_cli(capsys, "entangle", "--delta", "0.01", "--Sigma", "1",
+                           "--sigma", "2", "--k", "5", "--ksigma", "3", "--format", "json")
+    assert code == 0 and json.loads(out)["params"]["k"] == 1.5
+
+
+def test_entangle_matched_needs_one_eigenvalue(capsys):
+    code, out, err = run_cli(capsys, "entangle", "--delta", "0.01", "--Sigma", "auto",
+                             "--n-spectrum", "0")
+    assert code == 2 and out == ""
+    assert err == "error: need at least one eigenvalue, got n=0\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["error", "--delta", "0.01"],
+    ["entangle", "--delta", "0.01", "--Sigma", "1"],
+])
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_grid_must_be_positive(capsys, command, grid):
+    code, out, err = run_cli(capsys, *command, "--grid", grid)
+    assert code == 2 and out == ""
+    assert f"argument --grid: must be positive, got {grid}" in err
+
+
+def test_config_sets_format_and_scale(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("delta=0.01\nksigma=1\nformat=json\n")
+    code, out, _ = run_cli(capsys, "error", "--config", str(cfg))
+    assert code == 0 and json.loads(out)["params"]["k_sigma"] == 1.0
+
+    cfg.write_text("scale = log  # geometric spacing\n")
+    code, out, _ = run_cli(capsys, "sweep", "--parameter", "w", "--start", "0.1",
+                           "--stop", "10", "--points", "3", "--config", str(cfg))
+    comments, _, rows = cli.parse_emitted_csv(out)
+    assert code == 0 and "# scale=log" in comments
+    assert [row[0] for row in rows] == ["0.1", "1", "10"]
+
+
+def test_config_supplies_required_sweep_flags(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("parameter=w\nstart=0.1\nstop=10\npoints=5\n")
+    from_file = run_cli(capsys, "sweep", "--config", str(cfg))
+    from_flags = run_cli(capsys, "sweep", "--parameter", "w", "--start", "0.1",
+                         "--stop", "10", "--points", "5")
+    assert from_file[0] == 0 and from_file[1:] == from_flags[1:]
+
+
+@pytest.mark.parametrize("key", ["n_spectrum", "n-spectrum"])
+def test_config_keys_take_dashes_or_underscores(tmp_path, capsys, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}=2\nSigma=1\n")
+    code, out, _ = run_cli(capsys, "entangle", "--delta", "0.01", "--config", str(cfg))
+    assert code == 0 and "  spectrum = 0.631808, 0.232627\n" in out
+
+
+@pytest.mark.parametrize("line, message", [
+    ("bogus=1", "unrecognized arguments: --bogus=1"),
+    ("format=xml", "argument --format: invalid choice: 'xml'"),
+    ("=5", "config line is not key=value: '=5'"),
+    ("delta", "config line is not key=value: 'delta'"),
+])
+def test_bad_config_line_exits_2(tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"delta=0.01\n{line}\n")
+    code, out, err = run_cli(capsys, "error", "--config", str(cfg))
+    assert code == 2 and out == "" and message in err
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "error", "--config", str(tmp_path / "none.cfg"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: [Errno 2] No such file or directory")

@@ -136,6 +136,17 @@ def test_entanglement_report(state_equal_spreads):
     assert sum(rep.spectrum_prefix) + rep.tail_bound == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 8, 64])
+def test_matched_report_is_the_product_state(params_1_99, n):
+    sf = post_collision_state(initial_state(optimal_spreads(1.0, params_1_99), 1.0, 2.0),
+                              params_1_99)
+    rep = entanglement_report(sf, n=n)
+    assert rep.matched and rep.F0 == 1.0 and rep.measure == 0.0 and rep.tail_bound == 0.0
+    assert rep.spectrum_prefix == (1.0,) + (0.0,) * (n - 1)
+    with pytest.raises(ValueError, match="need at least one eigenvalue"):
+        entanglement_report(sf, n=0)
+
+
 def test_optimal_spreads_values():
     p_eq = collision_params(4.0, 4.0)
     assert optimal_spreads(1.0, p_eq) == pytest.approx(1.0, rel=1e-15)
