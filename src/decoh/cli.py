@@ -25,6 +25,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -138,39 +139,45 @@ def reemit_csv(comments: list[str], header: list[str], rows: list[list[str]]) ->
     return "\n".join(lines) + "\n"
 
 
-def _config_options(path: str) -> list[str]:
-    """--key=value for each key=value line of a config file, in file order."""
-    options = []
+def _config_options(path: str, options) -> list[str]:
+    """--key=value for each key=value line of a config file, in file order;
+    each key must spell out one of options other than --config."""
+    lines = []
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, sep, value = line.partition("=")
-            if not (sep and key.strip()):
+            key, sep, value = (part.strip() for part in line.partition("="))
+            if not sep:
                 raise ValueError(f"config line is not key=value: {raw.strip()!r}")
-            options.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
-    return options
-
-
-@functools.cache
-def _config_parser() -> argparse.ArgumentParser:
-    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    pre.add_argument("--config")
-    return pre
+            option = "--" + key.replace("_", "-")
+            if option not in options or option == "--config":
+                raise ValueError(f"unknown config key {key!r}")
+            lines.append(f"{option}={value}")
+    return lines
 
 
 def _with_config(argv: list[str]) -> list[str]:
     """argv with its --config file's options spliced in right after the
-    subcommand, so that flags given on the command line override them."""
-    # argparse reads --config only from an argument named by a prefix of it
-    if not any("--config".startswith(arg.split("=", 1)[0]) for arg in argv):
+    subcommand, so that flags given on the command line override them.
+
+    --config is found the way the subcommand's parser finds it, abbreviations
+    included, and the last one wins; the argument after it is its path.
+    """
+    options = _parser()[1].get(argv[0]) if argv else None
+    if options is None:
         return argv
-    try:
-        path = _config_parser().parse_known_args(argv)[0].config
-    except argparse.ArgumentError:
-        return argv  # the full parser reports it
-    return argv if path is None else argv[:1] + _config_options(path) + argv[1:]
+    path, rest = None, iter(argv[1:])
+    for arg in rest:
+        name, sep, value = arg.partition("=")
+        # --config, or an abbreviation of it that names no other option
+        if "--config".startswith(name) and sum(o.startswith(name) for o in options) == 1:
+            path = value if sep else next(rest, None)
+            # argparse reads an argument that looks like an option as no path
+            if not sep and path and re.fullmatch(r"-(?!\d+$|\d*\.\d+$)[^ ]+", path):
+                return argv  # for the parser to report
+    return argv if path is None else argv[:1] + _config_options(path, options) + argv[1:]
 
 
 def _build_params(args) -> CollisionParams:
@@ -190,6 +197,8 @@ def _resolve_state(args, p: CollisionParams):
     lambda are None when their flag is not given.  --ksigma beats --k; k is
     signed, k sigma is |k| sigma.
     """
+    if args.grid is not None and args.grid <= 0:
+        raise ValueError(f"--grid must be positive, got {args.grid}")
     sigma = args.sigma if args.sigma is not None else 1.0
     Sigma = args.Sigma
     if Sigma is not None:
@@ -202,16 +211,6 @@ def _resolve_state(args, p: CollisionParams):
         k = args.k if args.k is not None else 0.0
         k_sigma = abs(k) * sigma
     return Sigma, sigma, args.lambda_, k, k_sigma
-
-
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {n}")
-    return n
 
 
 def cmd_error(args) -> int:
@@ -339,12 +338,10 @@ def _sweep_row(parameter: str, value: float, args, p: CollisionParams | None):
         f0 = ent.largest_eigenvalue(value)
         u = 2.0 * math.asinh(0.5 * value)
         return [value, u, f0, 1.0 - f0]
-    if parameter == "T":
-        if args.mu_kg is None:
-            raise ValueError("a T sweep needs --mu-kg")
-        design = th.thermal_design(args.mu_kg, value)
-        return [value, design.sigma_mu, design.thermal_length, design.k_sigma_est]
-    raise ValueError(f"unknown sweep parameter {parameter!r}")
+    if args.mu_kg is None:  # parameter is T, the last of SWEEP_PARAMETERS
+        raise ValueError("a T sweep needs --mu-kg")
+    design = th.thermal_design(args.mu_kg, value)
+    return [value, design.sigma_mu, design.thermal_length, design.k_sigma_est]
 
 
 _SWEEP_HEADERS = {
@@ -473,7 +470,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--lambda", dest="lambda_", type=float,
                      help="spread ratio Sigma^2/sigma^2")
     sub.add_argument("--ksigma", type=float, help="dimensionless momentum k*sigma")
-    sub.add_argument("--grid", type=_positive_int,
+    sub.add_argument("--grid", type=int,
                      help="also run the matching numeric oracle at N points per axis")
     _add_output(sub)
     sub.add_argument("-v", "--verbose", action="store_true",
@@ -487,7 +484,8 @@ def _add_output(sub: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, frozenset[str]]]:
+    """The argument parser and the option strings of each subcommand."""
     parser = argparse.ArgumentParser(
         prog="decoh",
         description="decoherence and error bounds for a particle bouncing off a quantum wall",
@@ -528,13 +526,15 @@ def _parser() -> argparse.ArgumentParser:
     p_th.add_argument("--report-length-scale", action="store_true",
                       help="report hbar c/k_B T without needing a mass")
     _add_output(p_th)
-    return parser
+    # argparse keeps no public list of a parser's options
+    return parser, {name: frozenset(sub._option_string_actions)
+                    for name, sub in subs.choices.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it;
     callers must not modify it."""
-    return _parser()
+    return _parser()[0]
 
 
 def main(argv: list[str] | None = None) -> int:

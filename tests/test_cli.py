@@ -10,13 +10,18 @@ from decoh.kinematics import collision_params_from_delta
 
 
 def run_cli(capsys, *argv):
-    """(exit code, stdout, stderr) of one call; a usage error's exit counts too."""
-    try:
-        code = cli.main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
+    code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def usage_error(capsys, *argv):
+    """stderr of a call that argparse rejects with exit 2 and no output."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    return captured.err
 
 
 # minimal JSON-schema checker covering the subset schema.json uses
@@ -450,7 +455,7 @@ def test_entangle_matched_needs_one_eigenvalue(capsys):
 def test_grid_must_be_positive(capsys, command, grid):
     code, out, err = run_cli(capsys, *command, "--grid", grid)
     assert code == 2 and out == ""
-    assert f"argument --grid: must be positive, got {grid}" in err
+    assert err == f"error: --grid must be positive, got {grid}\n"
 
 
 def test_config_sets_format_and_scale(tmp_path, capsys):
@@ -485,16 +490,38 @@ def test_config_keys_take_dashes_or_underscores(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize("line, message", [
-    ("bogus=1", "unrecognized arguments: --bogus=1"),
-    ("format=xml", "argument --format: invalid choice: 'xml'"),
-    ("=5", "config line is not key=value: '=5'"),
+    ("bogus=1", "unknown config key 'bogus'"),
+    ("ks=1", "unknown config key 'ks'"),  # a key is not abbreviated like a flag
+    ("config=other.cfg", "unknown config key 'config'"),
+    ("=5", "unknown config key ''"),
     ("delta", "config line is not key=value: 'delta'"),
 ])
 def test_bad_config_line_exits_2(tmp_path, capsys, line, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"delta=0.01\n{line}\n")
     code, out, err = run_cli(capsys, "error", "--config", str(cfg))
-    assert code == 2 and out == "" and message in err
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
+def test_bad_config_value_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("delta=0.01\nformat=xml\n")
+    err = usage_error(capsys, "error", "--config", str(cfg))
+    assert "argument --format: invalid choice: 'xml'" in err
+
+
+def test_config_flag_is_found_as_the_parser_finds_it(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("delta=0.01\nksigma=1\n")
+    _, full, _ = run_cli(capsys, "error", "--config", str(cfg))
+    for argv in (["--conf", str(cfg)], [f"--config={cfg}"], [f"--con={cfg}"]):
+        assert run_cli(capsys, "error", *argv) == (0, full, "")
+    # on thermal --co also abbreviates --collisions, so argparse refuses it
+    err = usage_error(capsys, "thermal", "--T", "300", "--co", str(cfg))
+    assert "ambiguous option: --co could match --collisions, --config" in err
+    for argv in (["--config"], ["--config", "--ksigma", "1"]):
+        err = usage_error(capsys, "error", "--delta", "0.01", *argv)
+        assert "argument --config: expected one argument" in err
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
