@@ -5,14 +5,11 @@ __version__ = "0.1.0"
 
 from .kinematics import (
     CollisionParams,
-    ComCoordinates,
     GaussianProductState,
     IdealReflectedState,
     PostCollisionState,
     collision_params,
     collision_params_from_delta,
-    com_inverse,
-    com_transform,
     ideal_reflected_state,
     initial_state,
     post_collision_state,
@@ -29,7 +26,6 @@ from .error_bounds import (
 from .entanglement import (
     EntanglementReport,
     KernelParams,
-    entanglement_measure,
     entanglement_report,
     kernel_params,
     largest_eigenvalue,

@@ -112,33 +112,6 @@ def _render(args, params: dict, results: dict, header: list[str], rows=None,
         sys.stdout.write(text)
 
 
-def parse_emitted_csv(text: str):
-    """Split an emitted CSV back into (comment lines, header, string rows)."""
-    comments, header, rows = [], None, []
-    for line in text.splitlines():
-        if line.startswith("#"):
-            comments.append(line)
-        elif header is None:
-            header = line.split(",")
-        elif line:
-            rows.append(line.split(","))
-    return comments, header, rows
-
-
-def reemit_csv(comments: list[str], header: list[str], rows: list[list[str]]) -> str:
-    lines = list(comments)
-    lines.append(",".join(header))
-    for row in rows:
-        out = []
-        for cell in row:
-            try:
-                out.append(f"{float(cell):.12g}")
-            except ValueError:
-                out.append(cell)
-        lines.append(",".join(out))
-    return "\n".join(lines) + "\n"
-
-
 def _config_options(path: str, options) -> list[str]:
     """--key=value for each key=value line of a config file, in file order;
     each key must spell out one of options other than --config."""
@@ -190,27 +163,35 @@ def _build_params(args) -> CollisionParams:
     return collision_params(args.m, args.M)
 
 
+def _positive(flag: str, value: float | None) -> float | None:
+    """value, unless it is given and not positive and finite."""
+    if value is not None and not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{flag} must be positive and finite, got {value}")
+    return value
+
+
 def _resolve_state(args, p: CollisionParams):
     """(Sigma, sigma, lambda, k, k sigma) from the flags.
 
     sigma defaults to 1 and --Sigma auto applies spread matching; Sigma and
-    lambda are None when their flag is not given.  --ksigma beats --k; k is
-    signed, k sigma is |k| sigma.
+    lambda are None when their flag is not given.  Each spread and lambda
+    must be positive and finite.  --ksigma beats --k; k is signed, k sigma
+    is |k| sigma.
     """
     if args.grid is not None and args.grid <= 0:
         raise ValueError(f"--grid must be positive, got {args.grid}")
-    sigma = args.sigma if args.sigma is not None else 1.0
+    sigma = _positive("--sigma", args.sigma if args.sigma is not None else 1.0)
     Sigma = args.Sigma
     if Sigma is not None:
         Sigma = (ent.optimal_spreads(sigma, p) if Sigma.strip().lower() == "auto"
-                 else float(Sigma))
+                 else _positive("--Sigma", float(Sigma)))
     if args.ksigma is not None:
         k_sigma = args.ksigma
-        k = k_sigma / sigma if sigma else math.nan  # sigma = 0 fails with the state
+        k = k_sigma / sigma
     else:
         k = args.k if args.k is not None else 0.0
         k_sigma = abs(k) * sigma
-    return Sigma, sigma, args.lambda_, k, k_sigma
+    return Sigma, sigma, _positive("--lambda", args.lambda_), k, k_sigma
 
 
 def cmd_error(args) -> int:

@@ -40,7 +40,6 @@ __all__ = [
     "spectrum",
     "oscillator_kernel",
     "oscillator_kernel_spectrum",
-    "entanglement_measure",
     "entanglement_report",
     "optimal_spreads",
 ]
@@ -174,15 +173,6 @@ def oscillator_kernel_spectrum(beta: float, u: float, n: int = 16) -> np.ndarray
     if n < 1:
         raise ValueError(f"need at least one eigenvalue, got n={n}")
     return np.exp(-u * (np.arange(n) + 0.5))
-
-
-def entanglement_measure(s: PostCollisionState) -> float:
-    """Degree of entanglement 1 - F0 = z^2, in [0, 1).
-
-    Zero iff the state is a product: equal masses or matched spreads.
-    """
-    kp = kernel_params(s)
-    return kp.z * kp.z
 
 
 @dataclass(frozen=True)

@@ -25,14 +25,11 @@ import numpy as np
 
 __all__ = [
     "CollisionParams",
-    "ComCoordinates",
     "GaussianProductState",
     "PostCollisionState",
     "IdealReflectedState",
     "collision_params",
     "collision_params_from_delta",
-    "com_transform",
-    "com_inverse",
     "initial_state",
     "post_collision_state",
     "ideal_reflected_state",
@@ -75,26 +72,6 @@ def collision_params_from_delta(delta: float) -> CollisionParams:
     if not (0.0 < delta < 1.0):
         raise ValueError(f"mass fraction must lie in (0, 1), got {delta}")
     return collision_params(delta, 1.0 - delta)
-
-
-@dataclass(frozen=True)
-class ComCoordinates:
-    """Center of mass R and relative coordinate u = x - X."""
-
-    R: float | np.ndarray
-    u: float | np.ndarray
-
-
-def com_transform(x, X, p: CollisionParams) -> ComCoordinates:
-    """Map lab coordinates (x, X) to (R, u).  Accepts broadcastable arrays."""
-    return ComCoordinates(R=p.delta * x + p.gamma * X, u=x - X)
-
-
-def com_inverse(coords: ComCoordinates, p: CollisionParams):
-    """Invert :func:`com_transform`; returns (x, X)."""
-    x = coords.R + p.gamma * coords.u
-    X = coords.R - p.delta * coords.u
-    return x, X
 
 
 def _check_spreads(Sigma: float, sigma: float) -> tuple[float, float]:
@@ -158,25 +135,9 @@ class PostCollisionState:
     k: float
     norm: float
 
-    @property
-    def Sigma(self) -> float:
-        return 0.5 / np.sqrt(self.Omega)
-
-    @property
-    def sigma(self) -> float:
-        return 0.5 / np.sqrt(self.omega)
-
-    def wall_argument(self, x, X):
-        """Argument of the wall factor, X(1-2 delta) + 2 delta x."""
-        return X * (1.0 - 2.0 * self.delta) + 2.0 * self.delta * x
-
-    def particle_argument(self, x, X):
-        """Argument of the particle factor, x(1-2 gamma) + 2 gamma X."""
-        return x * (1.0 - 2.0 * self.gamma) + 2.0 * self.gamma * X
-
     def __call__(self, x, X) -> np.ndarray:
-        a = self.wall_argument(x, X)
-        b = self.particle_argument(x, X)
+        a = X * (1.0 - 2.0 * self.delta) + 2.0 * self.delta * x  # wall argument
+        b = x * (1.0 - 2.0 * self.gamma) + 2.0 * self.gamma * X  # particle argument
         return np.sqrt(self.norm) * np.exp(
             -self.Omega * a * a - self.omega * b * b + 1j * self.k * b
         )
@@ -214,31 +175,18 @@ def post_collision_state(s: GaussianProductState, p: CollisionParams) -> PostCol
 
 
 @dataclass(frozen=True)
-class IdealReflectedState:
+class IdealReflectedState(GaussianProductState):
     """Fixed-wall idealization Gamma(X) Phi(-x).
 
     This is what the outgoing wave would be if the wall were a static
     potential instead of a dynamical body: the particle packet is mirrored,
-    the wall factor untouched.
+    the wall factor untouched.  Only the sign of the phase differs from the
+    product state, so spreads, wavenumbers and centers are inherited.
     """
-
-    Sigma: float
-    sigma: float
-    k: float
-    norm: float
 
     def __call__(self, x, X) -> np.ndarray:
         env = -(X * X) / (4.0 * self.Sigma**2) - (x * x) / (4.0 * self.sigma**2)
         return np.sqrt(self.norm) * np.exp(env - 1j * self.k * x)
-
-    def position_spreads(self) -> tuple[float, float]:
-        return self.sigma, self.Sigma
-
-    def phase_wavenumbers(self) -> tuple[float, float]:
-        return abs(self.k), 0.0
-
-    def centers(self) -> tuple[float, float]:
-        return 0.0, 0.0
 
 
 def ideal_reflected_state(s: GaussianProductState) -> IdealReflectedState:

@@ -27,8 +27,6 @@ __all__ = [
     "kernel_eigensolve",
     "hermitian_kernel_eigenvalues",
     "oscillator_grid",
-    "write_wavefunction_csv",
-    "write_kernel_csv",
 ]
 
 # grid contract: at least this many sigmas covered, phase advance per step
@@ -288,46 +286,3 @@ def oscillator_grid(beta: float, u: float, n: int = 512) -> np.ndarray:
     half = COVER_SIGMAS * s
     return np.linspace(-half, half, n)
 
-
-def _write_csv(path, metadata: dict, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key, val in metadata.items():
-            fh.write(f"# {key}={val}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
-
-
-def write_wavefunction_csv(path, grid: GridSpec, psi: np.ndarray,
-                           metadata: dict | None = None) -> None:
-    """Dump sampled wave function values row-major as x, X, re, im columns."""
-    meta = {
-        "nx": grid.nx, "nX": grid.nX,
-        "x_min": grid.x_min, "x_max": grid.x_max,
-        "X_min": grid.X_min, "X_max": grid.X_max,
-    }
-    if metadata:
-        meta.update(metadata)
-    xs = grid.x_nodes()
-    Xs = grid.X_nodes()
-    rows = (
-        (xs[j], Xs[i], psi[i, j].real, psi[i, j].imag)
-        for i in range(grid.nX)
-        for j in range(grid.nx)
-    )
-    _write_csv(path, meta, ["x", "X", "re", "im"], rows)
-
-
-def write_kernel_csv(path, nodes: np.ndarray, K: np.ndarray,
-                     metadata: dict | None = None) -> None:
-    """Dump a discretized kernel matrix row-major as x, x_prime, re, im."""
-    meta = {"n": len(nodes), "x_min": nodes[0], "x_max": nodes[-1]}
-    if metadata:
-        meta.update(metadata)
-    n = len(nodes)
-    rows = (
-        (nodes[i], nodes[j], K[i, j].real, K[i, j].imag)
-        for i in range(n)
-        for j in range(n)
-    )
-    _write_csv(path, meta, ["x", "x_prime", "re", "im"], rows)

@@ -35,7 +35,6 @@ __all__ = [
     "separation_check",
     "transit_time",
     "fft_free_evolve",
-    "free_evolve_gaussian_1d",
     "phase_aligned_l2",
     "grid_for_flight",
     "fft_size",
@@ -397,27 +396,6 @@ def fft_free_evolve(psi: np.ndarray, grid: GridSpec, m: float, M: float,
     spec *= np.exp(-1j * t * kX**2 / (2.0 * M))[:, None]
     np.fft.ifft(spec, axis=-2, out=spec)
     return np.fft.ifft(spec, axis=-1, out=spec)
-
-
-def free_evolve_gaussian_1d(x, t: float, center: float, spread: float, k: float,
-                            mass: float) -> np.ndarray:
-    """Closed-form free evolution of a 1-D Gaussian packet.
-
-    Initial state (2 pi s^2)^{-1/4} exp(-(x - x0)^2/4s^2 + i k (x - x0));
-    the textbook Gaussian integral against the free propagator gives the
-    state at time t, up to a global phase fixed by principal branches.
-    """
-    x = np.asarray(x, dtype=float)
-    a0 = 1.0 / (4.0 * spread**2)
-    xi = x - center
-    pref0 = (2.0 * np.pi * spread**2) ** -0.25
-    if t == 0.0:
-        return pref0 * np.exp(-a0 * xi * xi + 1j * k * xi)
-    bb = mass / (2.0 * t)
-    aa = a0 - 1j * bb
-    pref = np.sqrt(bb / (1j * np.pi)) * np.sqrt(np.pi / aa) * pref0
-    lin = 1j * k - 2j * bb * xi
-    return pref * np.exp(lin * lin / (4.0 * aa) + 1j * bb * xi * xi)
 
 
 def _trapezoid_weights(n: int, step: float) -> np.ndarray:

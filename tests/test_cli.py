@@ -24,6 +24,34 @@ def usage_error(capsys, *argv):
     return captured.err
 
 
+def parse_emitted_csv(text: str):
+    """Split an emitted CSV back into (comment lines, header, string rows)."""
+    comments, header, rows = [], None, []
+    for line in text.splitlines():
+        if line.startswith("#"):
+            comments.append(line)
+        elif header is None:
+            header = line.split(",")
+        elif line:
+            rows.append(line.split(","))
+    return comments, header, rows
+
+
+def reemit_csv(comments: list[str], header: list[str], rows: list[list[str]]) -> str:
+    """Rebuild the CSV text, rewriting each numeric cell to 12 significant digits."""
+    lines = list(comments)
+    lines.append(",".join(header))
+    for row in rows:
+        out = []
+        for cell in row:
+            try:
+                out.append(f"{float(cell):.12g}")
+            except ValueError:
+                out.append(cell)
+        lines.append(",".join(out))
+    return "\n".join(lines) + "\n"
+
+
 # minimal JSON-schema checker covering the subset schema.json uses
 def _validate(instance, schema, path="$"):
     types = schema.get("type")
@@ -157,7 +185,7 @@ def test_sweep_ksigma_shows_both_asymptotic_branches(capsys):
         "--points", "61", "--scale", "log", "--delta", "1e-6",
     )
     assert code == 0
-    comments, header, rows = cli.parse_emitted_csv(out)
+    comments, header, rows = parse_emitted_csv(out)
     assert header[0] == "k_sigma"
     ks = np.array([float(r[0]) for r in rows])
     err = np.array([float(r[3]) for r in rows])
@@ -177,7 +205,7 @@ def test_sweep_w_tails(capsys):
         "--points", "41", "--scale", "log",
     )
     assert code == 0
-    _, header, rows = cli.parse_emitted_csv(out)
+    _, header, rows = parse_emitted_csv(out)
     w = np.array([float(r[0]) for r in rows])
     f0 = np.array([float(r[2]) for r in rows])
     measure = np.array([float(r[3]) for r in rows])
@@ -190,8 +218,8 @@ def test_sweep_csv_round_trip_idempotent(capsys):
         capsys, "sweep", "--parameter", "w", "--start", "0.1", "--stop", "10",
         "--points", "7", "--scale", "log",
     )
-    comments, header, rows = cli.parse_emitted_csv(out)
-    assert cli.reemit_csv(comments, header, rows) == out
+    comments, header, rows = parse_emitted_csv(out)
+    assert reemit_csv(comments, header, rows) == out
 
 
 def test_sweep_byte_identical_across_runs_and_threads(capsys, monkeypatch):
@@ -359,7 +387,7 @@ def test_each_optimum_is_solved_once(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "sweep", "--parameter", "lambda", "--delta", "0.01",
                            "--ksigma", "1", "--start", "0.001", "--stop", "1", "--points", "9")
     assert code == 0 and solved == []
-    _, header, rows = cli.parse_emitted_csv(out)
+    _, header, rows = parse_emitted_csv(out)
     p = collision_params_from_delta(0.01)
     for lam, row in zip(np.linspace(0.001, 1.0, 9), rows, strict=True):
         rep = eb.error_report(float(lam), 1.0, p)
@@ -458,6 +486,17 @@ def test_grid_must_be_positive(capsys, command, grid):
     assert err == f"error: --grid must be positive, got {grid}\n"
 
 
+@pytest.mark.parametrize("argv,flag,value", [
+    (["error", "--delta", "0.01", "--Sigma", "1", "--sigma", "0"], "--sigma", "0.0"),
+    (["error", "--delta", "0.01", "--Sigma", "-1"], "--Sigma", "-1.0"),
+    (["entangle", "--delta", "0.01", "--lambda", "-1"], "--lambda", "-1.0"),
+])
+def test_spreads_and_lambda_must_be_positive(capsys, argv, flag, value):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be positive and finite, got {value}\n"
+
+
 def test_config_sets_format_and_scale(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("delta=0.01\nksigma=1\nformat=json\n")
@@ -467,7 +506,7 @@ def test_config_sets_format_and_scale(tmp_path, capsys):
     cfg.write_text("scale = log  # geometric spacing\n")
     code, out, _ = run_cli(capsys, "sweep", "--parameter", "w", "--start", "0.1",
                            "--stop", "10", "--points", "3", "--config", str(cfg))
-    comments, _, rows = cli.parse_emitted_csv(out)
+    comments, _, rows = parse_emitted_csv(out)
     assert code == 0 and "# scale=log" in comments
     assert [row[0] for row in rows] == ["0.1", "1", "10"]
 

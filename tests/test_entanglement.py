@@ -3,7 +3,6 @@ import pytest
 
 from decoh import checks
 from decoh.entanglement import (
-    entanglement_measure,
     entanglement_report,
     kernel_params,
     largest_eigenvalue,
@@ -42,7 +41,7 @@ def test_kernel_params_matched_spreads(params_1_99):
     sf = post_collision_state(initial_state(Sigma, 1.0, 5.0), params_1_99)
     kp = kernel_params(sf)
     assert kp.matched
-    assert entanglement_measure(sf) == 0.0
+    assert entanglement_report(sf).measure == 0.0
 
 
 def test_spectral_identities_across_w():
@@ -123,9 +122,10 @@ def test_oscillator_trace_identity():
 
 
 def test_entanglement_measure_examples(state_equal_spreads):
-    assert entanglement_measure(state_equal_spreads) == pytest.approx(0.3682, abs=5e-5)
+    assert entanglement_report(state_equal_spreads).measure == pytest.approx(0.3682, abs=5e-5)
     p_eq = collision_params(1.0, 1.0)
-    assert entanglement_measure(post_collision_state(initial_state(0.2, 3.0, 1.0), p_eq)) == 0.0
+    sf = post_collision_state(initial_state(0.2, 3.0, 1.0), p_eq)
+    assert entanglement_report(sf).measure == 0.0
 
 
 def test_entanglement_report(state_equal_spreads):

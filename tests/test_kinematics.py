@@ -4,13 +4,12 @@ import pytest
 from decoh.kinematics import (
     collision_params,
     collision_params_from_delta,
-    com_inverse,
-    com_transform,
     ideal_reflected_state,
     initial_state,
     post_collision_state,
 )
 from decoh.oracles import quadrature_overlap
+from decoh.propagation import GaussianWave2D
 
 
 @pytest.mark.parametrize(
@@ -44,25 +43,31 @@ def test_collision_params_from_delta():
         collision_params_from_delta(1.0)
 
 
+def _com_maps(p):
+    """(x, X) -> (R, u) and its inverse, as the wave type in propagation uses them."""
+    wave = GaussianWave2D.from_product_state(initial_state(1.0, 1.0), p)
+    return wave._from_lab(), wave._lab_transform()
+
+
 def test_com_transform_examples():
-    p = collision_params(1.0, 1.0)
-    c = com_transform(1.0, 0.0, p)
-    assert c.R == pytest.approx(0.5) and c.u == pytest.approx(1.0)
+    to_com, _ = _com_maps(collision_params(1.0, 1.0))
+    R, u = to_com @ [1.0, 0.0]
+    assert R == pytest.approx(0.5) and u == pytest.approx(1.0)
 
-    c0 = com_transform(0.0, 0.0, p)
-    assert c0.R == 0.0 and c0.u == 0.0
+    R0, u0 = to_com @ [0.0, 0.0]
+    assert R0 == 0.0 and u0 == 0.0
 
-    p13 = collision_params(1.0, 3.0)
-    c13 = com_transform(2.0, -1.0, p13)
-    assert c13.R == pytest.approx(-0.25) and c13.u == pytest.approx(3.0)
+    to_com13, _ = _com_maps(collision_params(1.0, 3.0))
+    R13, u13 = to_com13 @ [2.0, -1.0]
+    assert R13 == pytest.approx(-0.25) and u13 == pytest.approx(3.0)
 
 
 def test_com_round_trip(rng):
     for _ in range(50):
         m, M = np.exp(rng.uniform(-2, 2, size=2))
-        p = collision_params(m, M)
+        to_com, to_lab = _com_maps(collision_params(m, M))
         x, X = rng.normal(scale=5.0, size=2)
-        xr, Xr = com_inverse(com_transform(x, X, p), p)
+        xr, Xr = to_lab @ (to_com @ [x, X])
         assert xr == pytest.approx(x, rel=1e-14, abs=1e-14)
         assert Xr == pytest.approx(X, rel=1e-14, abs=1e-14)
 
@@ -173,3 +178,14 @@ def test_ideal_reflected_state_point_value():
     t = ideal_reflected_state(s)
     expected = np.sqrt(s.norm) * np.exp(-0.25) * np.exp(-1j)
     assert t(1.0, 0.0) == pytest.approx(expected, rel=1e-14)
+
+
+def test_ideal_reflected_state_is_the_conjugate_product_state(rng):
+    s = initial_state(0.6, 1.4, 2.5)
+    t = ideal_reflected_state(s)
+    pts = rng.normal(scale=1.5, size=(20, 2))
+    np.testing.assert_allclose(t(pts[:, 0], pts[:, 1]), np.conj(s(pts[:, 0], pts[:, 1])),
+                               rtol=1e-14)
+    assert t.position_spreads() == s.position_spreads()
+    assert t.phase_wavenumbers() == s.phase_wavenumbers()
+    assert t.centers() == s.centers()

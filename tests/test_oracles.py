@@ -28,8 +28,6 @@ from decoh.oracles import (
     quadrature_overlap,
     schmidt_decompose,
     validate_grid,
-    write_kernel_csv,
-    write_wavefunction_csv,
 )
 from decoh.propagation import GaussianWave2D
 
@@ -245,32 +243,3 @@ def test_oscillator_kernel_beta_independent_numerically():
         nodes = oscillator_grid(beta, u, n=512)
         eigs.append(hermitian_kernel_eigenvalues(oscillator_kernel(beta, u), nodes)[:5])
     np.testing.assert_allclose(eigs[0], eigs[1], atol=1e-8)
-
-
-def test_wavefunction_csv_roundtrip(tmp_path, state_equal_spreads):
-    g = grid_for_state(state_equal_spreads, force_n=64)
-    xx, XX = g.meshes()
-    psi = state_equal_spreads(xx, XX)
-    path = tmp_path / "wave.csv"
-    write_wavefunction_csv(path, g, psi, metadata={"label": "test"})
-    lines = path.read_text().splitlines()
-    comments = [l for l in lines if l.startswith("#")]
-    assert any("nx=64" in c for c in comments)
-    assert any("label=test" in c for c in comments)
-    header = next(l for l in lines if not l.startswith("#"))
-    assert header == "x,X,re,im"
-    data = np.loadtxt(path, delimiter=",", skiprows=len(comments) + 1)
-    assert data.shape == (64 * 64, 4)
-    rebuilt = (data[:, 2] + 1j * data[:, 3]).reshape(64, 64)
-    np.testing.assert_allclose(rebuilt, psi, atol=1e-11)
-
-
-def test_kernel_csv_dump(tmp_path):
-    nodes = np.linspace(-1.0, 1.0, 8)
-    K = np.outer(nodes, nodes).astype(complex)
-    path = tmp_path / "kernel.csv"
-    write_kernel_csv(path, nodes, K)
-    n_comments = sum(1 for l in path.read_text().splitlines() if l.startswith("#"))
-    data = np.loadtxt(path, delimiter=",", skiprows=n_comments + 1)
-    assert data.shape == (64, 4)
-    assert data[-1, 2] == pytest.approx(1.0)

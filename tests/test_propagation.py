@@ -15,7 +15,6 @@ from decoh.propagation import (
     PropagatorSetup,
     fft_free_evolve,
     fft_size,
-    free_evolve_gaussian_1d,
     grid_for_flight,
     image_propagate,
     phase_aligned_l2,
@@ -36,6 +35,27 @@ def _grid_norm(psi, grid):
     W[:, 0] *= 0.5
     W[:, -1] *= 0.5
     return float(np.sum(W * np.abs(psi) ** 2))
+
+
+def free_evolve_gaussian_1d(x, t: float, center: float, spread: float, k: float,
+                            mass: float) -> np.ndarray:
+    """Closed-form free evolution of a 1-D Gaussian packet.
+
+    Initial state (2 pi s^2)^{-1/4} exp(-(x - x0)^2/4s^2 + i k (x - x0));
+    the textbook Gaussian integral against the free propagator gives the
+    state at time t, up to a global phase fixed by principal branches.
+    """
+    x = np.asarray(x, dtype=float)
+    a0 = 1.0 / (4.0 * spread**2)
+    xi = x - center
+    pref0 = (2.0 * np.pi * spread**2) ** -0.25
+    if t == 0.0:
+        return pref0 * np.exp(-a0 * xi * xi + 1j * k * xi)
+    bb = mass / (2.0 * t)
+    aa = a0 - 1j * bb
+    pref = np.sqrt(bb / (1j * np.pi)) * np.sqrt(np.pi / aa) * pref0
+    lin = 1j * k - 2j * bb * xi
+    return pref * np.exp(lin * lin / (4.0 * aa) + 1j * bb * xi * xi)
 
 
 def test_separation_ratio_formula():
