@@ -50,6 +50,12 @@ def _result(name: str, tol: float, dev: float, detail: str,
     )
 
 
+def _grid(state, grid_n: int | None) -> oracles.GridSpec | None:
+    """The caller's grid_n x grid_n grid over state, or None when the
+    oracle is to size its own."""
+    return None if grid_n is None else oracles.grid_for_state(state, force_n=grid_n)
+
+
 def _state(Sigma, sigma, k, delta):
     p = collision_params_from_delta(delta)
     return post_collision_state(initial_state(Sigma, sigma, k), p), p
@@ -60,10 +66,7 @@ def check_matched_overlap(grid_n: int | None, tol: float = 1e-8) -> Verification
     p = collision_params(1.0, 99.0)
     s0 = initial_state(ent.optimal_spreads(1.0, p), 1.0, 0.0)
     sf = post_collision_state(s0, p)
-    res = oracles.quadrature_overlap(
-        ideal_reflected_state(s0), sf,
-        grid=None if grid_n is None else oracles.grid_for_state(sf, force_n=grid_n),
-    )
+    res = oracles.quadrature_overlap(ideal_reflected_state(s0), sf, grid=_grid(sf, grid_n))
     dev = abs(abs(res.value) - 1.0)
     return _result("matched_overlap", tol, dev,
                    "matched spreads, k=0: |quadrature A| vs 1", res.warnings)
@@ -81,8 +84,7 @@ def check_overlap_closed_form(grid_n: int | None, tol: float = 1e-8) -> Verifica
     for Sigma, sigma, k, delta in cases:
         sf, p = _state(Sigma, sigma, k, delta)
         s0 = initial_state(Sigma, sigma, k)
-        grid = None if grid_n is None else oracles.grid_for_state(sf, force_n=grid_n)
-        res = oracles.quadrature_overlap(ideal_reflected_state(s0), sf, grid=grid)
+        res = oracles.quadrature_overlap(ideal_reflected_state(s0), sf, grid=_grid(sf, grid_n))
         closed = eb.overlap_amplitude((Sigma / sigma) ** 2, k * sigma, p)
         worst = max(worst, abs(abs(res.value) - closed))
         warnings = warnings + res.warnings
@@ -98,8 +100,7 @@ def check_gauss_legendre_overlap(grid_n: int | None, tol: float = 1e-8) -> Verif
     """
     sf, p = _state(0.5, 1.0, 8.0, 0.05)
     s0 = initial_state(0.5, 1.0, 8.0)
-    grid = None if grid_n is None else oracles.grid_for_state(sf, force_n=grid_n)
-    res = oracles.quadrature_overlap(ideal_reflected_state(s0), sf, grid=grid,
+    res = oracles.quadrature_overlap(ideal_reflected_state(s0), sf, grid=_grid(sf, grid_n),
                                      method="gauss-legendre")
     closed = eb.overlap_amplitude(0.25, 8.0, p)
     dev = abs(abs(res.value) - closed)
@@ -111,7 +112,7 @@ def check_schmidt_f0(grid_n: int | None, tol: float = 1e-6) -> VerificationCheck
     """SVD largest squared singular value against F0 = 1 - z^2."""
     sf, _ = _state(1.0, 1.0, 0.0, 0.01)
     kp = ent.kernel_params(sf)
-    sv = oracles.schmidt_decompose(sf, n=512 if grid_n is None else grid_n).singular_values
+    sv = oracles.schmidt_decompose(sf, grid=_grid(sf, grid_n)).singular_values
     dev = abs(sv[0] ** 2 - ent.largest_eigenvalue(kp.w))
     return _result("schmidt_f0", tol, dev, "equal spreads, delta=0.01")
 
@@ -120,7 +121,7 @@ def check_schmidt_ratios(grid_n: int | None, tol: float = 1e-4) -> VerificationC
     """Successive squared singular values fall geometrically with e^{-u}."""
     sf, _ = _state(1.0, 1.0, 0.0, 0.01)
     kp = ent.kernel_params(sf)
-    sv = oracles.schmidt_decompose(sf, n=512 if grid_n is None else grid_n).singular_values
+    sv = oracles.schmidt_decompose(sf, grid=_grid(sf, grid_n)).singular_values
     ratios = sv[1:_LEVELS] ** 2 / sv[0:_LEVELS - 1] ** 2
     dev = float(np.max(np.abs(ratios - np.exp(-kp.u))))
     return _result("schmidt_ratios", tol, dev, f"first {_LEVELS} levels vs e^{{-u}}")
@@ -130,7 +131,7 @@ def check_kernel_eigensolve(grid_n: int | None, tol: float = 1e-6) -> Verificati
     """Dense eigensolve of the discretized kernel against the geometric law."""
     sf, _ = _state(1.0, 1.0, 0.0, 0.01)
     kp = ent.kernel_params(sf)
-    eigs = oracles.kernel_eigensolve(sf, n=512 if grid_n is None else grid_n).eigenvalues
+    eigs = oracles.kernel_eigensolve(sf, grid=_grid(sf, grid_n)).eigenvalues
     dev = float(np.max(np.abs(eigs[:_LEVELS] - ent.spectrum(kp.w, _LEVELS))))
     return _result("kernel_eigensolve", tol, dev, f"first {_LEVELS} eigenvalues vs spectrum")
 
@@ -138,12 +139,11 @@ def check_kernel_eigensolve(grid_n: int | None, tol: float = 1e-6) -> Verificati
 def check_oscillator_lemma(grid_n: int | None, tol: float = 1e-6) -> VerificationCheck:
     """Oscillator kernel reproduces e^{-u(n+1/2)} for very different beta."""
     u = 0.7
-    n = 512 if grid_n is None else grid_n
     expected = ent.oscillator_kernel_spectrum(1.0, u, _LEVELS)
     devs = []
     spectra = []
     for beta in (0.1, 10.0):
-        nodes = oracles.oscillator_grid(beta, u, n=n)
+        nodes = oracles.oscillator_grid(beta, u, n=grid_n or 512)
         eigs = oracles.hermitian_kernel_eigenvalues(ent.oscillator_kernel(beta, u), nodes)
         spectra.append(eigs[:_LEVELS])
         devs.append(float(np.max(np.abs(eigs[:_LEVELS] - expected))))
@@ -156,9 +156,8 @@ def check_oscillator_lemma(grid_n: int | None, tol: float = 1e-6) -> Verificatio
 def check_reduced_kernel(grid_n: int | None, tol: float = 1e-8) -> VerificationCheck:
     """Direct X-integration against the closed-form reduced kernel."""
     sf, _ = _state(1.0, 1.0, 0.7, 0.01)
-    n = 2048 if grid_n is None else max(grid_n, 256)
-    sx, sX = sf.position_spreads()
-    Xs = np.linspace(-8.0 * sX, 8.0 * sX, n)
+    Xs = oracles.grid_for_state(sf, n=2048, force_n=grid_n).X_nodes()
+    sx, _ = sf.position_spreads()
     xs = np.linspace(-2.0 * sx, 2.0 * sx, 5)
     worst = 0.0
     for xp in xs:
@@ -174,9 +173,9 @@ def check_reduced_kernel(grid_n: int | None, tol: float = 1e-8) -> VerificationC
 def check_k_independence(grid_n: int | None, tol: float = 1e-6) -> VerificationCheck:
     """Momentum leaves the SVD-oracle largest eigenvalue unchanged."""
     sf, _ = _state(1.0, 1.0, 3.0, 0.01)
-    n = 512 if grid_n is None else grid_n
-    sv_k = oracles.schmidt_decompose(sf, n=n).singular_values
-    sv_0 = oracles.schmidt_decompose(replace(sf, k=0.0), n=n).singular_values
+    sf0 = replace(sf, k=0.0)
+    sv_k = oracles.schmidt_decompose(sf, grid=_grid(sf, grid_n)).singular_values
+    sv_0 = oracles.schmidt_decompose(sf0, grid=_grid(sf0, grid_n)).singular_values
     dev = abs(sv_k[0] ** 2 - sv_0[0] ** 2)
     return _result("k_independence", tol, dev, "SVD F0 at k=3/sigma vs k=0")
 
@@ -186,7 +185,7 @@ def check_matched_momentum(grid_n: int | None, tol: float = 1e-6) -> Verificatio
     p = collision_params_from_delta(0.01)
     s0 = initial_state(ent.optimal_spreads(1.0, p), 1.0, 10.0)
     sf = post_collision_state(s0, p)
-    sv = oracles.schmidt_decompose(sf, n=512 if grid_n is None else grid_n).singular_values
+    sv = oracles.schmidt_decompose(sf, grid=_grid(sf, grid_n)).singular_values
     dev = abs(1.0 - sv[0] ** 2)
     return _result("matched_momentum", tol, dev,
                    "SVD F0 at matched spreads, k=10/sigma")
@@ -229,7 +228,7 @@ def check_image_vs_fft(grid_n: int | None, tol: float = 1e-3) -> VerificationChe
     grid = propagation.grid_for_flight(mirrored, setup.t)
     res = propagation.image_propagate(setup, grid=grid)
     via_fft = propagation.fft_free_evolve(
-        mirrored.evaluate(grid.x_nodes()[None, :], grid.X_nodes()[:, None]),
+        mirrored.evaluate(*grid.axes()),
         grid, setup.m, setup.M, setup.t,
     )
     np.negative(via_fft, out=via_fft)
@@ -258,10 +257,13 @@ CHECK_NAMES = [fn.__name__.removeprefix("check_") for fn in _CHECKS]
 
 def run_verification(grid_n: int | None = None,
                      tol_overrides: dict[str, float] | None = None) -> list[VerificationCheck]:
-    """Run every check, optionally forcing oracle grids to grid_n points.
+    """Run every check, each oracle on a grid it sizes itself or, given
+    grid_n, on exactly grid_n x grid_n points.
 
-    tol_overrides maps check names to replacement tolerances.  The two
-    propagation checks size their own grids and ignore grid_n.  Both
+    grid_n is the one size of every quadrature, SVD and eigensolve grid, the
+    oscillator nodes and the reduced-kernel X nodes; the two propagation
+    checks, image_f0 and image_vs_fft, size their own grids and ignore it.
+    tol_overrides maps check names to replacement tolerances.  Both
     arguments are validated before any check runs.
     """
     overrides = tol_overrides or {}

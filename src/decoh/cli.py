@@ -170,6 +170,13 @@ def _positive(flag: str, value: float | None) -> float | None:
     return value
 
 
+def _finite_square(label: str, value: float) -> float:
+    """value, unless its square overflows or it is nan."""
+    if not math.isfinite(value * value):
+        raise ValueError(f"{label} must have a finite square, got {value:g}")
+    return value
+
+
 def _resolve_state(args, p: CollisionParams):
     """(Sigma, sigma, lambda, k, k sigma) from the flags.
 
@@ -182,9 +189,14 @@ def _resolve_state(args, p: CollisionParams):
         raise ValueError(f"--grid must be positive, got {args.grid}")
     sigma = _positive("--sigma", args.sigma if args.sigma is not None else 1.0)
     Sigma = args.Sigma
-    if Sigma is not None:
-        Sigma = (ent.optimal_spreads(sigma, p) if Sigma.strip().lower() == "auto"
-                 else _positive("--Sigma", float(Sigma)))
+    if Sigma is not None and Sigma.strip().lower() == "auto":
+        Sigma = ent.optimal_spreads(sigma, p)
+    elif Sigma is not None:
+        try:
+            value = float(Sigma)
+        except ValueError:
+            raise ValueError(f"--Sigma must be a number or 'auto', got {Sigma!r}") from None
+        Sigma = _positive("--Sigma", value)
     if args.ksigma is not None:
         k_sigma = args.ksigma
         k = k_sigma / sigma
@@ -197,8 +209,9 @@ def _resolve_state(args, p: CollisionParams):
 def cmd_error(args) -> int:
     p = _build_params(args)
     Sigma, sigma, lam, _, k_sigma = _resolve_state(args, p)
+    _finite_square("k sigma", k_sigma)
     if lam is None and Sigma is not None:
-        lam = (Sigma / sigma) ** 2
+        lam = _positive("(--Sigma/--sigma)^2", (Sigma / sigma) * (Sigma / sigma))
     opt = eb.optimal_lambda(k_sigma, p)
     if lam is None:
         lam = opt.lambda_max
@@ -245,6 +258,8 @@ def cmd_error(args) -> int:
 def cmd_entangle(args) -> int:
     p = _build_params(args)
     Sigma, sigma, lam, k, _ = _resolve_state(args, p)
+    if args.grid == 1:
+        raise ValueError("--grid must be at least 2 on entangle, got 1")
     if Sigma is None and lam is not None:
         Sigma = sigma * math.sqrt(lam)
     if Sigma is None:
@@ -271,9 +286,9 @@ def cmd_entangle(args) -> int:
         f"  spectrum = {', '.join(f'{v:.6g}' for v in rep.spectrum_prefix)}",
     ]
     if args.grid:
-        from .oracles import schmidt_decompose
+        from .oracles import grid_for_state, schmidt_decompose
 
-        sv = schmidt_decompose(sf, n=args.grid).singular_values
+        sv = schmidt_decompose(sf, grid=grid_for_state(sf, force_n=args.grid)).singular_values
         results["F0_svd"] = float(sv[0] ** 2)
         results["F0_svd_deviation"] = abs(float(sv[0] ** 2) - rep.F0)
         lines.append(f"  F0 (SVD oracle) = {results['F0_svd']:.12g} "
@@ -341,6 +356,8 @@ def cmd_sweep(args) -> int:
             f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {args.parameter!r}"
         )
     values = _sweep_values(args)
+    if args.ksigma is not None:
+        _finite_square("--ksigma", args.ksigma)
     needs_params = args.parameter in ("lambda", "k_sigma")
     p = _build_params(args) if needs_params else None
 
@@ -452,7 +469,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="spread ratio Sigma^2/sigma^2")
     sub.add_argument("--ksigma", type=float, help="dimensionless momentum k*sigma")
     sub.add_argument("--grid", type=int,
-                     help="also run the matching numeric oracle at N points per axis")
+                     help="also run the matching numeric oracle on exactly N x N points")
     _add_output(sub)
     sub.add_argument("-v", "--verbose", action="store_true",
                      help="include extra diagnostics in text output")
@@ -493,7 +510,9 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, frozenset[str]]]:
     p_sw.set_defaults(format="csv")
 
     p_ver = subs.add_parser("verify", help="run every oracle-vs-closed-form check")
-    p_ver.add_argument("--grid", type=int, help="force oracle grids to N points per axis")
+    p_ver.add_argument("--grid", type=int,
+                       help="run each oracle on exactly N x N points (image_f0 and "
+                            "image_vs_fft size their own grids)")
     p_ver.add_argument("--tol", action="append",
                        help="override a check tolerance, name=value (repeatable)")
     _add_output(p_ver)

@@ -77,10 +77,13 @@ def collision_params_from_delta(delta: float) -> CollisionParams:
 def _check_spreads(Sigma: float, sigma: float) -> tuple[float, float]:
     Sigma = float(Sigma)
     sigma = float(sigma)
-    if not (np.isfinite(Sigma) and Sigma > 0.0):
-        raise ValueError(f"wall spread must be positive and finite, got {Sigma}")
-    if not (np.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"particle spread must be positive and finite, got {sigma}")
+    for name, s in (("wall", Sigma), ("particle", sigma)):
+        if not (np.isfinite(s) and s > 0.0):
+            raise ValueError(f"{name} spread must be positive and finite, got {s}")
+        # the exponent's coefficient 1/4s^2 must be a positive float too
+        if not (0.0 < s * s < np.inf and 0.25 / (s * s) < np.inf):
+            raise ValueError(f"{name} spread {s:g} is out of range: 1/(4 {name} spread^2) "
+                             "is not a positive finite number")
     return Sigma, sigma
 
 

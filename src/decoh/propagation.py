@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import CollisionParams, GaussianProductState, collision_params, initial_state
-from .oracles import GridSpec, _axis_points, grid_for_state
+from .oracles import GridSpec, _axis_points, _trapezoid_weights, grid_for_state
 
 __all__ = [
     "PropagatorSetup",
@@ -70,10 +70,6 @@ class PropagatorSetup:
     @property
     def params(self) -> CollisionParams:
         return collision_params(self.m, self.M)
-
-    @property
-    def reduced_mass(self) -> float:
-        return self.m * self.M / (self.m + self.M)
 
 
 def transit_time(setup: PropagatorSetup) -> float:
@@ -156,36 +152,28 @@ class GaussianWave2D:
         """Evolve under H = P^2/2(M+m) + p_u^2/(2 mu) for time t.
 
         Integrating the free kernels against the Gaussian gives another
-        Gaussian; with D2 = diag(total/2t, reduced/2t) and
-        M = A - i D2:
+        Gaussian.  Free flight adds 2 i t / mass to the inverse of each
+        coordinate's quadratic coefficient, so with D = diag(1/(M+m), 1/mu):
 
-            A' = D2 M^{-1} D2 - i D2
-            b' = -i D2 M^{-1} b
-            c' = c + b^T M^{-1} b / 4 + ln(kappa pi) - ln(det M)/2
+            A'^{-1} = A^{-1} + 2 i t D
+            b'      = A' A^{-1} b
+            c'      = c + b^T A^{-1} b / 4 - b'^T A'^{-1} b' / 4
+                        + ln det(A' A^{-1}) / 2
 
-        where kappa collects the propagator prefactors.  Branch choices in
-        the square roots only shift the global phase.
+        No step divides by t, so the form holds down to t -> 0.  The
+        principal branch of the logarithm fixes the global phase.
         """
         if t == 0.0:
             return self
         p = self.params
         mu = p.m * p.M / p.total_mass
-        alpha = p.total_mass / (2.0 * t)
-        beta = mu / (2.0 * t)
-        D2 = np.diag([alpha, beta]).astype(complex)
-        M = self.A - 1j * D2
-        Minv = _inv2(M)
-        A_new = D2 @ Minv @ D2 - 1j * D2
-        b_new = -1j * D2 @ (Minv @ self.b)
-        log_kappa = 0.5 * (math.log(alpha / np.pi) + math.log(beta / np.pi)) - 1j * np.pi / 2.0
-        det_m = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-        c_new = (
-            self.c
-            + 0.25 * self.b @ (Minv @ self.b)
-            + log_kappa
-            + math.log(np.pi)
-            - 0.5 * np.log(det_m)
-        )
+        A_inv = _inv2(self.A)
+        A_inv_new = A_inv + 2j * t * np.diag([1.0 / p.total_mass, 1.0 / mu])
+        A_new = _inv2(A_inv_new)
+        ratio = A_new @ A_inv
+        b_new = ratio @ self.b
+        c_new = (self.c + 0.25 * self.b @ (A_inv @ self.b) - 0.25 * b_new @ (A_inv_new @ b_new)
+                 + 0.5 * np.log(np.linalg.det(ratio)))
         return GaussianWave2D(A=A_new, b=b_new, c=complex(c_new), params=p)
 
     def _lab_form(self):
@@ -313,32 +301,23 @@ def grid_for_flight(wave: GaussianWave2D, t: float) -> GridSpec:
 
 @dataclass(frozen=True)
 class PropagationResult:
-    """Sampled state after the bounce, with the closed-form wave attached
-    when the mode is a single Gaussian term."""
+    """Sampled image term after the bounce, with validity warnings."""
 
     psi: np.ndarray
     grid: GridSpec
-    t: float
-    mode: str
-    wave: GaussianWave2D | None
     warnings: tuple[str, ...]
 
 
 def image_propagate(setup: PropagatorSetup, grid: GridSpec | None = None,
-                    mode: str = "reflected", n: int = 512) -> PropagationResult:
-    """Propagate the initial packet through the bounce and sample the result.
+                    n: int = 512) -> PropagationResult:
+    """Propagate the initial packet through the bounce and sample the image
+    term, the outgoing wave once incoming and outgoing have separated.
 
-    mode "reflected" returns the image term alone (the outgoing wave once
-    incoming and outgoing have separated), "direct" the free term, "full"
-    their difference.  A separation ratio at or above 0.1 attaches a
-    validity warning rather than failing: the samples are still exact for
-    the requested term.
+    A separation ratio at or above 0.1 attaches a validity warning rather
+    than failing: the samples are still exact for the image term.
     """
-    if mode not in ("reflected", "direct", "full"):
-        raise ValueError(f"unknown mode {mode!r}")
-    p = setup.params
     s0 = initial_state(setup.Sigma, setup.sigma, setup.k)
-    wave0 = GaussianWave2D.from_product_state(s0, p, x_center=setup.x0)
+    wave0 = GaussianWave2D.from_product_state(s0, setup.params, x_center=setup.x0)
 
     warnings: list[str] = []
     if setup.k == 0.0:
@@ -351,27 +330,11 @@ def image_propagate(setup: PropagatorSetup, grid: GridSpec | None = None,
                 "spreading is not negligible over the bounce"
             )
 
-    direct = wave0.free_evolve(setup.t)
-    reflected = wave0.mirror_u().free_evolve(setup.t).negated()
-
-    if mode == "direct":
-        wave = direct
-    elif mode == "reflected":
-        wave = reflected
-    else:
-        wave = None
-
+    wave = wave0.mirror_u().free_evolve(setup.t).negated()
     if grid is None:
-        grid = grid_for_state(wave if wave is not None else reflected, n=n)
-    x, X = grid.x_nodes()[None, :], grid.X_nodes()[:, None]
-    if mode == "full":
-        psi = direct.evaluate(x, X)
-        psi += reflected.evaluate(x, X)
-    else:
-        psi = wave.evaluate(x, X)
-    return PropagationResult(
-        psi=psi, grid=grid, t=setup.t, mode=mode, wave=wave, warnings=tuple(warnings)
-    )
+        grid = grid_for_state(wave, n=n)
+    return PropagationResult(psi=wave.evaluate(*grid.axes()), grid=grid,
+                             warnings=tuple(warnings))
 
 
 def fft_free_evolve(psi: np.ndarray, grid: GridSpec, m: float, M: float,
@@ -396,13 +359,6 @@ def fft_free_evolve(psi: np.ndarray, grid: GridSpec, m: float, M: float,
     spec *= np.exp(-1j * t * kX**2 / (2.0 * M))[:, None]
     np.fft.ifft(spec, axis=-2, out=spec)
     return np.fft.ifft(spec, axis=-1, out=spec)
-
-
-def _trapezoid_weights(n: int, step: float) -> np.ndarray:
-    w = np.full(n, step)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
 
 
 def phase_aligned_l2(candidate: np.ndarray, reference: np.ndarray,

@@ -1,6 +1,6 @@
 import pytest
 
-from decoh import checks
+from decoh import checks, oracles
 
 
 def test_unknown_override_name_fails_before_any_check(monkeypatch):
@@ -20,3 +20,31 @@ def test_grid_below_five_fails_before_any_check(monkeypatch, grid_n):
     monkeypatch.setattr(checks, "_CHECKS", [must_not_run])
     with pytest.raises(ValueError, match="5 spectrum levels"):
         checks.run_verification(grid_n=grid_n)
+
+
+def test_grid_n_is_every_oracle_grid(monkeypatch):
+    """With grid_n = 64 every oracle check samples exactly 64 x 64 points
+    (the oscillator and reduced-kernel checks 64 nodes per axis); only the
+    two propagation checks size their own grids."""
+    seen = []
+
+    def spy(name, shape_of):
+        fn = getattr(oracles, name)
+
+        def wrapped(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            seen.append(shape_of(args, result))
+            return result
+
+        monkeypatch.setattr(oracles, name, wrapped)
+
+    for name in ("quadrature_overlap", "schmidt_decompose", "kernel_eigensolve"):
+        spy(name, lambda args, r: (r.grid.nx, r.grid.nX))
+    spy("grid_for_state", lambda args, r: (r.nx, r.nX))
+    spy("hermitian_kernel_eigenvalues", lambda args, r: (len(args[1]), len(args[1])))
+    for fn in checks._CHECKS:
+        if fn.__name__ in ("check_image_f0", "check_image_vs_fft"):
+            continue
+        seen.clear()
+        fn(64)
+        assert seen and set(seen) == {(64, 64)}, (fn.__name__, seen)

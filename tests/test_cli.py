@@ -567,3 +567,49 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "error", "--config", str(tmp_path / "none.cfg"))
     assert code == 2 and out == ""
     assert err.startswith("error: [Errno 2] No such file or directory")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["error", "--delta", "0.01", "--Sigma", "1e160"],
+     "(--Sigma/--sigma)^2 must be positive and finite, got inf"),
+    (["error", "--delta", "0.01", "--ksigma", "1e200"],
+     "k sigma must have a finite square, got 1e+200"),
+    (["entangle", "--delta", "0.01", "--Sigma", "1e200"],
+     "wall spread 1e+200 is out of range: 1/(4 wall spread^2) is not a positive finite number"),
+    (["sweep", "--parameter", "lambda", "--start", "0.1", "--stop", "1", "--points", "3",
+      "--delta", "0.01", "--ksigma", "1e200"],
+     "--ksigma must have a finite square, got 1e+200"),
+    (["entangle", "--delta", "0.01", "--Sigma", "1e-200"],
+     "wall spread 1e-200 is out of range: 1/(4 wall spread^2) is not a positive finite number"),
+    (["error", "--delta", "0.01", "--Sigma", "abc"],
+     "--Sigma must be a number or 'auto', got 'abc'"),
+    (["entangle", "--delta", "0.01", "--Sigma", "1", "--grid", "1"],
+     "--grid must be at least 2 on entangle, got 1"),
+])
+def test_out_of_range_input_exits_2_with_a_message(capsys, argv, message):
+    """Squares that overflow or underflow a float, a --Sigma that is not a
+    number and a one-point SVD grid end in a message, not a traceback."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_entangle_grid_is_exactly_n_by_n(capsys, monkeypatch):
+    """--grid 64 at k = 1e6 samples 64 x 64 points, where a grid grown to
+    resolve the phase would need petabytes; the phase is a diagonal unitary
+    on each side of the sampled matrix, so the SVD still matches F0."""
+    from decoh import oracles
+
+    shapes = []
+    svd = oracles.schmidt_decompose
+
+    def spy(state, grid=None, n=512):
+        res = svd(state, grid=grid, n=n)
+        shapes.append((res.grid.nx, res.grid.nX))
+        return res
+
+    monkeypatch.setattr(oracles, "schmidt_decompose", spy)
+    code, out, _ = run_cli(capsys, "entangle", "--delta", "0.01", "--Sigma", "1",
+                           "--k", "1e6", "--grid", "64", "--format", "json")
+    assert code == 0 and shapes == [(64, 64)]
+    assert json.loads(out)["results"]["F0_svd_deviation"] <= 1e-12

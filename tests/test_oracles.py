@@ -176,8 +176,7 @@ def test_schmidt_spectrum_matches_closed_form(state_equal_spreads):
 def test_schmidt_transposed_route_equivalent(state_equal_spreads):
     """Tracing out the wall or the particle gives the same top eigenvalue."""
     g = grid_for_state(state_equal_spreads, n=256)
-    xx, XX = g.meshes()
-    m = state_equal_spreads(xx, XX) * np.sqrt(g.dx * g.dX)
+    m = state_equal_spreads(*g.axes()) * np.sqrt(g.dx * g.dX)
     sv_X = np.linalg.svd(m, compute_uv=False)
     sv_x = np.linalg.svd(m.T, compute_uv=False)
     assert abs(sv_X[0] ** 2 - sv_x[0] ** 2) < 1e-8
@@ -243,3 +242,30 @@ def test_oscillator_kernel_beta_independent_numerically():
         nodes = oscillator_grid(beta, u, n=512)
         eigs.append(hermitian_kernel_eigenvalues(oscillator_kernel(beta, u), nodes)[:5])
     np.testing.assert_allclose(eigs[0], eigs[1], atol=1e-8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    delta=st.floats(1e-3, 0.5),
+    Sigma=st.floats(0.2, 5.0),
+    k=st.floats(0.0, 6.0).map(lambda e: 10.0**e),
+    n=st.integers(8, 96),
+)
+def test_forced_grid_spectra_do_not_depend_on_k(delta, Sigma, k, n):
+    """The post-collision phase k [x(1 - 2 gamma) + 2 gamma X] is separable:
+    on one forced grid it multiplies the sampled state by a diagonal unitary
+    on each side, and the kernel by a unitary similarity, so the leading
+    singular values and kernel eigenvalues match those at k = 0 however
+    coarse the grid.  Levels below about 1e-12 sit at the rounding floor of
+    the phase, which grows like k, so only the leading five are compared."""
+    p = collision_params_from_delta(delta)
+    moving = post_collision_state(initial_state(Sigma, 1.0, k), p)
+    still = post_collision_state(initial_state(Sigma, 1.0, 0.0), p)
+    grid = grid_for_state(moving, force_n=n)
+    assert grid == grid_for_state(still, force_n=n)
+    np.testing.assert_allclose(schmidt_decompose(moving, grid=grid).singular_values[:5],
+                               schmidt_decompose(still, grid=grid).singular_values[:5],
+                               rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(kernel_eigensolve(moving, grid=grid).eigenvalues[:5],
+                               kernel_eigensolve(still, grid=grid).eigenvalues[:5],
+                               rtol=0.0, atol=1e-12)
