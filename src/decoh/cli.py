@@ -45,6 +45,8 @@ from .kinematics import (
 )
 
 SWEEP_PARAMETERS = ("lambda", "k_sigma", "delta", "w", "T")
+# most eigenvalues entangle lists: the spectrum is built as one array
+MAX_N_SPECTRUM = 1_000_000
 
 
 def _sig12(value):
@@ -267,6 +269,8 @@ def cmd_entangle(args) -> int:
     sf = post_collision_state(initial_state(Sigma, sigma, k), p)
     kp = ent.kernel_params(sf)
     n_spec = args.n_spectrum if args.n_spectrum is not None else 8
+    if n_spec > MAX_N_SPECTRUM:
+        raise ValueError(f"--n-spectrum must be at most {MAX_N_SPECTRUM}, got {n_spec}")
     rep = ent.entanglement_report(sf, n=n_spec)
     params = {"delta": p.delta, "gamma": p.gamma, "Sigma": Sigma,
               "sigma": sigma, "k": k}
@@ -496,7 +500,8 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, frozenset[str]]]:
 
     p_ent = subs.add_parser("entangle", help="reduced-kernel entanglement report")
     _add_common(p_ent)
-    p_ent.add_argument("--n-spectrum", type=int, help="eigenvalues to list (default 8)")
+    p_ent.add_argument("--n-spectrum", type=int,
+                       help=f"eigenvalues to list (default 8, at most {MAX_N_SPECTRUM})")
 
     p_sw = subs.add_parser("sweep", help="parameter sweep to CSV/JSON")
     _add_common(p_sw)

@@ -146,11 +146,17 @@ class PostCollisionState:
         )
 
     def covariance(self) -> np.ndarray:
-        """Position covariance matrix of |Psi_F|^2 in (x, X)."""
-        p_vec = np.array([2.0 * self.delta, 1.0 - 2.0 * self.delta])
-        q_vec = np.array([1.0 - 2.0 * self.gamma, 2.0 * self.gamma])
-        S = 2.0 * self.Omega * np.outer(p_vec, p_vec) + 2.0 * self.omega * np.outer(q_vec, q_vec)
-        return np.linalg.inv(S) / 2.0
+        """Position covariance matrix of |Psi_F|^2 in (x, X).
+
+        |Psi_F|^2 is a product of Gaussians of spreads Sigma and sigma in
+        (a, b) = B (x, X), B = [[2 delta, 1 - 2 delta], [1 - 2 gamma, 2 gamma]],
+        so the covariance is B^{-1} diag(Sigma^2, sigma^2) B^{-T}.  det B =
+        2 (gamma + delta) - 1 = 1 gives B^{-1} in closed form, with no matrix
+        inverse to go singular when one spread dwarfs the other.
+        """
+        B_inv = np.array([[2.0 * self.gamma, -(1.0 - 2.0 * self.delta)],
+                          [-(1.0 - 2.0 * self.gamma), 2.0 * self.delta]])
+        return (B_inv * [0.25 / self.Omega, 0.25 / self.omega]) @ B_inv.T
 
     def position_spreads(self) -> tuple[float, float]:
         cov = self.covariance()

@@ -148,6 +148,14 @@ class GaussianWave2D:
     def negated(self) -> "GaussianWave2D":
         return GaussianWave2D(A=self.A, b=self.b, c=self.c + 1j * np.pi, params=self.params)
 
+    def modulated(self, k) -> "GaussianWave2D":
+        """The wave times the plane wave e^{i k . z}, z = (x, X) in the lab.
+
+        k . z = k^T T v with T the (R, u) -> (x, X) map, so b gains i T^T k.
+        """
+        b = self.b + 1j * (self._lab_transform().T @ np.asarray(k, dtype=float))
+        return GaussianWave2D(A=self.A, b=b, c=self.c, params=self.params)
+
     def free_evolve(self, t: float) -> "GaussianWave2D":
         """Evolve under H = P^2/2(M+m) + p_u^2/(2 mu) for time t.
 
@@ -279,8 +287,10 @@ def grid_for_flight(wave: GaussianWave2D, t: float) -> GridSpec:
     and end) beyond both the start and the end center.  The step resolves
     the end wave's local oscillations to MAX_PHASE_STEP, with at least 512
     points on x and 256 on X.  Point counts are then rounded up to
-    FFT-friendly sizes (prime factors <= 5), which only refines the grid;
-    the image_vs_fft check's grid comes out 4050 x 1200.
+    FFT-friendly sizes (prime factors <= 5), which only refines the grid.
+    The lab-frame wave of the image_vs_fft check, carrier k sigma = 40 over
+    a 12 sigma flight, needs 4050 x 1200; the check runs on its carrier-free
+    envelope instead, which stays put and gets the 512 x 256 floor.
     """
     end = wave.free_evolve(t)
     c0, cov0 = wave.center_cov()

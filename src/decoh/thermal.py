@@ -18,6 +18,7 @@ SI units throughout this module; CODATA 2018 constants to 12 digits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -108,7 +109,6 @@ def thermal_design(mu: float, T: float) -> ThermalDesign:
 class CollisionBudget:
     """Unentangled amplitude surviving a sequence of wall collisions."""
 
-    F0_per_collision: tuple[float, ...]
     n: int
     amplitude: float
     n_half: float
@@ -118,31 +118,30 @@ def amplitude_budget(f0s: Sequence[float] | float, n: int | None = None) -> Coll
     """Surviving amplitude prod sqrt(F0_i) after independent collisions.
 
     Pass either a sequence of per-collision largest eigenvalues, or a single
-    F0 with a collision count n.  Also reports the collision count that
-    halves the amplitude, n_half = ln(1/2)/ln(sqrt(F0)) (using the mean log
-    for non-identical collisions); infinite when every F0 is 1.
+    F0 with a collision count n, for which ln amplitude = n ln F0 / 2 in
+    closed form at any n.  Also reports the collision count that halves the
+    amplitude, n_half = ln(1/2)/ln(sqrt(F0)) (using the mean log for
+    non-identical collisions); infinite when every F0 is 1.
     """
     if np.isscalar(f0s):
         if n is None:
             raise ValueError("a single F0 needs a collision count n")
         if n < 0:
             raise ValueError(f"collision count must be non-negative, got {n}")
-        values = np.full(int(n), float(f0s))
+        if n > sys.float_info.max:
+            raise ValueError(f"collision count must be at most {sys.float_info.max:g}")
+        f0s, count = [f0s], int(n)
     else:
         if n is not None and n != len(f0s):
             raise ValueError(f"n={n} disagrees with {len(f0s)} supplied eigenvalues")
-        values = np.asarray(f0s, dtype=float)
+        count = len(f0s)
+    values = np.asarray(f0s, dtype=float)
     if values.size and (np.any(values <= 0.0) or np.any(values > 1.0)):
         raise ValueError("every F0 must lie in (0, 1]")
-    log_amp = 0.5 * float(np.sum(np.log(values))) if values.size else 0.0
-    mean_half_log = log_amp / values.size if values.size else 0.0
+    mean_half_log = 0.5 * float(np.mean(np.log(values))) if values.size else 0.0
+    log_amp = count * mean_half_log
     n_half = math.inf if mean_half_log == 0.0 else math.log(0.5) / mean_half_log
-    return CollisionBudget(
-        F0_per_collision=tuple(float(v) for v in values),
-        n=int(values.size),
-        amplitude=math.exp(log_amp),
-        n_half=n_half,
-    )
+    return CollisionBudget(n=count, amplitude=math.exp(log_amp), n_half=n_half)
 
 
 def backaction_ratio(m: float, M: float) -> float:

@@ -1,6 +1,6 @@
 import pytest
 
-from decoh import checks, oracles
+from decoh import checks, oracles, propagation
 
 
 def test_unknown_override_name_fails_before_any_check(monkeypatch):
@@ -48,3 +48,34 @@ def test_grid_n_is_every_oracle_grid(monkeypatch):
         seen.clear()
         fn(64)
         assert seen and set(seen) == {(64, 64)}, (fn.__name__, seen)
+
+
+def test_image_vs_fft_runs_on_the_comoving_floor_grid(monkeypatch):
+    """The check sizes its flight grid for the carrier-free envelope, which
+    does not travel: the 512 x 256 floor of grid_for_flight, where the lab
+    wave needs 4050 x 1200.  Both routes sample that many points."""
+    grids, shapes = [], []
+    real_grid = propagation.grid_for_flight
+    real_image = propagation.image_propagate
+    real_fft = propagation.fft_free_evolve
+
+    def grid_for_flight(wave, t):
+        grids.append(real_grid(wave, t))
+        return grids[-1]
+
+    def image_propagate(setup, grid=None, n=512):
+        res = real_image(setup, grid=grid, n=n)
+        shapes.append(res.psi.shape)
+        return res
+
+    def fft_free_evolve(psi, grid, m, M, t):
+        shapes.append(psi.shape)
+        return real_fft(psi, grid, m, M, t)
+
+    monkeypatch.setattr(propagation, "grid_for_flight", grid_for_flight)
+    monkeypatch.setattr(propagation, "image_propagate", image_propagate)
+    monkeypatch.setattr(propagation, "fft_free_evolve", fft_free_evolve)
+    check = checks.check_image_vs_fft(None)
+    assert check.passed
+    assert [(g.nx, g.nX) for g in grids] == [(512, 256)]
+    assert shapes == [(256, 512), (256, 512)]

@@ -585,10 +585,16 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
      "--Sigma must be a number or 'auto', got 'abc'"),
     (["entangle", "--delta", "0.01", "--Sigma", "1", "--grid", "1"],
      "--grid must be at least 2 on entangle, got 1"),
+    (["entangle", "--delta", "0.01", "--Sigma", "1", "--n-spectrum", "1000001"],
+     "--n-spectrum must be at most 1000000, got 1000001"),
+    (["entangle", "--delta", "0.01", "--Sigma", "1", "--n-spectrum", "100000000000"],
+     "--n-spectrum must be at most 1000000, got 100000000000"),
 ])
 def test_out_of_range_input_exits_2_with_a_message(capsys, argv, message):
     """Squares that overflow or underflow a float, a --Sigma that is not a
-    number and a one-point SVD grid end in a message, not a traceback."""
+    number, a one-point SVD grid and a spectrum longer than 10^6 (10^11
+    eigenvalues would be an 800 GB array) end in a message, not a
+    traceback."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
@@ -613,3 +619,25 @@ def test_entangle_grid_is_exactly_n_by_n(capsys, monkeypatch):
                            "--k", "1e6", "--grid", "64", "--format", "json")
     assert code == 0 and shapes == [(64, 64)]
     assert json.loads(out)["results"]["F0_svd_deviation"] <= 1e-12
+
+
+def test_entangle_forced_grid_at_a_vast_spread_ratio(capsys):
+    """--Sigma 1e150 --grid 8 sizes its grid from the closed-form covariance:
+    at this spread ratio the quadratic form of |Psi_F|^2 is numerically
+    singular, so inverting it fails."""
+    code, out, err = run_cli(capsys, "entangle", "--delta", "0.01", "--Sigma", "1e150",
+                             "--grid", "8", "--format", "json")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["results"]["F0"] == pytest.approx(1.03071531643e-150, rel=1e-11)
+    assert "F0_svd" in doc["results"]
+
+
+def test_thermal_budget_of_a_huge_collision_count(capsys):
+    """10^11 collisions are a closed form, not a 10^11-float array."""
+    code, out, err = run_cli(capsys, "thermal", "--T", "300", "--mu-kg", "1e-30",
+                             "--collisions", "100000000000", "--F0", "0.999999999999",
+                             "--format", "json")
+    assert code == 0 and err == ""
+    res = json.loads(out)["results"]
+    assert res["amplitude"] == pytest.approx(0.999999999999 ** 5e10, rel=1e-9)

@@ -189,3 +189,34 @@ def test_ideal_reflected_state_is_the_conjugate_product_state(rng):
     assert t.position_spreads() == s.position_spreads()
     assert t.phase_wavenumbers() == s.phase_wavenumbers()
     assert t.centers() == s.centers()
+
+
+def _covariance_by_inverse(s):
+    p_vec = np.array([2.0 * s.delta, 1.0 - 2.0 * s.delta])
+    q_vec = np.array([1.0 - 2.0 * s.gamma, 2.0 * s.gamma])
+    S = 2.0 * s.Omega * np.outer(p_vec, p_vec) + 2.0 * s.omega * np.outer(q_vec, q_vec)
+    return np.linalg.inv(S) / 2.0
+
+
+def test_post_collision_covariance_matches_the_inverse(rng):
+    """The closed form B^{-1} diag(Sigma^2, sigma^2) B^{-T} against inverting
+    the quadratic form numerically, on states where that inverse is well
+    conditioned enough to serve as a reference."""
+    for _ in range(300):
+        delta = 10.0 ** rng.uniform(-4.0, np.log10(0.99))
+        Sigma, sigma = 10.0 ** rng.uniform(-2.0, 2.0, size=2)
+        s = post_collision_state(initial_state(Sigma, sigma, 0.0),
+                                 collision_params_from_delta(delta))
+        ref = _covariance_by_inverse(s)
+        assert np.max(np.abs(s.covariance() - ref)) <= 1e-7 * np.max(np.abs(ref))
+
+
+def test_post_collision_covariance_at_a_vast_spread_ratio():
+    """Sigma = 1e150 next to sigma = 1 makes the quadratic form numerically
+    singular; the closed form still gives the spreads, 2 gamma Sigma on x
+    and (1 - 2 gamma) Sigma on X to leading order."""
+    p = collision_params_from_delta(0.01)
+    s = post_collision_state(initial_state(1e150, 1.0, 0.0), p)
+    sx, sX = s.position_spreads()
+    assert sx == pytest.approx(2.0 * p.gamma * 1e150, rel=1e-12)
+    assert sX == pytest.approx(abs(1.0 - 2.0 * p.gamma) * 1e150, rel=1e-12)

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decoh import propagation
+from decoh.checks import check_image_vs_fft
 from decoh.entanglement import kernel_params, largest_eigenvalue
 from decoh.kinematics import collision_params, initial_state, post_collision_state
 from decoh.oracles import MAX_PHASE_STEP, _axis_points, grid_for_state
 from decoh.propagation import (
     FLIGHT_COVER_SIGMAS,
     GaussianWave2D,
+    PropagationResult,
     PropagatorSetup,
     fft_free_evolve,
     fft_size,
@@ -213,6 +216,66 @@ def test_flight_grid_of_the_verify_check():
     setup = _setup(k=40.0, x0=-6.0, Sigma=0.25)
     grid = grid_for_flight(_mirrored(setup), setup.t)
     assert (grid.nx, grid.nX) == (4050, 1200)
+
+
+def _direct_term(setup, grid=None, n=512):
+    """Fault: the unmirrored direct term sampled in place of the image term."""
+    wave0 = GaussianWave2D.from_product_state(
+        initial_state(setup.Sigma, setup.sigma, setup.k), setup.params, x_center=setup.x0)
+    wave = wave0.free_evolve(setup.t).negated()
+    return PropagationResult(psi=wave.evaluate(*grid.axes()), grid=grid, warnings=())
+
+
+# faults injected into the setup image_propagate is given: t scaled by
+# 1 + 1e-3, and the wall mass that scales delta = m/(M + m) by 1 + 1e-3
+_SETUP_FAULTS = {
+    "none": lambda s: s,
+    "t": lambda s: dataclasses.replace(s, t=s.t * (1.0 + 1e-3)),
+    "delta": lambda s: dataclasses.replace(s, M=(s.M + s.m) / (1.0 + 1e-3) - s.m),
+}
+
+
+@pytest.fixture(scope="module")
+def lab_frame_fft_route():
+    """The FFT route of test_image_term_against_fft_route, on its 4050 x 1200
+    lab-frame grid."""
+    setup = _setup(k=40.0, x0=-6.0, Sigma=0.25)
+    mirrored = _mirrored(setup)
+    grid = grid_for_flight(mirrored, setup.t)
+    via_fft = -fft_free_evolve(mirrored.evaluate(*grid.axes()), grid, setup.m, setup.M, setup.t)
+    return setup, grid, via_fft
+
+
+@pytest.mark.parametrize("fault", ["none", "t", "delta", "direct"])
+def test_comoving_check_fails_where_the_lab_frame_check_fails(monkeypatch, lab_frame_fft_route,
+                                                               fault):
+    """The image_vs_fft check, run in the packet's co-moving frame, against
+    the lab-frame distance with the same fault injected into image_propagate.
+
+    A boost changes the distance only through the grids, so for the small t
+    and delta faults the two distances agree far below the fault's size.
+    delta scaled by 1 + 1e-3 moves the wave by 8.8e-4 in both frames, under
+    the 1e-3 tolerance, so neither frame catches it."""
+    setup, grid, via_fft = lab_frame_fft_route
+    if fault == "direct":
+        faulty = _direct_term
+    else:
+        real = propagation.image_propagate
+
+        def faulty(s, grid=None, n=512):
+            return real(_SETUP_FAULTS[fault](s), grid=grid, n=n)
+
+    lab, _ = phase_aligned_l2(faulty(setup, grid=grid).psi, via_fft, grid)
+    monkeypatch.setattr(propagation, "image_propagate", faulty)
+    check = check_image_vs_fft(None)
+
+    assert check.passed == (lab <= check.tolerance)
+    if fault in ("t", "delta"):
+        assert check.deviation == pytest.approx(lab, rel=1e-6)
+    if fault in ("t", "direct"):
+        assert not check.passed
+    if fault == "none":
+        assert check.passed
 
 
 def _quadratic_form(wave, x, X):

@@ -116,6 +116,8 @@ def test_amplitude_budget_validation():
         amplitude_budget(0.9)  # scalar without n
     with pytest.raises(ValueError):
         amplitude_budget([0.9, 0.8], n=3)
+    with pytest.raises(ValueError, match="at most 1.79769e"):
+        amplitude_budget(0.9, n=10**400)  # ln amplitude = n ln F0 / 2 needs a float n
 
 
 def test_backaction_ratio_values():
@@ -136,3 +138,15 @@ def test_backaction_equals_matched_spread_ratio():
     assert backaction_ratio(3.0, 17.0) == pytest.approx(
         math.sqrt(opt.lambda_max), rel=1e-12
     )
+
+
+def test_amplitude_budget_of_a_huge_count_is_closed_form():
+    """10^11 collisions need no per-collision array: ln amplitude is
+    n ln F0 / 2 and the result has the collision count it was given."""
+    n = 10**11
+    f0 = 1.0 - 1e-12
+    b = amplitude_budget(f0, n=n)
+    assert b.n == n
+    assert b.amplitude == pytest.approx(f0 ** (0.5 * n), rel=1e-9)
+    assert b.n_half == pytest.approx(math.log(0.5) / (0.5 * math.log(f0)), rel=1e-12)
+    assert amplitude_budget(1.0, n=n).amplitude == 1.0
