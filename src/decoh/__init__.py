@@ -15,18 +15,15 @@ from .kinematics import (
     post_collision_state,
 )
 from .error_bounds import (
-    ErrorReport,
     Optimum,
     error_asymptotic,
-    error_report,
     mismatch_penalty,
     optimal_lambda,
     overlap_amplitude,
+    overlap_error,
 )
 from .entanglement import (
-    EntanglementReport,
     KernelParams,
-    entanglement_report,
     kernel_params,
     largest_eigenvalue,
     optimal_spreads,
@@ -49,10 +46,8 @@ from .propagation import (
 )
 from .thermal import (
     CollisionBudget,
-    ThermalDesign,
     amplitude_budget,
     backaction_ratio,
-    thermal_design,
     thermal_k_sigma,
     thermal_spread,
 )

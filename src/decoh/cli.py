@@ -34,12 +34,14 @@ import numpy as np
 from . import __version__
 from . import entanglement as ent
 from . import error_bounds as eb
+from . import oracles
 from . import thermal as th
 from .checks import CHECK_NAMES, run_verification
 from .kinematics import (
     CollisionParams,
     collision_params,
     collision_params_from_delta,
+    ideal_reflected_state,
     initial_state,
     post_collision_state,
 )
@@ -217,36 +219,31 @@ def cmd_error(args) -> int:
     opt = eb.optimal_lambda(k_sigma, p)
     if lam is None:
         lam = opt.lambda_max
-    rep = eb.error_report(lam, k_sigma, p, opt=opt)
-    params = {"delta": p.delta, "gamma": p.gamma, "lambda": rep.lam,
-              "k_sigma": rep.k_sigma}
-    results = {"A": rep.A, "one_minus_A": rep.one_minus_A,
-               "lambda": rep.lam, "lambda_max": rep.lambda_max,
-               "A_max": rep.A_max, "one_minus_A_max": opt.one_minus_A,
-               "regime": rep.regime}
+    A, one_minus_A = eb.overlap_error(lam, k_sigma, p)
+    params = {"delta": p.delta, "gamma": p.gamma, "lambda": lam, "k_sigma": k_sigma}
+    results = {"A": A, "one_minus_A": one_minus_A,
+               "lambda": lam, "lambda_max": opt.lambda_max,
+               "A_max": opt.A_max, "one_minus_A_max": opt.one_minus_A,
+               "regime": opt.regime}
     lines = [
         f"overlap error (delta={p.delta:.6g}, k sigma={k_sigma:.6g})",
-        f"  lambda      = {rep.lam:.12g}",
-        f"  A           = {rep.A:.12g}",
-        f"  1 - A       = {rep.one_minus_A:.12g}",
-        f"  lambda_max  = {rep.lambda_max:.12g}",
-        f"  A_max       = {rep.A_max:.12g}",
-        f"  regime      = {rep.regime}",
+        f"  lambda      = {lam:.12g}",
+        f"  A           = {A:.12g}",
+        f"  1 - A       = {one_minus_A:.12g}",
+        f"  lambda_max  = {opt.lambda_max:.12g}",
+        f"  A_max       = {opt.A_max:.12g}",
+        f"  regime      = {opt.regime}",
     ]
     if args.grid:
         # cross-check the closed form on a quadrature grid of the given size
-        from .kinematics import ideal_reflected_state
-        from .oracles import grid_for_state, quadrature_overlap
-
-        s0 = initial_state(sigma * math.sqrt(rep.lam), sigma,
-                           rep.k_sigma / sigma)
+        s0 = initial_state(sigma * math.sqrt(lam), sigma, k_sigma / sigma)
         sf = post_collision_state(s0, p)
-        quad = quadrature_overlap(
+        quad = oracles.quadrature_overlap(
             ideal_reflected_state(s0), sf,
-            grid=grid_for_state(sf, force_n=args.grid),
+            grid=oracles.grid_for_state(sf, force_n=args.grid),
         )
         results["A_quadrature"] = abs(quad.value)
-        results["A_quadrature_deviation"] = abs(abs(quad.value) - rep.A)
+        results["A_quadrature_deviation"] = abs(abs(quad.value) - A)
         lines.append(f"  A quadrature = {results['A_quadrature']:.12g} "
                      f"(deviation {results['A_quadrature_deviation']:.3e})")
     if args.verbose:
@@ -269,15 +266,19 @@ def cmd_entangle(args) -> int:
     sf = post_collision_state(initial_state(Sigma, sigma, k), p)
     kp = ent.kernel_params(sf)
     n_spec = args.n_spectrum if args.n_spectrum is not None else 8
+    if n_spec < 1:
+        raise ValueError(f"--n-spectrum must be at least 1, got {n_spec}")
     if n_spec > MAX_N_SPECTRUM:
         raise ValueError(f"--n-spectrum must be at most {MAX_N_SPECTRUM}, got {n_spec}")
-    rep = ent.entanglement_report(sf, n=n_spec)
+    F0 = ent.largest_eigenvalue(kp.w)
+    spectrum = ent.spectrum(kp.w, n_spec).tolist()
+    # the eigenvalues past the first n sum to e^{-n u}, 0 on a matched state
+    tail = float(np.exp(-n_spec * kp.u))
     params = {"delta": p.delta, "gamma": p.gamma, "Sigma": Sigma,
               "sigma": sigma, "k": k}
     results = {"D": kp.D, "rho": kp.rho, "w": kp.w, "u": kp.u,
-               "F0": rep.F0, "measure": rep.measure, "matched": kp.matched,
-               "spectrum": list(rep.spectrum_prefix),
-               "spectrum_tail_bound": rep.tail_bound}
+               "F0": F0, "measure": kp.z * kp.z, "matched": kp.matched,
+               "spectrum": spectrum, "spectrum_tail_bound": tail}
     w_str = "inf (matched)" if kp.matched else f"{kp.w:.12g}"
     lines = [
         f"entanglement (delta={p.delta:.6g}, Sigma={Sigma:.6g}, sigma={sigma:.6g}, k={k:.6g})",
@@ -285,20 +286,19 @@ def cmd_entangle(args) -> int:
         f"  rho      = {kp.rho:.12g}",
         f"  w        = {w_str}",
         f"  u        = {kp.u:.12g}",
-        f"  F0       = {rep.F0:.12g}",
-        f"  1 - F0   = {rep.measure:.12g}",
-        f"  spectrum = {', '.join(f'{v:.6g}' for v in rep.spectrum_prefix)}",
+        f"  F0       = {F0:.12g}",
+        f"  1 - F0   = {results['measure']:.12g}",
+        f"  spectrum = {', '.join(f'{v:.6g}' for v in spectrum)}",
     ]
     if args.grid:
-        from .oracles import grid_for_state, schmidt_decompose
-
-        sv = schmidt_decompose(sf, grid=grid_for_state(sf, force_n=args.grid)).singular_values
+        grid = oracles.grid_for_state(sf, force_n=args.grid)
+        sv = oracles.schmidt_decompose(sf, grid=grid).singular_values
         results["F0_svd"] = float(sv[0] ** 2)
-        results["F0_svd_deviation"] = abs(float(sv[0] ** 2) - rep.F0)
+        results["F0_svd_deviation"] = abs(float(sv[0] ** 2) - F0)
         lines.append(f"  F0 (SVD oracle) = {results['F0_svd']:.12g} "
                      f"(deviation {results['F0_svd_deviation']:.3e})")
     if args.verbose:
-        lines.append(f"  spectrum tail bound = {rep.tail_bound:.3e}")
+        lines.append(f"  spectrum tail bound = {tail:.3e}")
     header = ["D", "rho", "w", "u", "F0", "measure", "matched"]
     _render(args, params, results, header, lines=lines)
     return 0
@@ -317,10 +317,10 @@ def _sweep_values(args) -> np.ndarray:
 def _sweep_row(parameter: str, value: float, args, p: CollisionParams | None):
     if parameter == "lambda":
         lam, k_sigma = value, (args.ksigma or 0.0)
-        half_h = -0.5 * float(eb.overlap_log_inverse_sq(lam, k_sigma, p))
+        A, one_minus_A = eb.overlap_error(lam, k_sigma, p)
         sf = post_collision_state(initial_state(math.sqrt(lam), 1.0, 0.0), p)
         f0 = ent.largest_eigenvalue(ent.kernel_params(sf).w)
-        return [lam, k_sigma, float(np.exp(half_h)), float(-np.expm1(half_h)), f0, 1.0 - f0]
+        return [lam, k_sigma, A, one_minus_A, f0, 1.0 - f0]
     if parameter == "k_sigma":
         opt = eb.optimal_lambda(value, p)
         lam_small, err_small = eb.error_asymptotic(value, p.delta, "small")
@@ -340,8 +340,8 @@ def _sweep_row(parameter: str, value: float, args, p: CollisionParams | None):
         return [value, u, f0, 1.0 - f0]
     if args.mu_kg is None:  # parameter is T, the last of SWEEP_PARAMETERS
         raise ValueError("a T sweep needs --mu-kg")
-    design = th.thermal_design(args.mu_kg, value)
-    return [value, design.sigma_mu, design.thermal_length, design.k_sigma_est]
+    return [value, th.thermal_spread(args.mu_kg, value), th.thermal_length(value),
+            th.thermal_k_sigma(args.mu_kg, value)]
 
 
 _SWEEP_HEADERS = {
@@ -389,7 +389,13 @@ def cmd_verify(args) -> int:
         name, val = item.split("=", 1)
         if name not in CHECK_NAMES:
             raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
-        overrides[name] = float(val)
+        try:
+            value = float(val)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"--tol {name} must be a finite number >= 0, got {val!r}")
+        overrides[name] = value
     results = run_verification(grid_n=args.grid, tol_overrides=overrides or None)
     ok = all(c.passed for c in results)
 
@@ -421,11 +427,14 @@ def cmd_thermal(args) -> int:
     if args.T is None:
         raise ValueError("temperature is required: --T")
     if args.report_length_scale and args.mu_kg is None:
-        design = None
+        mass_scales = {}
     else:
         if args.mu_kg is None:
             raise ValueError("mass is required: --mu-kg (or use --report-length-scale)")
-        design = th.thermal_design(args.mu_kg, args.T)
+        # thermal_spread checks the mass, then the temperature
+        mass_scales = {"sigma_mu": th.thermal_spread(args.mu_kg, args.T),
+                       "compton_wavelength": th.compton_wavelength(args.mu_kg),
+                       "k_sigma_est": th.thermal_k_sigma(args.mu_kg, args.T)}
 
     # optimized per-collision error coefficient at the thermal momentum
     delta_ref = args.delta if args.delta is not None else 1e-6
@@ -439,21 +448,15 @@ def cmd_thermal(args) -> int:
     params = {"mu_kg": args.mu_kg, "T": args.T, "delta": args.delta,
               "collisions": args.collisions, "F0": args.F0}
     results: dict = {"thermal_length": th.thermal_length(args.T),
-                     "error_per_collision_over_delta": coeff}
-    if design is not None:
-        results.update({
-            "sigma_mu": design.sigma_mu,
-            "compton_wavelength": design.compton_wavelength,
-            "k_sigma_est": design.k_sigma_est,
-        })
+                     "error_per_collision_over_delta": coeff, **mass_scales}
     if budget is not None:
         results.update({"amplitude": budget.amplitude, "n_half": budget.n_half})
     lines = [f"thermal design (T={args.T:.6g} K)",
              f"  hbar c / k_B T        = {results['thermal_length']:.12g} m"]
-    if design is not None:
-        lines.append(f"  sigma_mu              = {design.sigma_mu:.12g} m")
-        lines.append(f"  compton wavelength    = {design.compton_wavelength:.12g} m")
-        lines.append(f"  k sigma estimate      = {design.k_sigma_est:.12g}")
+    if mass_scales:
+        lines.append(f"  sigma_mu              = {results['sigma_mu']:.12g} m")
+        lines.append(f"  compton wavelength    = {results['compton_wavelength']:.12g} m")
+        lines.append(f"  k sigma estimate      = {results['k_sigma_est']:.12g}")
     lines.append(f"  (1-A)/delta at ksigma=1 = {coeff:.6g}")
     if budget is not None:
         lines.append(f"  amplitude after {budget.n} collisions = {budget.amplitude:.12g}")
@@ -501,7 +504,8 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, frozenset[str]]]:
     p_ent = subs.add_parser("entangle", help="reduced-kernel entanglement report")
     _add_common(p_ent)
     p_ent.add_argument("--n-spectrum", type=int,
-                       help=f"eigenvalues to list (default 8, at most {MAX_N_SPECTRUM})")
+                       help=f"eigenvalues to list (default 8, at least 1, "
+                            f"at most {MAX_N_SPECTRUM})")
 
     p_sw = subs.add_parser("sweep", help="parameter sweep to CSV/JSON")
     _add_common(p_sw)

@@ -33,14 +33,12 @@ from .kinematics import CollisionParams, PostCollisionState
 
 __all__ = [
     "KernelParams",
-    "EntanglementReport",
     "kernel_params",
     "reduced_kernel_eval",
     "largest_eigenvalue",
     "spectrum",
     "oscillator_kernel",
     "oscillator_kernel_spectrum",
-    "entanglement_report",
     "optimal_spreads",
 ]
 
@@ -173,33 +171,6 @@ def oscillator_kernel_spectrum(beta: float, u: float, n: int = 16) -> np.ndarray
     if n < 1:
         raise ValueError(f"need at least one eigenvalue, got n={n}")
     return np.exp(-u * (np.arange(n) + 0.5))
-
-
-@dataclass(frozen=True)
-class EntanglementReport:
-    """Spectral summary of a post-collision state."""
-
-    F0: float
-    measure: float
-    w: float
-    u: float
-    matched: bool
-    spectrum_prefix: tuple[float, ...]
-    tail_bound: float
-
-
-def entanglement_report(s: PostCollisionState, n: int = 64) -> EntanglementReport:
-    """Bundle F0, 1 - F0 and the first n eigenvalues with their tail bound."""
-    kp = kernel_params(s)
-    return EntanglementReport(
-        F0=largest_eigenvalue(kp.w),
-        measure=kp.z * kp.z,
-        w=kp.w,
-        u=kp.u,
-        matched=kp.matched,
-        spectrum_prefix=tuple(float(v) for v in spectrum(kp.w, n)),
-        tail_bound=float(np.exp(-n * kp.u)),
-    )
 
 
 def optimal_spreads(sigma: float, p: CollisionParams) -> float:

@@ -30,8 +30,8 @@ from .kinematics import CollisionParams
 
 __all__ = [
     "ConvergenceError",
-    "ErrorReport",
     "Optimum",
+    "overlap_error",
     "overlap_amplitude",
     "overlap_log_inverse_sq",
     "optimal_lambda",
@@ -39,7 +39,6 @@ __all__ = [
     "mismatch_penalty",
     "classify_regime",
     "golden_section_minimize",
-    "error_report",
 ]
 
 # default optimizer bracket for ln(lam) and termination width
@@ -72,9 +71,19 @@ def _log_inverse_sq(lam, k_sigma: float, p: CollisionParams):
     return np.log1p(mismatch * mismatch) + 4.0 * k_sigma**2 * lam / (1.0 + lam)
 
 
+def overlap_error(lam: float, k_sigma: float, p: CollisionParams) -> tuple[float, float]:
+    """(A, 1 - A) for spread ratio lam and momentum k sigma.
+
+    1 - A is evaluated as -expm1(-ln(A^{-2})/2), so it keeps full precision
+    where A is within rounding of 1.
+    """
+    half_log = -0.5 * float(overlap_log_inverse_sq(lam, k_sigma, p))
+    return float(np.exp(half_log)), float(-np.expm1(half_log))
+
+
 def overlap_amplitude(lam: float, k_sigma: float, p: CollisionParams) -> float:
     """Overlap amplitude A in (0, 1] for spread ratio lam and momentum k sigma."""
-    return float(np.exp(-0.5 * overlap_log_inverse_sq(lam, k_sigma, p)))
+    return overlap_error(lam, k_sigma, p)[0]
 
 
 def golden_section_minimize(fn, a: float, b: float, tol: float = 1e-10, max_iter: int = 200):
@@ -209,39 +218,3 @@ def mismatch_penalty(y, k_sigma: float):
     # cosh(y) - 1 via sinh(y/2) to keep precision near the matched point
     half = np.sinh(0.5 * y)
     return 2.0 * half * half + 2.0 * k_sigma**2 * np.exp(y)
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """Overlap error at one spread ratio, with the optimum for context."""
-
-    lam: float
-    k_sigma: float
-    delta: float
-    A: float
-    one_minus_A: float
-    lambda_max: float
-    A_max: float
-    regime: str
-
-
-def error_report(lam: float, k_sigma: float, p: CollisionParams, *,
-                 opt: Optimum | None = None) -> ErrorReport:
-    """Evaluate A at the given ratio and attach the optimized comparison.
-
-    opt is optimal_lambda(k_sigma, p), solved here unless the caller
-    already holds it.
-    """
-    h = float(overlap_log_inverse_sq(lam, k_sigma, p))
-    if opt is None:
-        opt = optimal_lambda(k_sigma, p)
-    return ErrorReport(
-        lam=float(lam),
-        k_sigma=float(k_sigma),
-        delta=p.delta,
-        A=float(np.exp(-0.5 * h)),
-        one_minus_A=float(-np.expm1(-0.5 * h)),
-        lambda_max=opt.lambda_max,
-        A_max=opt.A_max,
-        regime=opt.regime,
-    )

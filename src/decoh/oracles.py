@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entanglement import reduced_kernel_eval
+
 __all__ = [
     "GridError",
     "GridSpec",
@@ -34,6 +36,8 @@ __all__ = [
 COVER_SIGMAS = 8.0
 MAX_PHASE_STEP = 0.3
 MIN_POINTS = 64
+# largest |K - K^H| a discretized kernel may show before it counts as a bug
+HERM_TOL = 1e-10
 
 
 class GridError(ValueError):
@@ -236,19 +240,18 @@ def schmidt_decompose(state, grid: GridSpec | None = None, n: int = 512) -> Schm
     return SchmidtResult(singular_values=sv, grid=grid)
 
 
-def hermitian_kernel_eigenvalues(kernel_fn, nodes: np.ndarray,
-                                 herm_tol: float = 1e-10) -> np.ndarray:
+def hermitian_kernel_eigenvalues(kernel_fn, nodes: np.ndarray) -> np.ndarray:
     """Eigenvalues (descending) of a discretized Hermitian integral kernel.
 
     Builds K[i, j] = kernel_fn(nodes[i], nodes[j]) * dx on a uniform grid.
-    A Hermiticity defect beyond herm_tol means the kernel function itself is
+    A Hermiticity defect beyond HERM_TOL means the kernel function itself is
     wrong, so that raises rather than being silently symmetrized away.
     """
     nodes = np.asarray(nodes, dtype=float)
     dx = nodes[1] - nodes[0]
     K = kernel_fn(nodes[:, None], nodes[None, :]) * dx
     defect = float(np.abs(K - K.conj().T).max())
-    if defect > herm_tol:
+    if defect > HERM_TOL:
         raise RuntimeError(
             f"discretized kernel is not Hermitian (defect {defect:.3e}): kernel bug"
         )
@@ -269,8 +272,6 @@ def kernel_eigensolve(state, grid: GridSpec | None = None, n: int = 512) -> Kern
     come back sorted descending and should match the squared Schmidt
     coefficients of the same state.
     """
-    from .entanglement import reduced_kernel_eval  # deferred: avoids import cycle
-
     if grid is None:
         grid = grid_for_state(state, n=n)
 

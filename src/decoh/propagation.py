@@ -119,8 +119,8 @@ class GaussianWave2D:
 
     @classmethod
     def from_product_state(cls, s: GaussianProductState, p: CollisionParams,
-                           x_center: float = 0.0, X_center: float = 0.0) -> "GaussianWave2D":
-        """Product packet Gamma(X - X0) Phi(x - x0) e^{i k (x - x0)} in (R, u).
+                           x_center: float = 0.0) -> "GaussianWave2D":
+        """Product packet Gamma(X) Phi(x - x0) e^{i k (x - x0)} in (R, u).
 
         X = R - delta u and x = R + gamma u, so each factor contributes a
         rank-one quadratic along its coordinate direction.
@@ -131,13 +131,8 @@ class GaussianWave2D:
         aP = 1.0 / (4.0 * s.sigma**2)
         A = aW * np.outer(e_wall, e_wall) + aP * np.outer(e_part, e_part)
         A = A.astype(complex)
-        b = (2.0 * aW * X_center) * e_wall + (2.0 * aP * x_center + 1j * s.k) * e_part
-        c = (
-            -aW * X_center**2
-            - aP * x_center**2
-            - 1j * s.k * x_center
-            + 0.5 * math.log(s.norm)
-        )
+        b = (2.0 * aP * x_center + 1j * s.k) * e_part
+        c = -aP * x_center**2 - 1j * s.k * x_center + 0.5 * math.log(s.norm)
         return cls(A=A, b=b.astype(complex), c=complex(c), params=p)
 
     def mirror_u(self) -> "GaussianWave2D":

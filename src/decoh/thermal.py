@@ -29,11 +29,9 @@ __all__ = [
     "K_B",
     "C_LIGHT",
     "ELECTRON_MASS",
-    "ThermalDesign",
     "CollisionBudget",
     "thermal_spread",
     "thermal_k_sigma",
-    "thermal_design",
     "compton_wavelength",
     "thermal_length",
     "amplitude_budget",
@@ -80,29 +78,6 @@ def thermal_k_sigma(mu: float, T: float) -> float:
     """
     k = math.sqrt(_check_positive("mass", mu) * K_B * _check_positive("temperature", T)) / HBAR
     return k * thermal_spread(mu, T)
-
-
-@dataclass(frozen=True)
-class ThermalDesign:
-    """Thermal packet size and its geometric-mean decomposition."""
-
-    mu: float
-    T: float
-    sigma_mu: float
-    k_sigma_est: float
-    compton_wavelength: float
-    thermal_length: float
-
-
-def thermal_design(mu: float, T: float) -> ThermalDesign:
-    return ThermalDesign(
-        mu=float(mu),
-        T=float(T),
-        sigma_mu=thermal_spread(mu, T),
-        k_sigma_est=thermal_k_sigma(mu, T),
-        compton_wavelength=compton_wavelength(mu),
-        thermal_length=thermal_length(T),
-    )
 
 
 @dataclass(frozen=True)

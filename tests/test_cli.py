@@ -327,6 +327,17 @@ def test_verify_unknown_tolerance_name_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "abc", "inf", ""])
+def test_verify_bad_tolerance_value_exits_two(capsys, monkeypatch, value):
+    """A tolerance that is not a finite number >= 0 is bad input, not a
+    failed check: exit 2, naming --tol and the check, before any check runs."""
+    monkeypatch.setattr(cli, "run_verification", None)
+    code, out, err = run_cli(capsys, "verify", "--tol", f"reduced_kernel={value}")
+    assert code == 2 and out == ""
+    assert err == (f"error: --tol reduced_kernel must be a finite number >= 0, "
+                   f"got {value!r}\n")
+
+
 def test_verify_grid_refinement_reduces_deviation(capsys):
     devs = {}
     for n in ("64", "512"):
@@ -390,9 +401,9 @@ def test_each_optimum_is_solved_once(capsys, monkeypatch):
     _, header, rows = parse_emitted_csv(out)
     p = collision_params_from_delta(0.01)
     for lam, row in zip(np.linspace(0.001, 1.0, 9), rows, strict=True):
-        rep = eb.error_report(float(lam), 1.0, p)
-        assert row[header.index("A")] == f"{rep.A:.12g}"
-        assert row[header.index("one_minus_A")] == f"{rep.one_minus_A:.12g}"
+        A, one_minus_A = eb.overlap_error(float(lam), 1.0, p)
+        assert row[header.index("A")] == f"{A:.12g}"
+        assert row[header.index("one_minus_A")] == f"{one_minus_A:.12g}"
 
 
 def test_repeated_calls_print_the_same_bytes(capsys, tmp_path):
@@ -472,7 +483,15 @@ def test_entangle_matched_needs_one_eigenvalue(capsys):
     code, out, err = run_cli(capsys, "entangle", "--delta", "0.01", "--Sigma", "auto",
                              "--n-spectrum", "0")
     assert code == 2 and out == ""
-    assert err == "error: need at least one eigenvalue, got n=0\n"
+    assert err == "error: --n-spectrum must be at least 1, got 0\n"
+
+
+def test_entangle_help_states_the_n_spectrum_range(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["entangle", "--help"])
+    assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "eigenvalues to list (default 8, at least 1, at most 1000000)" in help_text
 
 
 @pytest.mark.parametrize("command", [
@@ -589,6 +608,10 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
      "--n-spectrum must be at most 1000000, got 1000001"),
     (["entangle", "--delta", "0.01", "--Sigma", "1", "--n-spectrum", "100000000000"],
      "--n-spectrum must be at most 1000000, got 100000000000"),
+    (["entangle", "--delta", "0.01", "--Sigma", "1", "--n-spectrum", "0"],
+     "--n-spectrum must be at least 1, got 0"),
+    (["entangle", "--delta", "0.01", "--Sigma", "1", "--n-spectrum", "-1"],
+     "--n-spectrum must be at least 1, got -1"),
 ])
 def test_out_of_range_input_exits_2_with_a_message(capsys, argv, message):
     """Squares that overflow or underflow a float, a --Sigma that is not a

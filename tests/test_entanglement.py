@@ -1,9 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from decoh import checks
+from decoh import checks, cli
 from decoh.entanglement import (
-    entanglement_report,
     kernel_params,
     largest_eigenvalue,
     optimal_spreads,
@@ -41,7 +42,7 @@ def test_kernel_params_matched_spreads(params_1_99):
     sf = post_collision_state(initial_state(Sigma, 1.0, 5.0), params_1_99)
     kp = kernel_params(sf)
     assert kp.matched
-    assert entanglement_report(sf).measure == 0.0
+    assert kp.z * kp.z == 0.0
 
 
 def test_spectral_identities_across_w():
@@ -122,29 +123,38 @@ def test_oscillator_trace_identity():
 
 
 def test_entanglement_measure_examples(state_equal_spreads):
-    assert entanglement_report(state_equal_spreads).measure == pytest.approx(0.3682, abs=5e-5)
+    kp = kernel_params(state_equal_spreads)
+    assert kp.z * kp.z == pytest.approx(0.3682, abs=5e-5)
     p_eq = collision_params(1.0, 1.0)
     sf = post_collision_state(initial_state(0.2, 3.0, 1.0), p_eq)
-    assert entanglement_report(sf).measure == 0.0
+    assert kernel_params(sf).z == 0.0
 
 
-def test_entanglement_report(state_equal_spreads):
-    rep = entanglement_report(state_equal_spreads, n=16)
-    assert rep.F0 == pytest.approx(largest_eigenvalue(kernel_params(state_equal_spreads).w))
-    assert rep.measure == pytest.approx(1.0 - rep.F0, rel=1e-12)
-    assert rep.tail_bound == pytest.approx(np.exp(-16 * rep.u), rel=1e-12)
-    assert sum(rep.spectrum_prefix) + rep.tail_bound == pytest.approx(1.0, abs=1e-12)
+def _entangle_results(capsys, *argv):
+    code = cli.main(["entangle", "--m", "1", "--M", "99", "--sigma", "1", *argv,
+                     "--format", "json"])
+    assert code == 0
+    return json.loads(capsys.readouterr().out)["results"]
+
+
+def test_entangle_spectrum_and_tail_sum_to_one(capsys, state_equal_spreads):
+    """entangle reports F0, 1 - F0 and a 16-term spectrum whose tail bound
+    is exactly the mass the listed eigenvalues miss."""
+    res = _entangle_results(capsys, "--Sigma", "1", "--n-spectrum", "16")
+    kp = kernel_params(state_equal_spreads)
+    assert res["F0"] == pytest.approx(largest_eigenvalue(kp.w), rel=1e-11)
+    assert res["measure"] == pytest.approx(1.0 - res["F0"], rel=1e-11)
+    assert res["spectrum_tail_bound"] == pytest.approx(np.exp(-16 * kp.u), rel=1e-11)
+    assert len(res["spectrum"]) == 16
+    assert sum(res["spectrum"]) + res["spectrum_tail_bound"] == pytest.approx(1.0, abs=1e-11)
 
 
 @pytest.mark.parametrize("n", [1, 8, 64])
-def test_matched_report_is_the_product_state(params_1_99, n):
-    sf = post_collision_state(initial_state(optimal_spreads(1.0, params_1_99), 1.0, 2.0),
-                              params_1_99)
-    rep = entanglement_report(sf, n=n)
-    assert rep.matched and rep.F0 == 1.0 and rep.measure == 0.0 and rep.tail_bound == 0.0
-    assert rep.spectrum_prefix == (1.0,) + (0.0,) * (n - 1)
-    with pytest.raises(ValueError, match="need at least one eigenvalue"):
-        entanglement_report(sf, n=0)
+def test_matched_report_is_the_product_state(capsys, n):
+    res = _entangle_results(capsys, "--Sigma", "auto", "--k", "2", "--n-spectrum", str(n))
+    assert res["matched"] and res["F0"] == 1.0 and res["measure"] == 0.0
+    assert res["spectrum_tail_bound"] == 0.0
+    assert res["spectrum"] == [1.0] + [0.0] * (n - 1)
 
 
 def test_optimal_spreads_values():

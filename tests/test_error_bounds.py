@@ -11,11 +11,11 @@ from decoh.error_bounds import (
     Optimum,
     classify_regime,
     error_asymptotic,
-    error_report,
     golden_section_minimize,
     mismatch_penalty,
     optimal_lambda,
     overlap_amplitude,
+    overlap_error,
     overlap_log_inverse_sq,
 )
 from decoh.kinematics import (
@@ -216,10 +216,11 @@ def test_golden_section_convergence_error():
         golden_section_minimize(lambda t: t * t, -1.0, 1.0, tol=1e-12, max_iter=3)
 
 
-def test_error_report_fields(params_1_99):
-    rep = error_report(1.0, 0.5, params_1_99)
-    assert 0.0 < rep.A < 1.0
-    assert rep.one_minus_A == pytest.approx(1.0 - rep.A, rel=1e-12)
-    assert rep.lambda_max > 0.0
-    assert rep.regime == "crossover"
-    assert error_report(1.0, 0.5, params_1_99, opt=optimal_lambda(0.5, params_1_99)) == rep
+def test_overlap_error_pairs_A_with_its_complement(params_1_99):
+    A, one_minus_A = overlap_error(1.0, 0.5, params_1_99)
+    assert 0.0 < A < 1.0
+    assert A == overlap_amplitude(1.0, 0.5, params_1_99)
+    assert one_minus_A == pytest.approx(1.0 - A, rel=1e-12)
+    # the complement keeps its digits where A rounds to 1
+    tiny_A, tiny = overlap_error(params_1_99.delta / params_1_99.gamma, 1e-9, params_1_99)
+    assert tiny_A == 1.0 and tiny == pytest.approx(2e-18 * params_1_99.delta, rel=1e-6)

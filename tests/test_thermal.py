@@ -1,7 +1,9 @@
+import json
 import math
 
 import pytest
 
+from decoh import cli
 from decoh.error_bounds import optimal_lambda
 from decoh.kinematics import collision_params, collision_params_from_delta
 from decoh.thermal import (
@@ -9,7 +11,6 @@ from decoh.thermal import (
     amplitude_budget,
     backaction_ratio,
     compton_wavelength,
-    thermal_design,
     thermal_k_sigma,
     thermal_length,
     thermal_spread,
@@ -68,12 +69,25 @@ def test_error_at_thermal_momentum():
     assert opt.one_minus_A == pytest.approx(1.2 * delta, rel=0.10)
 
 
-def test_thermal_design_report():
-    d = thermal_design(ELECTRON_MASS, 300.0)
-    assert d.k_sigma_est == pytest.approx(1.0, rel=1e-12)
-    assert d.sigma_mu == pytest.approx(
-        math.sqrt(d.compton_wavelength * d.thermal_length), rel=1e-12
+def test_thermal_command_reports_the_geometric_mean(capsys):
+    """The thermal command and a T sweep report sigma_mu as the geometric
+    mean of the two lengths they print beside it, with k sigma = 1."""
+    code = cli.main(["thermal", "--mu-kg", str(ELECTRON_MASS), "--T", "300",
+                     "--format", "json"])
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert code == 0
+    assert res["k_sigma_est"] == pytest.approx(1.0, rel=1e-11)
+    assert res["sigma_mu"] == pytest.approx(
+        math.sqrt(res["compton_wavelength"] * res["thermal_length"]), rel=1e-11
     )
+    code = cli.main(["sweep", "--parameter", "T", "--start", "1", "--stop", "300",
+                     "--points", "3", "--mu-kg", str(ELECTRON_MASS), "--format", "json"])
+    rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+    assert code == 0
+    for T, sigma_mu, length, k_sigma in rows:
+        assert sigma_mu == pytest.approx(thermal_spread(ELECTRON_MASS, T), rel=1e-11)
+        assert length == pytest.approx(thermal_length(T), rel=1e-11)
+        assert k_sigma == pytest.approx(1.0, rel=1e-11)
 
 
 def test_amplitude_budget_examples():
