@@ -157,7 +157,7 @@ def check_reduced_kernel(grid_n: int | None, tol: float = 1e-8) -> VerificationC
     """Direct X-integration against the closed-form reduced kernel."""
     sf, _ = _state(1.0, 1.0, 0.7, 0.01)
     Xs = oracles.grid_for_state(sf, n=2048, force_n=grid_n).X_nodes()
-    sx, _ = sf.position_spreads()
+    _, (sx, _), _ = sf.envelope()
     xs = np.linspace(-2.0 * sx, 2.0 * sx, 5)
     worst = 0.0
     for xp in xs:
@@ -234,8 +234,8 @@ def check_image_vs_fft(grid_n: int | None, tol: float = 1e-3) -> VerificationChe
         v = (k0_x/m, k0_X/M),  w = k0_x^2/2m + k0_X^2/2M,
 
     with phi(., t) the free evolution of the envelope phi(., 0).  k0 is the
-    mirrored wave's lab phase gradient at t = 0, uniform because its
-    quadratic form is real then.  The FFT route evolves the sampled,
+    mirrored wave's phase gradient at t = 0, Im b, uniform because its
+    quadratic form A is real then.  The FFT route evolves the sampled,
     demodulated envelope; the image route samples the bounced wave on the
     grid moved by v t and demodulates it by e^{-i k0 . z} there.  The
     constant phase w t is taken up by the phase alignment, and the
@@ -251,7 +251,7 @@ def check_image_vs_fft(grid_n: int | None, tol: float = 1e-3) -> VerificationChe
     mirrored = propagation.GaussianWave2D.from_product_state(
         s0, p, x_center=setup.x0
     ).mirror_u()
-    k0 = mirrored.phase_gradient(np.zeros(2))
+    k0 = mirrored.b.imag
     shift = setup.t * k0 / np.array([setup.m, setup.M])
 
     grid = propagation.grid_for_flight(mirrored.modulated(-k0), setup.t)

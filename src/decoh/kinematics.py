@@ -105,15 +105,9 @@ class GaussianProductState:
         env = -(X * X) / (4.0 * self.Sigma**2) - (x * x) / (4.0 * self.sigma**2)
         return np.sqrt(self.norm) * np.exp(env + 1j * self.k * x)
 
-    # metadata used by the numeric oracles when sizing grids
-    def position_spreads(self) -> tuple[float, float]:
-        return self.sigma, self.Sigma
-
-    def phase_wavenumbers(self) -> tuple[float, float]:
-        return abs(self.k), 0.0
-
-    def centers(self) -> tuple[float, float]:
-        return 0.0, 0.0
+    def envelope(self):
+        """(centers, spreads, wavenumbers), each an (x, X) pair, for grid sizing."""
+        return (0.0, 0.0), (self.sigma, self.Sigma), (abs(self.k), 0.0)
 
 
 def initial_state(Sigma: float, sigma: float, k: float = 0.0) -> GaussianProductState:
@@ -158,15 +152,13 @@ class PostCollisionState:
                           [-(1.0 - 2.0 * self.gamma), 2.0 * self.delta]])
         return (B_inv * [0.25 / self.Omega, 0.25 / self.omega]) @ B_inv.T
 
-    def position_spreads(self) -> tuple[float, float]:
+    def envelope(self):
+        """(centers, spreads, wavenumbers), each an (x, X) pair, for grid
+        sizing; the wavenumbers are the carrier's, k times the particle
+        argument's coefficients."""
         cov = self.covariance()
-        return float(np.sqrt(cov[0, 0])), float(np.sqrt(cov[1, 1]))
-
-    def phase_wavenumbers(self) -> tuple[float, float]:
-        return abs(self.k * (1.0 - 2.0 * self.gamma)), abs(2.0 * self.gamma * self.k)
-
-    def centers(self) -> tuple[float, float]:
-        return 0.0, 0.0
+        return ((0.0, 0.0), (float(np.sqrt(cov[0, 0])), float(np.sqrt(cov[1, 1]))),
+                (abs(self.k * (1.0 - 2.0 * self.gamma)), abs(2.0 * self.gamma * self.k)))
 
 
 def post_collision_state(s: GaussianProductState, p: CollisionParams) -> PostCollisionState:
@@ -190,7 +182,7 @@ class IdealReflectedState(GaussianProductState):
     This is what the outgoing wave would be if the wall were a static
     potential instead of a dynamical body: the particle packet is mirrored,
     the wall factor untouched.  Only the sign of the phase differs from the
-    product state, so spreads, wavenumbers and centers are inherited.
+    product state, so the envelope is inherited.
     """
 
     def __call__(self, x, X) -> np.ndarray:

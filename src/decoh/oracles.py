@@ -90,16 +90,16 @@ def _axis_points(width: float, k_eff: float, n: int) -> int:
 def grid_for_state(*states, n: int = 512, force_n: int | None = None) -> GridSpec:
     """Size one grid to the envelopes and oscillation content of states.
 
-    Each axis spans the union of every state's center +- COVER_SIGMAS
-    standard deviations.  Point counts start at n and grow until the summed
+    Each state's envelope() gives its (x, X) centers, spreads and phase
+    wavenumbers.  Each axis spans the union of every state's center +-
+    COVER_SIGMAS standard deviations.  Point counts start at n and grow until the summed
     phase wavenumbers (the oscillation of a product such as a* b) advance
     at most MAX_PHASE_STEP per step.  force_n pins both counts instead and
     marks the grid as forced, so downstream validation only warns.
     """
     lo, hi, k = [math.inf, math.inf], [-math.inf, -math.inf], [0.0, 0.0]
     for state in states:
-        for axis, (c, s, ks) in enumerate(zip(state.centers(), state.position_spreads(),
-                                              state.phase_wavenumbers())):
+        for axis, (c, s, ks) in enumerate(zip(*state.envelope())):
             lo[axis] = min(lo[axis], c - COVER_SIGMAS * s)
             hi[axis] = max(hi[axis], c + COVER_SIGMAS * s)
             k[axis] += ks
@@ -116,9 +116,7 @@ def validate_grid(grid: GridSpec, state) -> list[str]:
     problems: list[str] = []
     if grid.nx < MIN_POINTS or grid.nX < MIN_POINTS:
         problems.append(f"point counts ({grid.nx}, {grid.nX}) below minimum {MIN_POINTS}")
-    sx, sX = state.position_spreads()
-    kx, kX = state.phase_wavenumbers()
-    cx, cX = state.centers()
+    (cx, cX), (sx, sX), (kx, kX) = state.envelope()
     half = COVER_SIGMAS / 2.0
     if grid.x_min > cx - half * sx or grid.x_max < cx + half * sx:
         problems.append(
@@ -172,7 +170,7 @@ def quadrature_overlap(a, b, grid: GridSpec | None = None, n: int = 512,
         grid = grid_for_state(a, b, n=n)
     warnings: list[str] = []
     for state in (a, b):
-        if not hasattr(state, "position_spreads"):
+        if not hasattr(state, "envelope"):
             continue
         problems = validate_grid(grid, state)
         if problems:

@@ -13,6 +13,11 @@ free propagation of the u-mirrored initial state, so an initial Gaussian
 stays Gaussian: everything is done in closed form on complex quadratic
 exponents, and only the final state is sampled on a grid.
 
+The propagator separates in (R, u), but GaussianWave2D works in the lab
+coordinates (x, X): there the u-mirror is one fixed linear map, the
+arguments of the bounced state Psi_F, and free flight is diagonal with the
+masses m and M, so no step converts between frames.
+
 The independent cross-check route evolves the sampled mirrored state with
 an FFT kinetic step instead; the two must agree to grid accuracy.
 """
@@ -20,7 +25,7 @@ an FFT kinetic step instead; the two must agree to grid accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -105,11 +110,13 @@ def _inv2(mat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianWave2D:
-    """Complex Gaussian wave exp(-v^T A v + b^T v + c) in v = (R, u).
+    """Complex Gaussian wave exp(-z^T A z + b^T z + c) in the lab coordinates
+    z = (x, X) that every state, grid and oracle uses.
 
     A is complex symmetric with positive-definite real part, so the wave is
-    normalizable.  Free evolution, u-mirroring and pointwise evaluation in
-    lab coordinates (x, X) are all closed-form.
+    normalizable.  Free evolution, the bounce and pointwise evaluation are
+    closed-form in this frame; only the image propagator is written in the
+    center-of-mass frame (R, u), where it separates.
     """
 
     A: np.ndarray
@@ -120,43 +127,38 @@ class GaussianWave2D:
     @classmethod
     def from_product_state(cls, s: GaussianProductState, p: CollisionParams,
                            x_center: float = 0.0) -> "GaussianWave2D":
-        """Product packet Gamma(X) Phi(x - x0) e^{i k (x - x0)} in (R, u).
-
-        X = R - delta u and x = R + gamma u, so each factor contributes a
-        rank-one quadratic along its coordinate direction.
-        """
-        e_wall = np.array([1.0, -p.delta])      # coefficient of (R, u) in X
-        e_part = np.array([1.0, p.gamma])       # coefficient of (R, u) in x
-        aW = 1.0 / (4.0 * s.Sigma**2)
+        """Product packet Gamma(X) Phi(x - x0) e^{i k (x - x0)}: A is diagonal."""
         aP = 1.0 / (4.0 * s.sigma**2)
-        A = aW * np.outer(e_wall, e_wall) + aP * np.outer(e_part, e_part)
-        A = A.astype(complex)
-        b = (2.0 * aP * x_center + 1j * s.k) * e_part
+        A = np.diag([aP, 1.0 / (4.0 * s.Sigma**2)]).astype(complex)
+        b = np.array([2.0 * aP * x_center + 1j * s.k, 0.0])
         c = -aP * x_center**2 - 1j * s.k * x_center + 0.5 * math.log(s.norm)
-        return cls(A=A, b=b.astype(complex), c=complex(c), params=p)
+        return cls(A=A, b=b, c=complex(c), params=p)
 
     def mirror_u(self) -> "GaussianWave2D":
-        """Reverse the relative coordinate, u -> -u."""
-        S = np.diag([1.0, -1.0])
-        return GaussianWave2D(A=S @ self.A @ S, b=S @ self.b, c=self.c, params=self.params)
+        """Reverse the relative coordinate u = x - X at fixed center of mass.
+
+        That is the linear map z -> S z, S = [[1 - 2 gamma, 2 gamma],
+        [2 delta, 1 - 2 delta]], whose rows are the particle and wall
+        arguments of Psi_F (see kinematics); S^2 = 1.
+        """
+        p = self.params
+        S = np.array([[1.0 - 2.0 * p.gamma, 2.0 * p.gamma],
+                      [2.0 * p.delta, 1.0 - 2.0 * p.delta]])
+        return replace(self, A=S.T @ self.A @ S, b=S.T @ self.b)
 
     def negated(self) -> "GaussianWave2D":
-        return GaussianWave2D(A=self.A, b=self.b, c=self.c + 1j * np.pi, params=self.params)
+        return replace(self, c=self.c + 1j * np.pi)
 
     def modulated(self, k) -> "GaussianWave2D":
-        """The wave times the plane wave e^{i k . z}, z = (x, X) in the lab.
-
-        k . z = k^T T v with T the (R, u) -> (x, X) map, so b gains i T^T k.
-        """
-        b = self.b + 1j * (self._lab_transform().T @ np.asarray(k, dtype=float))
-        return GaussianWave2D(A=self.A, b=b, c=self.c, params=self.params)
+        """The wave times the plane wave e^{i k . z}."""
+        return replace(self, b=self.b + 1j * np.asarray(k, dtype=float))
 
     def free_evolve(self, t: float) -> "GaussianWave2D":
-        """Evolve under H = P^2/2(M+m) + p_u^2/(2 mu) for time t.
+        """Evolve under H = p_x^2/2m + p_X^2/2M for time t.
 
         Integrating the free kernels against the Gaussian gives another
         Gaussian.  Free flight adds 2 i t / mass to the inverse of each
-        coordinate's quadratic coefficient, so with D = diag(1/(M+m), 1/mu):
+        coordinate's quadratic coefficient, so with D = diag(1/m, 1/M):
 
             A'^{-1} = A^{-1} + 2 i t D
             b'      = A' A^{-1} b
@@ -169,40 +171,33 @@ class GaussianWave2D:
         if t == 0.0:
             return self
         p = self.params
-        mu = p.m * p.M / p.total_mass
         A_inv = _inv2(self.A)
-        A_inv_new = A_inv + 2j * t * np.diag([1.0 / p.total_mass, 1.0 / mu])
+        A_inv_new = A_inv + 2j * t * np.diag([1.0 / p.m, 1.0 / p.M])
         A_new = _inv2(A_inv_new)
         ratio = A_new @ A_inv
         b_new = ratio @ self.b
         c_new = (self.c + 0.25 * self.b @ (A_inv @ self.b) - 0.25 * b_new @ (A_inv_new @ b_new)
                  + 0.5 * np.log(np.linalg.det(ratio)))
-        return GaussianWave2D(A=A_new, b=b_new, c=complex(c_new), params=p)
-
-    def _lab_form(self):
-        """The exponent in lab coordinates about the probability center z0:
-
-            -(z - z0)^T A_lab (z - z0) + beta^T (z - z0) + c0,  z = (x, X).
-        """
-        Tinv = self._from_lab()
-        A_lab = Tinv.T @ self.A @ Tinv
-        b_lab = Tinv.T @ self.b
-        z0 = np.linalg.solve(2.0 * A_lab.real, b_lab.real)
-        beta = b_lab - 2.0 * A_lab @ z0
-        c0 = self.c + b_lab @ z0 - z0 @ A_lab @ z0
-        return z0, A_lab, beta, complex(c0)
+        return replace(self, A=A_new, b=b_new, c=complex(c_new))
 
     def evaluate(self, x, X) -> np.ndarray:
-        """Sample the wave in lab coordinates; broadcasts over x, X.
+        """Sample the wave; broadcasts over x, X.
 
-        Works on the lab-frame exponent expanded about the wave's center, so
-        the per-axis terms cost 1-D work on broadcast node axes
+        Works on the exponent expanded about the probability center
+        z0 = (2 Re A)^{-1} Re b,
+
+            -(z - z0)^T A (z - z0) + beta^T (z - z0) + c0,
+
+        so the per-axis terms cost 1-D work on broadcast node axes
         (x[None, :], X[:, None]) and only the cross term and the single
         complex exp run over the full grid.  The exponents are summed before
         the exp so strongly correlated tails cannot underflow factor by
         factor.
         """
-        z0, A, beta, c0 = self._lab_form()
+        A = self.A
+        z0 = np.linalg.solve(2.0 * A.real, self.b.real)
+        beta = self.b - 2.0 * A @ z0
+        c0 = self.c + self.b @ z0 - z0 @ A @ z0
         xi = np.asarray(x, dtype=float) - z0[0]
         eta = np.asarray(X, dtype=float) - z0[1]
         z = (-2.0 * A[0, 1] * xi) * eta
@@ -213,51 +208,20 @@ class GaussianWave2D:
     def __call__(self, x, X) -> np.ndarray:
         return self.evaluate(x, X)
 
-    # envelope and oscillation metadata, used for automatic grid sizing
-    def _lab_transform(self) -> np.ndarray:
-        p = self.params
-        return np.array([[1.0, p.gamma], [1.0, -p.delta]])  # (R, u) -> (x, X)
+    def envelope(self):
+        """(centers, spreads, wavenumbers), each an (x, X) pair, for grid
+        sizing: the center and standard deviations of |psi|^2 and the largest
+        local wavenumbers within 4 standard deviations of the center.
 
-    def _from_lab(self) -> np.ndarray:
-        p = self.params
-        return np.array([[p.delta, p.gamma], [1.0, -1.0]])  # (x, X) -> (R, u)
-
-    def center_cov(self):
-        """Probability center and covariance in lab coordinates."""
-        reA = self.A.real
-        vc = np.linalg.solve(2.0 * reA, self.b.real)
-        cov_v = np.linalg.inv(4.0 * reA)
-        T = self._lab_transform()
-        return T @ vc, T @ cov_v @ T.T
-
-    def phase_gradient(self, v: np.ndarray) -> np.ndarray:
-        """Local wavenumbers (k_x, k_X) at a point v = (R, u)."""
-        g = -2.0 * self.A.imag @ v + self.b.imag
-        return self._from_lab().T @ g
-
-    def position_spreads(self) -> tuple[float, float]:
-        _, cov = self.center_cov()
-        return float(np.sqrt(cov[0, 0])), float(np.sqrt(cov[1, 1]))
-
-    def centers(self) -> tuple[float, float]:
-        center, _ = self.center_cov()
-        return float(center[0]), float(center[1])
-
-    def phase_wavenumbers(self) -> tuple[float, float]:
-        reA = self.A.real
-        vc = np.linalg.solve(2.0 * reA, self.b.real)
-        cov_v = np.linalg.inv(4.0 * reA)
-        sR = math.sqrt(cov_v[0, 0].real)
-        su = math.sqrt(cov_v[1, 1].real)
-        kx_max = 0.0
-        kX_max = 0.0
-        for s1 in (-1.0, 0.0, 1.0):
-            for s2 in (-1.0, 0.0, 1.0):
-                v = vc + np.array([s1 * 4.0 * sR, s2 * 4.0 * su])
-                kx, kX = self.phase_gradient(v)
-                kx_max = max(kx_max, abs(float(kx)))
-                kX_max = max(kX_max, abs(float(kX)))
-        return kx_max, kX_max
+        The local wavenumber G z + Im b, G = -2 Im A, is affine in z, so its
+        largest magnitude over the box z0 +- 4 sigma is
+        |G z0 + Im b| + |G| 4 sigma.
+        """
+        z0 = np.linalg.solve(2.0 * self.A.real, self.b.real)
+        spreads = np.sqrt(np.diag(np.linalg.inv(4.0 * self.A.real)))
+        G = -2.0 * self.A.imag
+        k = np.abs(G @ z0 + self.b.imag) + np.abs(G) @ (4.0 * spreads)
+        return tuple(tuple(float(v) for v in pair) for pair in (z0, spreads, k))
 
 
 def fft_size(n: int) -> int:
@@ -287,18 +251,14 @@ def grid_for_flight(wave: GaussianWave2D, t: float) -> GridSpec:
     a 12 sigma flight, needs 4050 x 1200; the check runs on its carrier-free
     envelope instead, which stays put and gets the 512 x 256 floor.
     """
-    end = wave.free_evolve(t)
-    c0, cov0 = wave.center_cov()
-    c1, cov1 = end.center_cov()
-    kx, kX = end.phase_wavenumbers()
-    sx = math.sqrt(max(cov0[0, 0].real, cov1[0, 0].real))
-    sX = math.sqrt(max(cov0[1, 1].real, cov1[1, 1].real))
+    (c0, s0, _), (c1, s1, (kx, kX)) = wave.envelope(), wave.free_evolve(t).envelope()
+    sx, sX = max(s0[0], s1[0]), max(s0[1], s1[1])
     x_lo = min(c0[0], c1[0]) - FLIGHT_COVER_SIGMAS * sx
     x_hi = max(c0[0], c1[0]) + FLIGHT_COVER_SIGMAS * sx
     X_lo = min(c0[1], c1[1]) - FLIGHT_COVER_SIGMAS * sX
     X_hi = max(c0[1], c1[1]) + FLIGHT_COVER_SIGMAS * sX
     return GridSpec(
-        x_min=float(x_lo), x_max=float(x_hi), X_min=float(X_lo), X_max=float(X_hi),
+        x_min=x_lo, x_max=x_hi, X_min=X_lo, X_max=X_hi,
         nx=fft_size(_axis_points(x_hi - x_lo, kx, 512)),
         nX=fft_size(_axis_points(X_hi - X_lo, kX, 256)),
     )

@@ -9,7 +9,6 @@ from decoh.kinematics import (
     post_collision_state,
 )
 from decoh.oracles import quadrature_overlap
-from decoh.propagation import GaussianWave2D
 
 
 @pytest.mark.parametrize(
@@ -41,35 +40,6 @@ def test_collision_params_from_delta():
     assert p.total_mass == pytest.approx(1.0)
     with pytest.raises(ValueError):
         collision_params_from_delta(1.0)
-
-
-def _com_maps(p):
-    """(x, X) -> (R, u) and its inverse, as the wave type in propagation uses them."""
-    wave = GaussianWave2D.from_product_state(initial_state(1.0, 1.0), p)
-    return wave._from_lab(), wave._lab_transform()
-
-
-def test_com_transform_examples():
-    to_com, _ = _com_maps(collision_params(1.0, 1.0))
-    R, u = to_com @ [1.0, 0.0]
-    assert R == pytest.approx(0.5) and u == pytest.approx(1.0)
-
-    R0, u0 = to_com @ [0.0, 0.0]
-    assert R0 == 0.0 and u0 == 0.0
-
-    to_com13, _ = _com_maps(collision_params(1.0, 3.0))
-    R13, u13 = to_com13 @ [2.0, -1.0]
-    assert R13 == pytest.approx(-0.25) and u13 == pytest.approx(3.0)
-
-
-def test_com_round_trip(rng):
-    for _ in range(50):
-        m, M = np.exp(rng.uniform(-2, 2, size=2))
-        to_com, to_lab = _com_maps(collision_params(m, M))
-        x, X = rng.normal(scale=5.0, size=2)
-        xr, Xr = to_lab @ (to_com @ [x, X])
-        assert xr == pytest.approx(x, rel=1e-14, abs=1e-14)
-        assert Xr == pytest.approx(X, rel=1e-14, abs=1e-14)
 
 
 def test_initial_state_norm_constant():
@@ -186,9 +156,7 @@ def test_ideal_reflected_state_is_the_conjugate_product_state(rng):
     pts = rng.normal(scale=1.5, size=(20, 2))
     np.testing.assert_allclose(t(pts[:, 0], pts[:, 1]), np.conj(s(pts[:, 0], pts[:, 1])),
                                rtol=1e-14)
-    assert t.position_spreads() == s.position_spreads()
-    assert t.phase_wavenumbers() == s.phase_wavenumbers()
-    assert t.centers() == s.centers()
+    assert t.envelope() == s.envelope()
 
 
 def _covariance_by_inverse(s):
@@ -217,6 +185,6 @@ def test_post_collision_covariance_at_a_vast_spread_ratio():
     and (1 - 2 gamma) Sigma on X to leading order."""
     p = collision_params_from_delta(0.01)
     s = post_collision_state(initial_state(1e150, 1.0, 0.0), p)
-    sx, sX = s.position_spreads()
+    _, (sx, sX), _ = s.envelope()
     assert sx == pytest.approx(2.0 * p.gamma * 1e150, rel=1e-12)
     assert sX == pytest.approx(abs(1.0 - 2.0 * p.gamma) * 1e150, rel=1e-12)

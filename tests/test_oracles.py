@@ -67,7 +67,7 @@ def test_forced_grid_warns_instead():
 def test_auto_grid_respects_phase_density():
     sf = post_collision_state(initial_state(0.1, 1.0, 10.0), collision_params_from_delta(0.01))
     g = grid_for_state(sf)
-    kx, kX = sf.phase_wavenumbers()
+    _, _, (kx, kX) = sf.envelope()
     assert g.dx * kx <= 0.3 * (1 + 1e-9)
     assert g.dX * kX <= 0.3 * (1 + 1e-9)
 
@@ -97,8 +97,7 @@ def _sized_states(M, Sigma, sigma, k, x0, t):
 def test_grid_for_one_state_covers_its_envelope_and_phase(M, Sigma, sigma, k, x0, t, n):
     for name, state in _sized_states(M, Sigma, sigma, k, x0, t).items():
         g = grid_for_state(state, n=n)
-        (cx, cX), (sx, sX) = state.centers(), state.position_spreads()
-        kx, kX = state.phase_wavenumbers()
+        (cx, cX), (sx, sX), (kx, kX) = state.envelope()
         assert (g.x_min, g.x_max) == (cx - COVER_SIGMAS * sx, cx + COVER_SIGMAS * sx), name
         assert (g.X_min, g.X_max) == (cX - COVER_SIGMAS * sX, cX + COVER_SIGMAS * sX), name
         assert min(g.nx, g.nX) >= max(n, 64) and not g.forced, name
@@ -115,7 +114,7 @@ def test_grid_for_a_pair_serves_both_states(M, Sigma, sigma, k, x0, t, n):
         g = grid_for_state(states[a], states[b], n=n)
         assert validate_grid(g, states[a]) == [] and validate_grid(g, states[b]) == [], (a, b)
         # the integrand a* b oscillates with the summed wavenumbers
-        (kax, kaX), (kbx, kbX) = states[a].phase_wavenumbers(), states[b].phase_wavenumbers()
+        (kax, kaX), (kbx, kbX) = states[a].envelope()[2], states[b].envelope()[2]
         assert g.dx * (kax + kbx) <= MAX_PHASE_STEP * (1 + 1e-9), (a, b)
         assert g.dX * (kaX + kbX) <= MAX_PHASE_STEP * (1 + 1e-9), (a, b)
         # the union box: the pair's grid holds each state's own grid

@@ -117,6 +117,29 @@ def test_mirror_is_involution():
     np.testing.assert_allclose(back.b, w.b)
 
 
+def test_lab_frame_bounce_is_the_papers_post_collision_state(rng):
+    """mirror_u of the product packet is Psi_F, the product packet at the
+    particle argument (1 - 2 gamma) x + 2 gamma X and the wall argument
+    2 delta x + (1 - 2 delta) X, pointwise up to 4 standard deviations
+    along the Cholesky axes and in its grid envelope, for either body the
+    heavier.  The expanded form -z^T A z + b^T z loses about eps times its
+    largest term, which grows with the length of the state's ridge, so the
+    spread ratio stays within e^2 here (2.6e-13 worst over 5000 draws;
+    ratios near 15 reach 1.8e-12)."""
+    for _ in range(200):
+        m, M = np.exp(rng.uniform(-5.0, 5.0, size=2))
+        Sigma, sigma = np.exp(rng.uniform(-1.0, 1.0, size=2))
+        k = rng.uniform(-10.0, 10.0)
+        p = collision_params(m, M)
+        s0 = initial_state(Sigma, sigma, k)
+        wave = GaussianWave2D.from_product_state(s0, p).mirror_u()
+        sf = post_collision_state(s0, p)
+        x, X = np.linalg.cholesky(sf.covariance()) @ rng.uniform(-4.0, 4.0, size=(2, 16))
+        np.testing.assert_allclose(wave(x, X), sf(x, X), rtol=1e-12, atol=0.0)
+        for got, want in zip(wave.envelope(), sf.envelope()):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 def test_free_evolution_preserves_norm():
     setup = _setup()
     res = image_propagate(setup, n=256)
@@ -195,14 +218,12 @@ def test_flight_grid_contract(k, x0, Sigma):
     end = mirrored.free_evolve(setup.t)
     grid = grid_for_flight(mirrored, setup.t)
 
-    (c0, cov0), (c1, cov1) = mirrored.center_cov(), end.center_cov()
-    sx = max(math.sqrt(cov0[0, 0].real), math.sqrt(cov1[0, 0].real))
-    sX = max(math.sqrt(cov0[1, 1].real), math.sqrt(cov1[1, 1].real))
+    (c0, s0, _), (c1, s1, (kx, kX)) = mirrored.envelope(), end.envelope()
+    sx, sX = max(s0[0], s1[0]), max(s0[1], s1[1])
     h = FLIGHT_COVER_SIGMAS
     assert (grid.x_min, grid.x_max) == (min(c0[0], c1[0]) - h * sx, max(c0[0], c1[0]) + h * sx)
     assert (grid.X_min, grid.X_max) == (min(c0[1], c1[1]) - h * sX, max(c0[1], c1[1]) + h * sX)
 
-    kx, kX = end.phase_wavenumbers()
     assert grid.nx >= _axis_points(grid.x_max - grid.x_min, kx, 512)
     assert grid.nX >= _axis_points(grid.X_max - grid.X_min, kX, 256)
     assert _is_5_smooth(grid.nx) and _is_5_smooth(grid.nX)
@@ -279,12 +300,16 @@ def test_comoving_check_fails_where_the_lab_frame_check_fails(monkeypatch, lab_f
 
 
 def _quadratic_form(wave, x, X):
-    """Reference: the exponent in (R, u), expanded about the origin."""
-    p = wave.params
-    R = p.delta * x + p.gamma * X
-    u = x - X
-    quad = wave.A[0, 0] * R * R + 2.0 * wave.A[0, 1] * R * u + wave.A[1, 1] * u * u
-    return np.exp(-quad + wave.b[0] * R + wave.b[1] * u + wave.c)
+    """Reference: the exponent -z^T A z + b^T z + c, z = (x, X), expanded
+    about the origin."""
+    A, b = wave.A, wave.b
+    quad = A[0, 0] * x * x + (A[0, 1] + A[1, 0]) * x * X + A[1, 1] * X * X
+    return np.exp(-quad + b[0] * x + b[1] * X + wave.c)
+
+
+def _center_cov(wave):
+    """Center and covariance of |psi|^2 from the quadratic form."""
+    return np.linalg.solve(2.0 * wave.A.real, wave.b.real), np.linalg.inv(4.0 * wave.A.real)
 
 
 def _wave_family(M, Sigma, k, x0, t):
@@ -316,7 +341,7 @@ def test_lab_frame_evaluate_matches_quadratic_form(M, Sigma, k, x0, t, offsets):
     axes of each wave's lab-frame envelope."""
     s = np.array(offsets + _CORNERS).T
     for name, wave in _wave_family(M, Sigma, k, x0, t).items():
-        center, cov = wave.center_cov()
+        center, cov = _center_cov(wave)
         x, X = center[:, None] + np.linalg.cholesky(cov) @ s
         np.testing.assert_allclose(wave.evaluate(x, X), _quadratic_form(wave, x, X),
                                    rtol=1e-12, atol=0.0, err_msg=name)
