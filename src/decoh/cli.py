@@ -3,8 +3,9 @@
 Subcommands: error, entangle, sweep, verify, thermal.  Exit codes: 0 on
 success, 1 when a verification check fails, 2 for usage or domain errors.
 Output is human-readable text by default; --format csv or json switches to
-machine-readable forms with 12 significant digits.  DECOH_NUM_THREADS caps
-sweep parallelism.
+machine-readable forms with 12 significant digits.  A sweep runs on
+min(8, CPU count) threads; DECOH_NUM_THREADS, a positive integer, can only
+lower that number.
 
 Every command reads its inputs one way and writes its output one way.  Each
 key=value line of a --config file becomes a --key=value option spliced into
@@ -161,10 +162,17 @@ def _build_params(args) -> CollisionParams:
     if args.delta is not None:
         if args.m is not None or args.M is not None:
             raise ValueError("give either --delta or --m/--M, not both")
-        return collision_params_from_delta(args.delta)
+        return _params_from_delta(args.delta)
     if args.m is None or args.M is None:
         raise ValueError("masses are required: --m and --M (or --delta)")
     return collision_params(args.m, args.M)
+
+
+def _params_from_delta(delta: float) -> CollisionParams:
+    """Params for --delta, which must lie in (0, 1)."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"--delta must lie in (0, 1), got {delta}")
+    return collision_params_from_delta(delta)
 
 
 def _positive(flag: str, value: float | None) -> float | None:
@@ -214,6 +222,8 @@ def cmd_error(args) -> int:
     p = _build_params(args)
     Sigma, sigma, lam, _, k_sigma = _resolve_state(args, p)
     _finite_square("k sigma", k_sigma)
+    if k_sigma < 0.0:
+        raise ValueError(f"--ksigma must be non-negative, got {k_sigma}")
     if lam is None and Sigma is not None:
         lam = _positive("(--Sigma/--sigma)^2", (Sigma / sigma) * (Sigma / sigma))
     opt = eb.optimal_lambda(k_sigma, p)
@@ -295,6 +305,12 @@ def cmd_entangle(args) -> int:
         sv = oracles.schmidt_decompose(sf, grid=grid).singular_values
         results["F0_svd"] = float(sv[0] ** 2)
         results["F0_svd_deviation"] = abs(float(sv[0] ** 2) - F0)
+        # the sampled norm sum s_i^2 is 1 only where the grid resolves the state
+        results["svd_norm"] = float(np.sum(sv**2))
+        if abs(results["svd_norm"] - 1.0) > 1e-6:
+            print(f"warning: the SVD oracle's sampled norm is {results['svd_norm']:.6g}, "
+                  f"not 1: the {args.grid} x {args.grid} grid does not resolve the state",
+                  file=sys.stderr)
         lines.append(f"  F0 (SVD oracle) = {results['F0_svd']:.12g} "
                      f"(deviation {results['F0_svd_deviation']:.3e})")
     if args.verbose:
@@ -365,9 +381,17 @@ def cmd_sweep(args) -> int:
     needs_params = args.parameter in ("lambda", "k_sigma")
     p = _build_params(args) if needs_params else None
 
+    workers = min(8, os.cpu_count() or 1)
     env_threads = os.environ.get("DECOH_NUM_THREADS")
-    max_workers = int(env_threads) if env_threads else min(8, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=max(1, max_workers)) as pool:
+    if env_threads:
+        try:
+            requested = int(env_threads)
+        except ValueError:
+            requested = 0
+        if requested < 1:
+            raise ValueError(f"DECOH_NUM_THREADS must be a positive integer, got {env_threads!r}")
+        workers = min(workers, requested)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         rows = list(pool.map(
             lambda v: _sweep_row(args.parameter, float(v), args, p), values
         ))
@@ -431,15 +455,17 @@ def cmd_thermal(args) -> int:
     else:
         if args.mu_kg is None:
             raise ValueError("mass is required: --mu-kg (or use --report-length-scale)")
-        # thermal_spread checks the mass, then the temperature
-        mass_scales = {"sigma_mu": th.thermal_spread(args.mu_kg, args.T),
-                       "compton_wavelength": th.compton_wavelength(args.mu_kg),
-                       "k_sigma_est": th.thermal_k_sigma(args.mu_kg, args.T)}
+        mu, T = _positive("--mu-kg", args.mu_kg), _positive("--T", args.T)
+        mass_scales = {"sigma_mu": th.thermal_spread(mu, T),
+                       "compton_wavelength": th.compton_wavelength(mu),
+                       "k_sigma_est": th.thermal_k_sigma(mu, T)}
 
     # optimized per-collision error coefficient at the thermal momentum
     delta_ref = args.delta if args.delta is not None else 1e-6
-    coeff = eb.optimal_lambda(1.0, collision_params_from_delta(delta_ref)).one_minus_A / delta_ref
+    coeff = eb.optimal_lambda(1.0, _params_from_delta(delta_ref)).one_minus_A / delta_ref
 
+    if args.F0 is not None and not 0.0 < args.F0 <= 1.0:
+        raise ValueError(f"--F0 must lie in (0, 1], got {args.F0}")
     budget = None
     if args.collisions is not None:
         f0 = args.F0 if args.F0 is not None else 1.0
@@ -447,7 +473,8 @@ def cmd_thermal(args) -> int:
 
     params = {"mu_kg": args.mu_kg, "T": args.T, "delta": args.delta,
               "collisions": args.collisions, "F0": args.F0}
-    results: dict = {"thermal_length": th.thermal_length(args.T),
+    # without a mass the temperature is first checked here, after --delta
+    results: dict = {"thermal_length": th.thermal_length(_positive("--T", args.T)),
                      "error_per_collision_over_delta": coeff, **mass_scales}
     if budget is not None:
         results.update({"amplitude": budget.amplitude, "n_half": budget.n_half})

@@ -360,13 +360,30 @@ def test_error_grid_flag_adds_quadrature_cross_check(capsys):
 
 
 def test_entangle_grid_flag_adds_svd_cross_check(capsys):
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "entangle", "--delta", "0.01", "--Sigma", "1", "--sigma", "1",
         "--grid", "256", "--format", "json",
     )
-    assert code == 0
+    assert code == 0 and err == ""
     doc = json.loads(out)
     assert doc["results"]["F0_svd_deviation"] < 1e-6
+    assert doc["results"]["svd_norm"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_entangle_warns_when_the_svd_grid_loses_the_norm(capsys, fmt):
+    """A 64 x 64 grid over +-8 sigma of each axis cannot resolve the thin
+    ridge of Sigma = 1000 sigma: the sampled norm sum s_i^2 is about 197 and
+    the SVD 'F0' 19.8, so the run says so on stderr."""
+    code, out, err = run_cli(capsys, "entangle", "--delta", "0.01", "--Sigma", "1e3",
+                             "--grid", "64", "--format", fmt)
+    assert code == 0
+    assert err == ("warning: the SVD oracle's sampled norm is 196.599, not 1: "
+                   "the 64 x 64 grid does not resolve the state\n")
+    if fmt == "json":
+        res = json.loads(out)["results"]
+        assert res["svd_norm"] == pytest.approx(196.599, rel=1e-5)
+        assert res["F0_svd"] == pytest.approx(19.7591757732, rel=1e-9)
 
 
 def test_output_file(tmp_path, capsys):
@@ -647,13 +664,86 @@ def test_entangle_grid_is_exactly_n_by_n(capsys, monkeypatch):
 def test_entangle_forced_grid_at_a_vast_spread_ratio(capsys):
     """--Sigma 1e150 --grid 8 sizes its grid from the closed-form covariance:
     at this spread ratio the quadratic form of |Psi_F|^2 is numerically
-    singular, so inverting it fails."""
+    singular, so inverting it fails.  Eight points cannot resolve the state,
+    and the warning says so."""
     code, out, err = run_cli(capsys, "entangle", "--delta", "0.01", "--Sigma", "1e150",
                              "--grid", "8", "--format", "json")
-    assert code == 0 and err == ""
+    assert code == 0 and err.startswith("warning: the SVD oracle's sampled norm is 1.3")
     doc = json.loads(out)
     assert doc["results"]["F0"] == pytest.approx(1.03071531643e-150, rel=1e-11)
     assert "F0_svd" in doc["results"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["thermal", "--mu-kg", "-1", "--T", "300"], "--mu-kg must be positive and finite, got -1.0"),
+    (["thermal", "--mu-kg", "1e-27", "--T", "-1"], "--T must be positive and finite, got -1.0"),
+    (["thermal", "--T", "-1", "--report-length-scale"],
+     "--T must be positive and finite, got -1.0"),
+    (["thermal", "--mu-kg", "1e-27", "--T", "300", "--delta", "2"],
+     "--delta must lie in (0, 1), got 2.0"),
+    (["error", "--delta", "2", "--ksigma", "1"], "--delta must lie in (0, 1), got 2.0"),
+    (["entangle", "--delta", "0", "--Sigma", "1"], "--delta must lie in (0, 1), got 0.0"),
+    (["error", "--delta", "0.01", "--ksigma", "-1"], "--ksigma must be non-negative, got -1.0"),
+    (["thermal", "--T", "1", "--report-length-scale", "--F0", "2"],
+     "--F0 must lie in (0, 1], got 2.0"),
+    (["thermal", "--T", "1", "--report-length-scale", "--F0", "0"],
+     "--F0 must lie in (0, 1], got 0.0"),
+    (["thermal", "--T", "1", "--report-length-scale", "--collisions", "3", "--F0", "2"],
+     "--F0 must lie in (0, 1], got 2.0"),
+])
+def test_exit_2_messages_name_the_flag(capsys, argv, message):
+    """A rejected input is named by its flag, not by the library's word for
+    it; --F0 is checked whether or not --collisions is given."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+class _SerialPool:
+    """ThreadPoolExecutor stand-in that records max_workers and maps serially."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, values):
+        return map(fn, values)
+
+
+_W_SWEEP = ["sweep", "--parameter", "w", "--start", "1", "--stop", "2", "--points", "3"]
+
+
+@pytest.mark.parametrize("threads, workers", [(None, None), ("1", 1), ("3", None),
+                                              ("1000000000", None)])
+def test_decoh_num_threads_can_only_lower_the_pool(capsys, monkeypatch, threads, workers):
+    """The pool is min(8, CPU count) threads; DECOH_NUM_THREADS lowers it and
+    never raises it (None: the default size)."""
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    if threads is None:
+        monkeypatch.delenv("DECOH_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("DECOH_NUM_THREADS", threads)
+    code, out, _ = run_cli(capsys, *_W_SWEEP)
+    assert code == 0 and len(out.splitlines()) == 10
+    assert _SerialPool.sizes == [workers or 2]
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-4", "1.5"])
+def test_decoh_num_threads_must_be_a_positive_integer(capsys, monkeypatch, threads):
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", _SerialPool)
+    monkeypatch.setenv("DECOH_NUM_THREADS", threads)
+    code, out, err = run_cli(capsys, *_W_SWEEP)
+    assert code == 2 and out == ""
+    assert err == f"error: DECOH_NUM_THREADS must be a positive integer, got {threads!r}\n"
 
 
 def test_thermal_budget_of_a_huge_collision_count(capsys):
