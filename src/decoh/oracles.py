@@ -92,9 +92,9 @@ def grid_for_state(*states, n: int = 512, force_n: int | None = None) -> GridSpe
 
     Each state's envelope() gives its (x, X) centers, spreads and phase
     wavenumbers.  Each axis spans the union of every state's center +-
-    COVER_SIGMAS standard deviations.  Point counts start at n and grow until the summed
-    phase wavenumbers (the oscillation of a product such as a* b) advance
-    at most MAX_PHASE_STEP per step.  force_n pins both counts instead and
+    COVER_SIGMAS standard deviations.  Point counts start at n and grow
+    until the summed phase wavenumbers (the oscillation of a product such
+    as a* b) advance at most MAX_PHASE_STEP per step.  force_n pins both counts instead and
     marks the grid as forced, so downstream validation only warns.
     """
     lo, hi, k = [math.inf, math.inf], [-math.inf, -math.inf], [0.0, 0.0]
