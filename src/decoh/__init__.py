@@ -39,10 +39,9 @@ from .oracles import (
     schmidt_decompose,
 )
 from .propagation import (
-    PropagatorSetup,
-    image_propagate,
+    GaussianWave2D,
+    image_term,
     separation_check,
-    transit_time,
 )
 from .thermal import (
     CollisionBudget,

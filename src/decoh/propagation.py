@@ -18,8 +18,10 @@ coordinates (x, X): there the u-mirror is one fixed linear map, the
 arguments of the bounced state Psi_F, and free flight is diagonal with the
 masses m and M, so no step converts between frames.
 
-The independent cross-check route evolves the sampled mirrored state with
-an FFT kinetic step instead; the two must agree to grid accuracy.
+A bounce experiment is the GaussianWave2D of its initial product packet,
+and image_term(wave, t) is its image term at time t.  The independent
+cross-check route evolves the sampled mirrored state with an FFT kinetic
+step instead; the two must agree to grid accuracy.
 """
 
 from __future__ import annotations
@@ -29,77 +31,36 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kinematics import CollisionParams, GaussianProductState, collision_params, initial_state
-from .oracles import GridSpec, _axis_points, _trapezoid_weights, grid_for_state
+from .kinematics import CollisionParams, GaussianProductState
+from .oracles import GridSpec, _axis_points, _trapezoid_weights
 
 __all__ = [
-    "PropagatorSetup",
-    "PropagationResult",
     "GaussianWave2D",
-    "image_propagate",
+    "image_term",
     "separation_check",
-    "transit_time",
     "fft_free_evolve",
     "phase_aligned_l2",
     "grid_for_flight",
     "fft_size",
 ]
 
-SEPARATION_LIMIT = 0.1
 # envelope cover, in standard deviations, of a grid that holds a wave over
 # its whole free flight: the FFT step wraps anything that reaches an edge
 FLIGHT_COVER_SIGMAS = 8.5
 
 
-@dataclass(frozen=True)
-class PropagatorSetup:
-    """One bounce experiment: packet at relative offset x0 < 0 moving with
-    wavenumber k toward the wall, evolved for time t."""
-
-    m: float
-    M: float
-    Sigma: float
-    sigma: float
-    k: float
-    x0: float
-    t: float
-
-    def __post_init__(self):
-        if self.m <= 0.0 or self.M <= 0.0:
-            raise ValueError("masses must be positive")
-        if self.Sigma <= 0.0 or self.sigma <= 0.0:
-            raise ValueError("spreads must be positive")
-        if self.t < 0.0:
-            raise ValueError("evolution time must be non-negative")
-
-    @property
-    def params(self) -> CollisionParams:
-        return collision_params(self.m, self.M)
-
-
-def transit_time(setup: PropagatorSetup) -> float:
-    """Time for the relative coordinate to reach the wall, |x0| m / k.
-
-    The wall starts at rest, so the relative velocity is the particle's,
-    hbar k / m.
-    """
-    if setup.k == 0.0:
-        raise ValueError("transit time is undefined at k = 0")
-    return abs(setup.x0) * setup.m / abs(setup.k)
-
-
-def separation_check(setup: PropagatorSetup) -> float:
-    """Ratio of collision traversal time to relative-packet spreading time.
+def separation_check(x0: float, k: float, Sigma: float, sigma: float) -> float:
+    """Ratio of collision traversal time to relative-packet spreading time
+    for a packet at relative offset x0 with wavenumber k.
 
     traversal = |x0| mu / k and spreading = 2 mu sigma_rel^2 with
     sigma_rel^2 = sigma^2 + Sigma^2, so the ratio is |x0|/(2 k sigma_rel^2).
     Values below 0.1 mean incoming and outgoing waves separate cleanly
     before dispersion matters.
     """
-    if setup.k == 0.0:
+    if k == 0.0:
         raise ValueError("separation ratio is undefined at k = 0")
-    sigma_rel_sq = setup.sigma**2 + setup.Sigma**2
-    return abs(setup.x0) / (2.0 * abs(setup.k) * sigma_rel_sq)
+    return abs(x0) / (2.0 * abs(k) * (sigma**2 + Sigma**2))
 
 
 def _inv2(mat: np.ndarray) -> np.ndarray:
@@ -264,42 +225,15 @@ def grid_for_flight(wave: GaussianWave2D, t: float) -> GridSpec:
     )
 
 
-@dataclass(frozen=True)
-class PropagationResult:
-    """Sampled image term after the bounce, with validity warnings."""
+def image_term(wave: GaussianWave2D, t: float) -> GaussianWave2D:
+    """The image term of the hard-wall propagator applied to wave for time t:
+    the u-mirrored wave, freely evolved and negated.
 
-    psi: np.ndarray
-    grid: GridSpec
-    warnings: tuple[str, ...]
-
-
-def image_propagate(setup: PropagatorSetup, grid: GridSpec | None = None,
-                    n: int = 512) -> PropagationResult:
-    """Propagate the initial packet through the bounce and sample the image
-    term, the outgoing wave once incoming and outgoing have separated.
-
-    A separation ratio at or above 0.1 attaches a validity warning rather
-    than failing: the samples are still exact for the image term.
+    Added to the direct term wave.free_evolve(t) it vanishes on the wall
+    line u = 0; once incoming and outgoing packets have separated it is the
+    whole reflected wave.
     """
-    s0 = initial_state(setup.Sigma, setup.sigma, setup.k)
-    wave0 = GaussianWave2D.from_product_state(s0, setup.params, x_center=setup.x0)
-
-    warnings: list[str] = []
-    if setup.k == 0.0:
-        warnings.append("k = 0: separation ratio undefined, result is pre-collision")
-    else:
-        ratio = separation_check(setup)
-        if ratio >= SEPARATION_LIMIT:
-            warnings.append(
-                f"separation ratio {ratio:.3g} >= {SEPARATION_LIMIT}: packet "
-                "spreading is not negligible over the bounce"
-            )
-
-    wave = wave0.mirror_u().free_evolve(setup.t).negated()
-    if grid is None:
-        grid = grid_for_state(wave, n=n)
-    return PropagationResult(psi=wave.evaluate(*grid.axes()), grid=grid,
-                             warnings=tuple(warnings))
+    return wave.mirror_u().free_evolve(t).negated()
 
 
 def fft_free_evolve(psi: np.ndarray, grid: GridSpec, m: float, M: float,

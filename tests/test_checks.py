@@ -53,29 +53,32 @@ def test_grid_n_is_every_oracle_grid(monkeypatch):
 def test_image_vs_fft_runs_on_the_comoving_floor_grid(monkeypatch):
     """The check sizes its flight grid for the carrier-free envelope, which
     does not travel: the 512 x 256 floor of grid_for_flight, where the lab
-    wave needs 4050 x 1200.  Both routes sample that many points."""
+    wave needs 4050 x 1200.  Both routes sample that many points: the image
+    route its bounced wave, the FFT route the mirrored wave it evolves."""
     grids, shapes = [], []
     real_grid = propagation.grid_for_flight
-    real_image = propagation.image_propagate
-    real_fft = propagation.fft_free_evolve
+    real_evaluate = propagation.GaussianWave2D.evaluate
 
     def grid_for_flight(wave, t):
         grids.append(real_grid(wave, t))
         return grids[-1]
 
-    def image_propagate(setup, grid=None, n=512):
-        res = real_image(setup, grid=grid, n=n)
-        shapes.append(res.psi.shape)
-        return res
-
-    def fft_free_evolve(psi, grid, m, M, t):
+    def evaluate(wave, x, X):
+        psi = real_evaluate(wave, x, X)
         shapes.append(psi.shape)
-        return real_fft(psi, grid, m, M, t)
+        return psi
 
     monkeypatch.setattr(propagation, "grid_for_flight", grid_for_flight)
-    monkeypatch.setattr(propagation, "image_propagate", image_propagate)
-    monkeypatch.setattr(propagation, "fft_free_evolve", fft_free_evolve)
+    monkeypatch.setattr(propagation.GaussianWave2D, "evaluate", evaluate)
     check = checks.check_image_vs_fft(None)
     assert check.passed
     assert [(g.nx, g.nX) for g in grids] == [(512, 256)]
     assert shapes == [(256, 512), (256, 512)]
+
+
+def test_default_verification_attaches_no_warning():
+    """On its own grids every check is inside its sampling contract, and
+    image_f0 needs no packet separation: F0 does not change under free
+    evolution."""
+    results = checks.run_verification()
+    assert [c.warnings for c in results] == [()] * len(checks.CHECK_NAMES)

@@ -10,25 +10,31 @@ from decoh import propagation
 from decoh.checks import check_image_vs_fft
 from decoh.entanglement import kernel_params, largest_eigenvalue
 from decoh.kinematics import collision_params, initial_state, post_collision_state
-from decoh.oracles import MAX_PHASE_STEP, _axis_points, grid_for_state
+from decoh.oracles import MAX_PHASE_STEP, GridSpec, _axis_points, grid_for_state, schmidt_decompose
 from decoh.propagation import (
     FLIGHT_COVER_SIGMAS,
     GaussianWave2D,
-    PropagationResult,
-    PropagatorSetup,
     fft_free_evolve,
     fft_size,
     grid_for_flight,
-    image_propagate,
+    image_term,
     phase_aligned_l2,
     separation_check,
-    transit_time,
 )
 
 
-def _setup(m=1.0, M=99.0, Sigma=0.3, sigma=1.0, k=6.0, x0=-8.0, periods=2.0):
-    s = PropagatorSetup(m=m, M=M, Sigma=Sigma, sigma=sigma, k=k, x0=x0, t=0.0)
-    return dataclasses.replace(s, t=periods * transit_time(s))
+def _bounce(m=1.0, M=99.0, Sigma=0.3, sigma=1.0, k=6.0, x0=-8.0, periods=2.0):
+    """(wave0, t): the product packet at relative offset x0, and periods
+    times the time |x0| m / k it needs to reach the wall."""
+    s0 = initial_state(Sigma, sigma, k)
+    wave0 = GaussianWave2D.from_product_state(s0, collision_params(m, M), x_center=x0)
+    return wave0, periods * (abs(x0) * m / abs(k))
+
+
+def _sampled(wave, n):
+    """wave on its own grid_for_state grid of at least n points per axis."""
+    grid = grid_for_state(wave, n=n)
+    return wave.evaluate(*grid.axes()), grid
 
 
 def _grid_norm(psi, grid):
@@ -62,36 +68,25 @@ def free_evolve_gaussian_1d(x, t: float, center: float, spread: float, k: float,
 
 
 def test_separation_ratio_formula():
-    s = PropagatorSetup(m=1.0, M=9.0, Sigma=1.0, sigma=1.0, k=5.0, x0=-10.0, t=0.0)
-    assert separation_check(s) == pytest.approx(10.0 / (2.0 * 5.0 * 2.0), rel=1e-14)
+    ratio = separation_check(-10.0, 5.0, 1.0, 1.0)
+    assert ratio == pytest.approx(10.0 / (2.0 * 5.0 * 2.0), rel=1e-14)
 
 
 def test_separation_vanishes_at_high_momentum():
-    s = PropagatorSetup(m=1.0, M=9.0, Sigma=1.0, sigma=1.0, k=1e6, x0=-10.0, t=0.0)
-    assert separation_check(s) < 1e-5
+    assert separation_check(-10.0, 1e6, 1.0, 1.0) < 1e-5
 
 
 def test_separation_halves_when_sigma_doubles():
     """Fixed k sigma and fixed absolute offset: doubling the spreads doubles
     the spreading time faster than the traversal time."""
-    a = PropagatorSetup(m=1.0, M=99.0, Sigma=1.0, sigma=1.0, k=5.0, x0=-10.0, t=0.0)
-    b = PropagatorSetup(m=1.0, M=99.0, Sigma=2.0, sigma=2.0, k=2.5, x0=-10.0, t=0.0)
-    assert separation_check(b) == pytest.approx(separation_check(a) / 2.0, rel=1e-14)
+    a = separation_check(-10.0, 5.0, 1.0, 1.0)
+    b = separation_check(-10.0, 2.5, 2.0, 2.0)
+    assert b == pytest.approx(a / 2.0, rel=1e-14)
 
 
 def test_separation_undefined_at_rest():
-    s = PropagatorSetup(m=1.0, M=9.0, Sigma=1.0, sigma=1.0, k=0.0, x0=-10.0, t=0.0)
     with pytest.raises(ValueError):
-        separation_check(s)
-    with pytest.raises(ValueError):
-        transit_time(s)
-
-
-def test_setup_validation():
-    with pytest.raises(ValueError):
-        PropagatorSetup(m=-1.0, M=1.0, Sigma=1.0, sigma=1.0, k=1.0, x0=-5.0, t=0.0)
-    with pytest.raises(ValueError):
-        PropagatorSetup(m=1.0, M=1.0, Sigma=0.0, sigma=1.0, k=1.0, x0=-5.0, t=0.0)
+        separation_check(-10.0, 0.0, 1.0, 1.0)
 
 
 def test_wave_matches_product_state():
@@ -141,9 +136,8 @@ def test_lab_frame_bounce_is_the_papers_post_collision_state(rng):
 
 
 def test_free_evolution_preserves_norm():
-    setup = _setup()
-    res = image_propagate(setup, n=256)
-    assert _grid_norm(res.psi, res.grid) == pytest.approx(1.0, abs=1e-7)
+    psi, grid = _sampled(image_term(*_bounce()), n=256)
+    assert _grid_norm(psi, grid) == pytest.approx(1.0, abs=1e-7)
 
 
 def test_short_time_evolution_is_identity():
@@ -155,42 +149,26 @@ def test_short_time_evolution_is_identity():
     np.testing.assert_allclose(drifted.evaluate(*g.axes()), w.evaluate(*g.axes()), atol=1e-4)
 
 
-def test_separation_warning_attached():
-    slow = _setup(k=6.0)  # ratio 0.61
-    res = image_propagate(slow, n=96)
-    assert any("separation" in w for w in res.warnings)
-    fast = _setup(k=40.0, x0=-6.0, Sigma=0.25)  # ratio 0.071
-    res = image_propagate(fast, n=96)
-    assert not res.warnings
-
-
 def test_reflected_entanglement_matches_static_analysis():
     """F0 is invariant under free evolution, so the SVD of the evolved
     reflected wave must reproduce the static closed form."""
-    setup = _setup(k=6.0)
-    res = image_propagate(setup, n=256)
-    sv = np.linalg.svd(res.psi * np.sqrt(res.grid.dx * res.grid.dX), compute_uv=False)
-    sf = post_collision_state(initial_state(setup.Sigma, setup.sigma, setup.k), setup.params)
+    wave0, t = _bounce(k=6.0)
+    sv = schmidt_decompose(image_term(wave0, t), n=256).singular_values
+    sf = post_collision_state(initial_state(0.3, 1.0, 6.0), wave0.params)
     f0 = largest_eigenvalue(kernel_params(sf).w)
     assert sv[0] ** 2 == pytest.approx(f0, abs=1e-3)
-
-
-def _mirrored(setup):
-    s0 = initial_state(setup.Sigma, setup.sigma, setup.k)
-    return GaussianWave2D.from_product_state(s0, setup.params, x_center=setup.x0).mirror_u()
 
 
 def test_image_term_against_fft_route():
     """Gaussian-algebra image term vs an FFT kinetic-step evolution of the
     sampled mirrored state."""
-    setup = _setup(k=40.0, x0=-6.0, Sigma=0.25)
-    assert separation_check(setup) < 0.1
-    mirrored = _mirrored(setup)
-    grid = grid_for_flight(mirrored, setup.t)
-    res = image_propagate(setup, grid=grid)
+    assert separation_check(-6.0, 40.0, 0.25, 1.0) < 0.1
+    wave0, t = _bounce(k=40.0, x0=-6.0, Sigma=0.25)
+    mirrored = wave0.mirror_u()
+    grid = grid_for_flight(mirrored, t)
     sampled = mirrored.evaluate(*grid.axes())
-    via_fft = -fft_free_evolve(sampled, grid, setup.m, setup.M, setup.t)
-    dist, _ = phase_aligned_l2(res.psi, via_fft, grid)
+    via_fft = -fft_free_evolve(sampled, grid, 1.0, 99.0, t)
+    dist, _ = phase_aligned_l2(image_term(wave0, t).evaluate(*grid.axes()), via_fft, grid)
     assert dist < 1e-3
 
 
@@ -213,10 +191,10 @@ def test_fft_size_is_next_5_smooth_count(n):
 def test_flight_grid_contract(k, x0, Sigma):
     """FFT-friendly counts no smaller than the phase-step minimum, on the
     8.5-sigma hull of the start and end envelopes."""
-    setup = _setup(k=k, x0=x0, Sigma=Sigma)
-    mirrored = _mirrored(setup)
-    end = mirrored.free_evolve(setup.t)
-    grid = grid_for_flight(mirrored, setup.t)
+    wave0, t = _bounce(k=k, x0=x0, Sigma=Sigma)
+    mirrored = wave0.mirror_u()
+    end = mirrored.free_evolve(t)
+    grid = grid_for_flight(mirrored, t)
 
     (c0, s0, _), (c1, s1, (kx, kX)) = mirrored.envelope(), end.envelope()
     sx, sX = max(s0[0], s1[0]), max(s0[1], s1[1])
@@ -234,25 +212,22 @@ def test_flight_grid_contract(k, x0, Sigma):
 def test_flight_grid_of_the_verify_check():
     """The image_vs_fft check's grid: 4036 x 1182 by the phase-step rule,
     rounded up to 4050 = 2 3^4 5^2 by 1200 = 2^4 3 5^2."""
-    setup = _setup(k=40.0, x0=-6.0, Sigma=0.25)
-    grid = grid_for_flight(_mirrored(setup), setup.t)
+    wave0, t = _bounce(k=40.0, x0=-6.0, Sigma=0.25)
+    grid = grid_for_flight(wave0.mirror_u(), t)
     assert (grid.nx, grid.nX) == (4050, 1200)
 
 
-def _direct_term(setup, grid=None, n=512):
-    """Fault: the unmirrored direct term sampled in place of the image term."""
-    wave0 = GaussianWave2D.from_product_state(
-        initial_state(setup.Sigma, setup.sigma, setup.k), setup.params, x_center=setup.x0)
-    wave = wave0.free_evolve(setup.t).negated()
-    return PropagationResult(psi=wave.evaluate(*grid.axes()), grid=grid, warnings=())
+def _scaled_delta(p):
+    """The masses with the wall mass that scales delta = m/(M + m) by 1 + 1e-3."""
+    return collision_params(p.m, (p.M + p.m) / (1.0 + 1e-3) - p.m)
 
 
-# faults injected into the setup image_propagate is given: t scaled by
-# 1 + 1e-3, and the wall mass that scales delta = m/(M + m) by 1 + 1e-3
-_SETUP_FAULTS = {
-    "none": lambda s: s,
-    "t": lambda s: dataclasses.replace(s, t=s.t * (1.0 + 1e-3)),
-    "delta": lambda s: dataclasses.replace(s, M=(s.M + s.m) / (1.0 + 1e-3) - s.m),
+# faults injected into the arguments image_term is given: t scaled by 1 + 1e-3,
+# and the wave's masses with delta scaled by 1 + 1e-3
+_ARGUMENT_FAULTS = {
+    "none": lambda wave, t: (wave, t),
+    "t": lambda wave, t: (wave, t * (1.0 + 1e-3)),
+    "delta": lambda wave, t: (dataclasses.replace(wave, params=_scaled_delta(wave.params)), t),
 }
 
 
@@ -260,34 +235,35 @@ _SETUP_FAULTS = {
 def lab_frame_fft_route():
     """The FFT route of test_image_term_against_fft_route, on its 4050 x 1200
     lab-frame grid."""
-    setup = _setup(k=40.0, x0=-6.0, Sigma=0.25)
-    mirrored = _mirrored(setup)
-    grid = grid_for_flight(mirrored, setup.t)
-    via_fft = -fft_free_evolve(mirrored.evaluate(*grid.axes()), grid, setup.m, setup.M, setup.t)
-    return setup, grid, via_fft
+    wave0, t = _bounce(k=40.0, x0=-6.0, Sigma=0.25)
+    mirrored = wave0.mirror_u()
+    grid = grid_for_flight(mirrored, t)
+    via_fft = -fft_free_evolve(mirrored.evaluate(*grid.axes()), grid, 1.0, 99.0, t)
+    return wave0, t, grid, via_fft
 
 
 @pytest.mark.parametrize("fault", ["none", "t", "delta", "direct"])
 def test_comoving_check_fails_where_the_lab_frame_check_fails(monkeypatch, lab_frame_fft_route,
                                                                fault):
     """The image_vs_fft check, run in the packet's co-moving frame, against
-    the lab-frame distance with the same fault injected into image_propagate.
+    the lab-frame distance with the same fault injected into image_term.
 
     A boost changes the distance only through the grids, so for the small t
     and delta faults the two distances agree far below the fault's size.
     delta scaled by 1 + 1e-3 moves the wave by 8.8e-4 in both frames, under
     the 1e-3 tolerance, so neither frame catches it."""
-    setup, grid, via_fft = lab_frame_fft_route
+    wave0, t, grid, via_fft = lab_frame_fft_route
     if fault == "direct":
-        faulty = _direct_term
+        def faulty(wave, t):
+            return wave.free_evolve(t).negated()  # the unmirrored direct term
     else:
-        real = propagation.image_propagate
+        real = propagation.image_term
 
-        def faulty(s, grid=None, n=512):
-            return real(_SETUP_FAULTS[fault](s), grid=grid, n=n)
+        def faulty(wave, t):
+            return real(*_ARGUMENT_FAULTS[fault](wave, t))
 
-    lab, _ = phase_aligned_l2(faulty(setup, grid=grid).psi, via_fft, grid)
-    monkeypatch.setattr(propagation, "image_propagate", faulty)
+    lab, _ = phase_aligned_l2(faulty(wave0, t).evaluate(*grid.axes()), via_fft, grid)
+    monkeypatch.setattr(propagation, "image_term", faulty)
     check = check_image_vs_fft(None)
 
     assert check.passed == (lab <= check.tolerance)
@@ -361,49 +337,41 @@ def test_fixed_wall_limit_factorizes():
     product of independently evolved 1-D factors (with the recoil phase on
     the wall sector)."""
     m, M, sigma, Sigma, k, x0 = 1.0, 1e11, 1.0, 1.06e-5, 40.0, -8.0
-    setup = PropagatorSetup(m=m, M=M, Sigma=Sigma, sigma=sigma, k=k, x0=x0, t=0.0)
-    setup = dataclasses.replace(setup, t=2.0 * transit_time(setup))
-    p = setup.params
-    res = image_propagate(setup, n=256)
-    g = res.grid
-    phi_x = free_evolve_gaussian_1d(g.x_nodes(), setup.t, center=-x0, spread=sigma,
-                                    k=-k, mass=m)
-    gam_X = free_evolve_gaussian_1d(g.X_nodes(), setup.t, center=0.0, spread=Sigma,
+    wave0, t = _bounce(m=m, M=M, Sigma=Sigma, sigma=sigma, k=k, x0=x0)
+    p = wave0.params
+    psi, g = _sampled(image_term(wave0, t), n=256)
+    phi_x = free_evolve_gaussian_1d(g.x_nodes(), t, center=-x0, spread=sigma, k=-k, mass=m)
+    gam_X = free_evolve_gaussian_1d(g.X_nodes(), t, center=0.0, spread=Sigma,
                                     k=2.0 * p.gamma * k, mass=M)
     ref = np.outer(gam_X, phi_x)
-    dist, _ = phase_aligned_l2(res.psi, ref, g)
+    dist, _ = phase_aligned_l2(psi, ref, g)
     assert dist < 1e-4
 
 
 def test_equal_mass_bounce_matches_entangled_form():
     """At the symmetric instant the reflected wave overlaps the closed-form
     bounced state at better than 1 - 1e-3 (equal masses, fast bounce)."""
-    setup = _setup(m=1.0, M=1.0, Sigma=1.0, sigma=1.0, k=80.0, x0=-8.0, periods=1.0)
-    sf = post_collision_state(initial_state(1.0, 1.0, 80.0), setup.params)
-    res = image_propagate(setup, n=256)
-    g = res.grid
+    wave0, t = _bounce(m=1.0, M=1.0, Sigma=1.0, sigma=1.0, k=80.0, x0=-8.0, periods=1.0)
+    sf = post_collision_state(initial_state(1.0, 1.0, 80.0), wave0.params)
+    psi, g = _sampled(image_term(wave0, t), n=256)
     xx, XX = g.axes()
     W = np.outer(np.full(g.nX, g.dX), np.full(g.nx, g.dx))
     W[0, :] *= 0.5
     W[-1, :] *= 0.5
     W[:, 0] *= 0.5
     W[:, -1] *= 0.5
-    overlap = abs(np.sum(W * np.conj(sf(xx, XX)) * res.psi))
+    overlap = abs(np.sum(W * np.conj(sf(xx, XX)) * psi))
     assert overlap > 1.0 - 1e-3
 
 
 def test_direct_plus_image_vanishes_on_wall_line():
     """Dirichlet condition: the free term plus the (negated) image term that
-    image_propagate samples vanishes at u = 0."""
-    setup = _setup(k=6.0, periods=1.0)
-    from decoh.oracles import GridSpec
-
+    image_term returns vanishes at u = 0."""
+    wave0, t = _bounce(k=6.0, periods=1.0)
     grid = GridSpec(x_min=-3.0, x_max=3.0, X_min=-3.0, X_max=3.0, nx=65, nX=65,
                     forced=True)
-    wave0 = GaussianWave2D.from_product_state(
-        initial_state(setup.Sigma, setup.sigma, setup.k), setup.params, x_center=setup.x0)
-    psi = wave0.free_evolve(setup.t).evaluate(*grid.axes())
-    psi += image_propagate(setup, grid=grid).psi
+    psi = wave0.free_evolve(t).evaluate(*grid.axes())
+    psi += image_term(wave0, t).evaluate(*grid.axes())
     diag = np.diagonal(psi)  # x = X, i.e. u = 0
     off = abs(psi).max()
     assert np.abs(diag).max() < 1e-10 * max(off, 1e-30) + 1e-12
@@ -419,9 +387,8 @@ def test_free_evolve_gaussian_1d_norm_and_drift():
 
 
 def test_phase_aligned_l2_recovers_phase():
-    setup = _setup(k=6.0)
-    res = image_propagate(setup, n=96)
-    rotated = res.psi * np.exp(1j * 0.9)
-    dist, theta = phase_aligned_l2(rotated, res.psi, res.grid)
+    psi, grid = _sampled(image_term(*_bounce(k=6.0)), n=96)
+    rotated = psi * np.exp(1j * 0.9)
+    dist, theta = phase_aligned_l2(rotated, psi, grid)
     assert dist < 1e-12
     assert theta == pytest.approx(0.9, abs=1e-9)
