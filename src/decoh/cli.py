@@ -165,7 +165,7 @@ def _build_params(args) -> CollisionParams:
         return _params_from_delta(args.delta)
     if args.m is None or args.M is None:
         raise ValueError("masses are required: --m and --M (or --delta)")
-    return collision_params(args.m, args.M)
+    return collision_params(_positive("--m", args.m), _positive("--M", args.M))
 
 
 def _params_from_delta(delta: float) -> CollisionParams:
@@ -378,6 +378,8 @@ def cmd_sweep(args) -> int:
     values = _sweep_values(args)
     if args.ksigma is not None:
         _finite_square("--ksigma", args.ksigma)
+        if args.ksigma < 0.0:
+            raise ValueError(f"--ksigma must be non-negative, got {args.ksigma}")
     needs_params = args.parameter in ("lambda", "k_sigma")
     p = _build_params(args) if needs_params else None
 
@@ -468,6 +470,8 @@ def cmd_thermal(args) -> int:
         raise ValueError(f"--F0 must lie in (0, 1], got {args.F0}")
     budget = None
     if args.collisions is not None:
+        if args.collisions < 0:
+            raise ValueError(f"--collisions must be non-negative, got {args.collisions}")
         f0 = args.F0 if args.F0 is not None else 1.0
         budget = th.amplitude_budget(f0, n=args.collisions)
 

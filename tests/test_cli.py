@@ -690,6 +690,14 @@ def test_entangle_forced_grid_at_a_vast_spread_ratio(capsys):
      "--F0 must lie in (0, 1], got 0.0"),
     (["thermal", "--T", "1", "--report-length-scale", "--collisions", "3", "--F0", "2"],
      "--F0 must lie in (0, 1], got 2.0"),
+    (["error", "--m", "0", "--M", "1"], "--m must be positive and finite, got 0.0"),
+    (["error", "--m", "1", "--M", "-1"], "--M must be positive and finite, got -1.0"),
+    (["thermal", "--T", "1", "--report-length-scale", "--collisions", "-3"],
+     "--collisions must be non-negative, got -3"),
+    (["sweep", "--parameter", "delta", "--start", "0.01", "--stop", "0.1", "--points", "3",
+      "--ksigma", "-1"], "--ksigma must be non-negative, got -1.0"),
+    (["sweep", "--parameter", "lambda", "--start", "0.1", "--stop", "1", "--points", "3",
+      "--delta", "0.01", "--ksigma", "-1"], "--ksigma must be non-negative, got -1.0"),
 ])
 def test_exit_2_messages_name_the_flag(capsys, argv, message):
     """A rejected input is named by its flag, not by the library's word for
