@@ -27,7 +27,7 @@ from .kinematics import (
 
 __all__ = ["VerificationCheck", "run_verification", "CHECK_NAMES"]
 
-# spectrum levels the SVD and eigensolve checks compare; a forced grid needs
+# spectrum levels the SVD and eigensolve checks compare; a grid_n grid needs
 # at least this many points per axis to have them
 _LEVELS = 5
 
@@ -39,15 +39,11 @@ class VerificationCheck:
     deviation: float
     passed: bool
     detail: str
-    warnings: tuple[str, ...] = ()
 
 
-def _result(name: str, tol: float, dev: float, detail: str,
-            warnings: tuple[str, ...] = ()) -> VerificationCheck:
-    return VerificationCheck(
-        name=name, tolerance=tol, deviation=float(dev),
-        passed=bool(dev <= tol), detail=detail, warnings=warnings,
-    )
+def _result(name: str, tol: float, dev: float, detail: str) -> VerificationCheck:
+    return VerificationCheck(name=name, tolerance=tol, deviation=float(dev),
+                             passed=bool(dev <= tol), detail=detail)
 
 
 def _grid(state, grid_n: int | None) -> oracles.GridSpec | None:
@@ -68,8 +64,7 @@ def check_matched_overlap(grid_n: int | None, tol: float = 1e-8) -> Verification
     sf = post_collision_state(s0, p)
     res = oracles.quadrature_overlap(ideal_reflected_state(s0), sf, grid=_grid(sf, grid_n))
     dev = abs(abs(res.value) - 1.0)
-    return _result("matched_overlap", tol, dev,
-                   "matched spreads, k=0: |quadrature A| vs 1", res.warnings)
+    return _result("matched_overlap", tol, dev, "matched spreads, k=0: |quadrature A| vs 1")
 
 
 def check_overlap_closed_form(grid_n: int | None, tol: float = 1e-8) -> VerificationCheck:
@@ -80,16 +75,14 @@ def check_overlap_closed_form(grid_n: int | None, tol: float = 1e-8) -> Verifica
         (0.5, 1.0, 4.0, 0.05),
     ]
     worst = 0.0
-    warnings: tuple[str, ...] = ()
     for Sigma, sigma, k, delta in cases:
         sf, p = _state(Sigma, sigma, k, delta)
         s0 = initial_state(Sigma, sigma, k)
         res = oracles.quadrature_overlap(ideal_reflected_state(s0), sf, grid=_grid(sf, grid_n))
         closed = eb.overlap_amplitude((Sigma / sigma) ** 2, k * sigma, p)
         worst = max(worst, abs(abs(res.value) - closed))
-        warnings = warnings + res.warnings
     return _result("overlap_closed_form", tol, worst,
-                   f"|quadrature| vs closed form over {len(cases)} states", warnings)
+                   f"|quadrature| vs closed form over {len(cases)} states")
 
 
 def check_gauss_legendre_overlap(grid_n: int | None, tol: float = 1e-8) -> VerificationCheck:
@@ -105,7 +98,7 @@ def check_gauss_legendre_overlap(grid_n: int | None, tol: float = 1e-8) -> Verif
     closed = eb.overlap_amplitude(0.25, 8.0, p)
     dev = abs(abs(res.value) - closed)
     return _result("gauss_legendre_overlap", tol, dev,
-                   "|GL quadrature| vs closed form at k sigma = 8", res.warnings)
+                   "|GL quadrature| vs closed form at k sigma = 8")
 
 
 def check_schmidt_f0(grid_n: int | None, tol: float = 1e-6) -> VerificationCheck:
@@ -289,8 +282,10 @@ def run_verification(grid_n: int | None = None,
     grid_n is the one size of every quadrature, SVD and eigensolve grid, the
     oscillator nodes and the reduced-kernel X nodes; the two propagation
     checks, image_f0 and image_vs_fft, size their own grids and ignore it.
-    tol_overrides maps check names to replacement tolerances.  Both
-    arguments are validated before any check runs.
+    A grid_n grid is not judged in advance: each check's deviation from its
+    closed form measures what the grid resolves.  tol_overrides maps check
+    names to replacement tolerances.  Both arguments are validated before
+    any check runs.
     """
     overrides = tol_overrides or {}
     unknown = set(overrides) - set(CHECK_NAMES)

@@ -428,7 +428,7 @@ def cmd_verify(args) -> int:
     params = {"grid": args.grid, "tolerance_overrides": overrides}
     checks = [
         {"name": c.name, "tolerance": c.tolerance, "deviation": c.deviation,
-         "passed": c.passed, "detail": c.detail, "warnings": list(c.warnings)}
+         "passed": c.passed, "detail": c.detail}
         for c in results
     ]
     summary = {"n_checks": len(results), "n_passed": sum(c.passed for c in results),
@@ -440,8 +440,6 @@ def cmd_verify(args) -> int:
             f"{status}  {c.name:<24} deviation={c.deviation:.3e}  "
             f"tol={c.tolerance:.1e}  ({c.detail})"
         )
-        for w in c.warnings:
-            lines.append(f"      warning: {w}")
     lines.append(f"{summary['n_passed']}/{summary['n_checks']} checks passed")
     header = ["name", "tolerance", "deviation", "passed"]
     _render(args, params, summary, header, [[c[h] for h in header] for c in checks],

@@ -75,10 +75,3 @@ def test_image_vs_fft_runs_on_the_comoving_floor_grid(monkeypatch):
     assert [(g.nx, g.nX) for g in grids] == [(512, 256)]
     assert shapes == [(256, 512), (256, 512)]
 
-
-def test_default_verification_attaches_no_warning():
-    """On its own grids every check is inside its sampling contract, and
-    image_f0 needs no packet separation: F0 does not change under free
-    evolution."""
-    results = checks.run_verification()
-    assert [c.warnings for c in results] == [()] * len(checks.CHECK_NAMES)

@@ -338,6 +338,19 @@ def test_verify_bad_tolerance_value_exits_two(capsys, monkeypatch, value):
                    f"got {value!r}\n")
 
 
+def test_verify_at_grid_64_prints_no_warning(capsys):
+    """At --grid 64 dx*k exceeds the sizer's 0.3 phase step on nine grids, yet
+    every deviation stays below 1e-12: verify reports the measured
+    deviations and nothing else judges the grid."""
+    code, out, err = run_cli(capsys, "verify", "--grid", "64")
+    assert code == 0 and err == ""
+    assert "warning:" not in out and out.endswith("12/12 checks passed\n")
+    code, out, _ = run_cli(capsys, "verify", "--grid", "64", "--format", "json")
+    assert code == 0
+    assert {key for c in json.loads(out)["checks"] for key in c} == {
+        "name", "tolerance", "deviation", "passed", "detail"}
+
+
 def test_verify_grid_refinement_reduces_deviation(capsys):
     devs = {}
     for n in ("64", "512"):

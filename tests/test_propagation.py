@@ -368,8 +368,7 @@ def test_direct_plus_image_vanishes_on_wall_line():
     """Dirichlet condition: the free term plus the (negated) image term that
     image_term returns vanishes at u = 0."""
     wave0, t = _bounce(k=6.0, periods=1.0)
-    grid = GridSpec(x_min=-3.0, x_max=3.0, X_min=-3.0, X_max=3.0, nx=65, nX=65,
-                    forced=True)
+    grid = GridSpec(x_min=-3.0, x_max=3.0, X_min=-3.0, X_max=3.0, nx=65, nX=65)
     psi = wave0.free_evolve(t).evaluate(*grid.axes())
     psi += image_term(wave0, t).evaluate(*grid.axes())
     diag = np.diagonal(psi)  # x = X, i.e. u = 0
