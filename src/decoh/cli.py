@@ -48,6 +48,16 @@ from .kinematics import (
 )
 
 SWEEP_PARAMETERS = ("lambda", "k_sigma", "delta", "w", "T")
+# what a sweep's --start and --stop must do, per parameter; each domain is an
+# interval, so every point of a sweep between two of its points is in it too
+_SWEEP_DOMAINS = {
+    "lambda": ("be positive and finite", lambda v: 0.0 < v < math.inf),
+    "k_sigma": ("be non-negative with a finite square",
+                lambda v: v >= 0.0 and math.isfinite(v * v)),
+    "delta": ("lie in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "w": ("be non-negative and finite", lambda v: 0.0 <= v < math.inf),
+    "T": ("be positive and finite", lambda v: 0.0 < v < math.inf),
+}
 # most eigenvalues entangle lists: the spectrum is built as one array
 MAX_N_SPECTRUM = 1_000_000
 
@@ -354,8 +364,7 @@ def _sweep_row(parameter: str, value: float, args, p: CollisionParams | None):
         f0 = ent.largest_eigenvalue(value)
         u = 2.0 * math.asinh(0.5 * value)
         return [value, u, f0, 1.0 - f0]
-    if args.mu_kg is None:  # parameter is T, the last of SWEEP_PARAMETERS
-        raise ValueError("a T sweep needs --mu-kg")
+    # parameter is T, the last of SWEEP_PARAMETERS
     return [value, th.thermal_spread(args.mu_kg, value), th.thermal_length(value),
             th.thermal_k_sigma(args.mu_kg, value)]
 
@@ -382,6 +391,14 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"--ksigma must be non-negative, got {args.ksigma}")
     needs_params = args.parameter in ("lambda", "k_sigma")
     p = _build_params(args) if needs_params else None
+    if args.parameter == "T":
+        if args.mu_kg is None:
+            raise ValueError("a T sweep needs --mu-kg")
+        _positive("--mu-kg", args.mu_kg)
+    rule, inside = _SWEEP_DOMAINS[args.parameter]
+    for flag, value in (("--start", args.start), ("--stop", args.stop)):
+        if not inside(value):
+            raise ValueError(f"{flag} must {rule} for a {args.parameter} sweep, got {value}")
 
     workers = min(8, os.cpu_count() or 1)
     env_threads = os.environ.get("DECOH_NUM_THREADS")
@@ -470,6 +487,8 @@ def cmd_thermal(args) -> int:
     if args.collisions is not None:
         if args.collisions < 0:
             raise ValueError(f"--collisions must be non-negative, got {args.collisions}")
+        if args.collisions > sys.float_info.max:
+            raise ValueError(f"--collisions must be at most {sys.float_info.max:g}")
         f0 = args.F0 if args.F0 is not None else 1.0
         budget = th.amplitude_budget(f0, n=args.collisions)
 

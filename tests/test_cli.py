@@ -1,4 +1,5 @@
 import json
+import sys
 from importlib import resources
 
 import numpy as np
@@ -711,6 +712,26 @@ def test_entangle_forced_grid_at_a_vast_spread_ratio(capsys):
       "--ksigma", "-1"], "--ksigma must be non-negative, got -1.0"),
     (["sweep", "--parameter", "lambda", "--start", "0.1", "--stop", "1", "--points", "3",
       "--delta", "0.01", "--ksigma", "-1"], "--ksigma must be non-negative, got -1.0"),
+    (["sweep", "--parameter", "k_sigma", "--start", "-1", "--stop", "1", "--points", "3",
+      "--delta", "0.01"],
+     "--start must be non-negative with a finite square for a k_sigma sweep, got -1.0"),
+    (["sweep", "--parameter", "k_sigma", "--start", "1", "--stop", "1e200", "--points", "3",
+      "--delta", "0.01"],
+     "--stop must be non-negative with a finite square for a k_sigma sweep, got 1e+200"),
+    (["sweep", "--parameter", "lambda", "--start", "-1", "--stop", "1", "--points", "3",
+      "--delta", "0.01"], "--start must be positive and finite for a lambda sweep, got -1.0"),
+    (["sweep", "--parameter", "delta", "--start", "0", "--stop", "0.5", "--points", "3"],
+     "--start must lie in (0, 1) for a delta sweep, got 0.0"),
+    (["sweep", "--parameter", "delta", "--start", "0.1", "--stop", "1", "--points", "3"],
+     "--stop must lie in (0, 1) for a delta sweep, got 1.0"),
+    (["sweep", "--parameter", "w", "--start", "-1", "--stop", "1", "--points", "3"],
+     "--start must be non-negative and finite for a w sweep, got -1.0"),
+    (["sweep", "--parameter", "T", "--start", "-1", "--stop", "1", "--points", "3",
+      "--mu-kg", "1e-27"], "--start must be positive and finite for a T sweep, got -1.0"),
+    (["sweep", "--parameter", "T", "--start", "1", "--stop", "2", "--points", "3",
+      "--mu-kg", "-1"], "--mu-kg must be positive and finite, got -1.0"),
+    (["thermal", "--T", "1", "--report-length-scale", "--collisions", "1" + "0" * 309],
+     f"--collisions must be at most {sys.float_info.max:g}"),
 ])
 def test_exit_2_messages_name_the_flag(capsys, argv, message):
     """A rejected input is named by its flag, not by the library's word for
