@@ -10,6 +10,7 @@ against each other.  All parameters are fixed, so runs are deterministic.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,6 +31,10 @@ __all__ = ["VerificationCheck", "run_verification", "CHECK_NAMES"]
 # spectrum levels the SVD and eigensolve checks compare; a grid_n grid needs
 # at least this many points per axis to have them
 _LEVELS = 5
+# singular values by (state, grid_n) for the run_verification call in
+# progress in this thread, so that checks sharing a state share its SVD;
+# None outside a run
+_svd_memo: ContextVar[dict | None] = ContextVar("_svd_memo", default=None)
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,18 @@ def _grid(state, grid_n: int | None) -> oracles.GridSpec | None:
     """The caller's grid_n x grid_n grid over state, or None when the
     oracle is to size its own."""
     return None if grid_n is None else oracles.grid_for_state(state, force_n=grid_n)
+
+
+def _singular_values(state, grid_n: int | None) -> np.ndarray:
+    """Singular values of state sampled on _grid(state, grid_n), computed
+    once per run_verification call."""
+    memo, key = _svd_memo.get(), (state, grid_n)
+    if memo is not None and key in memo:
+        return memo[key]
+    sv = oracles.schmidt_decompose(state, grid=_grid(state, grid_n)).singular_values
+    if memo is not None:
+        memo[key] = sv
+    return sv
 
 
 def _state(Sigma, sigma, k, delta):
@@ -105,7 +122,7 @@ def check_schmidt_f0(grid_n: int | None, tol: float = 1e-6) -> VerificationCheck
     """SVD largest squared singular value against F0 = 1 - z^2."""
     sf, _ = _state(1.0, 1.0, 0.0, 0.01)
     kp = ent.kernel_params(sf)
-    sv = oracles.schmidt_decompose(sf, grid=_grid(sf, grid_n)).singular_values
+    sv = _singular_values(sf, grid_n)
     dev = abs(sv[0] ** 2 - ent.largest_eigenvalue(kp.w))
     return _result("schmidt_f0", tol, dev, "equal spreads, delta=0.01")
 
@@ -114,7 +131,7 @@ def check_schmidt_ratios(grid_n: int | None, tol: float = 1e-4) -> VerificationC
     """Successive squared singular values fall geometrically with e^{-u}."""
     sf, _ = _state(1.0, 1.0, 0.0, 0.01)
     kp = ent.kernel_params(sf)
-    sv = oracles.schmidt_decompose(sf, grid=_grid(sf, grid_n)).singular_values
+    sv = _singular_values(sf, grid_n)
     ratios = sv[1:_LEVELS] ** 2 / sv[0:_LEVELS - 1] ** 2
     dev = float(np.max(np.abs(ratios - np.exp(-kp.u))))
     return _result("schmidt_ratios", tol, dev, f"first {_LEVELS} levels vs e^{{-u}}")
@@ -167,8 +184,8 @@ def check_k_independence(grid_n: int | None, tol: float = 1e-6) -> VerificationC
     """Momentum leaves the SVD-oracle largest eigenvalue unchanged."""
     sf, _ = _state(1.0, 1.0, 3.0, 0.01)
     sf0 = replace(sf, k=0.0)
-    sv_k = oracles.schmidt_decompose(sf, grid=_grid(sf, grid_n)).singular_values
-    sv_0 = oracles.schmidt_decompose(sf0, grid=_grid(sf0, grid_n)).singular_values
+    sv_k = _singular_values(sf, grid_n)
+    sv_0 = _singular_values(sf0, grid_n)
     dev = abs(sv_k[0] ** 2 - sv_0[0] ** 2)
     return _result("k_independence", tol, dev, "SVD F0 at k=3/sigma vs k=0")
 
@@ -178,7 +195,7 @@ def check_matched_momentum(grid_n: int | None, tol: float = 1e-6) -> Verificatio
     p = collision_params_from_delta(0.01)
     s0 = initial_state(ent.optimal_spreads(1.0, p), 1.0, 10.0)
     sf = post_collision_state(s0, p)
-    sv = oracles.schmidt_decompose(sf, grid=_grid(sf, grid_n)).singular_values
+    sv = _singular_values(sf, grid_n)
     dev = abs(1.0 - sv[0] ** 2)
     return _result("matched_momentum", tol, dev,
                    "SVD F0 at matched spreads, k=10/sigma")
@@ -285,7 +302,8 @@ def run_verification(grid_n: int | None = None,
     A grid_n grid is not judged in advance: each check's deviation from its
     closed form measures what the grid resolves.  tol_overrides maps check
     names to replacement tolerances.  Both arguments are validated before
-    any check runs.
+    any check runs.  Checks that sample the same state on the same grid
+    share one SVD within the call; nothing is kept between calls.
     """
     overrides = tol_overrides or {}
     unknown = set(overrides) - set(CHECK_NAMES)
@@ -294,11 +312,15 @@ def run_verification(grid_n: int | None = None,
     if grid_n is not None and grid_n < _LEVELS:
         raise ValueError(f"grid must have at least {_LEVELS} points per axis, got {grid_n}: "
                          f"the checks compare {_LEVELS} spectrum levels")
-    results = []
-    for fn in _CHECKS:
-        name = fn.__name__.removeprefix("check_")
-        if name in overrides:
-            results.append(fn(grid_n, tol=overrides[name]))
-        else:
-            results.append(fn(grid_n))
-    return results
+    token = _svd_memo.set({})
+    try:
+        results = []
+        for fn in _CHECKS:
+            name = fn.__name__.removeprefix("check_")
+            if name in overrides:
+                results.append(fn(grid_n, tol=overrides[name]))
+            else:
+                results.append(fn(grid_n))
+        return results
+    finally:
+        _svd_memo.reset(token)

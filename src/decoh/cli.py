@@ -330,14 +330,11 @@ def cmd_entangle(args) -> int:
     return 0
 
 
-def _sweep_values(args) -> np.ndarray:
+def _check_points_and_scale(args) -> None:
     if args.points is None or args.points < 2:
         raise ValueError("a sweep needs --points >= 2")
-    if args.scale == "log":
-        if args.start <= 0.0 or args.stop <= 0.0:
-            raise ValueError("log scale requires positive start and stop")
-        return np.geomspace(args.start, args.stop, args.points)
-    return np.linspace(args.start, args.stop, args.points)
+    if args.scale == "log" and (args.start <= 0.0 or args.stop <= 0.0):
+        raise ValueError("log scale requires positive start and stop")
 
 
 def _sweep_row(parameter: str, value: float, args, p: CollisionParams | None):
@@ -384,7 +381,7 @@ def cmd_sweep(args) -> int:
         raise ValueError(
             f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {args.parameter!r}"
         )
-    values = _sweep_values(args)
+    _check_points_and_scale(args)
     if args.ksigma is not None:
         _finite_square("--ksigma", args.ksigma)
         if args.ksigma < 0.0:
@@ -399,6 +396,9 @@ def cmd_sweep(args) -> int:
     for flag, value in (("--start", args.start), ("--stop", args.stop)):
         if not inside(value):
             raise ValueError(f"{flag} must {rule} for a {args.parameter} sweep, got {value}")
+    # built after the domain checks: numpy warns on an infinite --start or --stop
+    space = np.geomspace if args.scale == "log" else np.linspace
+    values = space(args.start, args.stop, args.points)
 
     workers = min(8, os.cpu_count() or 1)
     env_threads = os.environ.get("DECOH_NUM_THREADS")

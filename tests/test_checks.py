@@ -1,3 +1,7 @@
+import sys
+import threading
+from collections import Counter
+
 import pytest
 
 from decoh import checks, oracles, propagation
@@ -75,3 +79,59 @@ def test_image_vs_fft_runs_on_the_comoving_floor_grid(monkeypatch):
     assert [(g.nx, g.nX) for g in grids] == [(512, 256)]
     assert shapes == [(256, 512), (256, 512)]
 
+
+@pytest.mark.parametrize("grid_n", [None, 64])
+def test_a_run_decomposes_each_distinct_state_once(monkeypatch, grid_n):
+    """schmidt_f0, schmidt_ratios and the k = 0 leg of k_independence sample
+    one state on one grid and share its SVD: four SVDs a run, not six.  A
+    second run makes the same four, so nothing is kept between runs."""
+    calls = []
+    real = oracles.schmidt_decompose
+
+    def spy(state, *args, **kwargs):
+        calls.append(state)
+        return real(state, *args, **kwargs)
+
+    monkeypatch.setattr(oracles, "schmidt_decompose", spy)
+    for _ in range(2):
+        calls.clear()
+        assert all(c.passed for c in checks.run_verification(grid_n=grid_n))
+        assert len(calls) == 4
+
+
+def test_the_svd_memo_is_dropped_when_a_check_raises(monkeypatch):
+    def boom(grid_n, tol=None):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(checks, "_CHECKS", [checks.check_schmidt_f0, boom])
+    with pytest.raises(RuntimeError, match="boom"):
+        checks.run_verification()
+    assert checks._svd_memo.get() is None
+
+
+def test_concurrent_runs_keep_their_own_svd_memo(monkeypatch):
+    """The memo is per thread: three runs at once, with a short switch
+    interval, each make their own four SVDs."""
+    calls = Counter()
+    real = oracles.schmidt_decompose
+
+    def spy(state, *args, **kwargs):
+        calls[threading.get_ident()] += 1
+        return real(state, *args, **kwargs)
+
+    monkeypatch.setattr(oracles, "schmidt_decompose", spy)
+    results = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=lambda: results.append(
+            checks.run_verification(grid_n=64))) for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 3 and all(c.passed for r in results for c in r)
+    assert sorted(calls.values()) == [4, 4, 4]

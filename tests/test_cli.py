@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -739,6 +742,20 @@ def test_exit_2_messages_name_the_flag(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("scale", [[], ["--scale", "log"]])
+def test_sweep_to_infinity_prints_only_its_error(scale):
+    """The sweep's values are built after the domain checks, so numpy's
+    RuntimeWarning on an infinite --stop never reaches stderr.  Run as a
+    child process: pytest would capture the warning in process."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "decoh", "sweep", "--parameter", "w", "--start", "1",
+         "--stop", "inf", "--points", "3", *scale],
+        capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: --stop must be non-negative and finite for a w sweep, got inf\n"
 
 
 class _SerialPool:

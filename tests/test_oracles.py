@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decoh import oracles
 from decoh.entanglement import (
     kernel_params,
     largest_eigenvalue,
     oscillator_kernel,
     oscillator_kernel_spectrum,
+    reduced_kernel_eval,
 )
 from decoh.error_bounds import overlap_amplitude
 from decoh.kinematics import (
@@ -22,6 +26,7 @@ from decoh.oracles import (
     MAX_PHASE_STEP,
     MIN_POINTS,
     GridSpec,
+    gauss_legendre_rule,
     grid_for_state,
     hermitian_kernel_eigenvalues,
     kernel_eigensolve,
@@ -154,6 +159,83 @@ def test_gauss_legendre_refinement_approaches_closed_form():
     assert abs(r96 - r192) <= 1e-14
 
 
+_RULE_SIZES = [1, 2, 5, 64, 96, 512, 1062, 2048]
+
+
+@pytest.mark.parametrize("n", _RULE_SIZES)
+def test_gauss_legendre_rule_is_symmetric_and_matches_numpy(n):
+    """Nodes odd- and weights even-symmetric, exactly; both within rounding
+    of numpy's leggauss.  The weights are compared relative to the largest
+    one: leggauss's own endpoint weight is 6.3e-8 off elementwise at
+    n = 2048 (see the endpoint test below)."""
+    x, w = gauss_legendre_rule(n)
+    assert x.shape == w.shape == (n,)
+    np.testing.assert_array_equal(x, -x[::-1])
+    np.testing.assert_array_equal(w, w[::-1])
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    assert np.abs(x - ref_x).max() <= 1e-15
+    assert np.abs(w - ref_w).max() <= 1e-8 * ref_w.max()
+    assert abs(w.sum() - 2.0) <= 1e-15
+
+
+def test_gauss_legendre_rule_needs_a_node():
+    with pytest.raises(ValueError, match="at least 1 node, got 0"):
+        gauss_legendre_rule(0)
+
+
+def test_gauss_legendre_rule_endpoint_weight():
+    """The smallest weight of the 2048-point rule against a 40-digit
+    reference (Newton and the Christoffel sum in multiprecision), where
+    leggauss gives 1.7683832551e-06."""
+    _, w = gauss_legendre_rule(2048)
+    assert w[0] == pytest.approx(1.768383366666071e-06, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [n for n in _RULE_SIZES if n >= 64])
+def test_gauss_legendre_rule_integrates_to_rounding(n):
+    """e^x, cos(omega x) with omega = min(n/2, 500) and e^{-30 x^2} over
+    [-1, 1], each within 2e-15 of its closed form."""
+    x, w = gauss_legendre_rule(n)
+    omega = min(n / 2, 500)
+    cases = [
+        (np.exp(x), math.e - 1.0 / math.e),
+        (np.cos(omega * x), 2.0 * math.sin(omega) / omega),
+        (np.exp(-30.0 * x * x), math.sqrt(math.pi / 30.0) * math.erf(math.sqrt(30.0))),
+    ]
+    for f, exact in cases:
+        assert abs(w @ f - exact) <= 2e-15
+
+
+def test_real_samples_take_real_lapack(monkeypatch, state_equal_spreads):
+    """At k = 0 the sampled state and the reduced kernel are complex arrays
+    with an imaginary part of exactly 0; the oracles hand LAPACK their real
+    part, and the leading values match the complex route to rounding."""
+    g = grid_for_state(state_equal_spreads)
+    m = state_equal_spreads(*g.axes()) * np.sqrt(g.dx * g.dX)
+    nodes = g.x_nodes()
+    K = reduced_kernel_eval(state_equal_spreads, x=nodes[None, :], x_prime=nodes[:, None])
+    K = 0.5 * (K + K.conj().T) * (nodes[1] - nodes[0])
+    assert m.dtype == K.dtype == complex and not m.imag.any() and not K.imag.any()
+    sv_complex = np.linalg.svd(m, compute_uv=False)
+    eigs_complex = np.linalg.eigvalsh(K)[::-1]
+
+    dtypes = []
+
+    def spy(fn):
+        def wrapped(a, *args, **kwargs):
+            dtypes.append(a.dtype)
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(oracles.np.linalg, "svd", spy(np.linalg.svd))
+    monkeypatch.setattr(oracles.np.linalg, "eigvalsh", spy(np.linalg.eigvalsh))
+    sv = schmidt_decompose(state_equal_spreads).singular_values
+    eigs = kernel_eigensolve(state_equal_spreads).eigenvalues
+    assert dtypes == [np.float64, np.float64]
+    assert np.abs(sv[:5] - sv_complex[:5]).max() <= 1e-14
+    assert np.abs(eigs[:5] - eigs_complex[:5]).max() <= 1e-14
+
+
 def test_oracles_deterministic(state_equal_spreads):
     sv1 = schmidt_decompose(state_equal_spreads, n=128).singular_values
     sv2 = schmidt_decompose(state_equal_spreads, n=128).singular_values
@@ -206,8 +288,6 @@ def test_kernel_eigensolve_with_momentum_phase(params_1_99):
 
 def test_discretized_kernel_hermitian_to_rounding(params_1_99):
     sf = post_collision_state(initial_state(1.0, 1.0, 2.0), params_1_99)
-    from decoh.entanglement import reduced_kernel_eval
-
     nodes = grid_for_state(sf, n=256).x_nodes()
     K = reduced_kernel_eval(sf, x=nodes[None, :], x_prime=nodes[:, None]) * (
         nodes[1] - nodes[0]
