@@ -4,8 +4,7 @@ Subcommands: error, entangle, sweep, verify, thermal.  Exit codes: 0 on
 success, 1 when a verification check fails, 2 for usage or domain errors.
 Output is human-readable text by default; --format csv or json switches to
 machine-readable forms with 12 significant digits.  A sweep runs on
-min(8, CPU count) threads; DECOH_NUM_THREADS, a positive integer, can only
-lower that number.
+min(8, CPU count) threads.
 
 Every command reads its inputs one way and writes its output one way.  Each
 key=value line of a --config file becomes a --key=value option spliced into
@@ -47,17 +46,23 @@ from .kinematics import (
     post_collision_state,
 )
 
-SWEEP_PARAMETERS = ("lambda", "k_sigma", "delta", "w", "T")
-# what a sweep's --start and --stop must do, per parameter; each domain is an
-# interval, so every point of a sweep between two of its points is in it too
-_SWEEP_DOMAINS = {
-    "lambda": ("be positive and finite", lambda v: 0.0 < v < math.inf),
+# per sweep parameter: what --start and --stop must do, its test, and the
+# row's columns; each domain is an interval, so it holds every point between the ends
+_SWEEPS = {
+    "lambda": ("be positive and finite", lambda v: 0.0 < v < math.inf,
+               ["lambda", "k_sigma", "A", "one_minus_A", "F0", "measure"]),
     "k_sigma": ("be non-negative with a finite square",
-                lambda v: v >= 0.0 and math.isfinite(v * v)),
-    "delta": ("lie in (0, 1)", lambda v: 0.0 < v < 1.0),
-    "w": ("be non-negative and finite", lambda v: 0.0 <= v < math.inf),
-    "T": ("be positive and finite", lambda v: 0.0 < v < math.inf),
+                lambda v: v >= 0.0 and math.isfinite(v * v),
+                ["k_sigma", "lambda_max", "A_max", "one_minus_A",
+                 "asymptotic_small", "asymptotic_large", "regime"]),
+    "delta": ("lie in (0, 1)", lambda v: 0.0 < v < 1.0,
+              ["delta", "lambda_max", "A_max", "one_minus_A"]),
+    "w": ("be non-negative and finite", lambda v: 0.0 <= v < math.inf,
+          ["w", "u", "F0", "measure"]),
+    "T": ("be positive and finite", lambda v: 0.0 < v < math.inf,
+          ["T", "sigma_mu", "thermal_length", "k_sigma_est"]),
 }
+SWEEP_PARAMETERS = tuple(_SWEEPS)
 # most eigenvalues entangle lists: the spectrum is built as one array
 MAX_N_SPECTRUM = 1_000_000
 
@@ -199,6 +204,26 @@ def _finite_square(label: str, value: float) -> float:
     return value
 
 
+def _normal(flags: str, name: str, value: float) -> float:
+    """value, unless it is not a normal positive float."""
+    if not sys.float_info.min <= value <= sys.float_info.max:
+        raise ValueError(f"{flags} out of range: {name} = {value:g}, not a normal positive float")
+    return value
+
+
+def _thermal_length(flag: str, T: float) -> float:
+    """hbar c/(k_B T), unless k_B T or the length is not a normal float."""
+    _normal(flag, "k_B T", th.K_B * T)
+    return _normal(flag, "hbar c/(k_B T)", th.thermal_length(T))
+
+
+def _thermal_spread(flag: str, mu: float, T: float) -> float:
+    """sigma_mu, unless mu k_B, mu k_B T or sigma_mu is not a normal float."""
+    flags = f"--mu-kg and {flag}"
+    _normal(flags, "mu k_B T", _normal("--mu-kg", "mu k_B", mu * th.K_B) * T)
+    return _normal(flags, "sigma_mu", th.thermal_spread(mu, T))
+
+
 def _resolve_state(args, p: CollisionParams):
     """(Sigma, sigma, lambda, k, k sigma) from the flags.
 
@@ -330,13 +355,6 @@ def cmd_entangle(args) -> int:
     return 0
 
 
-def _check_points_and_scale(args) -> None:
-    if args.points is None or args.points < 2:
-        raise ValueError("a sweep needs --points >= 2")
-    if args.scale == "log" and (args.start <= 0.0 or args.stop <= 0.0):
-        raise ValueError("log scale requires positive start and stop")
-
-
 def _sweep_row(parameter: str, value: float, args, p: CollisionParams | None):
     if parameter == "lambda":
         lam, k_sigma = value, (args.ksigma or 0.0)
@@ -346,16 +364,13 @@ def _sweep_row(parameter: str, value: float, args, p: CollisionParams | None):
         return [lam, k_sigma, A, one_minus_A, f0, 1.0 - f0]
     if parameter == "k_sigma":
         opt = eb.optimal_lambda(value, p)
-        lam_small, err_small = eb.error_asymptotic(value, p.delta, "small")
-        if value > 0.0:
-            lam_large, err_large = eb.error_asymptotic(value, p.delta, "large")
-        else:
-            lam_large, err_large = math.nan, math.nan
+        err_small = eb.error_asymptotic(value, p.delta, "small")[1]
+        err_large = (eb.error_asymptotic(value, p.delta, "large")[1] if value > 0.0
+                     else math.nan)
         return [value, opt.lambda_max, opt.A_max, opt.one_minus_A,
                 err_small, err_large, opt.regime]
     if parameter == "delta":
-        pv = collision_params_from_delta(value)
-        opt = eb.optimal_lambda(args.ksigma or 0.0, pv)
+        opt = eb.optimal_lambda(args.ksigma or 0.0, collision_params_from_delta(value))
         return [value, opt.lambda_max, opt.A_max, opt.one_minus_A]
     if parameter == "w":
         f0 = ent.largest_eigenvalue(value)
@@ -366,60 +381,43 @@ def _sweep_row(parameter: str, value: float, args, p: CollisionParams | None):
             th.thermal_k_sigma(args.mu_kg, value)]
 
 
-_SWEEP_HEADERS = {
-    "lambda": ["lambda", "k_sigma", "A", "one_minus_A", "F0", "measure"],
-    "k_sigma": ["k_sigma", "lambda_max", "A_max", "one_minus_A",
-                "asymptotic_small", "asymptotic_large", "regime"],
-    "delta": ["delta", "lambda_max", "A_max", "one_minus_A"],
-    "w": ["w", "u", "F0", "measure"],
-    "T": ["T", "sigma_mu", "thermal_length", "k_sigma_est"],
-}
-
-
 def cmd_sweep(args) -> int:
     if args.parameter not in SWEEP_PARAMETERS:
-        raise ValueError(
-            f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {args.parameter!r}"
-        )
-    _check_points_and_scale(args)
+        raise ValueError(f"sweep parameter must be one of {SWEEP_PARAMETERS}, "
+                         f"got {args.parameter!r}")
+    if args.points < 2:
+        raise ValueError("a sweep needs --points >= 2")
+    if args.scale == "log" and (args.start <= 0.0 or args.stop <= 0.0):
+        raise ValueError("log scale requires positive start and stop")
     if args.ksigma is not None:
         _finite_square("--ksigma", args.ksigma)
         if args.ksigma < 0.0:
             raise ValueError(f"--ksigma must be non-negative, got {args.ksigma}")
-    needs_params = args.parameter in ("lambda", "k_sigma")
-    p = _build_params(args) if needs_params else None
+    p = _build_params(args) if args.parameter in ("lambda", "k_sigma") else None
     if args.parameter == "T":
         if args.mu_kg is None:
             raise ValueError("a T sweep needs --mu-kg")
         _positive("--mu-kg", args.mu_kg)
-    rule, inside = _SWEEP_DOMAINS[args.parameter]
+    rule, inside, header = _SWEEPS[args.parameter]
     for flag, value in (("--start", args.start), ("--stop", args.stop)):
         if not inside(value):
             raise ValueError(f"{flag} must {rule} for a {args.parameter} sweep, got {value}")
+    if args.parameter == "T":
+        # every column is monotone in T, so the two ends bound every row
+        for flag, value in (("--start", args.start), ("--stop", args.stop)):
+            _thermal_spread(flag, args.mu_kg, value)
+            _thermal_length(flag, value)
     # built after the domain checks: numpy warns on an infinite --start or --stop
     space = np.geomspace if args.scale == "log" else np.linspace
     values = space(args.start, args.stop, args.points)
 
-    workers = min(8, os.cpu_count() or 1)
-    env_threads = os.environ.get("DECOH_NUM_THREADS")
-    if env_threads:
-        try:
-            requested = int(env_threads)
-        except ValueError:
-            requested = 0
-        if requested < 1:
-            raise ValueError(f"DECOH_NUM_THREADS must be a positive integer, got {env_threads!r}")
-        workers = min(workers, requested)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(
-            lambda v: _sweep_row(args.parameter, float(v), args, p), values
-        ))
+    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
+        rows = list(pool.map(lambda v: _sweep_row(args.parameter, float(v), args, p), values))
 
     params = {"parameter": args.parameter, "start": args.start, "stop": args.stop,
               "points": args.points, "scale": args.scale}
     if p is not None:
         params["delta"] = p.delta
-    header = _SWEEP_HEADERS[args.parameter]
     _render(args, params, {"columns": header, "rows": rows}, header, rows)
     return 0
 
@@ -467,15 +465,11 @@ def cmd_verify(args) -> int:
 def cmd_thermal(args) -> int:
     if args.T is None:
         raise ValueError("temperature is required: --T")
-    if args.report_length_scale and args.mu_kg is None:
-        mass_scales = {}
-    else:
-        if args.mu_kg is None:
-            raise ValueError("mass is required: --mu-kg (or use --report-length-scale)")
-        mu, T = _positive("--mu-kg", args.mu_kg), _positive("--T", args.T)
-        mass_scales = {"sigma_mu": th.thermal_spread(mu, T),
-                       "compton_wavelength": th.compton_wavelength(mu),
-                       "k_sigma_est": th.thermal_k_sigma(mu, T)}
+    if args.mu_kg is None and not args.report_length_scale:
+        raise ValueError("mass is required: --mu-kg (or use --report-length-scale)")
+    mu = _positive("--mu-kg", args.mu_kg)
+    if mu is not None:
+        _positive("--T", args.T)
 
     # optimized per-collision error coefficient at the thermal momentum
     delta_ref = args.delta if args.delta is not None else 1e-6
@@ -495,16 +489,22 @@ def cmd_thermal(args) -> int:
     params = {"mu_kg": args.mu_kg, "T": args.T, "delta": args.delta,
               "collisions": args.collisions, "F0": args.F0}
     # without a mass the temperature is first checked here, after --delta
-    results: dict = {"thermal_length": th.thermal_length(_positive("--T", args.T)),
-                     "error_per_collision_over_delta": coeff, **mass_scales}
-    if budget is not None:
-        results.update({"amplitude": budget.amplitude, "n_half": budget.n_half})
+    T = _positive("--T", args.T)
+    results: dict = {"thermal_length": _thermal_length("--T", T),
+                     "error_per_collision_over_delta": coeff}
     lines = [f"thermal design (T={args.T:.6g} K)",
              f"  hbar c / k_B T        = {results['thermal_length']:.12g} m"]
-    if mass_scales:
-        lines.append(f"  sigma_mu              = {results['sigma_mu']:.12g} m")
-        lines.append(f"  compton wavelength    = {results['compton_wavelength']:.12g} m")
-        lines.append(f"  k sigma estimate      = {results['k_sigma_est']:.12g}")
+    if mu is not None:
+        _normal("--mu-kg", "mu c", mu * th.C_LIGHT)
+        results["compton_wavelength"] = _normal("--mu-kg", "hbar/(mu c)",
+                                                th.compton_wavelength(mu))
+        results["sigma_mu"] = _thermal_spread("--T", mu, T)
+        results["k_sigma_est"] = th.thermal_k_sigma(mu, T)
+        lines += [f"  sigma_mu              = {results['sigma_mu']:.12g} m",
+                  f"  compton wavelength    = {results['compton_wavelength']:.12g} m",
+                  f"  k sigma estimate      = {results['k_sigma_est']:.12g}"]
+    if budget is not None:
+        results.update({"amplitude": budget.amplitude, "n_half": budget.n_half})
     lines.append(f"  (1-A)/delta at ksigma=1 = {coeff:.6g}")
     if budget is not None:
         lines.append(f"  amplitude after {budget.n} collisions = {budget.amplitude:.12g}")

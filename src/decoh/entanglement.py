@@ -85,18 +85,17 @@ def reduced_kernel_eval(s: PostCollisionState, x, x_prime) -> np.ndarray:
     """Closed form of F(x', x).  Broadcasts over x and x_prime.
 
     Hermitian by construction: F(x', x) = conj(F(x, x')).  The momentum
-    enters only through the pure phase e^{i k (1-2 gamma)(x - x')}, which
-    cannot move the eigenvalues.
+    enters only through the pure phase e^{iqx} e^{-iqx'}, q = k (1-2 gamma),
+    which cannot move the eigenvalues; built as two factors, it stays a
+    unitary similarity on a grid, where rounding q (x - x') would not.
     """
     kp = kernel_params(s)
     pref = np.sqrt(2.0 * s.omega * s.Omega / (np.pi * kp.D))
     diff = x - x_prime
-    expo = (
-        -(x * x + x_prime * x_prime) * (s.omega * s.Omega / kp.D)
-        - diff * diff * (2.0 * kp.rho**2 / kp.D)
-        + 1j * s.k * (1.0 - 2.0 * s.gamma) * diff
-    )
-    return pref * np.exp(expo)
+    expo = (-(x * x + x_prime * x_prime) * (s.omega * s.Omega / kp.D)
+            - diff * diff * (2.0 * kp.rho**2 / kp.D))
+    q = s.k * (1.0 - 2.0 * s.gamma)
+    return pref * np.exp(expo) * np.exp(1j * q * x) * np.exp(-1j * q * x_prime)
 
 
 def largest_eigenvalue(w: float) -> float:

@@ -230,8 +230,8 @@ def test_sweep_byte_identical_across_runs_and_threads(capsys, monkeypatch):
     argv = ["sweep", "--parameter", "k_sigma", "--start", "0.01", "--stop", "100",
             "--points", "25", "--scale", "log", "--delta", "1e-3"]
     outputs = []
-    for threads in ("1", "4", "1"):
-        monkeypatch.setenv("DECOH_NUM_THREADS", threads)
+    for cpus in (1, 4, 1):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         code = cli.main(list(argv))
         outputs.append(capsys.readouterr().out)
         assert code == 0
@@ -744,6 +744,41 @@ def test_exit_2_messages_name_the_flag(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+_T_SWEEP = ["sweep", "--parameter", "T", "--points", "2"]
+_NOT_NORMAL = "not a normal positive float"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["thermal", "--mu-kg", "1e-300", "--T", "1e-300"],
+     f"--T out of range: k_B T = 1.4822e-323, {_NOT_NORMAL}"),
+    (["thermal", "--mu-kg", "1e-320", "--T", "300"],
+     f"--mu-kg out of range: mu c = 2.99789e-312, {_NOT_NORMAL}"),
+    (["thermal", "--T", "1e-320", "--report-length-scale"],
+     f"--T out of range: k_B T = 0, {_NOT_NORMAL}"),
+    ([*_T_SWEEP, "--start", "1e-300", "--stop", "1e-299", "--mu-kg", "1e-300"],
+     f"--mu-kg out of range: mu k_B = 1.4822e-323, {_NOT_NORMAL}"),
+    (["thermal", "--mu-kg", "1e300", "--T", "1e300"],
+     f"--mu-kg out of range: mu c = inf, {_NOT_NORMAL}"),
+    ([*_T_SWEEP, "--start", "1e300", "--stop", "1e301", "--mu-kg", "1e300"],
+     f"--mu-kg and --start out of range: mu k_B T = inf, {_NOT_NORMAL}"),
+    (["thermal", "--mu-kg", "1e200", "--T", "1e200"],
+     f"--mu-kg and --T out of range: mu k_B T = inf, {_NOT_NORMAL}"),
+    (["thermal", "--T", "1e308", "--report-length-scale"],
+     f"--T out of range: hbar c/(k_B T) = 2.28988e-311, {_NOT_NORMAL}"),
+    ([*_T_SWEEP, "--start", "1", "--stop", "1e308", "--mu-kg", "1e-27"],
+     f"--stop out of range: hbar c/(k_B T) = 2.28988e-311, {_NOT_NORMAL}"),
+    # the range checks come after every other check
+    (["thermal", "--mu-kg", "1e-300", "--T", "1e-300", "--delta", "2"],
+     "--delta must lie in (0, 1), got 2.0"),
+])
+def test_thermal_lengths_outside_the_normal_range_exit_2(capsys, argv, message):
+    """A reported length, or a product behind it, that is zero, subnormal or
+    infinite exits 2 naming its flags, not with a traceback, a 0 or a nan."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("scale", [[], ["--scale", "log"]])
 def test_sweep_to_infinity_prints_only_its_error(scale):
     """The sweep's values are built after the domain checks, so numpy's
@@ -779,30 +814,25 @@ class _SerialPool:
 _W_SWEEP = ["sweep", "--parameter", "w", "--start", "1", "--stop", "2", "--points", "3"]
 
 
-@pytest.mark.parametrize("threads, workers", [(None, None), ("1", 1), ("3", None),
-                                              ("1000000000", None)])
-def test_decoh_num_threads_can_only_lower_the_pool(capsys, monkeypatch, threads, workers):
-    """The pool is min(8, CPU count) threads; DECOH_NUM_THREADS lowers it and
-    never raises it (None: the default size)."""
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+@pytest.mark.parametrize("cpus", [1, 2, 16])
+def test_sweep_pool_is_min_8_cpu_count(capsys, monkeypatch, cpus):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(cli, "ThreadPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
-    if threads is None:
-        monkeypatch.delenv("DECOH_NUM_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("DECOH_NUM_THREADS", threads)
     code, out, _ = run_cli(capsys, *_W_SWEEP)
     assert code == 0 and len(out.splitlines()) == 10
-    assert _SerialPool.sizes == [workers or 2]
+    assert _SerialPool.sizes == [min(8, cpus)]
 
 
-@pytest.mark.parametrize("threads", ["abc", "0", "-4", "1.5"])
-def test_decoh_num_threads_must_be_a_positive_integer(capsys, monkeypatch, threads):
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", _SerialPool)
-    monkeypatch.setenv("DECOH_NUM_THREADS", threads)
-    code, out, err = run_cli(capsys, *_W_SWEEP)
-    assert code == 2 and out == ""
-    assert err == f"error: DECOH_NUM_THREADS must be a positive integer, got {threads!r}\n"
+def test_sweep_ignores_decoh_num_threads(capsys, monkeypatch):
+    """DECOH_NUM_THREADS is not read: any value, valid or not, leaves the
+    sweep's exit code and bytes as they are without it."""
+    monkeypatch.delenv("DECOH_NUM_THREADS", raising=False)
+    expected = run_cli(capsys, *_W_SWEEP)
+    assert expected[0] == 0
+    for threads in ("abc", "0", "-4", "3"):
+        monkeypatch.setenv("DECOH_NUM_THREADS", threads)
+        assert run_cli(capsys, *_W_SWEEP) == expected
 
 
 def test_thermal_budget_of_a_huge_collision_count(capsys):
