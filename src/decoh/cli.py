@@ -180,7 +180,10 @@ def _build_params(args) -> CollisionParams:
         return _params_from_delta(args.delta)
     if args.m is None or args.M is None:
         raise ValueError("masses are required: --m and --M (or --delta)")
-    return collision_params(_positive("--m", args.m), _positive("--M", args.M))
+    m, M = _positive("--m", args.m), _positive("--M", args.M)
+    if not math.isfinite(m + M):
+        raise ValueError(f"--m and --M must have a finite sum, got {m:g} + {M:g}")
+    return collision_params(m, M)
 
 
 def _params_from_delta(delta: float) -> CollisionParams:
@@ -211,17 +214,19 @@ def _normal(flags: str, name: str, value: float) -> float:
     return value
 
 
-def _thermal_length(flag: str, T: float) -> float:
-    """hbar c/(k_B T), unless k_B T or the length is not a normal float."""
-    _normal(flag, "k_B T", th.K_B * T)
-    return _normal(flag, "hbar c/(k_B T)", th.thermal_length(T))
+def _named(flags: str, fn, *args) -> float:
+    """fn(*args), its range error named by flags: the decoh.thermal
+    functions reject a product or a result that is not a normal float."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ValueError(f"{flags} out of range: {exc}") from None
 
 
 def _thermal_spread(flag: str, mu: float, T: float) -> float:
     """sigma_mu, unless mu k_B, mu k_B T or sigma_mu is not a normal float."""
-    flags = f"--mu-kg and {flag}"
-    _normal(flags, "mu k_B T", _normal("--mu-kg", "mu k_B", mu * th.K_B) * T)
-    return _normal(flags, "sigma_mu", th.thermal_spread(mu, T))
+    _normal("--mu-kg", "mu k_B", mu * th.K_B)
+    return _named(f"--mu-kg and {flag}", th.thermal_spread, mu, T)
 
 
 def _resolve_state(args, p: CollisionParams):
@@ -229,8 +234,8 @@ def _resolve_state(args, p: CollisionParams):
 
     sigma defaults to 1 and --Sigma auto applies spread matching; Sigma and
     lambda are None when their flag is not given.  Each spread and lambda
-    must be positive and finite.  --ksigma beats --k; k is signed, k sigma
-    is |k| sigma.
+    must be positive and finite, and lambda a normal float.  --ksigma beats
+    --k; k is signed, k sigma is |k| sigma and must have a finite square.
     """
     if args.grid is not None and args.grid <= 0:
         raise ValueError(f"--grid must be positive, got {args.grid}")
@@ -250,17 +255,20 @@ def _resolve_state(args, p: CollisionParams):
     else:
         k = args.k if args.k is not None else 0.0
         k_sigma = abs(k) * sigma
-    return Sigma, sigma, _positive("--lambda", args.lambda_), k, k_sigma
+    lam = _positive("--lambda", args.lambda_)
+    if lam is not None:
+        _normal("--lambda", "lambda", lam)
+    return Sigma, sigma, lam, k, _finite_square("k sigma", k_sigma)
 
 
 def cmd_error(args) -> int:
     p = _build_params(args)
     Sigma, sigma, lam, _, k_sigma = _resolve_state(args, p)
-    _finite_square("k sigma", k_sigma)
     if k_sigma < 0.0:
         raise ValueError(f"--ksigma must be non-negative, got {k_sigma}")
     if lam is None and Sigma is not None:
-        lam = _positive("(--Sigma/--sigma)^2", (Sigma / sigma) * (Sigma / sigma))
+        flags = "(--Sigma/--sigma)^2"
+        lam = _normal(flags, "lambda", _positive(flags, (Sigma / sigma) * (Sigma / sigma)))
     opt = eb.optimal_lambda(k_sigma, p)
     if lam is None:
         lam = opt.lambda_max
@@ -402,11 +410,14 @@ def cmd_sweep(args) -> int:
     for flag, value in (("--start", args.start), ("--stop", args.stop)):
         if not inside(value):
             raise ValueError(f"{flag} must {rule} for a {args.parameter} sweep, got {value}")
+    if args.parameter == "lambda":
+        for flag, value in (("--start", args.start), ("--stop", args.stop)):
+            _normal(flag, "lambda", value)
     if args.parameter == "T":
         # every column is monotone in T, so the two ends bound every row
         for flag, value in (("--start", args.start), ("--stop", args.stop)):
             _thermal_spread(flag, args.mu_kg, value)
-            _thermal_length(flag, value)
+            _named(flag, th.thermal_length, value)
     # built after the domain checks: numpy warns on an infinite --start or --stop
     space = np.geomspace if args.scale == "log" else np.linspace
     values = space(args.start, args.stop, args.points)
@@ -490,14 +501,12 @@ def cmd_thermal(args) -> int:
               "collisions": args.collisions, "F0": args.F0}
     # without a mass the temperature is first checked here, after --delta
     T = _positive("--T", args.T)
-    results: dict = {"thermal_length": _thermal_length("--T", T),
+    results: dict = {"thermal_length": _named("--T", th.thermal_length, T),
                      "error_per_collision_over_delta": coeff}
     lines = [f"thermal design (T={args.T:.6g} K)",
              f"  hbar c / k_B T        = {results['thermal_length']:.12g} m"]
     if mu is not None:
-        _normal("--mu-kg", "mu c", mu * th.C_LIGHT)
-        results["compton_wavelength"] = _normal("--mu-kg", "hbar/(mu c)",
-                                                th.compton_wavelength(mu))
+        results["compton_wavelength"] = _named("--mu-kg", th.compton_wavelength, mu)
         results["sigma_mu"] = _thermal_spread("--T", mu, T)
         results["k_sigma_est"] = th.thermal_k_sigma(mu, T)
         lines += [f"  sigma_mu              = {results['sigma_mu']:.12g} m",
@@ -513,21 +522,27 @@ def cmd_thermal(args) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, state: bool) -> None:
+    """The mass flags, --ksigma and the output flags; with state, also the
+    flags of the packets and the oracle grid, which a sweep does not read:
+    its packet has sigma = 1 and its momentum is --ksigma."""
     sub.add_argument("--m", type=float, help="particle mass")
     sub.add_argument("--M", type=float, help="wall mass")
     sub.add_argument("--delta", type=float, help="mass fraction m/(M+m) in place of masses")
-    sub.add_argument("--sigma", type=float, help="particle position spread")
-    sub.add_argument("--Sigma", help="wall position spread, or 'auto' for spread matching")
-    sub.add_argument("--k", type=float, help="particle wavenumber")
-    sub.add_argument("--lambda", dest="lambda_", type=float,
-                     help="spread ratio Sigma^2/sigma^2")
+    if state:
+        sub.add_argument("--sigma", type=float, help="particle position spread")
+        sub.add_argument("--Sigma", help="wall position spread, or 'auto' for spread matching")
+        sub.add_argument("--k", type=float, help="particle wavenumber")
+        sub.add_argument("--lambda", dest="lambda_", type=float,
+                         help="spread ratio Sigma^2/sigma^2")
     sub.add_argument("--ksigma", type=float, help="dimensionless momentum k*sigma")
-    sub.add_argument("--grid", type=int,
-                     help="also run the matching numeric oracle on exactly N x N points")
+    if state:
+        sub.add_argument("--grid", type=int,
+                         help="also run the matching numeric oracle on exactly N x N points")
     _add_output(sub)
-    sub.add_argument("-v", "--verbose", action="store_true",
-                     help="include extra diagnostics in text output")
+    if state:
+        sub.add_argument("-v", "--verbose", action="store_true",
+                         help="include extra diagnostics in text output")
 
 
 def _add_output(sub: argparse.ArgumentParser) -> None:
@@ -547,16 +562,16 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, frozenset[str]]]:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_err = subs.add_parser("error", help="overlap error against the fixed-wall ideal")
-    _add_common(p_err)
+    _add_common(p_err, state=True)
 
     p_ent = subs.add_parser("entangle", help="reduced-kernel entanglement report")
-    _add_common(p_ent)
+    _add_common(p_ent, state=True)
     p_ent.add_argument("--n-spectrum", type=int,
                        help=f"eigenvalues to list (default 8, at least 1, "
                             f"at most {MAX_N_SPECTRUM})")
 
     p_sw = subs.add_parser("sweep", help="parameter sweep to CSV/JSON")
-    _add_common(p_sw)
+    _add_common(p_sw, state=False)
     p_sw.add_argument("--parameter", required=True,
                       help=f"one of {', '.join(SWEEP_PARAMETERS)}")
     p_sw.add_argument("--start", type=float, required=True)

@@ -41,7 +41,7 @@ __all__ = [
     "golden_section_minimize",
 ]
 
-# default optimizer bracket for ln(lam) and termination width
+# optimizer bracket for ln(lam) and termination width
 _BRACKET_LO_FACTOR = 1e-3
 _BRACKET_HI = 1e3
 _LN_LAMBDA_TOL = 1e-10
@@ -144,12 +144,13 @@ class Optimum:
     iterations: int
 
 
-def optimal_lambda(k_sigma: float, p: CollisionParams, tol: float = _LN_LAMBDA_TOL) -> Optimum:
+def optimal_lambda(k_sigma: float, p: CollisionParams) -> Optimum:
     """Maximize the overlap amplitude over the spread ratio.
 
     Minimizes ln(A^{-2}) over ln(lam) by golden section on the bracket
-    [delta^2 * 1e-3, 1e3], which spans both asymptotic optima.  k sigma = 0
-    returns the exact matched ratio delta/gamma with A = 1.
+    [delta^2 * 1e-3, 1e3], which spans both asymptotic optima, to a width
+    of 1e-10 in ln(lam).  k sigma = 0 returns the exact matched ratio
+    delta/gamma with A = 1.
     """
     k_sigma = float(k_sigma)
     if k_sigma < 0.0 or not np.isfinite(k_sigma):
@@ -169,7 +170,7 @@ def optimal_lambda(k_sigma: float, p: CollisionParams, tol: float = _LN_LAMBDA_T
         # exp of a finite bracket point is positive and finite: skip the checks
         return float(_log_inverse_sq(math.exp(t), k_sigma, p))
 
-    t_min, f_min, iterations = golden_section_minimize(objective, lo, hi, tol=tol)
+    t_min, f_min, iterations = golden_section_minimize(objective, lo, hi, tol=_LN_LAMBDA_TOL)
     return Optimum(
         lambda_max=math.exp(t_min),
         A_max=float(np.exp(-0.5 * f_min)),

@@ -53,8 +53,9 @@ class CollisionParams:
 def collision_params(m: float, M: float) -> CollisionParams:
     """Build :class:`CollisionParams` from the two masses.
 
-    Raises ValueError for non-positive or non-finite masses.  m > M is
-    allowed; nothing below assumes the wall is the heavier body.
+    Raises ValueError for non-positive or non-finite masses, or a sum that
+    overflows.  m > M is allowed; nothing below assumes the wall is the
+    heavier body.
     """
     m = float(m)
     M = float(M)
@@ -63,6 +64,8 @@ def collision_params(m: float, M: float) -> CollisionParams:
     if not (np.isfinite(M) and M > 0.0):
         raise ValueError(f"wall mass must be positive and finite, got {M}")
     total = m + M
+    if not np.isfinite(total):
+        raise ValueError(f"total mass must be finite, got {m} + {M}")
     return CollisionParams(m=m, M=M, total_mass=total, delta=m / total, gamma=M / total)
 
 

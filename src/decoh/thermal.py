@@ -12,7 +12,9 @@ k sigma is exactly 1 under these conventions, independent of temperature
 and mass.  All outputs are order-of-magnitude estimates: the proportionality
 constant is taken as 1.
 
-SI units throughout this module; CODATA 2018 constants to 12 digits.
+SI units throughout this module; CODATA 2018 constants to 12 digits.  A
+length, or a product behind one (mu k_B T, mu c, k_B T), that is not a
+normal positive float raises ValueError naming it.
 """
 
 from __future__ import annotations
@@ -51,23 +53,30 @@ def _check_positive(name: str, value: float) -> float:
     return value
 
 
+def _normal(name: str, value: float) -> float:
+    """value, unless it is not a normal positive float."""
+    if not sys.float_info.min <= value <= sys.float_info.max:
+        raise ValueError(f"{name} = {value:g}, not a normal positive float")
+    return value
+
+
 def thermal_spread(mu: float, T: float) -> float:
     """Packet size sigma_mu = hbar / sqrt(mu k_B T) in meters."""
     mu = _check_positive("mass", mu)
     T = _check_positive("temperature", T)
-    return HBAR / math.sqrt(mu * K_B * T)
+    return _normal("sigma_mu", HBAR / math.sqrt(_normal("mu k_B T", mu * K_B * T)))
 
 
 def compton_wavelength(mu: float) -> float:
     """Reduced Compton wavelength hbar/(mu c) in meters."""
     mu = _check_positive("mass", mu)
-    return HBAR / (mu * C_LIGHT)
+    return _normal("hbar/(mu c)", HBAR / _normal("mu c", mu * C_LIGHT))
 
 
 def thermal_length(T: float) -> float:
     """Thermal length hbar c / (k_B T) in meters; 2.29e-3 m at 1 K."""
     T = _check_positive("temperature", T)
-    return HBAR * C_LIGHT / (K_B * T)
+    return _normal("hbar c/(k_B T)", HBAR * C_LIGHT / _normal("k_B T", K_B * T))
 
 
 def thermal_k_sigma(mu: float, T: float) -> float:
@@ -76,8 +85,8 @@ def thermal_k_sigma(mu: float, T: float) -> float:
     k = sqrt(mu k_B T)/hbar cancels sigma_mu exactly, so the value is 1 for
     every mass and temperature under the adopted constants.
     """
-    k = math.sqrt(_check_positive("mass", mu) * K_B * _check_positive("temperature", T)) / HBAR
-    return k * thermal_spread(mu, T)
+    sigma_mu = thermal_spread(mu, T)
+    return math.sqrt(mu * K_B * T) / HBAR * sigma_mu
 
 
 @dataclass(frozen=True)

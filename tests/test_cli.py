@@ -13,6 +13,11 @@ from decoh import error_bounds as eb
 from decoh.kinematics import collision_params_from_delta
 
 
+_NOT_NORMAL = "not a normal positive float"
+_HUGE_MASSES = ["--m", "1e308", "--M", "1e308"]
+_HUGE_SUM = "--m and --M must have a finite sum, got 1e+308 + 1e+308"
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -646,12 +651,33 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
      "--n-spectrum must be at least 1, got 0"),
     (["entangle", "--delta", "0.01", "--Sigma", "1", "--n-spectrum", "-1"],
      "--n-spectrum must be at least 1, got -1"),
+    # entangle applies error's rule to k sigma: nan ran as k sigma = nan,
+    # 1e308 ended in an SVD traceback, 1e200 printed an SVD F0 of 0.909
+    # beside the closed form's 0.632
+    (["entangle", "--delta", "0.01", "--Sigma", "1", "--k", "nan"],
+     "k sigma must have a finite square, got nan"),
+    (["entangle", "--delta", "0.01", "--Sigma", "1", "--k", "1e308", "--grid", "8"],
+     "k sigma must have a finite square, got 1e+308"),
+    (["entangle", "--delta", "0.01", "--Sigma", "1", "--k", "1e200", "--grid", "8"],
+     "k sigma must have a finite square, got 1e+200"),
+    # a subnormal lambda printed numpy's overflow warning and A = 0, or the
+    # library's wall spread message, which names no flag
+    (["error", "--delta", "0.01", "--ksigma", "1", "--lambda", "1e-320"],
+     f"--lambda out of range: lambda = 9.99989e-321, {_NOT_NORMAL}"),
+    (["error", "--delta", "0.01", "--ksigma", "1", "--Sigma", "1e-160"],
+     f"(--Sigma/--sigma)^2 out of range: lambda = 9.99989e-321, {_NOT_NORMAL}"),
+    (["entangle", "--delta", "0.01", "--lambda", "1e-320"],
+     f"--lambda out of range: lambda = 9.99989e-321, {_NOT_NORMAL}"),
+    (["sweep", "--parameter", "lambda", "--start", "1e-320", "--stop", "1", "--points", "3",
+      "--delta", "0.01"], f"--start out of range: lambda = 9.99989e-321, {_NOT_NORMAL}"),
+    (["sweep", "--parameter", "lambda", "--start", "1", "--stop", "1e-320", "--points", "3",
+      "--delta", "0.01"], f"--stop out of range: lambda = 9.99989e-321, {_NOT_NORMAL}"),
 ])
 def test_out_of_range_input_exits_2_with_a_message(capsys, argv, message):
-    """Squares that overflow or underflow a float, a --Sigma that is not a
-    number, a one-point SVD grid and a spectrum longer than 10^6 (10^11
-    eigenvalues would be an 800 GB array) end in a message, not a
-    traceback."""
+    """Squares that overflow or underflow a float, a subnormal lambda, a
+    --Sigma that is not a number, a one-point SVD grid and a spectrum longer
+    than 10^6 (10^11 eigenvalues would be an 800 GB array) end in a
+    message, not a traceback."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
@@ -735,6 +761,14 @@ def test_entangle_forced_grid_at_a_vast_spread_ratio(capsys):
       "--mu-kg", "-1"], "--mu-kg must be positive and finite, got -1.0"),
     (["thermal", "--T", "1", "--report-length-scale", "--collisions", "1" + "0" * 309],
      f"--collisions must be at most {sys.float_info.max:g}"),
+    # m + M = inf gave delta = gamma = 0: a matched state with F0 = 1, rows
+    # of A = 1, or a math domain error
+    (["entangle", "--Sigma", "1", *_HUGE_MASSES], _HUGE_SUM),
+    (["error", "--ksigma", "1", *_HUGE_MASSES], _HUGE_SUM),
+    (["sweep", "--parameter", "lambda", "--start", "0.01", "--stop", "1", "--points", "3",
+      *_HUGE_MASSES], _HUGE_SUM),
+    (["sweep", "--parameter", "k_sigma", "--start", "0.01", "--stop", "1", "--points", "3",
+      *_HUGE_MASSES], _HUGE_SUM),
 ])
 def test_exit_2_messages_name_the_flag(capsys, argv, message):
     """A rejected input is named by its flag, not by the library's word for
@@ -745,7 +779,6 @@ def test_exit_2_messages_name_the_flag(capsys, argv, message):
 
 
 _T_SWEEP = ["sweep", "--parameter", "T", "--points", "2"]
-_NOT_NORMAL = "not a normal positive float"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -843,3 +876,43 @@ def test_thermal_budget_of_a_huge_collision_count(capsys):
     assert code == 0 and err == ""
     res = json.loads(out)["results"]
     assert res["amplitude"] == pytest.approx(0.999999999999 ** 5e10, rel=1e-9)
+
+
+_LAMBDA_SWEEP = ["sweep", "--parameter", "lambda", "--start", "0.01", "--stop", "1",
+                 "--points", "3", "--delta", "0.01"]
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["--sigma", "2"], "sigma"),
+    (["--Sigma", "1"], "Sigma"),
+    (["--lambda", "1"], "lambda"),
+    (["--grid", "64"], "grid"),
+    (["-v"], "verbose"),
+])
+def test_sweep_takes_no_packet_grid_or_verbose_flag(tmp_path, capsys, argv, key):
+    """A sweep's packet has sigma = 1 and it runs no oracle, so the flags
+    that set error's and entangle's packets, grid and diagnostics exit 2 on
+    it, on the command line and as config keys."""
+    err = usage_error(capsys, *_LAMBDA_SWEEP, *argv)
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(argv)}\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}=1\n")
+    code, out, err = run_cli(capsys, *_LAMBDA_SWEEP, "--config", str(cfg))
+    assert code == 2 and out == "" and err == f"error: unknown config key {key!r}\n"
+
+
+def test_sweep_reads_k_as_ksigma(capsys):
+    """--k on a sweep is argparse's unique prefix of --ksigma: the same
+    number, because a sweep's packet has sigma = 1."""
+    by_k = run_cli(capsys, *_LAMBDA_SWEEP, "--k", "3")
+    assert by_k == run_cli(capsys, *_LAMBDA_SWEEP, "--ksigma", "3")
+    _, _, rows = parse_emitted_csv(by_k[1])
+    assert by_k[0] == 0 and [row[1] for row in rows] == ["3", "3", "3"]
+
+
+def test_entangle_keeps_a_signed_momentum(capsys):
+    """The finite-square rule on k sigma leaves k and --ksigma signed on
+    entangle; argparse reads -1e3 as a value only after `=`."""
+    for argv, k in ((["--k=-1e3"], "-1000"), (["--ksigma", "-3", "--sigma", "2"], "-1.5")):
+        code, out, _ = run_cli(capsys, "entangle", "--delta", "0.01", "--Sigma", "1", *argv)
+        assert code == 0 and f", k={k})\n" in out

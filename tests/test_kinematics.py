@@ -28,7 +28,8 @@ def test_mass_fractions_sum_to_one(rng):
         assert abs(p.delta + p.gamma - 1.0) <= np.finfo(float).eps
 
 
-@pytest.mark.parametrize("m,M", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (np.nan, 1.0)])
+@pytest.mark.parametrize("m,M", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (np.nan, 1.0),
+                                 (1e308, 1e308)])
 def test_collision_params_rejects_bad_masses(m, M):
     with pytest.raises(ValueError):
         collision_params(m, M)

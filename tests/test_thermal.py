@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -43,6 +44,21 @@ def test_thermal_inputs_validated():
         thermal_spread(1e-27, -5.0)
     with pytest.raises(ValueError):
         thermal_length(0.0)
+
+
+@pytest.mark.parametrize("fn, args, name", [
+    (thermal_spread, (1e-320, 300.0), "mu k_B T"),
+    (thermal_length, (1e-320,), "k_B T"),
+    (compton_wavelength, (1e300,), "mu c"),
+    (thermal_spread, (1e300, 1e300), "mu k_B T"),
+    (thermal_k_sigma, (1e300, 1e300), "mu k_B T"),
+])
+def test_products_outside_the_normal_range_raise_naming_them(fn, args, name):
+    """A product that underflows or overflows raises ValueError, not a
+    ZeroDivisionError, a length of 0.0 or a k sigma of nan."""
+    message = rf"^{re.escape(name)} = \S+, not a normal positive float$"
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
 
 
 def test_geometric_mean_identity():
