@@ -74,17 +74,17 @@ def _state(Sigma, sigma, k, delta):
     return post_collision_state(initial_state(Sigma, sigma, k), p), p
 
 
-def check_matched_overlap(grid_n: int | None, tol: float = 1e-8) -> VerificationCheck:
+def check_matched_overlap(grid_n: int | None) -> VerificationCheck:
     """Quadrature overlap is 1 at the matched spread ratio with k = 0."""
     p = collision_params(1.0, 99.0)
     s0 = initial_state(ent.optimal_spreads(1.0, p), 1.0, 0.0)
     sf = post_collision_state(s0, p)
     res = oracles.quadrature_overlap(ideal_reflected_state(s0), sf, grid=_grid(sf, grid_n))
     dev = abs(abs(res.value) - 1.0)
-    return _result("matched_overlap", tol, dev, "matched spreads, k=0: |quadrature A| vs 1")
+    return _result("matched_overlap", 1e-8, dev, "matched spreads, k=0: |quadrature A| vs 1")
 
 
-def check_overlap_closed_form(grid_n: int | None, tol: float = 1e-8) -> VerificationCheck:
+def check_overlap_closed_form(grid_n: int | None) -> VerificationCheck:
     """Quadrature overlap against the closed-form amplitude, mixed momenta."""
     cases = [
         (1.0, 1.0, 0.0, 0.01),   # Sigma, sigma, k, delta
@@ -98,11 +98,11 @@ def check_overlap_closed_form(grid_n: int | None, tol: float = 1e-8) -> Verifica
         res = oracles.quadrature_overlap(ideal_reflected_state(s0), sf, grid=_grid(sf, grid_n))
         closed = eb.overlap_amplitude((Sigma / sigma) ** 2, k * sigma, p)
         worst = max(worst, abs(abs(res.value) - closed))
-    return _result("overlap_closed_form", tol, worst,
+    return _result("overlap_closed_form", 1e-8, worst,
                    f"|quadrature| vs closed form over {len(cases)} states")
 
 
-def check_gauss_legendre_overlap(grid_n: int | None, tol: float = 1e-8) -> VerificationCheck:
+def check_gauss_legendre_overlap(grid_n: int | None) -> VerificationCheck:
     """Gauss-Legendre route to a strongly oscillatory overlap.
 
     At k sigma = 8 the node count genuinely limits accuracy, so this check
@@ -114,39 +114,39 @@ def check_gauss_legendre_overlap(grid_n: int | None, tol: float = 1e-8) -> Verif
                                      method="gauss-legendre")
     closed = eb.overlap_amplitude(0.25, 8.0, p)
     dev = abs(abs(res.value) - closed)
-    return _result("gauss_legendre_overlap", tol, dev,
+    return _result("gauss_legendre_overlap", 1e-8, dev,
                    "|GL quadrature| vs closed form at k sigma = 8")
 
 
-def check_schmidt_f0(grid_n: int | None, tol: float = 1e-6) -> VerificationCheck:
+def check_schmidt_f0(grid_n: int | None) -> VerificationCheck:
     """SVD largest squared singular value against F0 = 1 - z^2."""
     sf, _ = _state(1.0, 1.0, 0.0, 0.01)
     kp = ent.kernel_params(sf)
     sv = _singular_values(sf, grid_n)
     dev = abs(sv[0] ** 2 - ent.largest_eigenvalue(kp.w))
-    return _result("schmidt_f0", tol, dev, "equal spreads, delta=0.01")
+    return _result("schmidt_f0", 1e-6, dev, "equal spreads, delta=0.01")
 
 
-def check_schmidt_ratios(grid_n: int | None, tol: float = 1e-4) -> VerificationCheck:
+def check_schmidt_ratios(grid_n: int | None) -> VerificationCheck:
     """Successive squared singular values fall geometrically with e^{-u}."""
     sf, _ = _state(1.0, 1.0, 0.0, 0.01)
     kp = ent.kernel_params(sf)
     sv = _singular_values(sf, grid_n)
     ratios = sv[1:_LEVELS] ** 2 / sv[0:_LEVELS - 1] ** 2
     dev = float(np.max(np.abs(ratios - np.exp(-kp.u))))
-    return _result("schmidt_ratios", tol, dev, f"first {_LEVELS} levels vs e^{{-u}}")
+    return _result("schmidt_ratios", 1e-4, dev, f"first {_LEVELS} levels vs e^{{-u}}")
 
 
-def check_kernel_eigensolve(grid_n: int | None, tol: float = 1e-6) -> VerificationCheck:
+def check_kernel_eigensolve(grid_n: int | None) -> VerificationCheck:
     """Dense eigensolve of the discretized kernel against the geometric law."""
     sf, _ = _state(1.0, 1.0, 0.0, 0.01)
     kp = ent.kernel_params(sf)
     eigs = oracles.kernel_eigensolve(sf, grid=_grid(sf, grid_n)).eigenvalues
     dev = float(np.max(np.abs(eigs[:_LEVELS] - ent.spectrum(kp.w, _LEVELS))))
-    return _result("kernel_eigensolve", tol, dev, f"first {_LEVELS} eigenvalues vs spectrum")
+    return _result("kernel_eigensolve", 1e-6, dev, f"first {_LEVELS} eigenvalues vs spectrum")
 
 
-def check_oscillator_lemma(grid_n: int | None, tol: float = 1e-6) -> VerificationCheck:
+def check_oscillator_lemma(grid_n: int | None) -> VerificationCheck:
     """Oscillator kernel reproduces e^{-u(n+1/2)} for very different beta."""
     u = 0.7
     expected = ent.oscillator_kernel_spectrum(1.0, u, _LEVELS)
@@ -159,11 +159,11 @@ def check_oscillator_lemma(grid_n: int | None, tol: float = 1e-6) -> Verificatio
         devs.append(float(np.max(np.abs(eigs[:_LEVELS] - expected))))
     cross = float(np.max(np.abs(spectra[0] - spectra[1])))
     dev = max(max(devs), cross)
-    return _result("oscillator_lemma", tol, dev,
+    return _result("oscillator_lemma", 1e-6, dev,
                    f"beta in (0.1, 10): vs exact (cross-beta {cross:.2e})")
 
 
-def check_reduced_kernel(grid_n: int | None, tol: float = 1e-8) -> VerificationCheck:
+def check_reduced_kernel(grid_n: int | None) -> VerificationCheck:
     """Direct X-integration against the closed-form reduced kernel."""
     sf, _ = _state(1.0, 1.0, 0.7, 0.01)
     Xs = oracles.grid_for_state(sf, n=2048, force_n=grid_n).X_nodes()
@@ -176,28 +176,28 @@ def check_reduced_kernel(grid_n: int | None, tol: float = 1e-8) -> VerificationC
         )
         closed = ent.reduced_kernel_eval(sf, x=xs, x_prime=xp)
         worst = max(worst, float(np.max(np.abs(numeric - closed))))
-    return _result("reduced_kernel", tol, worst,
+    return _result("reduced_kernel", 1e-8, worst,
                    "5x5 pointwise X-integration vs closed form")
 
 
-def check_k_independence(grid_n: int | None, tol: float = 1e-6) -> VerificationCheck:
+def check_k_independence(grid_n: int | None) -> VerificationCheck:
     """Momentum leaves the SVD-oracle largest eigenvalue unchanged."""
     sf, _ = _state(1.0, 1.0, 3.0, 0.01)
     sf0 = replace(sf, k=0.0)
     sv_k = _singular_values(sf, grid_n)
     sv_0 = _singular_values(sf0, grid_n)
     dev = abs(sv_k[0] ** 2 - sv_0[0] ** 2)
-    return _result("k_independence", tol, dev, "SVD F0 at k=3/sigma vs k=0")
+    return _result("k_independence", 1e-6, dev, "SVD F0 at k=3/sigma vs k=0")
 
 
-def check_matched_momentum(grid_n: int | None, tol: float = 1e-6) -> VerificationCheck:
+def check_matched_momentum(grid_n: int | None) -> VerificationCheck:
     """Matched spreads stay a product state even at high momentum."""
     p = collision_params_from_delta(0.01)
     s0 = initial_state(ent.optimal_spreads(1.0, p), 1.0, 10.0)
     sf = post_collision_state(s0, p)
     sv = _singular_values(sf, grid_n)
     dev = abs(1.0 - sv[0] ** 2)
-    return _result("matched_momentum", tol, dev,
+    return _result("matched_momentum", 1e-6, dev,
                    "SVD F0 at matched spreads, k=10/sigma")
 
 
@@ -211,7 +211,7 @@ def _bounce(k_sigma: float, x0_sigmas: float, Sigma: float):
     return s0, p, wave0, 2.0 * x0_sigmas * p.m / k_sigma
 
 
-def check_image_f0(grid_n: int | None, tol: float = 1e-3) -> VerificationCheck:
+def check_image_f0(grid_n: int | None) -> VerificationCheck:
     """SVD F0 of the image term long after the bounce against the static
     closed form.  Free evolution is a product of one-body unitaries, so it
     leaves the Schmidt spectrum unchanged whether or not the incoming and
@@ -223,10 +223,10 @@ def check_image_f0(grid_n: int | None, tol: float = 1e-3) -> VerificationCheck:
     sv = oracles.schmidt_decompose(image, n=256).singular_values
     f0_closed = ent.largest_eigenvalue(ent.kernel_params(post_collision_state(s0, p)).w)
     dev = abs(sv[0] ** 2 - f0_closed)
-    return _result("image_f0", tol, dev, "SVD F0 of evolved reflected wave vs closed form")
+    return _result("image_f0", 1e-3, dev, "SVD F0 of evolved reflected wave vs closed form")
 
 
-def check_image_vs_fft(grid_n: int | None, tol: float = 1e-3) -> VerificationCheck:
+def check_image_vs_fft(grid_n: int | None) -> VerificationCheck:
     """Image-term Gaussian algebra against an FFT kinetic-step evolution.
 
     Both routes are compared in the packet's co-moving frame.  Free flight
@@ -262,7 +262,7 @@ def check_image_vs_fft(grid_n: int | None, tol: float = 1e-3) -> VerificationChe
     via_fft = propagation.fft_free_evolve(envelope.evaluate(*grid.axes()), grid, p.m, p.M, t)
     np.negative(via_fft, out=via_fft)
     dist, _ = propagation.phase_aligned_l2(via_image, via_fft, grid)
-    return _result("image_vs_fft", tol, dist, f"L2 distance, separation ratio {ratio:.3f}")
+    return _result("image_vs_fft", 1e-3, dist, f"L2 distance, separation ratio {ratio:.3f}")
 
 
 _CHECKS = [
@@ -283,36 +283,23 @@ _CHECKS = [
 CHECK_NAMES = [fn.__name__.removeprefix("check_") for fn in _CHECKS]
 
 
-def run_verification(grid_n: int | None = None,
-                     tol_overrides: dict[str, float] | None = None) -> list[VerificationCheck]:
-    """Run every check, each oracle on a grid it sizes itself or, given
-    grid_n, on exactly grid_n x grid_n points.
+def run_verification(grid_n: int | None = None) -> list[VerificationCheck]:
+    """Run every check at its own tolerance, each oracle on a grid it sizes
+    itself or, given grid_n, on exactly grid_n x grid_n points.
 
     grid_n is the one size of every quadrature, SVD and eigensolve grid, the
     oscillator nodes and the reduced-kernel X nodes; the two propagation
     checks, image_f0 and image_vs_fft, size their own grids and ignore it.
     A grid_n grid is not judged in advance: each check's deviation from its
-    closed form measures what the grid resolves.  tol_overrides maps check
-    names to replacement tolerances.  Both arguments are validated before
+    closed form measures what the grid resolves.  grid_n is validated before
     any check runs.  Checks that sample the same state on the same grid
     share one SVD within the call; nothing is kept between calls.
     """
-    overrides = tol_overrides or {}
-    unknown = set(overrides) - set(CHECK_NAMES)
-    if unknown:
-        raise ValueError(f"unknown check names in tolerance overrides: {sorted(unknown)}")
     if grid_n is not None and grid_n < _LEVELS:
         raise ValueError(f"grid must have at least {_LEVELS} points per axis, got {grid_n}: "
                          f"the checks compare {_LEVELS} spectrum levels")
     token = _svd_memo.set({})
     try:
-        results = []
-        for fn in _CHECKS:
-            name = fn.__name__.removeprefix("check_")
-            if name in overrides:
-                results.append(fn(grid_n, tol=overrides[name]))
-            else:
-                results.append(fn(grid_n))
-        return results
+        return [fn(grid_n) for fn in _CHECKS]
     finally:
         _svd_memo.reset(token)

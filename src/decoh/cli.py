@@ -36,9 +36,10 @@ from . import entanglement as ent
 from . import error_bounds as eb
 from . import oracles
 from . import thermal as th
-from .checks import CHECK_NAMES, run_verification
+from .checks import run_verification
 from .kinematics import (
     CollisionParams,
+    _check_spread,
     collision_params,
     collision_params_from_delta,
     ideal_reflected_state,
@@ -186,6 +187,11 @@ def _build_params(args) -> CollisionParams:
     return collision_params(m, M)
 
 
+def _mass_flags(args) -> str:
+    """The flags that _build_params read the mass fraction from."""
+    return "--delta" if args.delta is not None else "--m and --M"
+
+
 def _params_from_delta(delta: float) -> CollisionParams:
     """Params for --delta, which must lie in (0, 1)."""
     if not 0.0 < delta < 1.0:
@@ -207,16 +213,11 @@ def _finite_square(label: str, value: float) -> float:
     return value
 
 
-def _normal(flags: str, name: str, value: float) -> float:
-    """value, unless it is not a normal positive float."""
-    if not sys.float_info.min <= value <= sys.float_info.max:
-        raise ValueError(f"{flags} out of range: {name} = {value:g}, not a normal positive float")
-    return value
-
-
-def _named(flags: str, fn, *args) -> float:
-    """fn(*args), its range error named by flags: the decoh.thermal
-    functions reject a product or a result that is not a normal float."""
+def _named(flags: str, fn, *args):
+    """fn(*args), its ValueError named by flags: the library words a float
+    outside the normal range (decoh.thermal), a spread out of range
+    (decoh.kinematics) or a mass fraction too small for the optimum's
+    bracket (decoh.error_bounds) in its own terms, not by a flag."""
     try:
         return fn(*args)
     except ValueError as exc:
@@ -225,8 +226,16 @@ def _named(flags: str, fn, *args) -> float:
 
 def _thermal_spread(flag: str, mu: float, T: float) -> float:
     """sigma_mu, unless mu k_B, mu k_B T or sigma_mu is not a normal float."""
-    _normal("--mu-kg", "mu k_B", mu * th.K_B)
+    _named("--mu-kg", th._normal, "mu k_B", mu * th.K_B)
     return _named(f"--mu-kg and {flag}", th.thermal_spread, mu, T)
+
+
+def _initial_state(wall_flags: str, Sigma: float, sigma: float, k: float):
+    """initial_state(Sigma, sigma, k), a spread out of range named by the
+    flags it came from: --sigma for sigma, wall_flags for Sigma."""
+    _named("--sigma", _check_spread, "particle", sigma)
+    _named(wall_flags, _check_spread, "wall", Sigma)
+    return initial_state(Sigma, sigma, k)
 
 
 def _resolve_state(args, p: CollisionParams):
@@ -257,7 +266,7 @@ def _resolve_state(args, p: CollisionParams):
         k_sigma = abs(k) * sigma
     lam = _positive("--lambda", args.lambda_)
     if lam is not None:
-        _normal("--lambda", "lambda", lam)
+        _named("--lambda", th._normal, "lambda", lam)
     return Sigma, sigma, lam, k, _finite_square("k sigma", k_sigma)
 
 
@@ -268,8 +277,9 @@ def cmd_error(args) -> int:
         raise ValueError(f"--ksigma must be non-negative, got {k_sigma}")
     if lam is None and Sigma is not None:
         flags = "(--Sigma/--sigma)^2"
-        lam = _normal(flags, "lambda", _positive(flags, (Sigma / sigma) * (Sigma / sigma)))
-    opt = eb.optimal_lambda(k_sigma, p)
+        lam = _named(flags, th._normal, "lambda",
+                     _positive(flags, (Sigma / sigma) * (Sigma / sigma)))
+    opt = _named(_mass_flags(args), eb.optimal_lambda, k_sigma, p)
     if lam is None:
         lam = opt.lambda_max
     A, one_minus_A = eb.overlap_error(lam, k_sigma, p)
@@ -289,7 +299,9 @@ def cmd_error(args) -> int:
     ]
     if args.grid:
         # cross-check the closed form on a quadrature grid of the given size
-        s0 = initial_state(sigma * math.sqrt(lam), sigma, k_sigma / sigma)
+        wall = ("--sigma and --lambda" if args.lambda_ is not None
+                else "--Sigma" if Sigma is not None else "--sigma")
+        s0 = _initial_state(wall, sigma * math.sqrt(lam), sigma, k_sigma / sigma)
         sf = post_collision_state(s0, p)
         quad = oracles.quadrature_overlap(
             ideal_reflected_state(s0), sf,
@@ -312,11 +324,12 @@ def cmd_entangle(args) -> int:
     Sigma, sigma, lam, k, _ = _resolve_state(args, p)
     if args.grid == 1:
         raise ValueError("--grid must be at least 2 on entangle, got 1")
+    wall = "--Sigma" if Sigma is not None else "--sigma and --lambda"
     if Sigma is None and lam is not None:
         Sigma = sigma * math.sqrt(lam)
     if Sigma is None:
         raise ValueError("wall spread is required: --Sigma (or --lambda)")
-    sf = post_collision_state(initial_state(Sigma, sigma, k), p)
+    sf = post_collision_state(_initial_state(wall, Sigma, sigma, k), p)
     kp = ent.kernel_params(sf)
     n_spec = args.n_spectrum if args.n_spectrum is not None else 8
     if n_spec < 1:
@@ -407,17 +420,23 @@ def cmd_sweep(args) -> int:
             raise ValueError("a T sweep needs --mu-kg")
         _positive("--mu-kg", args.mu_kg)
     rule, inside, header = _SWEEPS[args.parameter]
-    for flag, value in (("--start", args.start), ("--stop", args.stop)):
+    ends = (("--start", args.start), ("--stop", args.stop))
+    for flag, value in ends:
         if not inside(value):
             raise ValueError(f"{flag} must {rule} for a {args.parameter} sweep, got {value}")
-    if args.parameter == "lambda":
-        for flag, value in (("--start", args.start), ("--stop", args.stop)):
-            _normal(flag, "lambda", value)
-    if args.parameter == "T":
-        # every column is monotone in T, so the two ends bound every row
-        for flag, value in (("--start", args.start), ("--stop", args.stop)):
+    # each rule below holds on an interval of the parameter, so the two ends
+    # bound every row
+    for flag, value in ends:
+        if args.parameter == "lambda":
+            _named(flag, th._normal, "lambda", value)
+        elif args.parameter == "T":
             _thermal_spread(flag, args.mu_kg, value)
             _named(flag, th.thermal_length, value)
+        elif args.parameter == "delta":
+            _named(flag, eb.optimal_lambda, args.ksigma or 0.0,
+                   collision_params_from_delta(value))
+        elif args.parameter == "k_sigma":
+            _named(_mass_flags(args), eb.optimal_lambda, value, p)
     # built after the domain checks: numpy warns on an infinite --start or --stop
     space = np.geomspace if args.scale == "log" else np.linspace
     values = space(args.start, args.stop, args.points)
@@ -434,24 +453,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    overrides: dict[str, float] = {}
-    for item in args.tol or []:
-        if "=" not in item:
-            raise ValueError(f"--tol expects name=value, got {item!r}")
-        name, val = item.split("=", 1)
-        if name not in CHECK_NAMES:
-            raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
-        try:
-            value = float(val)
-        except ValueError:
-            value = math.nan
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"--tol {name} must be a finite number >= 0, got {val!r}")
-        overrides[name] = value
-    results = run_verification(grid_n=args.grid, tol_overrides=overrides or None)
+    results = run_verification(grid_n=args.grid)
     ok = all(c.passed for c in results)
 
-    params = {"grid": args.grid, "tolerance_overrides": overrides}
+    params = {"grid": args.grid}
     checks = [
         {"name": c.name, "tolerance": c.tolerance, "deviation": c.deviation,
          "passed": c.passed, "detail": c.detail}
@@ -484,7 +489,8 @@ def cmd_thermal(args) -> int:
 
     # optimized per-collision error coefficient at the thermal momentum
     delta_ref = args.delta if args.delta is not None else 1e-6
-    coeff = eb.optimal_lambda(1.0, _params_from_delta(delta_ref)).one_minus_A / delta_ref
+    opt = _named("--delta", eb.optimal_lambda, 1.0, _params_from_delta(delta_ref))
+    coeff = opt.one_minus_A / delta_ref
 
     if args.F0 is not None and not 0.0 < args.F0 <= 1.0:
         raise ValueError(f"--F0 must lie in (0, 1], got {args.F0}")
@@ -585,8 +591,6 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, frozenset[str]]]:
     p_ver.add_argument("--grid", type=int,
                        help="run each oracle on exactly N x N points (image_f0 and "
                             "image_vs_fft size their own grids)")
-    p_ver.add_argument("--tol", action="append",
-                       help="override a check tolerance, name=value (repeatable)")
     _add_output(p_ver)
 
     p_th = subs.add_parser("thermal", help="thermal packet size and collision budget")

@@ -150,7 +150,8 @@ def optimal_lambda(k_sigma: float, p: CollisionParams) -> Optimum:
     Minimizes ln(A^{-2}) over ln(lam) by golden section on the bracket
     [delta^2 * 1e-3, 1e3], which spans both asymptotic optima, to a width
     of 1e-10 in ln(lam).  k sigma = 0 returns the exact matched ratio
-    delta/gamma with A = 1.
+    delta/gamma with A = 1.  Above it, a delta so small (below about 5e-161)
+    that the bracket's low end underflows to 0 raises ValueError.
     """
     k_sigma = float(k_sigma)
     if k_sigma < 0.0 or not np.isfinite(k_sigma):
@@ -163,7 +164,11 @@ def optimal_lambda(k_sigma: float, p: CollisionParams) -> Optimum:
             regime=classify_regime(0.0),
             iterations=0,
         )
-    lo = math.log(p.delta**2 * _BRACKET_LO_FACTOR)
+    lo = p.delta**2 * _BRACKET_LO_FACTOR
+    if lo == 0.0:
+        raise ValueError(f"mass fraction {p.delta:g} is too small for the optimum's bracket: "
+                         f"delta^2 * {_BRACKET_LO_FACTOR:g} underflows to 0")
+    lo = math.log(lo)
     hi = math.log(_BRACKET_HI)
 
     def objective(t: float) -> float:

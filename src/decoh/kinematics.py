@@ -77,17 +77,16 @@ def collision_params_from_delta(delta: float) -> CollisionParams:
     return collision_params(delta, 1.0 - delta)
 
 
-def _check_spreads(Sigma: float, sigma: float) -> tuple[float, float]:
-    Sigma = float(Sigma)
-    sigma = float(sigma)
-    for name, s in (("wall", Sigma), ("particle", sigma)):
-        if not (np.isfinite(s) and s > 0.0):
-            raise ValueError(f"{name} spread must be positive and finite, got {s}")
-        # the exponent's coefficient 1/4s^2 must be a positive float too
-        if not (0.0 < s * s < np.inf and 0.25 / (s * s) < np.inf):
-            raise ValueError(f"{name} spread {s:g} is out of range: 1/(4 {name} spread^2) "
-                             "is not a positive finite number")
-    return Sigma, sigma
+def _check_spread(name: str, s: float) -> float:
+    """The wall's or the particle's spread s as a float, unless it or the
+    exponent's coefficient 1/4s^2 is not a positive finite number."""
+    s = float(s)
+    if not (np.isfinite(s) and s > 0.0):
+        raise ValueError(f"{name} spread must be positive and finite, got {s}")
+    if not (0.0 < s * s < np.inf and 0.25 / (s * s) < np.inf):
+        raise ValueError(f"{name} spread {s:g} is out of range: 1/(4 {name} spread^2) "
+                         "is not a positive finite number")
+    return s
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,7 @@ class GaussianProductState:
 
 def initial_state(Sigma: float, sigma: float, k: float = 0.0) -> GaussianProductState:
     """Centered Gaussian product state with wall/particle spreads and momentum k."""
-    Sigma, sigma = _check_spreads(Sigma, sigma)
+    Sigma, sigma = _check_spread("wall", Sigma), _check_spread("particle", sigma)
     return GaussianProductState(
         Sigma=Sigma, sigma=sigma, k=float(k), norm=1.0 / (2.0 * np.pi * sigma * Sigma)
     )

@@ -1,3 +1,4 @@
+import inspect
 import sys
 import threading
 from collections import Counter
@@ -7,18 +8,9 @@ import pytest
 from decoh import checks, oracles, propagation
 
 
-def test_unknown_override_name_fails_before_any_check(monkeypatch):
-    def must_not_run(grid_n, tol=None):
-        raise AssertionError("a check ran before the override names were validated")
-
-    monkeypatch.setattr(checks, "_CHECKS", [must_not_run])
-    with pytest.raises(ValueError, match="nope"):
-        checks.run_verification(tol_overrides={"nope": 1.0})
-
-
 @pytest.mark.parametrize("grid_n", [0, 1, 4, -3])
 def test_grid_below_five_fails_before_any_check(monkeypatch, grid_n):
-    def must_not_run(grid_n, tol=None):
+    def must_not_run(grid_n):
         raise AssertionError("a check ran before the grid size was validated")
 
     monkeypatch.setattr(checks, "_CHECKS", [must_not_run])
@@ -100,7 +92,7 @@ def test_a_run_decomposes_each_distinct_state_once(monkeypatch, grid_n):
 
 
 def test_the_svd_memo_is_dropped_when_a_check_raises(monkeypatch):
-    def boom(grid_n, tol=None):
+    def boom(grid_n):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(checks, "_CHECKS", [checks.check_schmidt_f0, boom])
@@ -135,3 +127,17 @@ def test_concurrent_runs_keep_their_own_svd_memo(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert len(results) == 3 and all(c.passed for r in results for c in r)
     assert sorted(calls.values()) == [4, 4, 4]
+
+
+def test_each_check_runs_at_its_own_tolerance():
+    """run_verification takes only grid_n, no check takes a tolerance, and
+    each check reports the one it states."""
+    assert list(inspect.signature(checks.run_verification).parameters) == ["grid_n"]
+    for fn in checks._CHECKS:
+        assert list(inspect.signature(fn).parameters) == ["grid_n"], fn.__name__
+    tolerances = {c.name: c.tolerance for c in checks.run_verification(grid_n=16)}
+    assert tolerances == {
+        "matched_overlap": 1e-8, "overlap_closed_form": 1e-8, "gauss_legendre_overlap": 1e-8,
+        "schmidt_f0": 1e-6, "schmidt_ratios": 1e-4, "kernel_eigensolve": 1e-6,
+        "oscillator_lemma": 1e-6, "reduced_kernel": 1e-8, "k_independence": 1e-6,
+        "matched_momentum": 1e-6, "image_f0": 1e-3, "image_vs_fft": 1e-3}

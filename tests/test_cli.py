@@ -16,6 +16,8 @@ from decoh.kinematics import collision_params_from_delta
 _NOT_NORMAL = "not a normal positive float"
 _HUGE_MASSES = ["--m", "1e308", "--M", "1e308"]
 _HUGE_SUM = "--m and --M must have a finite sum, got 1e+308 + 1e+308"
+_OUT_OF_RANGE = "is out of range: 1/(4 {0} spread^2) is not a positive finite number"
+_UNDERFLOWS = "is too small for the optimum's bracket: delta^2 * 0.001 underflows to 0"
 
 
 def run_cli(capsys, *argv):
@@ -324,27 +326,38 @@ def test_verify_default_exit_zero(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_verify_corrupted_tolerance_exits_one(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--grid", "96", "--tol",
-                           "matched_overlap=1e-16")
+def test_verify_corrupted_tolerance_exits_one(capsys, monkeypatch):
+    """A failed check, here matched_overlap judged at a tolerance below any
+    deviation, makes verify exit 1 with its FAIL line and all_passed false."""
+    from decoh import checks
+
+    real = checks.check_matched_overlap
+
+    def corrupted(grid_n):
+        c = real(grid_n)
+        return checks._result(c.name, -1.0, c.deviation, c.detail)
+
+    monkeypatch.setattr(checks, "_CHECKS", [corrupted, *checks._CHECKS[1:]])
+    code, out, _ = run_cli(capsys, "verify", "--grid", "96")
     assert code == 1
-    assert "FAIL" in out
+    assert out.startswith("FAIL  matched_overlap ") and out.count("FAIL") == 1
+    assert out.endswith("11/12 checks passed\n")
+    code, out, _ = run_cli(capsys, "verify", "--grid", "96", "--format", "json")
+    doc = json.loads(out)
+    assert code == 1 and doc["results"]["all_passed"] is False
+    assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["matched_overlap"]
 
 
-def test_verify_unknown_tolerance_name_exits_two(capsys):
-    code, _, err = run_cli(capsys, "verify", "--tol", "nonsense=1e-3")
-    assert code == 2
-
-
-@pytest.mark.parametrize("value", ["nan", "-1", "abc", "inf", ""])
-def test_verify_bad_tolerance_value_exits_two(capsys, monkeypatch, value):
-    """A tolerance that is not a finite number >= 0 is bad input, not a
-    failed check: exit 2, naming --tol and the check, before any check runs."""
-    monkeypatch.setattr(cli, "run_verification", None)
-    code, out, err = run_cli(capsys, "verify", "--tol", f"reduced_kernel={value}")
+def test_verify_takes_no_tolerance(capsys, tmp_path):
+    """verify runs every check at its own tolerance: --tol is no flag of it
+    and tol no config key, so either exits 2 before any check runs."""
+    err = usage_error(capsys, "verify", "--tol", "schmidt_f0=1e-5")
+    assert err.endswith("error: unrecognized arguments: --tol schmidt_f0=1e-5\n")
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text("tol=schmidt_f0=1e-5\n")
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
     assert code == 2 and out == ""
-    assert err == (f"error: --tol reduced_kernel must be a finite number >= 0, "
-                   f"got {value!r}\n")
+    assert err == "error: unknown config key 'tol'\n"
 
 
 def test_verify_at_grid_64_prints_no_warning(capsys):
@@ -633,12 +646,12 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     (["error", "--delta", "0.01", "--ksigma", "1e200"],
      "k sigma must have a finite square, got 1e+200"),
     (["entangle", "--delta", "0.01", "--Sigma", "1e200"],
-     "wall spread 1e+200 is out of range: 1/(4 wall spread^2) is not a positive finite number"),
+     f"--Sigma out of range: wall spread 1e+200 {_OUT_OF_RANGE.format('wall')}"),
     (["sweep", "--parameter", "lambda", "--start", "0.1", "--stop", "1", "--points", "3",
       "--delta", "0.01", "--ksigma", "1e200"],
      "--ksigma must have a finite square, got 1e+200"),
     (["entangle", "--delta", "0.01", "--Sigma", "1e-200"],
-     "wall spread 1e-200 is out of range: 1/(4 wall spread^2) is not a positive finite number"),
+     f"--Sigma out of range: wall spread 1e-200 {_OUT_OF_RANGE.format('wall')}"),
     (["error", "--delta", "0.01", "--Sigma", "abc"],
      "--Sigma must be a number or 'auto', got 'abc'"),
     (["entangle", "--delta", "0.01", "--Sigma", "1", "--grid", "1"],
@@ -672,12 +685,49 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
       "--delta", "0.01"], f"--start out of range: lambda = 9.99989e-321, {_NOT_NORMAL}"),
     (["sweep", "--parameter", "lambda", "--start", "1", "--stop", "1e-320", "--points", "3",
       "--delta", "0.01"], f"--stop out of range: lambda = 9.99989e-321, {_NOT_NORMAL}"),
+    # below about 5e-161 delta^2 * 1e-3, the low end of the optimum's
+    # bracket, underflowed to 0 and ended in `math domain error`
+    (["error", "--m", "1e-300", "--M", "1e10", "--ksigma", "1"],
+     f"--m and --M out of range: mass fraction 1e-310 {_UNDERFLOWS}"),
+    (["error", "--delta", "1e-200", "--ksigma", "1"],
+     f"--delta out of range: mass fraction 1e-200 {_UNDERFLOWS}"),
+    (["thermal", "--T", "1", "--report-length-scale", "--delta", "1e-200"],
+     f"--delta out of range: mass fraction 1e-200 {_UNDERFLOWS}"),
+    (["sweep", "--parameter", "delta", "--start", "1e-200", "--stop", "0.5", "--points", "3",
+      "--ksigma", "1"], f"--start out of range: mass fraction 1e-200 {_UNDERFLOWS}"),
+    (["sweep", "--parameter", "delta", "--start", "0.5", "--stop", "1e-200", "--points", "3",
+      "--ksigma", "1"], f"--stop out of range: mass fraction 1e-200 {_UNDERFLOWS}"),
+    (["sweep", "--parameter", "k_sigma", "--start", "1", "--stop", "2", "--points", "2",
+      "--delta", "1e-200"], f"--delta out of range: mass fraction 1e-200 {_UNDERFLOWS}"),
+    # a spread whose 1/(4 s^2) is no positive finite float ended in the
+    # library's message, which names no flag; the particle's is checked first
+    (["entangle", "--delta", "0.01", "--Sigma", "1e-160"],
+     f"--Sigma out of range: wall spread 1e-160 {_OUT_OF_RANGE.format('wall')}"),
+    (["entangle", "--delta", "0.01", "--Sigma", "1", "--sigma", "1e200"],
+     f"--sigma out of range: particle spread 1e+200 {_OUT_OF_RANGE.format('particle')}"),
+    (["entangle", "--delta", "0.01", "--Sigma", "auto", "--sigma", "1e-160"],
+     f"--sigma out of range: particle spread 1e-160 {_OUT_OF_RANGE.format('particle')}"),
+    (["entangle", "--delta", "1e-30", "--Sigma", "auto", "--sigma", "1e-150"],
+     f"--Sigma out of range: wall spread 1e-165 {_OUT_OF_RANGE.format('wall')}"),
+    (["entangle", "--delta", "0.01", "--lambda", "1e-300", "--sigma", "1e-10"],
+     f"--sigma and --lambda out of range: wall spread 1e-160 {_OUT_OF_RANGE.format('wall')}"),
+    (["error", "--delta", "0.01", "--ksigma", "1", "--sigma", "1e-160", "--grid", "8"],
+     f"--sigma out of range: particle spread 1e-160 {_OUT_OF_RANGE.format('particle')}"),
+    (["error", "--delta", "0.01", "--ksigma", "1", "--lambda", "1e-300", "--sigma", "1e-10",
+      "--grid", "8"],
+     f"--sigma and --lambda out of range: wall spread 1e-160 {_OUT_OF_RANGE.format('wall')}"),
+    (["error", "--delta", "0.01", "--ksigma", "1", "--Sigma", "1e-160", "--sigma", "1e-150",
+      "--grid", "8"], f"--Sigma out of range: wall spread 1e-160 {_OUT_OF_RANGE.format('wall')}"),
+    (["error", "--delta", "1e-30", "--ksigma", "1", "--sigma", "1e-150", "--grid", "8"],
+     f"--sigma out of range: wall spread 6.6874e-166 {_OUT_OF_RANGE.format('wall')}"),
 ])
 def test_out_of_range_input_exits_2_with_a_message(capsys, argv, message):
     """Squares that overflow or underflow a float, a subnormal lambda, a
-    --Sigma that is not a number, a one-point SVD grid and a spectrum longer
-    than 10^6 (10^11 eigenvalues would be an 800 GB array) end in a
-    message, not a traceback."""
+    --Sigma that is not a number, a one-point SVD grid, a spectrum longer
+    than 10^6 (10^11 eigenvalues would be an 800 GB array), a spread out of
+    range and a mass fraction too small for the optimum's bracket end in a
+    message naming its flags, not a traceback; a sweep checks before its
+    first row."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
@@ -916,3 +966,34 @@ def test_entangle_keeps_a_signed_momentum(capsys):
     for argv, k in ((["--k=-1e3"], "-1000"), (["--ksigma", "-3", "--sigma", "2"], "-1.5")):
         code, out, _ = run_cli(capsys, "entangle", "--delta", "0.01", "--Sigma", "1", *argv)
         assert code == 0 and f", k={k})\n" in out
+
+
+@pytest.mark.filterwarnings("error")
+def test_inputs_inside_the_range_checks_keep_their_output(capsys):
+    """The delta and spread checks reject only what the library cannot
+    take: a delta just above the bracket's underflow, a k = 0 optimum (no
+    bracket), an entangle (which solves no optimum) at any delta and an
+    error without --grid (which builds no state) at a sigma no state could
+    take run clean, the first two printing these bytes."""
+    code, out, err = run_cli(capsys, "error", "--delta", "6e-161", "--ksigma", "1")
+    assert code == 0 and err == "" and out == (
+        "overlap error (delta=6e-161, k sigma=1)\n"
+        "  lambda      = 2.6832815706e-161\n"
+        "  A           = 1\n"
+        "  1 - A       = 7.416407865e-161\n"
+        "  lambda_max  = 2.6832815706e-161\n"
+        "  A_max       = 1\n"
+        "  regime      = crossover\n")
+    code, out, err = run_cli(capsys, "sweep", "--parameter", "k_sigma", "--start", "1",
+                             "--stop", "2", "--points", "2", "--delta", "1e-159")
+    assert code == 0 and err == "" and out.endswith(
+        "k_sigma,lambda_max,A_max,one_minus_A,asymptotic_small,asymptotic_large,regime\n"
+        "1,4.47213595953e-160,1,1.2360679775e-159,2e-159,2e-159,crossover\n"
+        "2,2.42535628009e-160,1,3.12310562562e-159,8e-159,4e-159,crossover\n")
+    for argv in (["error", "--delta", "1e-200", "--ksigma", "0"],
+                 ["sweep", "--parameter", "delta", "--start", "1e-200", "--stop", "0.5",
+                  "--points", "3"],
+                 ["entangle", "--delta", "1e-200", "--Sigma", "1"],
+                 ["error", "--delta", "0.01", "--ksigma", "1", "--sigma", "1e-160"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "", argv
