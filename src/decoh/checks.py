@@ -153,7 +153,7 @@ def check_oscillator_lemma(grid_n: int | None) -> VerificationCheck:
     devs = []
     spectra = []
     for beta in (0.1, 10.0):
-        nodes = oracles.oscillator_grid(beta, u, n=grid_n or 512)
+        nodes = oracles.oscillator_grid(beta, u, force_n=grid_n)
         eigs = oracles.hermitian_kernel_eigenvalues(ent.oscillator_kernel(beta, u), nodes)
         spectra.append(eigs[:_LEVELS])
         devs.append(float(np.max(np.abs(eigs[:_LEVELS] - expected))))
@@ -164,9 +164,11 @@ def check_oscillator_lemma(grid_n: int | None) -> VerificationCheck:
 
 
 def check_reduced_kernel(grid_n: int | None) -> VerificationCheck:
-    """Direct X-integration against the closed-form reduced kernel."""
+    """Direct X-integration against the closed-form reduced kernel.  The
+    integrand conj(sf(x', X)) sf(x, X) is the overlap integrand of sf with
+    itself at fixed particle coordinates, so sf's overlap grid sizes X."""
     sf, _ = _state(1.0, 1.0, 0.7, 0.01)
-    Xs = oracles.grid_for_state(sf, n=2048, force_n=grid_n).X_nodes()
+    Xs = oracles.grid_for_state(sf, sf, force_n=grid_n).X_nodes()
     _, (sx, _), _ = sf.envelope()
     xs = np.linspace(-2.0 * sx, 2.0 * sx, 5)
     worst = 0.0
@@ -216,11 +218,11 @@ def check_image_f0(grid_n: int | None) -> VerificationCheck:
     closed form.  Free evolution is a product of one-body unitaries, so it
     leaves the Schmidt spectrum unchanged whether or not the incoming and
     outgoing packets have separated; the check needs no separation and
-    carries no warning.  The grid is sized from the wave's oscillation
-    content, starting at 256 points; grid_n is ignored."""
+    carries no warning.  The SVD samples the chirped image wave to its band
+    limit (oracles.grid_for_state); grid_n is ignored."""
     s0, p, wave0, t = _bounce(k_sigma=6.0, x0_sigmas=8.0, Sigma=0.3)
     image = propagation.image_term(wave0, t)
-    sv = oracles.schmidt_decompose(image, n=256).singular_values
+    sv = oracles.schmidt_decompose(image).singular_values
     f0_closed = ent.largest_eigenvalue(ent.kernel_params(post_collision_state(s0, p)).w)
     dev = abs(sv[0] ** 2 - f0_closed)
     return _result("image_f0", 1e-3, dev, "SVD F0 of evolved reflected wave vs closed form")
@@ -244,8 +246,8 @@ def check_image_vs_fft(grid_n: int | None) -> VerificationCheck:
     constant phase w t is taken up by the phase alignment, and the
     unit-modulus factors leave the L2 distance as it is in the lab.  The
     envelope needs no carrier resolved and does not travel, so its flight
-    grid is the 512 x 256 floor where the lab wave needs 4050 x 1200.
-    The grid is sized here; grid_n is ignored.
+    grid (propagation.grid_for_flight) is 40 x 40 where the lab wave needs
+    hundreds of points per axis.  The grid is sized here; grid_n is ignored.
     """
     x0_sigmas = 6.0
     s0, p, wave0, t = _bounce(k_sigma=40.0, x0_sigmas=x0_sigmas, Sigma=0.25)
@@ -286,6 +288,14 @@ CHECK_NAMES = [fn.__name__.removeprefix("check_") for fn in _CHECKS]
 def run_verification(grid_n: int | None = None) -> list[VerificationCheck]:
     """Run every check at its own tolerance, each oracle on a grid it sizes
     itself or, given grid_n, on exactly grid_n x grid_n points.
+
+    A self-sized grid keeps its box and takes the largest step at which the
+    sampled Gaussian's Fourier transform is below oracles.ALIAS_EPS of its
+    peak where the trapezoid rule or the band limit would meet it
+    (oracles.spectral_counts); that needs tens of points per axis, not
+    hundreds.  For the SVD and eigensolve checks the rule covers the
+    sampled state or kernel, not the singular values themselves; there the
+    measured deviation stays the judge.
 
     grid_n is the one size of every quadrature, SVD and eigensolve grid, the
     oscillator nodes and the reduced-kernel X nodes; the two propagation

@@ -602,6 +602,11 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, frozenset[str]]]:
     p_th.add_argument("--report-length-scale", action="store_true",
                       help="report hbar c/k_B T without needing a mass")
     _add_output(p_th)
+    # argparse takes "-1e3" for an option, so "--k -1e3" would lack its value;
+    # match every argument that starts like a negative number (as Python 3.13
+    # does), none of the options here being one
+    for p in (parser, *subs.choices.values()):
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
     # argparse keeps no public list of a parser's options
     return parser, {name: frozenset(sub._option_string_actions)
                     for name, sub in subs.choices.items()}

@@ -108,8 +108,14 @@ class GaussianProductState:
         return np.sqrt(self.norm) * np.exp(env + 1j * self.k * x)
 
     def envelope(self):
-        """(centers, spreads, wavenumbers), each an (x, X) pair, for grid sizing."""
+        """(centers, spreads, wavenumbers), each an (x, X) pair: the grid box
+        covers the centers +- spreads; the wavenumbers are the carrier's."""
         return (0.0, 0.0), (self.sigma, self.Sigma), (abs(self.k), 0.0)
+
+    def quadratic_form(self):
+        """(A, b) with psi ~ exp(-z^T A z + b^T z), z = (x, X), for grid sizing."""
+        A = np.diag([0.25 / self.sigma**2, 0.25 / self.Sigma**2])
+        return A, np.array([1j * self.k, 0.0])
 
 
 def initial_state(Sigma: float, sigma: float, k: float = 0.0) -> GaussianProductState:
@@ -135,11 +141,17 @@ class PostCollisionState:
     norm: float
 
     def __call__(self, x, X) -> np.ndarray:
+        """Sample the state; broadcasts over x, X.  The carrier e^{i k b} is
+        built as its two one-body factors beside one real exp of the
+        envelope: on a grid it is then a diagonal unitary on each side,
+        which leaves the singular values alone at any k, where rounding
+        k b on the full grid would not, and costs only 1-D exps."""
         a = X * (1.0 - 2.0 * self.delta) + 2.0 * self.delta * x  # wall argument
         b = x * (1.0 - 2.0 * self.gamma) + 2.0 * self.gamma * X  # particle argument
-        return np.sqrt(self.norm) * np.exp(
-            -self.Omega * a * a - self.omega * b * b + 1j * self.k * b
-        )
+        env = np.exp(-self.Omega * a * a - self.omega * b * b)
+        psi = env * (np.sqrt(self.norm) * np.exp(1j * self.k * (1.0 - 2.0 * self.gamma) * x))
+        psi *= np.exp(2j * self.gamma * self.k * X)
+        return psi
 
     def covariance(self) -> np.ndarray:
         """Position covariance matrix of |Psi_F|^2 in (x, X).
@@ -155,12 +167,21 @@ class PostCollisionState:
         return (B_inv * [0.25 / self.Omega, 0.25 / self.omega]) @ B_inv.T
 
     def envelope(self):
-        """(centers, spreads, wavenumbers), each an (x, X) pair, for grid
-        sizing; the wavenumbers are the carrier's, k times the particle
-        argument's coefficients."""
+        """(centers, spreads, wavenumbers), each an (x, X) pair: the grid box
+        covers the centers +- spreads; the wavenumbers are the carrier's, k
+        times the particle argument's coefficients."""
         cov = self.covariance()
         return ((0.0, 0.0), (float(np.sqrt(cov[0, 0])), float(np.sqrt(cov[1, 1]))),
                 (abs(self.k * (1.0 - 2.0 * self.gamma)), abs(2.0 * self.gamma * self.k)))
+
+    def quadratic_form(self):
+        """(A, b) with psi ~ exp(-z^T A z + b^T z), z = (x, X), for grid sizing:
+        Omega and omega times the outer squares of the wall and particle
+        arguments' coefficients, and i k times the particle's."""
+        wall = np.array([2.0 * self.delta, 1.0 - 2.0 * self.delta])
+        particle = np.array([1.0 - 2.0 * self.gamma, 2.0 * self.gamma])
+        A = self.Omega * np.outer(wall, wall) + self.omega * np.outer(particle, particle)
+        return A, 1j * self.k * particle
 
 
 def post_collision_state(s: GaussianProductState, p: CollisionParams) -> PostCollisionState:
@@ -190,6 +211,10 @@ class IdealReflectedState(GaussianProductState):
     def __call__(self, x, X) -> np.ndarray:
         env = -(X * X) / (4.0 * self.Sigma**2) - (x * x) / (4.0 * self.sigma**2)
         return np.sqrt(self.norm) * np.exp(env - 1j * self.k * x)
+
+    def quadratic_form(self):
+        A, b = super().quadratic_form()
+        return A, -b
 
 
 def ideal_reflected_state(s: GaussianProductState) -> IdealReflectedState:

@@ -10,7 +10,7 @@ functions of their inputs and deterministic for a fixed grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,6 +21,7 @@ __all__ = [
     "OverlapResult",
     "SchmidtResult",
     "KernelEigsResult",
+    "spectral_counts",
     "grid_for_state",
     "gauss_legendre_rule",
     "quadrature_overlap",
@@ -30,11 +31,11 @@ __all__ = [
     "oscillator_grid",
 ]
 
-# grid sizing: this many sigmas covered, phase advance per step at most
-# MAX_PHASE_STEP radians, and at least MIN_POINTS nodes per axis
+# grid boxes span this many sigmas of each state's envelope
 COVER_SIGMAS = 8.0
-MAX_PHASE_STEP = 0.3
-MIN_POINTS = 64
+# a grid's step leaves the sampled function's Fourier transform below this
+# fraction of its peak at the first point it must not reach
+ALIAS_EPS = 1e-16
 # largest |K - K^H| a discretized kernel may show before it counts as a bug
 HERM_TOL = 1e-10
 
@@ -70,34 +71,58 @@ class GridSpec:
         return self.x_nodes()[None, :], self.X_nodes()[:, None]
 
 
-def _axis_points(width: float, k_eff: float, n: int) -> int:
-    n = max(int(n), MIN_POINTS)
-    if k_eff > 0.0:
-        n = max(n, int(math.ceil(width * k_eff / MAX_PHASE_STEP)) + 1)
-    return n
+def spectral_counts(A, b, period: float, widths, n: int = 0) -> list[int]:
+    """Node counts per axis that sample g(z) = exp(-z^T A z + b^T z) over
+    boxes of the given widths.
 
+    A is complex symmetric with positive-definite real part.  Then
 
-def grid_for_state(*states, n: int = 512, force_n: int | None = None) -> GridSpec:
-    """Size one grid to the envelopes and oscillation content of states.
+        |g^(w)| ~ exp(-(w - w0)^T R (w - w0) / 4),  R = Re(A^-1),
+        w0 = R^-1 Im(A^-1 b),
 
-    Each state's envelope() gives its (x, X) centers, spreads and phase
-    wavenumbers.  Each axis spans the union of every state's center +-
-    COVER_SIGMAS standard deviations.  Point counts start at n and grow
-    until the summed phase wavenumbers (the oscillation of a product such
-    as a* b) advance at most MAX_PHASE_STEP per step.  force_n pins both
-    counts instead; the oracles then sample exactly that grid, and their
-    deviation from the closed form shows what it resolves.
+    which falls below ALIAS_EPS of its peak beyond the reach |w0_i| +
+    2 sqrt(ln(1/ALIAS_EPS) [R^-1]_ii) on axis i.  The step h is
+    period / reach, and each count is ceil(width / h) + 1, at least n.
+    period 2 pi suits an integrand: the trapezoid rule's error is g^ summed
+    over the nonzero lattice points 2 pi j / h.  period pi suits a sampled
+    wave: its spectrum sits below the band limit pi / h, so the samples are
+    their own sinc interpolant, and an SVD, eigensolve or FFT step sees the
+    continuum operator up to g^'s tail.
     """
-    lo, hi, k = [math.inf, math.inf], [-math.inf, -math.inf], [0.0, 0.0]
-    for state in states:
-        for axis, (c, s, ks) in enumerate(zip(*state.envelope())):
-            lo[axis] = min(lo[axis], c - COVER_SIGMAS * s)
-            hi[axis] = max(hi[axis], c + COVER_SIGMAS * s)
-            k[axis] += ks
-    if force_n is None:
-        nx, nX = (_axis_points(hi[a] - lo[a], k[a], n) for a in (0, 1))
-    else:
+    A_inv = np.linalg.inv(A)
+    R_inv = np.linalg.inv(A_inv.real)
+    w0 = R_inv @ (A_inv @ b).imag
+    reach = np.abs(w0) + 2.0 * np.sqrt(math.log(1.0 / ALIAS_EPS) * np.diag(R_inv))
+    return [max(int(n), math.ceil(w * r / period) + 1) for w, r in zip(widths, reach)]
+
+
+def grid_for_state(state, other=None, *, n: int = 0, force_n: int | None = None) -> GridSpec:
+    """One grid to sample state, or to integrate the overlap of state and other.
+
+    Each axis spans the union of the states' centers +- COVER_SIGMAS
+    standard deviations (their envelope()).  force_n pins both counts to
+    exactly force_n; the oracles then sample that grid, and their deviation
+    from the closed form shows what it resolves.  Otherwise spectral_counts
+    sizes each axis from the states' quadratic_form(): state alone is a
+    wave, sampled to its band limit (period pi); with other the grid
+    integrates conj(state) other, whose form is (conj(A) + A', conj(b) + b')
+    (period 2 pi).  n is a floor on both counts.
+    """
+    states = (state,) if other is None else (state, other)
+    lo, hi = [math.inf, math.inf], [-math.inf, -math.inf]
+    for s in states:
+        for axis, (c, sd, _) in enumerate(zip(*s.envelope())):
+            lo[axis] = min(lo[axis], c - COVER_SIGMAS * sd)
+            hi[axis] = max(hi[axis], c + COVER_SIGMAS * sd)
+    if force_n is not None:
         nx = nX = int(force_n)
+    else:
+        A, b = state.quadratic_form()
+        period = math.pi
+        if other is not None:
+            A2, b2 = other.quadratic_form()
+            A, b, period = np.conj(A) + A2, np.conj(b) + b2, 2.0 * math.pi
+        nx, nX = spectral_counts(A, b, period, (hi[0] - lo[0], hi[1] - lo[1]), n)
     return GridSpec(x_min=lo[0], x_max=hi[0], X_min=lo[1], X_max=hi[1], nx=nx, nX=nX)
 
 
@@ -156,7 +181,7 @@ def gauss_legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((-x, x[::-1][n % 2:])), np.concatenate((w, w[::-1][n % 2:]))
 
 
-def quadrature_overlap(a, b, grid: GridSpec | None = None, n: int = 512,
+def quadrature_overlap(a, b, grid: GridSpec | None = None, n: int = 0,
                        method: str = "trapezoid") -> OverlapResult:
     """Tensor-product quadrature of the overlap integral int int a* b dx dX.
 
@@ -164,11 +189,17 @@ def quadrature_overlap(a, b, grid: GridSpec | None = None, n: int = 512,
     integrands) or "gauss-legendre" on the grid's box with nx x nX nodes.
     Either rule is the product of two 1-D rules, applied as wX @ f @ wx to
     the samples f of a* b.  The quadrature runs once on the grid it is
-    given, or on grid_for_state(a, b, n=n); it carries no error estimate,
-    because a caller that checks a closed form measures the real error.
+    given, or on grid_for_state(a, b, n=n); there Gauss-Legendre takes
+    ceil(pi/2 n) nodes for each n trapezoid steps, because at equal count its
+    central node spacing is pi/2 times the uniform step.  It carries no
+    error estimate, because a caller that checks a closed form measures the
+    real error.
     """
     if grid is None:
         grid = grid_for_state(a, b, n=n)
+        if method == "gauss-legendre":
+            grid = replace(grid, nx=math.ceil(0.5 * math.pi * grid.nx),
+                           nX=math.ceil(0.5 * math.pi * grid.nX))
     if method == "trapezoid":
         x, X = grid.axes()
         wx = _trapezoid_weights(grid.nx, grid.dx)
@@ -194,7 +225,7 @@ class SchmidtResult:
     grid: GridSpec
 
 
-def schmidt_decompose(state, grid: GridSpec | None = None, n: int = 512) -> SchmidtResult:
+def schmidt_decompose(state, grid: GridSpec | None = None, n: int = 0) -> SchmidtResult:
     """Schmidt coefficients of a two-body wave function by dense SVD.
 
     The state is sampled as a matrix (row = wall index, column = particle
@@ -240,12 +271,13 @@ class KernelEigsResult:
     grid: GridSpec
 
 
-def kernel_eigensolve(state, grid: GridSpec | None = None, n: int = 512) -> KernelEigsResult:
+def kernel_eigensolve(state, grid: GridSpec | None = None, n: int = 0) -> KernelEigsResult:
     """Dense eigensolve of the discretized reduced kernel of a state.
 
     Uses the closed-form kernel on the grid's particle axis; eigenvalues
     come back sorted descending and should match the squared Schmidt
-    coefficients of the same state.
+    coefficients of the same state.  The kernel's spectrum on that axis
+    lies inside the state's, so the state's own grid samples it.
     """
     if grid is None:
         grid = grid_for_state(state, n=n)
@@ -257,13 +289,20 @@ def kernel_eigensolve(state, grid: GridSpec | None = None, n: int = 512) -> Kern
     return KernelEigsResult(eigenvalues=eigs, grid=grid)
 
 
-def oscillator_grid(beta: float, u: float, n: int = 512) -> np.ndarray:
+def oscillator_grid(beta: float, u: float, n: int = 0,
+                    force_n: int | None = None) -> np.ndarray:
     """Uniform nodes adapted to the oscillator kernel's diagonal width.
 
     G(x, x) falls off like exp(-2 beta tanh(u/2) x^2), giving an effective
-    standard deviation 1/(2 sqrt(beta tanh(u/2))).
+    standard deviation 1/(2 sqrt(beta tanh(u/2))); the nodes span
+    COVER_SIGMAS of it on either side.  Their count is exactly force_n, or
+    else the band limit of the kernel exp(-c ((x^2 + y^2) cosh u - 2 x y)),
+    c = beta / sinh u, sampled as a wave (spectral_counts), and at least n.
     """
-    s = 0.5 / math.sqrt(beta * math.tanh(0.5 * u))
-    half = COVER_SIGMAS * s
-    return np.linspace(-half, half, n)
+    half = COVER_SIGMAS * 0.5 / math.sqrt(beta * math.tanh(0.5 * u))
+    count = force_n
+    if count is None:
+        A = beta / math.sinh(u) * np.array([[math.cosh(u), -1.0], [-1.0, math.cosh(u)]])
+        count = spectral_counts(A, np.zeros(2), math.pi, (2.0 * half, 2.0 * half), n)[0]
+    return np.linspace(-half, half, int(count))
 

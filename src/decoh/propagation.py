@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kinematics import CollisionParams, GaussianProductState
-from .oracles import GridSpec, _axis_points, _trapezoid_weights
+from .oracles import GridSpec, _trapezoid_weights, spectral_counts
 
 __all__ = [
     "GaussianWave2D",
@@ -169,10 +169,14 @@ class GaussianWave2D:
     def __call__(self, x, X) -> np.ndarray:
         return self.evaluate(x, X)
 
+    def quadratic_form(self):
+        """(A, b), for grid sizing as for the kinematics states."""
+        return self.A, self.b
+
     def envelope(self):
-        """(centers, spreads, wavenumbers), each an (x, X) pair, for grid
-        sizing: the center and standard deviations of |psi|^2 and the largest
-        local wavenumbers within 4 standard deviations of the center.
+        """(centers, spreads, wavenumbers), each an (x, X) pair: the center
+        and standard deviations of |psi|^2, which set a grid's box, and the
+        largest local wavenumbers within 4 standard deviations of the center.
 
         The local wavenumber G z + Im b, G = -2 Im A, is affine in z, so its
         largest magnitude over the box z0 +- 4 sigma is
@@ -204,25 +208,24 @@ def grid_for_flight(wave: GaussianWave2D, t: float) -> GridSpec:
     The one sizer besides oracles.grid_for_state, which covers states at a
     single instant: the FFT step wraps anything that reaches an edge, so
     each axis spans FLIGHT_COVER_SIGMAS envelope widths (the wider of start
-    and end) beyond both the start and the end center.  The step resolves
-    the end wave's local oscillations to MAX_PHASE_STEP, with at least 512
-    points on x and 256 on X.  Point counts are then rounded up to
+    and end) beyond both the start and the end center.  Free flight
+    multiplies the wave's Fourier transform by a phase, so the spectrum of
+    the wave at time 0 holds for the whole flight: the counts are
+    oracles.spectral_counts for a sampled wave (period pi), rounded up to
     FFT-friendly sizes (prime factors <= 5), which only refines the grid.
-    The lab-frame wave of the image_vs_fft check, carrier k sigma = 40 over
-    a 12 sigma flight, needs 4050 x 1200; the check runs on its carrier-free
-    envelope instead, which stays put and gets the 512 x 256 floor.
+    The lab-frame wave of the image_vs_fft check, carrier k sigma = 40,
+    needs a fine step along both axes; the check flies its carrier-free
+    envelope instead, which stays put and needs 40 x 40.
     """
-    (c0, s0, _), (c1, s1, (kx, kX)) = wave.envelope(), wave.free_evolve(t).envelope()
+    (c0, s0, _), (c1, s1, _) = wave.envelope(), wave.free_evolve(t).envelope()
     sx, sX = max(s0[0], s1[0]), max(s0[1], s1[1])
     x_lo = min(c0[0], c1[0]) - FLIGHT_COVER_SIGMAS * sx
     x_hi = max(c0[0], c1[0]) + FLIGHT_COVER_SIGMAS * sx
     X_lo = min(c0[1], c1[1]) - FLIGHT_COVER_SIGMAS * sX
     X_hi = max(c0[1], c1[1]) + FLIGHT_COVER_SIGMAS * sX
-    return GridSpec(
-        x_min=x_lo, x_max=x_hi, X_min=X_lo, X_max=X_hi,
-        nx=fft_size(_axis_points(x_hi - x_lo, kx, 512)),
-        nX=fft_size(_axis_points(X_hi - X_lo, kX, 256)),
-    )
+    nx, nX = spectral_counts(wave.A, wave.b, math.pi, (x_hi - x_lo, X_hi - X_lo))
+    return GridSpec(x_min=x_lo, x_max=x_hi, X_min=X_lo, X_max=X_hi,
+                    nx=fft_size(nx), nX=fft_size(nX))
 
 
 def image_term(wave: GaussianWave2D, t: float) -> GaussianWave2D:

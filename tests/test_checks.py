@@ -46,11 +46,11 @@ def test_grid_n_is_every_oracle_grid(monkeypatch):
         assert seen and set(seen) == {(64, 64)}, (fn.__name__, seen)
 
 
-def test_image_vs_fft_runs_on_the_comoving_floor_grid(monkeypatch):
+def test_image_vs_fft_runs_on_the_comoving_band_limited_grid(monkeypatch):
     """The check sizes its flight grid for the carrier-free envelope, which
-    does not travel: the 512 x 256 floor of grid_for_flight, where the lab
-    wave needs 4050 x 1200.  Both routes sample that many points: the image
-    route its bounced wave, the FFT route the mirrored wave it evolves."""
+    does not travel: 40 x 40 at its band limit, where the lab wave needs
+    450 x 150.  Both routes sample that many points: the image route its
+    bounced wave, the FFT route the mirrored wave it evolves."""
     grids, shapes = [], []
     real_grid = propagation.grid_for_flight
     real_evaluate = propagation.GaussianWave2D.evaluate
@@ -68,8 +68,17 @@ def test_image_vs_fft_runs_on_the_comoving_floor_grid(monkeypatch):
     monkeypatch.setattr(propagation.GaussianWave2D, "evaluate", evaluate)
     check = checks.check_image_vs_fft(None)
     assert check.passed
-    assert [(g.nx, g.nX) for g in grids] == [(512, 256)]
-    assert shapes == [(256, 512), (256, 512)]
+    assert [(g.nx, g.nX) for g in grids] == [(40, 40)]
+    assert shapes == [(40, 40), (40, 40)]
+
+
+def test_self_sized_checks_read_at_rounding():
+    """Each oracle sized by its Gaussian's spectrum reads its closed form to
+    rounding; image_vs_fft, whose FFT route sets its floor, to 6.7e-9, where
+    a 512 x 256 flight grid read 6.7e-9 too."""
+    deviations = {c.name: c.deviation for c in checks.run_verification()}
+    assert deviations.pop("image_vs_fft") <= 6.7e-9
+    assert max(deviations.values()) <= 1e-13, deviations
 
 
 @pytest.mark.parametrize("grid_n", [None, 64])

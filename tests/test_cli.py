@@ -361,9 +361,8 @@ def test_verify_takes_no_tolerance(capsys, tmp_path):
 
 
 def test_verify_at_grid_64_prints_no_warning(capsys):
-    """At --grid 64 dx*k exceeds the sizer's 0.3 phase step on nine grids, yet
-    every deviation stays below 1e-12: verify reports the measured
-    deviations and nothing else judges the grid."""
+    """At --grid 64, coarser than several self-sized grids, verify reports
+    the measured deviations and nothing else judges the grid."""
     code, out, err = run_cli(capsys, "verify", "--grid", "64")
     assert code == 0 and err == ""
     assert "warning:" not in out and out.endswith("12/12 checks passed\n")
@@ -962,10 +961,29 @@ def test_sweep_reads_k_as_ksigma(capsys):
 
 def test_entangle_keeps_a_signed_momentum(capsys):
     """The finite-square rule on k sigma leaves k and --ksigma signed on
-    entangle; argparse reads -1e3 as a value only after `=`."""
+    entangle."""
     for argv, k in ((["--k=-1e3"], "-1000"), (["--ksigma", "-3", "--sigma", "2"], "-1.5")):
         code, out, _ = run_cli(capsys, "entangle", "--delta", "0.01", "--Sigma", "1", *argv)
         assert code == 0 and f", k={k})\n" in out
+
+
+@pytest.mark.parametrize("argv, option, message", [
+    (["entangle", "--delta", "0.01", "--Sigma", "1"], ["--k", "-1e3"], None),
+    (["entangle", "--delta", "0.01", "--Sigma", "1"], ["--ksigma", "-1E-2"], None),
+    (["error", "--delta", "0.01"], ["--ksigma", "-1e3"], "--ksigma must be non-negative"),
+    (["sweep", "--parameter", "k_sigma", "--stop", "1", "--points", "3", "--delta", "0.01"],
+     ["--start", "-1e-3"], "--start must be non-negative"),
+])
+def test_a_negative_number_in_exponent_form_is_a_value(capsys, argv, option, message):
+    """argparse alone takes -1e3 for an option and exits 2 with `expected
+    one argument`; every flag takes it as its value, the same as after `=`,
+    and the command's own range check then speaks."""
+    code, out, err = run_cli(capsys, *argv, *option)
+    assert run_cli(capsys, *argv, "=".join(option)) == (code, out, err)
+    if message is None:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and out == "" and err.startswith(f"error: {message}")
 
 
 @pytest.mark.filterwarnings("error")

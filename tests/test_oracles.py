@@ -22,9 +22,8 @@ from decoh.kinematics import (
     post_collision_state,
 )
 from decoh.oracles import (
+    ALIAS_EPS,
     COVER_SIGMAS,
-    MAX_PHASE_STEP,
-    MIN_POINTS,
     GridSpec,
     gauss_legendre_rule,
     grid_for_state,
@@ -33,6 +32,7 @@ from decoh.oracles import (
     oscillator_grid,
     quadrature_overlap,
     schmidt_decompose,
+    spectral_counts,
 )
 from decoh.propagation import GaussianWave2D
 
@@ -52,20 +52,30 @@ def test_trapezoid_and_gauss_legendre_agree(params_1_99):
 
 
 def test_coarse_grid_overlap_still_converges():
-    """dx * k = 1.5 here, five times the sizer's MAX_PHASE_STEP, yet the
-    trapezoid rule is spectrally converged: the phase rule sizes grids, it
-    does not bound the error, so no oracle judges a given grid by it."""
+    """dx * k = 1.5 here, yet the trapezoid rule is spectrally converged:
+    the integrand |s|^2 carries no phase, and its spectrum, not either
+    state's phase step, sets the error."""
     s = initial_state(1.0, 1.0, 6.0)
     coarse = GridSpec(x_min=-8, x_max=8, X_min=-8, X_max=8, nx=64, nX=64)
     assert abs(quadrature_overlap(s, s, grid=coarse).value - 1.0) < 1e-8
 
 
-def test_auto_grid_respects_phase_density():
-    sf = post_collision_state(initial_state(0.1, 1.0, 10.0), collision_params_from_delta(0.01))
-    g = grid_for_state(sf)
-    _, _, (kx, kX) = sf.envelope()
-    assert g.dx * kx <= 0.3 * (1 + 1e-9)
-    assert g.dX * kX <= 0.3 * (1 + 1e-9)
+def test_spectral_counts_of_a_product_state():
+    """A product state's spectrum is centered on (k, 0) with
+    [Re(A^-1)^-1]_ii = 1/4 sigma_i^2, so the reach on axis i is
+    |k_i| + sqrt(ln(1/ALIAS_EPS)) / sigma_i, and n is a floor."""
+    s = initial_state(0.5, 2.0, 3.0)
+    A, b = s.quadratic_form()
+    L = math.log(1.0 / ALIAS_EPS)
+    reach = (3.0 + math.sqrt(L) / 2.0, math.sqrt(L) / 0.5)
+    for period in (math.pi, 2.0 * math.pi):
+        want = [math.ceil(w * r / period) + 1 for w, r in zip((10.0, 7.0), reach)]
+        assert spectral_counts(A, b, period, (10.0, 7.0)) == want
+        floor = max(want) + 5
+        assert spectral_counts(A, b, period, (10.0, 7.0), n=floor) == [floor, floor]
+    # the ideal reflection and a shift of the packet leave the counts alone
+    assert spectral_counts(*ideal_reflected_state(s).quadratic_form(), math.pi, (10.0, 7.0)) \
+        == spectral_counts(A, b, math.pi, (10.0, 7.0))
 
 
 _STATE_SETUPS = dict(
@@ -88,48 +98,92 @@ def _sized_states(M, Sigma, sigma, k, x0, t):
             "post-collision": post_collision_state(s0, p), "evolved wave": evolved}
 
 
-def _assert_sized_for(g, state, label):
-    """The sizer's guarantee for one state: +-COVER_SIGMAS/2 standard
-    deviations covered on each axis, a phase step of at most MAX_PHASE_STEP
-    and at least MIN_POINTS nodes per axis."""
-    (cx, cX), (sx, sX), (kx, kX) = state.envelope()
-    half = COVER_SIGMAS / 2.0
-    assert g.x_min <= cx - half * sx and g.x_max >= cx + half * sx, label
-    assert g.X_min <= cX - half * sX and g.X_max >= cX + half * sX, label
-    assert g.dx * kx <= MAX_PHASE_STEP * (1 + 1e-9), label
-    assert g.dX * kX <= MAX_PHASE_STEP * (1 + 1e-9), label
-    assert min(g.nx, g.nX) >= MIN_POINTS, label
+@settings(max_examples=60, deadline=None)
+@given(**{name: strategy for name, strategy in _STATE_SETUPS.items() if name != "n"})
+def test_quadratic_form_is_the_state(M, Sigma, sigma, k, x0, t):
+    """Each state's (A, b) is its own exponent: psi(z) / psi(0) =
+    exp(-z^T A z + b^T z) at points within 3 standard deviations."""
+    for name, state in _sized_states(M, Sigma, sigma, k, x0, t).items():
+        A, b = state.quadratic_form()
+        (cx, cX), (sx, sX), _ = state.envelope()
+        for ux, uX in ((1.0, 0.0), (0.0, 1.0), (0.7, -0.7), (-1.0, 0.3)):
+            z = np.array([cx + 3.0 * ux * sx, cX + 3.0 * uX * sX])
+            want = np.exp(-z @ A @ z + b @ z)
+            got = state(*z) / state(0.0, 0.0)
+            assert abs(got - want) <= 1e-9 * abs(want), name
 
 
 @settings(max_examples=60, deadline=None)
 @given(**_STATE_SETUPS)
-def test_grid_for_one_state_covers_its_envelope_and_phase(M, Sigma, sigma, k, x0, t, n):
+def test_grid_for_one_state_keeps_its_box_and_samples_its_band(M, Sigma, sigma, k, x0, t, n):
+    """One state: its COVER_SIGMAS box, at the counts its band limit
+    needs (spectral_counts with period pi), at least n per axis."""
     for name, state in _sized_states(M, Sigma, sigma, k, x0, t).items():
         g = grid_for_state(state, n=n)
         (cx, cX), (sx, sX), _ = state.envelope()
         assert (g.x_min, g.x_max) == (cx - COVER_SIGMAS * sx, cx + COVER_SIGMAS * sx), name
         assert (g.X_min, g.X_max) == (cX - COVER_SIGMAS * sX, cX + COVER_SIGMAS * sX), name
-        assert min(g.nx, g.nX) >= max(n, 64), name
-        _assert_sized_for(g, state, name)
+        widths = (g.x_max - g.x_min, g.X_max - g.X_min)
+        assert [g.nx, g.nX] == spectral_counts(*state.quadratic_form(), math.pi, widths, n), name
+        assert min(g.nx, g.nX) >= n, name
 
 
-@settings(max_examples=60, deadline=None)
-@given(**_STATE_SETUPS)
-def test_grid_for_a_pair_serves_both_states(M, Sigma, sigma, k, x0, t, n):
-    states = _sized_states(M, Sigma, sigma, k, x0, t)
-    for a, b in (("ideal", "post-collision"), ("product", "evolved wave")):
-        g = grid_for_state(states[a], states[b], n=n)
-        _assert_sized_for(g, states[a], (a, b))
-        _assert_sized_for(g, states[b], (a, b))
-        # the integrand a* b oscillates with the summed wavenumbers
-        (kax, kaX), (kbx, kbX) = states[a].envelope()[2], states[b].envelope()[2]
-        assert g.dx * (kax + kbx) <= MAX_PHASE_STEP * (1 + 1e-9), (a, b)
-        assert g.dX * (kaX + kbX) <= MAX_PHASE_STEP * (1 + 1e-9), (a, b)
-        # the union box: the pair's grid holds each state's own grid
+def _gaussian_integral(a, b):
+    """Exact int conj(a) b over the plane: the integrand is exp(-z^T A z +
+    b^T z + c) with A, b summed from the two forms, and its integral is
+    pi / sqrt(det A) exp(b^T A^-1 b / 4 + c), det A's principal root."""
+    (Aa, ba), (Ab, bb) = a.quadratic_form(), b.quadratic_form()
+    A, bv = np.conj(Aa) + Ab, np.conj(ba) + bb
+    c = 0.5 * (math.log(a.norm) + math.log(b.norm))
+    exponent = 0.25 * bv @ np.linalg.solve(A, bv) + c
+    return np.pi / np.sqrt(complex(np.linalg.det(A))) * np.exp(exponent)
+
+
+_PAIR_SETUPS = dict(delta=st.floats(1e-3, 0.5), Sigma=st.floats(0.2, 5.0), k=st.floats(0.0, 6.0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(**_PAIR_SETUPS)
+def test_grid_for_a_pair_integrates_their_overlap(delta, Sigma, k):
+    """Two states: the union of their boxes, sized for the integrand
+    conj(a) b (period 2 pi).  The self-sized trapezoid overlap then meets
+    the exact Gaussian integral to rounding, for every pair of product,
+    ideal and post-collision states; the union box holds each state's own."""
+    s0 = initial_state(Sigma, 1.0, k)
+    states = {"product": s0, "ideal": ideal_reflected_state(s0),
+              "post-collision": post_collision_state(s0, collision_params_from_delta(delta))}
+    for a, b in (("ideal", "post-collision"), ("product", "post-collision"),
+                 ("product", "ideal"), ("post-collision", "post-collision")):
+        res = quadrature_overlap(states[a], states[b])
+        assert abs(res.value - _gaussian_integral(states[a], states[b])) <= 1e-13, (a, b)
+        g = res.grid
         for s in (states[a], states[b]):
-            own = grid_for_state(s, n=n)
+            own = grid_for_state(s)
             assert g.x_min <= own.x_min and g.x_max >= own.x_max
             assert g.X_min <= own.X_min and g.X_max >= own.X_max
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(**_PAIR_SETUPS)
+def test_self_sized_svd_meets_the_largest_eigenvalue(delta, Sigma, k):
+    """The SVD of a post-collision state sampled at its band limit reads
+    the closed-form F0 to rounding."""
+    sf = post_collision_state(initial_state(Sigma, 1.0, k), collision_params_from_delta(delta))
+    sv = schmidt_decompose(sf).singular_values
+    assert abs(sv[0] ** 2 - largest_eigenvalue(kernel_params(sf).w)) <= 1e-13
+
+
+def test_the_rule_is_near_its_edge():
+    """The overlap_closed_form check's k sigma = 4 pair reads rounding on
+    its own grid and loses digits at two thirds of its counts: the rule
+    buys accuracy with the points it takes, not with a margin."""
+    s0 = initial_state(0.5, 1.0, 4.0)
+    a, b = ideal_reflected_state(s0), post_collision_state(s0, collision_params_from_delta(0.05))
+    exact = _gaussian_integral(a, b)
+    g = quadrature_overlap(a, b).grid
+    assert abs(quadrature_overlap(a, b, grid=g).value - exact) <= 1e-13
+    coarse = GridSpec(g.x_min, g.x_max, g.X_min, g.X_max, nx=2 * g.nx // 3, nX=2 * g.nX // 3)
+    assert abs(quadrature_overlap(a, b, grid=coarse).value - exact) > 1e-10
 
 
 @settings(max_examples=30, deadline=None)
@@ -338,6 +392,9 @@ def test_oscillator_kernel_beta_independent_numerically():
 # the phase once came from one exp of i q (x - x'), whose rounding at k = 1e6
 # moved the kernel eigenvalues by 1.7e-12
 @example(delta=0.15625, Sigma=0.4375, k=1e6, n=10)
+# and the sampled state's from one full-grid exp of i k b, whose rounding
+# moved the fifth singular value by 1.0e-12
+@example(delta=0.359375, Sigma=0.748046875, k=1e6, n=9)
 def test_forced_grid_spectra_do_not_depend_on_k(delta, Sigma, k, n):
     """The post-collision phase k [x(1 - 2 gamma) + 2 gamma X] is separable:
     on one forced grid it multiplies the sampled state by a diagonal unitary

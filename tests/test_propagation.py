@@ -10,7 +10,7 @@ from decoh import propagation
 from decoh.checks import check_image_vs_fft
 from decoh.entanglement import kernel_params, largest_eigenvalue
 from decoh.kinematics import collision_params, initial_state, post_collision_state
-from decoh.oracles import MAX_PHASE_STEP, GridSpec, _axis_points, grid_for_state, schmidt_decompose
+from decoh.oracles import GridSpec, grid_for_state, schmidt_decompose, spectral_counts
 from decoh.propagation import (
     FLIGHT_COVER_SIGMAS,
     GaussianWave2D,
@@ -189,32 +189,34 @@ def test_fft_size_is_next_5_smooth_count(n):
 @pytest.mark.parametrize("k, x0, Sigma", [(40.0, -6.0, 0.25), (6.0, -8.0, 0.3),
                                           (10.0, -4.0, 1.0)])
 def test_flight_grid_contract(k, x0, Sigma):
-    """FFT-friendly counts no smaller than the phase-step minimum, on the
-    8.5-sigma hull of the start and end envelopes."""
+    """The 8.5-sigma hull of the start and end envelopes, sampled at the
+    start wave's band limit, with the counts rounded up to FFT-friendly
+    sizes.  Free flight only multiplies the wave's Fourier transform by a
+    phase, so the end wave's band limit gives the same counts."""
     wave0, t = _bounce(k=k, x0=x0, Sigma=Sigma)
     mirrored = wave0.mirror_u()
     end = mirrored.free_evolve(t)
     grid = grid_for_flight(mirrored, t)
 
-    (c0, s0, _), (c1, s1, (kx, kX)) = mirrored.envelope(), end.envelope()
+    (c0, s0, _), (c1, s1, _) = mirrored.envelope(), end.envelope()
     sx, sX = max(s0[0], s1[0]), max(s0[1], s1[1])
     h = FLIGHT_COVER_SIGMAS
     assert (grid.x_min, grid.x_max) == (min(c0[0], c1[0]) - h * sx, max(c0[0], c1[0]) + h * sx)
     assert (grid.X_min, grid.X_max) == (min(c0[1], c1[1]) - h * sX, max(c0[1], c1[1]) + h * sX)
 
-    assert grid.nx >= _axis_points(grid.x_max - grid.x_min, kx, 512)
-    assert grid.nX >= _axis_points(grid.X_max - grid.X_min, kX, 256)
-    assert _is_5_smooth(grid.nx) and _is_5_smooth(grid.nX)
-    assert grid.dx * kx <= MAX_PHASE_STEP
-    assert grid.dX * kX <= MAX_PHASE_STEP
+    widths = (grid.x_max - grid.x_min, grid.X_max - grid.X_min)
+    counts = spectral_counts(mirrored.A, mirrored.b, math.pi, widths)
+    assert (grid.nx, grid.nX) == tuple(fft_size(n) for n in counts)
+    assert spectral_counts(end.A, end.b, math.pi, widths) == counts
 
 
 def test_flight_grid_of_the_verify_check():
-    """The image_vs_fft check's grid: 4036 x 1182 by the phase-step rule,
-    rounded up to 4050 = 2 3^4 5^2 by 1200 = 2^4 3 5^2."""
+    """The lab-frame wave of the image_vs_fft check carries k sigma = 40 on
+    both axes once mirrored: 441 x 150 at its band limit, rounded up to
+    450 = 2 3^2 5^2 by 150, where a 0.3 rad phase step took 4050 x 1200."""
     wave0, t = _bounce(k=40.0, x0=-6.0, Sigma=0.25)
     grid = grid_for_flight(wave0.mirror_u(), t)
-    assert (grid.nx, grid.nX) == (4050, 1200)
+    assert (grid.nx, grid.nX) == (450, 150)
 
 
 def _scaled_delta(p):
@@ -233,7 +235,7 @@ _ARGUMENT_FAULTS = {
 
 @pytest.fixture(scope="module")
 def lab_frame_fft_route():
-    """The FFT route of test_image_term_against_fft_route, on its 4050 x 1200
+    """The FFT route of test_image_term_against_fft_route, on its 450 x 150
     lab-frame grid."""
     wave0, t = _bounce(k=40.0, x0=-6.0, Sigma=0.25)
     mirrored = wave0.mirror_u()
