@@ -89,6 +89,15 @@ def _check_spread(name: str, s: float) -> float:
     return s
 
 
+def _product_sample(s, x, X, sign: float) -> np.ndarray:
+    """sqrt(N) exp(-X^2/4Sigma^2 - x^2/4sigma^2 + sign i k x) for a product
+    state s, as exp(-X^2/4Sigma^2) times sqrt(N) exp(-x^2/4sigma^2 + sign i k x):
+    on a grid's broadcast axes each exp is 1-D and one multiply builds the
+    N^2 samples."""
+    wall = np.exp(-(X * X) / (4.0 * s.Sigma**2))
+    return wall * (np.sqrt(s.norm) * np.exp(-(x * x) / (4.0 * s.sigma**2) + sign * 1j * s.k * x))
+
+
 @dataclass(frozen=True)
 class GaussianProductState:
     """Pre-collision product state Gamma(X) Phi(x).
@@ -104,8 +113,9 @@ class GaussianProductState:
     norm: float
 
     def __call__(self, x, X) -> np.ndarray:
-        env = -(X * X) / (4.0 * self.Sigma**2) - (x * x) / (4.0 * self.sigma**2)
-        return np.sqrt(self.norm) * np.exp(env + 1j * self.k * x)
+        """Sample the state; broadcasts over x, X.  Built from its one-body
+        factors (_product_sample), so on a grid every exp is 1-D."""
+        return _product_sample(self, x, X, 1.0)
 
     def envelope(self):
         """(centers, spreads, wavenumbers), each an (x, X) pair: the grid box
@@ -141,14 +151,21 @@ class PostCollisionState:
     norm: float
 
     def __call__(self, x, X) -> np.ndarray:
-        """Sample the state; broadcasts over x, X.  The carrier e^{i k b} is
-        built as its two one-body factors beside one real exp of the
-        envelope: on a grid it is then a diagonal unitary on each side,
-        which leaves the singular values alone at any k, where rounding
-        k b on the full grid would not, and costs only 1-D exps."""
-        a = X * (1.0 - 2.0 * self.delta) + 2.0 * self.delta * x  # wall argument
-        b = x * (1.0 - 2.0 * self.gamma) + 2.0 * self.gamma * X  # particle argument
-        env = np.exp(-self.Omega * a * a - self.omega * b * b)
+        """Sample the state; broadcasts over x, X.  The envelope is one real
+        exp of -(a^2 + b^2), with sqrt(Omega) and sqrt(omega) folded into
+        the coefficients of the wall and particle arguments a and b.  The
+        carrier e^{i k b} is built as its two one-body factors: on a grid
+        it is then a diagonal unitary on each side, which leaves the
+        singular values alone at any k, where rounding k b on the full grid
+        would not, and costs only 1-D exps."""
+        rO, ro = np.sqrt(self.Omega), np.sqrt(self.omega)
+        a = X * (rO * (1.0 - 2.0 * self.delta)) + x * (rO * 2.0 * self.delta)  # wall argument
+        b = x * (ro * (1.0 - 2.0 * self.gamma)) + X * (ro * 2.0 * self.gamma)  # particle argument
+        a *= a
+        b *= b
+        a += b
+        a *= -1.0
+        env = np.exp(a)
         psi = env * (np.sqrt(self.norm) * np.exp(1j * self.k * (1.0 - 2.0 * self.gamma) * x))
         psi *= np.exp(2j * self.gamma * self.k * X)
         return psi
@@ -209,8 +226,10 @@ class IdealReflectedState(GaussianProductState):
     """
 
     def __call__(self, x, X) -> np.ndarray:
-        env = -(X * X) / (4.0 * self.Sigma**2) - (x * x) / (4.0 * self.sigma**2)
-        return np.sqrt(self.norm) * np.exp(env - 1j * self.k * x)
+        """Sample the state; broadcasts over x, X.  Built from its one-body
+        factors (_product_sample) with the phase reversed, so on a grid
+        every exp is 1-D."""
+        return _product_sample(self, x, X, -1.0)
 
     def quadratic_form(self):
         A, b = super().quadratic_form()

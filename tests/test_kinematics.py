@@ -1,14 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoh.kinematics import (
+    IdealReflectedState,
+    PostCollisionState,
     collision_params,
     collision_params_from_delta,
     ideal_reflected_state,
     initial_state,
     post_collision_state,
 )
-from decoh.oracles import quadrature_overlap
+from decoh.oracles import GridSpec, grid_for_state, quadrature_overlap
 
 
 @pytest.mark.parametrize(
@@ -189,3 +195,61 @@ def test_post_collision_covariance_at_a_vast_spread_ratio():
     _, (sx, sX), _ = s.envelope()
     assert sx == pytest.approx(2.0 * p.gamma * 1e150, rel=1e-12)
     assert sX == pytest.approx(abs(1.0 - 2.0 * p.gamma) * 1e150, rel=1e-12)
+
+
+def _single_exp_sample(state, x, X):
+    """Each state's formula with its whole exponent in one exp: the
+    product states' complex one, the post-collision envelope's real one
+    (its carrier is two one-body factors either way)."""
+    if isinstance(state, PostCollisionState):
+        a = X * (1.0 - 2.0 * state.delta) + 2.0 * state.delta * x
+        b = x * (1.0 - 2.0 * state.gamma) + 2.0 * state.gamma * X
+        env = np.exp(-state.Omega * a * a - state.omega * b * b)
+        return (env * (np.sqrt(state.norm) * np.exp(1j * state.k * (1.0 - 2.0 * state.gamma) * x))
+                * np.exp(2j * state.gamma * state.k * X))
+    sign = -1.0 if isinstance(state, IdealReflectedState) else 1.0
+    env = -(X * X) / (4.0 * state.Sigma**2) - (x * x) / (4.0 * state.sigma**2)
+    return np.sqrt(state.norm) * np.exp(env + sign * 1j * state.k * x)
+
+
+def _three_states(m, M, Sigma, sigma, k):
+    s = initial_state(Sigma, sigma, k)
+    return s, ideal_reflected_state(s), post_collision_state(s, collision_params(m, M))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(log_m=st.floats(-5.0, 5.0), log_M=st.floats(-5.0, 5.0), Sigma=st.floats(0.05, 5.0),
+       sigma=st.floats(0.05, 5.0), k=st.floats(-1e6, 1e6), n=st.integers(2, 96))
+def test_one_body_factors_sample_the_single_exp_formula(log_m, log_M, Sigma, sigma, k, n):
+    """Sampled from one-body factors, each state on its forced n x n grid
+    matches the single-exp formula to 1e-14 of its peak |psi| = sqrt(N)."""
+    for state in _three_states(math.exp(log_m), math.exp(log_M), Sigma, sigma, k):
+        x, X = grid_for_state(state, force_n=n).axes()
+        got, want = state(x, X), _single_exp_sample(state, x, X)
+        assert got.shape == (n, n)
+        assert np.max(np.abs(got - want)) <= 1e-14 * math.sqrt(state.norm), type(state).__name__
+
+
+def test_grid_samples_take_no_complex_2d_exp(monkeypatch):
+    """On an nX x nx grid the product states take only 1-D exps, and the
+    post-collision state exactly one 2-D exp, a real one (its envelope);
+    every complex exp is 1-D.  A 2-D argument has two axes longer than 1."""
+    x, X = GridSpec(x_min=-4.0, x_max=4.0, X_min=-3.0, X_max=3.0, nx=24, nX=17).axes()
+    exp = np.exp
+    calls = []
+
+    def recording_exp(arg, *args, **kwargs):
+        arg = np.asarray(arg)
+        calls.append((arg.dtype, sum(d > 1 for d in arg.shape)))
+        return exp(arg, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", recording_exp)
+    for state in _three_states(1.0, 99.0, 0.8, 1.3, 2.5):
+        calls.clear()
+        assert state(x, X).shape == (17, 24)
+        two_d = [dtype for dtype, axes in calls if axes > 1]
+        if isinstance(state, PostCollisionState):
+            assert len(two_d) == 1 and not np.issubdtype(two_d[0], np.complexfloating)
+        else:
+            assert two_d == [], type(state).__name__
+        assert all(axes <= 1 for dtype, axes in calls if np.issubdtype(dtype, np.complexfloating))
