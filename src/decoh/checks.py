@@ -54,16 +54,16 @@ def _result(name: str, tol: float, dev: float, detail: str) -> VerificationCheck
 def _grid(state, grid_n: int | None) -> oracles.GridSpec | None:
     """The caller's grid_n x grid_n grid over state, or None when the
     oracle is to size its own."""
-    return None if grid_n is None else oracles.grid_for_state(state, force_n=grid_n)
+    return None if grid_n is None else oracles.grid_for_state(state, n=grid_n)
 
 
 def _singular_values(state, grid_n: int | None) -> np.ndarray:
-    """Singular values of state sampled on _grid(state, grid_n), computed
-    once per run_verification call."""
+    """Singular values of state sampled on grid_for_state(state, n=grid_n),
+    computed once per run_verification call."""
     memo, key = _svd_memo.get(), (state, grid_n)
     if memo is not None and key in memo:
         return memo[key]
-    sv = oracles.schmidt_decompose(state, grid=_grid(state, grid_n)).singular_values
+    sv = oracles.schmidt_decompose(state, n=grid_n).singular_values
     if memo is not None:
         memo[key] = sv
     return sv
@@ -141,7 +141,7 @@ def check_kernel_eigensolve(grid_n: int | None) -> VerificationCheck:
     """Dense eigensolve of the discretized kernel against the geometric law."""
     sf, _ = _state(1.0, 1.0, 0.0, 0.01)
     kp = ent.kernel_params(sf)
-    eigs = oracles.kernel_eigensolve(sf, grid=_grid(sf, grid_n)).eigenvalues
+    eigs = oracles.kernel_eigensolve(sf, n=grid_n).eigenvalues
     dev = float(np.max(np.abs(eigs[:_LEVELS] - ent.spectrum(kp.w, _LEVELS))))
     return _result("kernel_eigensolve", 1e-6, dev, f"first {_LEVELS} eigenvalues vs spectrum")
 
@@ -153,7 +153,7 @@ def check_oscillator_lemma(grid_n: int | None) -> VerificationCheck:
     devs = []
     spectra = []
     for beta in (0.1, 10.0):
-        nodes = oracles.oscillator_grid(beta, u, force_n=grid_n)
+        nodes = oracles.oscillator_grid(beta, u, n=grid_n)
         eigs = oracles.hermitian_kernel_eigenvalues(ent.oscillator_kernel(beta, u), nodes)
         spectra.append(eigs[:_LEVELS])
         devs.append(float(np.max(np.abs(eigs[:_LEVELS] - expected))))
@@ -168,7 +168,7 @@ def check_reduced_kernel(grid_n: int | None) -> VerificationCheck:
     integrand conj(sf(x', X)) sf(x, X) is the overlap integrand of sf with
     itself at fixed particle coordinates, so sf's overlap grid sizes X."""
     sf, _ = _state(1.0, 1.0, 0.7, 0.01)
-    Xs = oracles.grid_for_state(sf, sf, force_n=grid_n).X_nodes()
+    Xs = oracles.grid_for_state(sf, sf, n=grid_n).X_nodes()
     _, (sx, _), _ = sf.envelope()
     xs = np.linspace(-2.0 * sx, 2.0 * sx, 5)
     worst = 0.0

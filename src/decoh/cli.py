@@ -66,6 +66,8 @@ _SWEEPS = {
 SWEEP_PARAMETERS = tuple(_SWEEPS)
 # most eigenvalues entangle lists: the spectrum is built as one array
 MAX_N_SPECTRUM = 1_000_000
+# most rows a sweep takes: every row is held until the table is written
+MAX_POINTS = 1_000_000
 
 
 def _sig12(value):
@@ -305,7 +307,7 @@ def cmd_error(args) -> int:
         sf = post_collision_state(s0, p)
         quad = oracles.quadrature_overlap(
             ideal_reflected_state(s0), sf,
-            grid=oracles.grid_for_state(sf, force_n=args.grid),
+            grid=oracles.grid_for_state(sf, n=args.grid),
         )
         results["A_quadrature"] = abs(quad.value)
         results["A_quadrature_deviation"] = abs(abs(quad.value) - A)
@@ -357,8 +359,7 @@ def cmd_entangle(args) -> int:
         f"  spectrum = {', '.join(f'{v:.6g}' for v in spectrum)}",
     ]
     if args.grid:
-        grid = oracles.grid_for_state(sf, force_n=args.grid)
-        sv = oracles.schmidt_decompose(sf, grid=grid).singular_values
+        sv = oracles.schmidt_decompose(sf, n=args.grid).singular_values
         results["F0_svd"] = float(sv[0] ** 2)
         results["F0_svd_deviation"] = abs(float(sv[0] ** 2) - F0)
         # the sampled norm sum s_i^2 is 1 only where the grid resolves the state
@@ -408,6 +409,8 @@ def cmd_sweep(args) -> int:
                          f"got {args.parameter!r}")
     if args.points < 2:
         raise ValueError("a sweep needs --points >= 2")
+    if args.points > MAX_POINTS:
+        raise ValueError(f"--points must be at most {MAX_POINTS}, got {args.points}")
     if args.scale == "log" and (args.start <= 0.0 or args.stop <= 0.0):
         raise ValueError("log scale requires positive start and stop")
     if args.ksigma is not None:

@@ -71,7 +71,7 @@ class GridSpec:
         return self.x_nodes()[None, :], self.X_nodes()[:, None]
 
 
-def spectral_counts(A, b, period: float, widths, n: int = 0) -> list[int]:
+def spectral_counts(A, b, period: float, widths) -> list[int]:
     """Node counts per axis that sample g(z) = exp(-z^T A z + b^T z) over
     boxes of the given widths.
 
@@ -82,7 +82,7 @@ def spectral_counts(A, b, period: float, widths, n: int = 0) -> list[int]:
 
     which falls below ALIAS_EPS of its peak beyond the reach |w0_i| +
     2 sqrt(ln(1/ALIAS_EPS) [R^-1]_ii) on axis i.  The step h is
-    period / reach, and each count is ceil(width / h) + 1, at least n.
+    period / reach, and each count is ceil(width / h) + 1.
     period 2 pi suits an integrand: the trapezoid rule's error is g^ summed
     over the nonzero lattice points 2 pi j / h.  period pi suits a sampled
     wave: its spectrum sits below the band limit pi / h, so the samples are
@@ -93,20 +93,20 @@ def spectral_counts(A, b, period: float, widths, n: int = 0) -> list[int]:
     R_inv = np.linalg.inv(A_inv.real)
     w0 = R_inv @ (A_inv @ b).imag
     reach = np.abs(w0) + 2.0 * np.sqrt(math.log(1.0 / ALIAS_EPS) * np.diag(R_inv))
-    return [max(int(n), math.ceil(w * r / period) + 1) for w, r in zip(widths, reach)]
+    return [math.ceil(w * r / period) + 1 for w, r in zip(widths, reach)]
 
 
-def grid_for_state(state, other=None, *, n: int = 0, force_n: int | None = None) -> GridSpec:
+def grid_for_state(state, other=None, *, n: int | None = None) -> GridSpec:
     """One grid to sample state, or to integrate the overlap of state and other.
 
     Each axis spans the union of the states' centers +- COVER_SIGMAS
-    standard deviations (their envelope()).  force_n pins both counts to
-    exactly force_n; the oracles then sample that grid, and their deviation
-    from the closed form shows what it resolves.  Otherwise spectral_counts
-    sizes each axis from the states' quadratic_form(): state alone is a
-    wave, sampled to its band limit (period pi); with other the grid
-    integrates conj(state) other, whose form is (conj(A) + A', conj(b) + b')
-    (period 2 pi).  n is a floor on both counts.
+    standard deviations (their envelope()).  n pins both counts to exactly
+    n; the oracles then sample that grid, and their deviation from the
+    closed form shows what it resolves.  Without n, spectral_counts sizes
+    each axis from the states' quadratic_form(): state alone is a wave,
+    sampled to its band limit (period pi); with other the grid integrates
+    conj(state) other, whose form is (conj(A) + A', conj(b) + b') (period
+    2 pi).
     """
     states = (state,) if other is None else (state, other)
     lo, hi = [math.inf, math.inf], [-math.inf, -math.inf]
@@ -114,15 +114,15 @@ def grid_for_state(state, other=None, *, n: int = 0, force_n: int | None = None)
         for axis, (c, sd, _) in enumerate(zip(*s.envelope())):
             lo[axis] = min(lo[axis], c - COVER_SIGMAS * sd)
             hi[axis] = max(hi[axis], c + COVER_SIGMAS * sd)
-    if force_n is not None:
-        nx = nX = int(force_n)
+    if n is not None:
+        nx = nX = int(n)
     else:
         A, b = state.quadratic_form()
         period = math.pi
         if other is not None:
             A2, b2 = other.quadratic_form()
             A, b, period = np.conj(A) + A2, np.conj(b) + b2, 2.0 * math.pi
-        nx, nX = spectral_counts(A, b, period, (hi[0] - lo[0], hi[1] - lo[1]), n)
+        nx, nX = spectral_counts(A, b, period, (hi[0] - lo[0], hi[1] - lo[1]))
     return GridSpec(x_min=lo[0], x_max=hi[0], X_min=lo[1], X_max=hi[1], nx=nx, nX=nX)
 
 
@@ -181,7 +181,7 @@ def gauss_legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((-x, x[::-1][n % 2:])), np.concatenate((w, w[::-1][n % 2:]))
 
 
-def quadrature_overlap(a, b, grid: GridSpec | None = None, n: int = 0,
+def quadrature_overlap(a, b, grid: GridSpec | None = None, n: int | None = None,
                        method: str = "trapezoid") -> OverlapResult:
     """Tensor-product quadrature of the overlap integral int int a* b dx dX.
 
@@ -189,15 +189,15 @@ def quadrature_overlap(a, b, grid: GridSpec | None = None, n: int = 0,
     integrands) or "gauss-legendre" on the grid's box with nx x nX nodes.
     Either rule is the product of two 1-D rules, applied as wX @ f @ wx to
     the samples f of a* b.  The quadrature runs once on the grid it is
-    given, or on grid_for_state(a, b, n=n); there Gauss-Legendre takes
-    ceil(pi/2 n) nodes for each n trapezoid steps, because at equal count its
-    central node spacing is pi/2 times the uniform step.  It carries no
-    error estimate, because a caller that checks a closed form measures the
-    real error.
+    given, or on grid_for_state(a, b, n=n): n x n nodes for either rule.
+    Without n Gauss-Legendre takes ceil(pi/2 m) nodes for each m trapezoid
+    steps, because at equal count its central node spacing is pi/2 times
+    the uniform step.  It carries no error estimate, because a caller that
+    checks a closed form measures the real error.
     """
     if grid is None:
         grid = grid_for_state(a, b, n=n)
-        if method == "gauss-legendre":
+        if n is None and method == "gauss-legendre":
             grid = replace(grid, nx=math.ceil(0.5 * math.pi * grid.nx),
                            nX=math.ceil(0.5 * math.pi * grid.nX))
     if method == "trapezoid":
@@ -225,15 +225,14 @@ class SchmidtResult:
     grid: GridSpec
 
 
-def schmidt_decompose(state, grid: GridSpec | None = None, n: int = 0) -> SchmidtResult:
+def schmidt_decompose(state, n: int | None = None) -> SchmidtResult:
     """Schmidt coefficients of a two-body wave function by dense SVD.
 
-    The state is sampled as a matrix (row = wall index, column = particle
-    index) and scaled by sqrt(dx dX) so the squared singular values sum to
-    the squared norm, 1 for a normalized state.
+    The state is sampled on grid_for_state(state, n=n) as a matrix (row =
+    wall index, column = particle index) and scaled by sqrt(dx dX) so the
+    squared singular values sum to its squared norm, 1 when normalized.
     """
-    if grid is None:
-        grid = grid_for_state(state, n=n)
+    grid = grid_for_state(state, n=n)
     m = state(*grid.axes()) * math.sqrt(grid.dx * grid.dX)
     if not m.imag.any():
         m = m.real  # a k = 0 sample is exactly real, and real LAPACK is faster
@@ -271,16 +270,15 @@ class KernelEigsResult:
     grid: GridSpec
 
 
-def kernel_eigensolve(state, grid: GridSpec | None = None, n: int = 0) -> KernelEigsResult:
+def kernel_eigensolve(state, n: int | None = None) -> KernelEigsResult:
     """Dense eigensolve of the discretized reduced kernel of a state.
 
-    Uses the closed-form kernel on the grid's particle axis; eigenvalues
-    come back sorted descending and should match the squared Schmidt
-    coefficients of the same state.  The kernel's spectrum on that axis
-    lies inside the state's, so the state's own grid samples it.
+    Uses the closed-form kernel on the particle axis of grid_for_state(state,
+    n=n); eigenvalues come back sorted descending and should match the
+    squared Schmidt coefficients of the same state.  The kernel's spectrum
+    on that axis lies inside the state's, so the state's own grid samples it.
     """
-    if grid is None:
-        grid = grid_for_state(state, n=n)
+    grid = grid_for_state(state, n=n)
 
     def kernel_fn(xp, x):
         return reduced_kernel_eval(state, x=x, x_prime=xp)
@@ -289,20 +287,18 @@ def kernel_eigensolve(state, grid: GridSpec | None = None, n: int = 0) -> Kernel
     return KernelEigsResult(eigenvalues=eigs, grid=grid)
 
 
-def oscillator_grid(beta: float, u: float, n: int = 0,
-                    force_n: int | None = None) -> np.ndarray:
+def oscillator_grid(beta: float, u: float, n: int | None = None) -> np.ndarray:
     """Uniform nodes adapted to the oscillator kernel's diagonal width.
 
     G(x, x) falls off like exp(-2 beta tanh(u/2) x^2), giving an effective
     standard deviation 1/(2 sqrt(beta tanh(u/2))); the nodes span
-    COVER_SIGMAS of it on either side.  Their count is exactly force_n, or
-    else the band limit of the kernel exp(-c ((x^2 + y^2) cosh u - 2 x y)),
-    c = beta / sinh u, sampled as a wave (spectral_counts), and at least n.
+    COVER_SIGMAS of it on either side.  Their count is exactly n, or else
+    the band limit of the kernel exp(-c ((x^2 + y^2) cosh u - 2 x y)),
+    c = beta / sinh u, sampled as a wave (spectral_counts).
     """
     half = COVER_SIGMAS * 0.5 / math.sqrt(beta * math.tanh(0.5 * u))
-    count = force_n
-    if count is None:
+    if n is None:
         A = beta / math.sinh(u) * np.array([[math.cosh(u), -1.0], [-1.0, math.cosh(u)]])
-        count = spectral_counts(A, np.zeros(2), math.pi, (2.0 * half, 2.0 * half), n)[0]
-    return np.linspace(-half, half, int(count))
+        n = spectral_counts(A, np.zeros(2), math.pi, (2.0 * half, 2.0 * half))[0]
+    return np.linspace(-half, half, int(n))
 

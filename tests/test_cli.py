@@ -719,11 +719,17 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
       "--grid", "8"], f"--Sigma out of range: wall spread 1e-160 {_OUT_OF_RANGE.format('wall')}"),
     (["error", "--delta", "1e-30", "--ksigma", "1", "--sigma", "1e-150", "--grid", "8"],
      f"--sigma out of range: wall spread 6.6874e-166 {_OUT_OF_RANGE.format('wall')}"),
+    # a sweep holds every row until it writes the table
+    (["sweep", "--parameter", "w", "--start", "1", "--stop", "2", "--points", "1000001"],
+     "--points must be at most 1000000, got 1000001"),
+    (["sweep", "--parameter", "w", "--start", "1", "--stop", "2", "--points", "1000000000000"],
+     "--points must be at most 1000000, got 1000000000000"),
 ])
 def test_out_of_range_input_exits_2_with_a_message(capsys, argv, message):
     """Squares that overflow or underflow a float, a subnormal lambda, a
     --Sigma that is not a number, a one-point SVD grid, a spectrum longer
-    than 10^6 (10^11 eigenvalues would be an 800 GB array), a spread out of
+    than 10^6 (10^11 eigenvalues would be an 800 GB array), a sweep of more
+    than 10^6 points (10^12 asked numpy for 7.28 TiB), a spread out of
     range and a mass fraction too small for the optimum's bracket end in a
     message naming its flags, not a traceback; a sweep checks before its
     first row."""
@@ -741,8 +747,8 @@ def test_entangle_grid_is_exactly_n_by_n(capsys, monkeypatch):
     shapes = []
     svd = oracles.schmidt_decompose
 
-    def spy(state, grid=None, n=512):
-        res = svd(state, grid=grid, n=n)
+    def spy(state, n=None):
+        res = svd(state, n=n)
         shapes.append((res.grid.nx, res.grid.nX))
         return res
 

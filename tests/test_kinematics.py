@@ -224,7 +224,7 @@ def test_one_body_factors_sample_the_single_exp_formula(log_m, log_M, Sigma, sig
     """Sampled from one-body factors, each state on its forced n x n grid
     matches the single-exp formula to 1e-14 of its peak |psi| = sqrt(N)."""
     for state in _three_states(math.exp(log_m), math.exp(log_M), Sigma, sigma, k):
-        x, X = grid_for_state(state, force_n=n).axes()
+        x, X = grid_for_state(state, n=n).axes()
         got, want = state(x, X), _single_exp_sample(state, x, X)
         assert got.shape == (n, n)
         assert np.max(np.abs(got - want)) <= 1e-14 * math.sqrt(state.norm), type(state).__name__

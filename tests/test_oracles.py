@@ -63,7 +63,7 @@ def test_coarse_grid_overlap_still_converges():
 def test_spectral_counts_of_a_product_state():
     """A product state's spectrum is centered on (k, 0) with
     [Re(A^-1)^-1]_ii = 1/4 sigma_i^2, so the reach on axis i is
-    |k_i| + sqrt(ln(1/ALIAS_EPS)) / sigma_i, and n is a floor."""
+    |k_i| + sqrt(ln(1/ALIAS_EPS)) / sigma_i."""
     s = initial_state(0.5, 2.0, 3.0)
     A, b = s.quadratic_form()
     L = math.log(1.0 / ALIAS_EPS)
@@ -71,8 +71,6 @@ def test_spectral_counts_of_a_product_state():
     for period in (math.pi, 2.0 * math.pi):
         want = [math.ceil(w * r / period) + 1 for w, r in zip((10.0, 7.0), reach)]
         assert spectral_counts(A, b, period, (10.0, 7.0)) == want
-        floor = max(want) + 5
-        assert spectral_counts(A, b, period, (10.0, 7.0), n=floor) == [floor, floor]
     # the ideal reflection and a shift of the packet leave the counts alone
     assert spectral_counts(*ideal_reflected_state(s).quadratic_form(), math.pi, (10.0, 7.0)) \
         == spectral_counts(A, b, math.pi, (10.0, 7.0))
@@ -85,7 +83,6 @@ _STATE_SETUPS = dict(
     k=st.floats(0.0, 20.0),
     x0=st.floats(-10.0, 0.0),
     t=st.floats(0.05, 2.0),
-    n=st.integers(1, 1024),
 )
 
 
@@ -99,7 +96,7 @@ def _sized_states(M, Sigma, sigma, k, x0, t):
 
 
 @settings(max_examples=60, deadline=None)
-@given(**{name: strategy for name, strategy in _STATE_SETUPS.items() if name != "n"})
+@given(**_STATE_SETUPS)
 @example(M=121.0, Sigma=4.5, sigma=0.6875, k=9.0, x0=0.0, t=1.0)
 def test_quadratic_form_is_the_state(M, Sigma, sigma, k, x0, t):
     """Each state's (A, b) is its own exponent: psi(z) / psi(0) =
@@ -121,17 +118,16 @@ def test_quadratic_form_is_the_state(M, Sigma, sigma, k, x0, t):
 
 @settings(max_examples=60, deadline=None)
 @given(**_STATE_SETUPS)
-def test_grid_for_one_state_keeps_its_box_and_samples_its_band(M, Sigma, sigma, k, x0, t, n):
+def test_grid_for_one_state_keeps_its_box_and_samples_its_band(M, Sigma, sigma, k, x0, t):
     """One state: its COVER_SIGMAS box, at the counts its band limit
-    needs (spectral_counts with period pi), at least n per axis."""
+    needs (spectral_counts with period pi)."""
     for name, state in _sized_states(M, Sigma, sigma, k, x0, t).items():
-        g = grid_for_state(state, n=n)
+        g = grid_for_state(state)
         (cx, cX), (sx, sX), _ = state.envelope()
         assert (g.x_min, g.x_max) == (cx - COVER_SIGMAS * sx, cx + COVER_SIGMAS * sx), name
         assert (g.X_min, g.X_max) == (cX - COVER_SIGMAS * sX, cX + COVER_SIGMAS * sX), name
         widths = (g.x_max - g.x_min, g.X_max - g.X_min)
-        assert [g.nx, g.nX] == spectral_counts(*state.quadratic_form(), math.pi, widths, n), name
-        assert min(g.nx, g.nX) >= n, name
+        assert [g.nx, g.nX] == spectral_counts(*state.quadratic_form(), math.pi, widths), name
 
 
 def _gaussian_integral(a, b):
@@ -193,26 +189,52 @@ def test_the_rule_is_near_its_edge():
 
 
 @settings(max_examples=30, deadline=None)
-@given(**_STATE_SETUPS, force_n=st.integers(2, 4096))
-def test_grid_force_n_sets_both_counts(M, Sigma, sigma, k, x0, t, n, force_n):
+@given(**_STATE_SETUPS, n=st.integers(2, 4096))
+def test_grid_n_sets_both_counts(M, Sigma, sigma, k, x0, t, n):
     states = list(_sized_states(M, Sigma, sigma, k, x0, t).values())
     for chosen in (states[:1], states[1:3]):
-        g = grid_for_state(*chosen, n=n, force_n=force_n)
-        free = grid_for_state(*chosen, n=n)
-        assert (g.nx, g.nX) == (force_n, force_n)
+        g = grid_for_state(*chosen, n=n)
+        free = grid_for_state(*chosen)
+        assert (g.nx, g.nX) == (n, n)
         assert (g.x_min, g.x_max, g.X_min, g.X_max) == (
             free.x_min, free.x_max, free.X_min, free.X_max)
 
 
+def test_n_is_the_count_even_below_the_rule(state_equal_spreads):
+    """n = 8 is below every count the spectral rule takes here, and each
+    oracle still samples exactly 8 points per axis, on the box of its
+    self-sized grid: n is the count, not a floor.  Gauss-Legendre takes n
+    nodes too; only a self-sized grid is scaled up by pi/2 for it."""
+    state = state_equal_spreads
+    free = grid_for_state(state)
+    assert min(free.nx, free.nX) > 8
+    g = grid_for_state(state, n=8)
+    assert (g.nx, g.nX) == (8, 8)
+    assert (g.x_min, g.x_max, g.X_min, g.X_max) == (free.x_min, free.x_max,
+                                                    free.X_min, free.X_max)
+    assert schmidt_decompose(state, n=8).grid == g
+    assert kernel_eigensolve(state, n=8).grid == g
+    assert len(oscillator_grid(1.0, 0.7)) > 8
+    assert len(oscillator_grid(1.0, 0.7, n=8)) == 8
+    pair = grid_for_state(state, state)
+    assert min(pair.nx, pair.nX) > 8
+    for method in ("trapezoid", "gauss-legendre"):
+        res = quadrature_overlap(state, state, n=8, method=method).grid
+        assert res == grid_for_state(state, state, n=8), method
+    self_sized = quadrature_overlap(state, state, method="gauss-legendre").grid
+    assert (self_sized.nx, self_sized.nX) == (math.ceil(0.5 * math.pi * pair.nx),
+                                              math.ceil(0.5 * math.pi * pair.nX))
+
+
 def test_gauss_legendre_refinement_approaches_closed_form():
-    """Forced 96- and 192-node Gauss-Legendre grids both reach the closed-form
+    """96- and 192-node Gauss-Legendre grids both reach the closed-form
     amplitude (5.2e-7 here) and each other to within 1e-14."""
     p = collision_params_from_delta(0.05)
     s = initial_state(0.5, 1.0, 6.0)
     sf = post_collision_state(s, p)
     t = ideal_reflected_state(s)
     closed = overlap_amplitude(0.25, 6.0, p)
-    r96, r192 = (quadrature_overlap(t, sf, grid=grid_for_state(sf, force_n=n),
+    r96, r192 = (quadrature_overlap(t, sf, grid=grid_for_state(sf, n=n),
                                     method="gauss-legendre").value for n in (96, 192))
     assert abs(abs(r96) - closed) <= 1e-14
     assert abs(abs(r192) - closed) <= 1e-14
@@ -411,11 +433,10 @@ def test_forced_grid_spectra_do_not_depend_on_k(delta, Sigma, k, n):
     p = collision_params_from_delta(delta)
     moving = post_collision_state(initial_state(Sigma, 1.0, k), p)
     still = post_collision_state(initial_state(Sigma, 1.0, 0.0), p)
-    grid = grid_for_state(moving, force_n=n)
-    assert grid == grid_for_state(still, force_n=n)
-    np.testing.assert_allclose(schmidt_decompose(moving, grid=grid).singular_values[:5],
-                               schmidt_decompose(still, grid=grid).singular_values[:5],
+    assert grid_for_state(moving, n=n) == grid_for_state(still, n=n)
+    np.testing.assert_allclose(schmidt_decompose(moving, n=n).singular_values[:5],
+                               schmidt_decompose(still, n=n).singular_values[:5],
                                rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(kernel_eigensolve(moving, grid=grid).eigenvalues[:5],
-                               kernel_eigensolve(still, grid=grid).eigenvalues[:5],
+    np.testing.assert_allclose(kernel_eigensolve(moving, n=n).eigenvalues[:5],
+                               kernel_eigensolve(still, n=n).eigenvalues[:5],
                                rtol=0.0, atol=1e-12)
