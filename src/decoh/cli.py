@@ -9,9 +9,9 @@ min(8, CPU count) threads.
 Every command reads its inputs one way and writes its output one way.  Each
 key=value line of a --config file becomes a --key=value option spliced into
 argv right after the subcommand, so the one argument parser checks it like
-any flag and a flag given on the command line wins.  Every command hands
-its params, results, CSV header and text lines to _render, which writes the
-chosen format.
+any flag, against the flag's DOMAINS entry, and a flag given on the command
+line wins; a rule that joins flags is the command's.  Every command hands
+its params, results, CSV header and text lines to _render.
 
 The argument parser is built once per process and reused by every call to
 main, so callers that run many commands in one process (tests, notebooks,
@@ -47,27 +47,72 @@ from .kinematics import (
     post_collision_state,
 )
 
-# per sweep parameter: what --start and --stop must do, its test, and the
-# row's columns; each domain is an interval, so it holds every point between the ends
+# each sweep parameter's row columns; its two ends must lie in its DOMAINS entry
 _SWEEPS = {
-    "lambda": ("be positive and finite", lambda v: 0.0 < v < math.inf,
-               ["lambda", "k_sigma", "A", "one_minus_A", "F0", "measure"]),
-    "k_sigma": ("be non-negative with a finite square",
-                lambda v: v >= 0.0 and math.isfinite(v * v),
-                ["k_sigma", "lambda_max", "A_max", "one_minus_A",
-                 "asymptotic_small", "asymptotic_large", "regime"]),
-    "delta": ("lie in (0, 1)", lambda v: 0.0 < v < 1.0,
-              ["delta", "lambda_max", "A_max", "one_minus_A"]),
-    "w": ("be non-negative and finite", lambda v: 0.0 <= v < math.inf,
-          ["w", "u", "F0", "measure"]),
-    "T": ("be positive and finite", lambda v: 0.0 < v < math.inf,
-          ["T", "sigma_mu", "thermal_length", "k_sigma_est"]),
+    "lambda": ["lambda", "k_sigma", "A", "one_minus_A", "F0", "measure"],
+    "k_sigma": ["k_sigma", "lambda_max", "A_max", "one_minus_A",
+                "asymptotic_small", "asymptotic_large", "regime"],
+    "delta": ["delta", "lambda_max", "A_max", "one_minus_A"],
+    "w": ["w", "u", "F0", "measure"],
+    "T": ["T", "sigma_mu", "thermal_length", "k_sigma_est"],
 }
 SWEEP_PARAMETERS = tuple(_SWEEPS)
 # most eigenvalues entangle lists: the spectrum is built as one array
 MAX_N_SPECTRUM = 1_000_000
 # most rows a sweep takes: every row is held until the table is written
 MAX_POINTS = 1_000_000
+
+_POSITIVE = ("be positive and finite", lambda v: 0.0 < v < math.inf)
+# per quantity a flag or a sweep end takes: what its value must do, and the
+# test of it; each domain is an interval, so a sweep's ends bound every row
+DOMAINS = {
+    "m": _POSITIVE,
+    "M": _POSITIVE,
+    "delta": ("lie in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "sigma": _POSITIVE,
+    "Sigma": ("be positive and finite, or auto", lambda v: v == "auto" or 0.0 < v < math.inf),
+    "lambda": ("be a normal positive float",
+               lambda v: sys.float_info.min <= v <= sys.float_info.max),
+    "k_sigma": ("be non-negative with a finite square",
+                lambda v: v >= 0.0 and math.isfinite(v * v)),
+    "signed k_sigma": ("have a finite square", lambda v: math.isfinite(v * v)),
+    "w": ("be non-negative and finite", lambda v: 0.0 <= v < math.inf),
+    "T": _POSITIVE,
+    "mu_kg": _POSITIVE,
+    "grid": ("be positive", lambda n: n > 0),
+    "SVD grid": ("be at least 2", lambda n: n >= 2),
+    "n_spectrum": (f"be at least 1 and at most {MAX_N_SPECTRUM}",
+                   lambda n: 1 <= n <= MAX_N_SPECTRUM),
+    "points": (f"be at least 2 and at most {MAX_POINTS}", lambda n: 2 <= n <= MAX_POINTS),
+    "collisions": (f"be non-negative and at most {sys.float_info.max:g}",
+                   lambda n: 0 <= n <= sys.float_info.max),
+    "F0": ("lie in (0, 1]", lambda v: 0.0 < v <= 1.0),
+}
+# an argument that starts like a negative number, such as -1e3 or -.5, is a
+# value to argparse (as in Python 3.13), none of the options here being one
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
+
+
+def _typed(quantity: str, kind=float):
+    """An argparse type= that holds a kind to DOMAINS[quantity], so argparse
+    names the flag, on the command line and on a --config line alike."""
+    phrase, inside = DOMAINS[quantity]
+
+    def parse(text: str):
+        value = kind(text)
+        if not inside(value):
+            raise argparse.ArgumentTypeError(f"must {phrase}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid float value: 'x'"
+    return parse
+
+
+def _float_or_auto(text: str):
+    return "auto" if text.strip().lower() == "auto" else float(text)
+
+
+_float_or_auto.__name__ = "float or 'auto'"  # "invalid float or 'auto' value: 'abc'"
 
 
 def _sig12(value):
@@ -171,7 +216,8 @@ def _with_config(argv: list[str]) -> list[str]:
         if "--config".startswith(name) and sum(o.startswith(name) for o in options) == 1:
             path = value if sep else next(rest, None)
             # argparse reads an argument that looks like an option as no path
-            if not sep and path and re.fullmatch(r"-(?!\d+$|\d*\.\d+$)[^ ]+", path):
+            if (not sep and path and re.fullmatch(r"-[^ ]+", path)
+                    and not _NEGATIVE_NUMBER.match(path)):
                 return argv  # for the parser to report
     return argv if path is None else argv[:1] + _config_options(path, options) + argv[1:]
 
@@ -180,39 +226,17 @@ def _build_params(args) -> CollisionParams:
     if args.delta is not None:
         if args.m is not None or args.M is not None:
             raise ValueError("give either --delta or --m/--M, not both")
-        return _params_from_delta(args.delta)
+        return collision_params_from_delta(args.delta)
     if args.m is None or args.M is None:
         raise ValueError("masses are required: --m and --M (or --delta)")
-    m, M = _positive("--m", args.m), _positive("--M", args.M)
-    if not math.isfinite(m + M):
-        raise ValueError(f"--m and --M must have a finite sum, got {m:g} + {M:g}")
-    return collision_params(m, M)
+    if not math.isfinite(args.m + args.M):
+        raise ValueError(f"--m and --M must have a finite sum, got {args.m:g} + {args.M:g}")
+    return collision_params(args.m, args.M)
 
 
 def _mass_flags(args) -> str:
     """The flags that _build_params read the mass fraction from."""
     return "--delta" if args.delta is not None else "--m and --M"
-
-
-def _params_from_delta(delta: float) -> CollisionParams:
-    """Params for --delta, which must lie in (0, 1)."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"--delta must lie in (0, 1), got {delta}")
-    return collision_params_from_delta(delta)
-
-
-def _positive(flag: str, value: float | None) -> float | None:
-    """value, unless it is given and not positive and finite."""
-    if value is not None and not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{flag} must be positive and finite, got {value}")
-    return value
-
-
-def _finite_square(label: str, value: float) -> float:
-    """value, unless its square overflows or it is nan."""
-    if not math.isfinite(value * value):
-        raise ValueError(f"{label} must have a finite square, got {value:g}")
-    return value
 
 
 def _named(flags: str, fn, *args):
@@ -243,44 +267,26 @@ def _initial_state(wall_flags: str, Sigma: float, sigma: float, k: float):
 def _resolve_state(args, p: CollisionParams):
     """(Sigma, sigma, lambda, k, k sigma) from the flags.
 
-    sigma defaults to 1 and --Sigma auto applies spread matching; Sigma and
-    lambda are None when their flag is not given.  Each spread and lambda
-    must be positive and finite, and lambda a normal float.  --ksigma beats
-    --k; k is signed, k sigma is |k| sigma and must have a finite square.
+    --Sigma auto applies spread matching; Sigma and lambda are None when
+    their flag is not given.  --ksigma beats --k; k is signed, and k sigma
+    from --k is |k| sigma, which must have a finite square.
     """
-    if args.grid is not None and args.grid <= 0:
-        raise ValueError(f"--grid must be positive, got {args.grid}")
-    sigma = _positive("--sigma", args.sigma if args.sigma is not None else 1.0)
-    Sigma = args.Sigma
-    if Sigma is not None and Sigma.strip().lower() == "auto":
-        Sigma = ent.optimal_spreads(sigma, p)
-    elif Sigma is not None:
-        try:
-            value = float(Sigma)
-        except ValueError:
-            raise ValueError(f"--Sigma must be a number or 'auto', got {Sigma!r}") from None
-        Sigma = _positive("--Sigma", value)
+    sigma = args.sigma
+    Sigma = ent.optimal_spreads(sigma, p) if args.Sigma == "auto" else args.Sigma
     if args.ksigma is not None:
-        k_sigma = args.ksigma
-        k = k_sigma / sigma
-    else:
-        k = args.k if args.k is not None else 0.0
-        k_sigma = abs(k) * sigma
-    lam = _positive("--lambda", args.lambda_)
-    if lam is not None:
-        _named("--lambda", th._normal, "lambda", lam)
-    return Sigma, sigma, lam, k, _finite_square("k sigma", k_sigma)
+        return Sigma, sigma, args.lambda_, args.ksigma / sigma, args.ksigma
+    k_sigma = abs(args.k) * sigma
+    if not math.isfinite(k_sigma * k_sigma):
+        raise ValueError(f"k sigma must have a finite square, got {k_sigma:g}")
+    return Sigma, sigma, args.lambda_, args.k, k_sigma
 
 
 def cmd_error(args) -> int:
     p = _build_params(args)
     Sigma, sigma, lam, _, k_sigma = _resolve_state(args, p)
-    if k_sigma < 0.0:
-        raise ValueError(f"--ksigma must be non-negative, got {k_sigma}")
     if lam is None and Sigma is not None:
-        flags = "(--Sigma/--sigma)^2"
-        lam = _named(flags, th._normal, "lambda",
-                     _positive(flags, (Sigma / sigma) * (Sigma / sigma)))
+        lam = _named("(--Sigma/--sigma)^2", th._normal, "lambda",
+                     (Sigma / sigma) * (Sigma / sigma))
     opt = _named(_mass_flags(args), eb.optimal_lambda, k_sigma, p)
     if lam is None:
         lam = opt.lambda_max
@@ -324,8 +330,6 @@ def cmd_error(args) -> int:
 def cmd_entangle(args) -> int:
     p = _build_params(args)
     Sigma, sigma, lam, k, _ = _resolve_state(args, p)
-    if args.grid == 1:
-        raise ValueError("--grid must be at least 2 on entangle, got 1")
     wall = "--Sigma" if Sigma is not None else "--sigma and --lambda"
     if Sigma is None and lam is not None:
         Sigma = sigma * math.sqrt(lam)
@@ -333,15 +337,10 @@ def cmd_entangle(args) -> int:
         raise ValueError("wall spread is required: --Sigma (or --lambda)")
     sf = post_collision_state(_initial_state(wall, Sigma, sigma, k), p)
     kp = ent.kernel_params(sf)
-    n_spec = args.n_spectrum if args.n_spectrum is not None else 8
-    if n_spec < 1:
-        raise ValueError(f"--n-spectrum must be at least 1, got {n_spec}")
-    if n_spec > MAX_N_SPECTRUM:
-        raise ValueError(f"--n-spectrum must be at most {MAX_N_SPECTRUM}, got {n_spec}")
     F0 = ent.largest_eigenvalue(kp.w)
-    spectrum = ent.spectrum(kp.w, n_spec).tolist()
+    spectrum = ent.spectrum(kp.w, args.n_spectrum).tolist()
     # the eigenvalues past the first n sum to e^{-n u}, 0 on a matched state
-    tail = float(np.exp(-n_spec * kp.u))
+    tail = float(np.exp(-args.n_spectrum * kp.u))
     params = {"delta": p.delta, "gamma": p.gamma, "Sigma": Sigma,
               "sigma": sigma, "k": k}
     results = {"D": kp.D, "rho": kp.rho, "w": kp.w, "u": kp.u,
@@ -404,25 +403,12 @@ def _sweep_row(parameter: str, value: float, args, p: CollisionParams | None):
 
 
 def cmd_sweep(args) -> int:
-    if args.parameter not in SWEEP_PARAMETERS:
-        raise ValueError(f"sweep parameter must be one of {SWEEP_PARAMETERS}, "
-                         f"got {args.parameter!r}")
-    if args.points < 2:
-        raise ValueError("a sweep needs --points >= 2")
-    if args.points > MAX_POINTS:
-        raise ValueError(f"--points must be at most {MAX_POINTS}, got {args.points}")
     if args.scale == "log" and (args.start <= 0.0 or args.stop <= 0.0):
         raise ValueError("log scale requires positive start and stop")
-    if args.ksigma is not None:
-        _finite_square("--ksigma", args.ksigma)
-        if args.ksigma < 0.0:
-            raise ValueError(f"--ksigma must be non-negative, got {args.ksigma}")
     p = _build_params(args) if args.parameter in ("lambda", "k_sigma") else None
-    if args.parameter == "T":
-        if args.mu_kg is None:
-            raise ValueError("a T sweep needs --mu-kg")
-        _positive("--mu-kg", args.mu_kg)
-    rule, inside, header = _SWEEPS[args.parameter]
+    if args.parameter == "T" and args.mu_kg is None:
+        raise ValueError("a T sweep needs --mu-kg")
+    rule, inside = DOMAINS[args.parameter]
     ends = (("--start", args.start), ("--stop", args.stop))
     for flag, value in ends:
         if not inside(value):
@@ -430,9 +416,7 @@ def cmd_sweep(args) -> int:
     # each rule below holds on an interval of the parameter, so the two ends
     # bound every row
     for flag, value in ends:
-        if args.parameter == "lambda":
-            _named(flag, th._normal, "lambda", value)
-        elif args.parameter == "T":
+        if args.parameter == "T":
             _thermal_spread(flag, args.mu_kg, value)
             _named(flag, th.thermal_length, value)
         elif args.parameter == "delta":
@@ -451,6 +435,7 @@ def cmd_sweep(args) -> int:
               "points": args.points, "scale": args.scale}
     if p is not None:
         params["delta"] = p.delta
+    header = _SWEEPS[args.parameter]
     _render(args, params, {"columns": header, "rows": rows}, header, rows)
     return 0
 
@@ -486,38 +471,27 @@ def cmd_thermal(args) -> int:
         raise ValueError("temperature is required: --T")
     if args.mu_kg is None and not args.report_length_scale:
         raise ValueError("mass is required: --mu-kg (or use --report-length-scale)")
-    mu = _positive("--mu-kg", args.mu_kg)
-    if mu is not None:
-        _positive("--T", args.T)
 
     # optimized per-collision error coefficient at the thermal momentum
     delta_ref = args.delta if args.delta is not None else 1e-6
-    opt = _named("--delta", eb.optimal_lambda, 1.0, _params_from_delta(delta_ref))
+    opt = _named("--delta", eb.optimal_lambda, 1.0, collision_params_from_delta(delta_ref))
     coeff = opt.one_minus_A / delta_ref
 
-    if args.F0 is not None and not 0.0 < args.F0 <= 1.0:
-        raise ValueError(f"--F0 must lie in (0, 1], got {args.F0}")
     budget = None
     if args.collisions is not None:
-        if args.collisions < 0:
-            raise ValueError(f"--collisions must be non-negative, got {args.collisions}")
-        if args.collisions > sys.float_info.max:
-            raise ValueError(f"--collisions must be at most {sys.float_info.max:g}")
         f0 = args.F0 if args.F0 is not None else 1.0
         budget = th.amplitude_budget(f0, n=args.collisions)
 
     params = {"mu_kg": args.mu_kg, "T": args.T, "delta": args.delta,
               "collisions": args.collisions, "F0": args.F0}
-    # without a mass the temperature is first checked here, after --delta
-    T = _positive("--T", args.T)
-    results: dict = {"thermal_length": _named("--T", th.thermal_length, T),
+    results: dict = {"thermal_length": _named("--T", th.thermal_length, args.T),
                      "error_per_collision_over_delta": coeff}
     lines = [f"thermal design (T={args.T:.6g} K)",
              f"  hbar c / k_B T        = {results['thermal_length']:.12g} m"]
-    if mu is not None:
-        results["compton_wavelength"] = _named("--mu-kg", th.compton_wavelength, mu)
-        results["sigma_mu"] = _thermal_spread("--T", mu, T)
-        results["k_sigma_est"] = th.thermal_k_sigma(mu, T)
+    if args.mu_kg is not None:
+        results["compton_wavelength"] = _named("--mu-kg", th.compton_wavelength, args.mu_kg)
+        results["sigma_mu"] = _thermal_spread("--T", args.mu_kg, args.T)
+        results["k_sigma_est"] = th.thermal_k_sigma(args.mu_kg, args.T)
         lines += [f"  sigma_mu              = {results['sigma_mu']:.12g} m",
                   f"  compton wavelength    = {results['compton_wavelength']:.12g} m",
                   f"  k sigma estimate      = {results['k_sigma_est']:.12g}"]
@@ -531,22 +505,28 @@ def cmd_thermal(args) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser, state: bool) -> None:
-    """The mass flags, --ksigma and the output flags; with state, also the
-    flags of the packets and the oracle grid, which a sweep does not read:
-    its packet has sigma = 1 and its momentum is --ksigma."""
-    sub.add_argument("--m", type=float, help="particle mass")
-    sub.add_argument("--M", type=float, help="wall mass")
-    sub.add_argument("--delta", type=float, help="mass fraction m/(M+m) in place of masses")
+def _add_common(sub: argparse.ArgumentParser, command: str) -> None:
+    """The mass flags, --ksigma and the output flags; on error and entangle,
+    also the flags of the packets and the oracle grid, which a sweep does not
+    read: its packet has sigma = 1 and its momentum is --ksigma.  entangle's
+    k sigma is signed, and its SVD needs a grid of at least 2 x 2."""
+    state, entangle = command != "sweep", command == "entangle"
+    sub.add_argument("--m", type=_typed("m"), help="particle mass")
+    sub.add_argument("--M", type=_typed("M"), help="wall mass")
+    sub.add_argument("--delta", type=_typed("delta"),
+                     help="mass fraction m/(M+m) in place of masses")
     if state:
-        sub.add_argument("--sigma", type=float, help="particle position spread")
-        sub.add_argument("--Sigma", help="wall position spread, or 'auto' for spread matching")
-        sub.add_argument("--k", type=float, help="particle wavenumber")
-        sub.add_argument("--lambda", dest="lambda_", type=float,
+        sub.add_argument("--sigma", type=_typed("sigma"), default=1.0,
+                         help="particle position spread")
+        sub.add_argument("--Sigma", type=_typed("Sigma", _float_or_auto),
+                         help="wall position spread, or 'auto' for spread matching")
+        sub.add_argument("--k", type=float, default=0.0, help="particle wavenumber")
+        sub.add_argument("--lambda", dest="lambda_", type=_typed("lambda"),
                          help="spread ratio Sigma^2/sigma^2")
-    sub.add_argument("--ksigma", type=float, help="dimensionless momentum k*sigma")
+    sub.add_argument("--ksigma", type=_typed("signed k_sigma" if entangle else "k_sigma"),
+                     help="dimensionless momentum k*sigma")
     if state:
-        sub.add_argument("--grid", type=int,
+        sub.add_argument("--grid", type=_typed("SVD grid" if entangle else "grid", int),
                          help="also run the matching numeric oracle on exactly N x N points")
     _add_output(sub)
     if state:
@@ -571,23 +551,22 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, frozenset[str]]]:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_err = subs.add_parser("error", help="overlap error against the fixed-wall ideal")
-    _add_common(p_err, state=True)
+    _add_common(p_err, "error")
 
     p_ent = subs.add_parser("entangle", help="reduced-kernel entanglement report")
-    _add_common(p_ent, state=True)
-    p_ent.add_argument("--n-spectrum", type=int,
+    _add_common(p_ent, "entangle")
+    p_ent.add_argument("--n-spectrum", type=_typed("n_spectrum", int), default=8,
                        help=f"eigenvalues to list (default 8, at least 1, "
                             f"at most {MAX_N_SPECTRUM})")
 
     p_sw = subs.add_parser("sweep", help="parameter sweep to CSV/JSON")
-    _add_common(p_sw, state=False)
-    p_sw.add_argument("--parameter", required=True,
-                      help=f"one of {', '.join(SWEEP_PARAMETERS)}")
+    _add_common(p_sw, "sweep")
+    p_sw.add_argument("--parameter", required=True, choices=SWEEP_PARAMETERS)
     p_sw.add_argument("--start", type=float, required=True)
     p_sw.add_argument("--stop", type=float, required=True)
-    p_sw.add_argument("--points", type=int, required=True)
+    p_sw.add_argument("--points", type=_typed("points", int), required=True)
     p_sw.add_argument("--scale", choices=("linear", "log"), default="linear")
-    p_sw.add_argument("--mu-kg", dest="mu_kg", type=float, help="mass for T sweeps")
+    p_sw.add_argument("--mu-kg", dest="mu_kg", type=_typed("mu_kg"), help="mass for T sweeps")
     p_sw.set_defaults(format="csv")
 
     p_ver = subs.add_parser("verify", help="run every oracle-vs-closed-form check")
@@ -597,19 +576,19 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, frozenset[str]]]:
     _add_output(p_ver)
 
     p_th = subs.add_parser("thermal", help="thermal packet size and collision budget")
-    p_th.add_argument("--mu-kg", dest="mu_kg", type=float, help="object mass in kg")
-    p_th.add_argument("--T", type=float, help="temperature in kelvin")
-    p_th.add_argument("--delta", type=float, help="mass fraction for the error coefficient")
-    p_th.add_argument("--collisions", type=int, help="collision count for the budget")
-    p_th.add_argument("--F0", type=float, help="per-collision largest eigenvalue")
+    p_th.add_argument("--mu-kg", dest="mu_kg", type=_typed("mu_kg"), help="object mass in kg")
+    p_th.add_argument("--T", type=_typed("T"), help="temperature in kelvin")
+    p_th.add_argument("--delta", type=_typed("delta"),
+                      help="mass fraction for the error coefficient")
+    p_th.add_argument("--collisions", type=_typed("collisions", int),
+                      help="collision count for the budget")
+    p_th.add_argument("--F0", type=_typed("F0"), help="per-collision largest eigenvalue")
     p_th.add_argument("--report-length-scale", action="store_true",
                       help="report hbar c/k_B T without needing a mass")
     _add_output(p_th)
-    # argparse takes "-1e3" for an option, so "--k -1e3" would lack its value;
-    # match every argument that starts like a negative number (as Python 3.13
-    # does), none of the options here being one
+    # argparse takes "-1e3" for an option, so "--k -1e3" would lack its value
     for p in (parser, *subs.choices.values()):
-        p._negative_number_matcher = re.compile(r"^-\.?\d")
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     # argparse keeps no public list of a parser's options
     return parser, {name: frozenset(sub._option_string_actions)
                     for name, sub in subs.choices.items()}

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -18,12 +20,28 @@ _HUGE_MASSES = ["--m", "1e308", "--M", "1e308"]
 _HUGE_SUM = "--m and --M must have a finite sum, got 1e+308 + 1e+308"
 _OUT_OF_RANGE = "is out of range: 1/(4 {0} spread^2) is not a positive finite number"
 _UNDERFLOWS = "is too small for the optimum's bracket: delta^2 * 0.001 underflows to 0"
+# the domain phrases of cli.DOMAINS
+_NORMAL = "be a normal positive float"
+_POSITIVE = "be positive and finite"
+_K_SIGMA = "be non-negative with a finite square"
+_N_SPECTRUM = "be at least 1 and at most 1000000"
+_POINTS = "be at least 2 and at most 1000000"
+_COLLISIONS = f"be non-negative and at most {sys.float_info.max:g}"
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def outcome(capsys, *argv):
+    """(exit code, stdout, stderr) of a call, argparse's SystemExit included."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
 
 
 def usage_error(capsys, *argv):
@@ -33,6 +51,20 @@ def usage_error(capsys, *argv):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     return captured.err
+
+
+def rejected(capsys, argv, message):
+    """Assert that argv exits 2 with no output and with message: argparse's,
+    after its usage lines, when one flag's value is outside its domain (the
+    message starts `argument --flag: `), or main's `error: ` line when a rule
+    that joins flags fails."""
+    if message.startswith("argument "):
+        err = usage_error(capsys, *argv)
+        assert err.startswith(f"usage: decoh {argv[0]} ")
+        assert err.endswith(f"\ndecoh {argv[0]}: error: {message}\n")
+    else:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err == f"error: {message}\n"
 
 
 def parse_emitted_csv(text: str):
@@ -128,9 +160,8 @@ def test_error_missing_masses_exits_2(capsys):
 
 
 def test_error_bad_physics_exits_2(capsys):
-    code, _, err = run_cli(capsys, "error", "--delta", "0.01", "--lambda", "-2")
-    assert code == 2
-    assert "lambda" in err or "positive" in err
+    err = usage_error(capsys, "error", "--delta", "0.01", "--lambda", "-2")
+    assert "argument --lambda: must be a normal positive float, got -2\n" in err
 
 
 def test_missing_subcommand_flag_usage(capsys):
@@ -174,12 +205,11 @@ def test_entangle_equal_masses(capsys):
 
 
 def test_sweep_points_below_two_exits_2(capsys):
-    code, _, err = run_cli(
+    err = usage_error(
         capsys, "sweep", "--parameter", "w", "--start", "0.1", "--stop", "10",
         "--points", "1",
     )
-    assert code == 2
-    assert "points" in err
+    assert "argument --points: must be at least 2 and at most 1000000, got 1\n" in err
 
 
 def test_sweep_log_requires_positive_range(capsys):
@@ -246,11 +276,11 @@ def test_sweep_byte_identical_across_runs_and_threads(capsys, monkeypatch):
 
 
 def test_sweep_unknown_parameter_exits_2(capsys):
-    code, _, err = run_cli(
+    err = usage_error(
         capsys, "sweep", "--parameter", "sideways", "--start", "1", "--stop", "2",
         "--points", "3",
     )
-    assert code == 2
+    assert "argument --parameter: invalid choice: 'sideways' (choose from 'lambda'" in err
 
 
 def test_thermal_electron(capsys):
@@ -282,8 +312,8 @@ def test_thermal_budget(capsys):
 
 
 def test_thermal_rejects_nonpositive(capsys):
-    code, _, err = run_cli(capsys, "thermal", "--mu-kg", "-1", "--T", "300")
-    assert code == 2
+    err = usage_error(capsys, "thermal", "--mu-kg", "-1", "--T", "300")
+    assert "argument --mu-kg: must be positive and finite, got -1\n" in err
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -470,9 +500,10 @@ def test_repeated_calls_print_the_same_bytes(capsys, tmp_path):
         ["sweep", "--parameter", "w", "--start", "0.1", "--stop", "10", "--points", "5"],
         ["error", "--lambda", "-1", "--delta", "0.01"],
     ]
-    first = [run_cli(capsys, *argv) for argv in argvs]
-    again = [run_cli(capsys, *argv) for argv in argvs]
-    again_reversed = [run_cli(capsys, *argv) for argv in reversed(argvs)]
+    first = [outcome(capsys, *argv) for argv in argvs]
+    assert first[-1][0] == 2 and "argument --lambda" in first[-1][2]
+    again = [outcome(capsys, *argv) for argv in argvs]
+    again_reversed = [outcome(capsys, *argv) for argv in reversed(argvs)]
     assert again == first
     assert again_reversed == first[::-1]
 
@@ -531,10 +562,8 @@ def test_entangle_honours_ksigma_over_k(capsys):
 
 
 def test_entangle_matched_needs_one_eigenvalue(capsys):
-    code, out, err = run_cli(capsys, "entangle", "--delta", "0.01", "--Sigma", "auto",
-                             "--n-spectrum", "0")
-    assert code == 2 and out == ""
-    assert err == "error: --n-spectrum must be at least 1, got 0\n"
+    rejected(capsys, ["entangle", "--delta", "0.01", "--Sigma", "auto", "--n-spectrum", "0"],
+             "argument --n-spectrum: must be at least 1 and at most 1000000, got 0")
 
 
 def test_entangle_help_states_the_n_spectrum_range(capsys):
@@ -551,9 +580,9 @@ def test_entangle_help_states_the_n_spectrum_range(capsys):
 ])
 @pytest.mark.parametrize("grid", ["0", "-3"])
 def test_grid_must_be_positive(capsys, command, grid):
-    code, out, err = run_cli(capsys, *command, "--grid", grid)
-    assert code == 2 and out == ""
-    assert err == f"error: --grid must be positive, got {grid}\n"
+    """Positive on error; entangle's SVD needs at least 2 x 2."""
+    least = "be at least 2" if command[0] == "entangle" else "be positive"
+    rejected(capsys, [*command, "--grid", grid], f"argument --grid: must {least}, got {grid}")
 
 
 @pytest.mark.parametrize("argv,flag,value", [
@@ -562,9 +591,9 @@ def test_grid_must_be_positive(capsys, command, grid):
     (["entangle", "--delta", "0.01", "--lambda", "-1"], "--lambda", "-1.0"),
 ])
 def test_spreads_and_lambda_must_be_positive(capsys, argv, flag, value):
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err == f"error: {flag} must be positive and finite, got {value}\n"
+    got = re.search(rf"error: argument {flag}: must be (a normal )?positive .*, got (\S+)\n$",
+                    usage_error(capsys, *argv))
+    assert got and float(got[2]) == float(value)
 
 
 def test_config_sets_format_and_scale(tmp_path, capsys):
@@ -639,30 +668,130 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert err.startswith("error: [Errno 2] No such file or directory")
 
 
+def test_config_path_may_start_like_a_negative_number(tmp_path, capsys, monkeypatch):
+    """argparse takes -1e3 after --config as its path, so the file is read
+    as after `=`, and a missing one exits 2 rather than being skipped."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-1e3").write_text("delta=0.02\n")
+    spaced = run_cli(capsys, "error", "--config", "-1e3")
+    assert spaced[0] == 0 and spaced[1].startswith("overlap error (delta=0.02, ")
+    assert run_cli(capsys, "error", "--config=-1e3") == spaced
+    for argv in (["--config", "-.5x"], ["--config=-.5x"]):
+        code, out, err = run_cli(capsys, "error", "--delta", "0.01", *argv)
+        assert code == 2 and out == ""
+        assert err == "error: [Errno 2] No such file or directory: '-.5x'\n"
+
+
+_MAX = repr(sys.float_info.max)
+_SQRT_MAX = repr(math.sqrt(sys.float_info.max))
+_PAST_SQRT_MAX = repr(math.nextafter(math.sqrt(sys.float_info.max), math.inf))
+_POSITIVE_EDGES = [("5e-324", "0"), (_MAX, "inf")]
+# per cli.DOMAINS entry a flag reads: (just inside, just outside) each edge
+_EDGES = {
+    "m": _POSITIVE_EDGES,
+    "M": _POSITIVE_EDGES,
+    "delta": [("5e-324", "0"), ("0.9999999999999999", "1")],
+    "sigma": _POSITIVE_EDGES,
+    "Sigma": _POSITIVE_EDGES,
+    "lambda": [("2.2250738585072014e-308", "2.225073858507201e-308"), (_MAX, "inf")],
+    "k_sigma": [("0", "-5e-324"), (_SQRT_MAX, _PAST_SQRT_MAX)],
+    "signed k_sigma": [(f"-{_SQRT_MAX}", f"-{_PAST_SQRT_MAX}"), (_SQRT_MAX, _PAST_SQRT_MAX)],
+    "T": _POSITIVE_EDGES,
+    "mu_kg": _POSITIVE_EDGES,
+    "grid": [("1", "0")],
+    "SVD grid": [("2", "1")],
+    "n_spectrum": [("1", "0"), ("1000000", "1000001")],
+    "points": [("2", "1"), ("1000000", "1000001")],
+    "collisions": [("0", "-1"),
+                   (str(int(sys.float_info.max)), str(int(sys.float_info.max) + 1))],
+    "F0": [("5e-324", "0"), ("1", "1.0000000000000002")],
+}
+_COMMAND_FLAGS = {
+    "error": {"--m": "m", "--M": "M", "--delta": "delta", "--sigma": "sigma",
+              "--Sigma": "Sigma", "--lambda": "lambda", "--ksigma": "k_sigma",
+              "--grid": "grid"},
+    "entangle": {"--m": "m", "--M": "M", "--delta": "delta", "--sigma": "sigma",
+                 "--Sigma": "Sigma", "--lambda": "lambda", "--ksigma": "signed k_sigma",
+                 "--grid": "SVD grid", "--n-spectrum": "n_spectrum"},
+    "sweep": {"--m": "m", "--M": "M", "--delta": "delta", "--ksigma": "k_sigma",
+              "--points": "points", "--mu-kg": "mu_kg"},
+    "thermal": {"--mu-kg": "mu_kg", "--T": "T", "--delta": "delta",
+                "--collisions": "collisions", "--F0": "F0"},
+}
+_SWEEP_REQUIRED = {"--parameter": "w", "--start": "1", "--stop": "2", "--points": "3"}
+
+
+def _required(command, flag):
+    """command and the flags argparse requires of it, but flag: a flag given
+    on the command line would beat its config line."""
+    pairs = _SWEEP_REQUIRED.items() if command == "sweep" else ()
+    return [command, *(part for pair in pairs if pair[0] != flag for part in pair)]
+
+
+def test_the_edge_table_covers_every_domain_a_flag_reads():
+    """Every DOMAINS entry but w, which only a sweep's ends read, is a flag's."""
+    used = {q for flags in _COMMAND_FLAGS.values() for q in flags.values()}
+    assert used == set(_EDGES) == set(cli.DOMAINS) - {"w"}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in _COMMAND_FLAGS.items() for flag in flags])
+def test_each_flag_takes_its_domain_and_nothing_past_an_edge(tmp_path, capsys, command, flag):
+    """Each flag's DOMAINS entry is checked where argparse reads the value,
+    on the command line and on a --config line alike, whether or not the
+    command reads the flag: a value just inside an edge parses, and one just
+    outside exits 2 naming the flag and the value, before any command rule."""
+    quantity = _COMMAND_FLAGS[command][flag]
+    kind = int if quantity in ("grid", "SVD grid", "n_spectrum", "points", "collisions") else float
+    dest = {"--lambda": "lambda_"}.get(flag, flag[2:].replace("-", "_"))
+    base = _required(command, flag)
+    cfg = tmp_path / "edge.cfg"
+    for inside, outside in _EDGES[quantity]:
+        cfg.write_text(f"{flag[2:]}={inside}\n")
+        for argv in ([*base, flag, inside], [*base, "--config", str(cfg)]):
+            args = cli.build_parser().parse_args(cli._with_config(argv))
+            assert getattr(args, dest) == kind(inside), argv
+        cfg.write_text(f"{flag[2:]}={outside}\n")
+        for argv in ([*base, flag, outside], [*base, "--config", str(cfg)]):
+            err = usage_error(capsys, *argv)
+            assert err.endswith(f"\ndecoh {command}: error: argument {flag}: "
+                                f"must {cli.DOMAINS[quantity][0]}, got {outside}\n"), argv
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["error", "--delta", "0.01", "--Sigma", "1e160"],
-     "(--Sigma/--sigma)^2 must be positive and finite, got inf"),
-    (["error", "--delta", "0.01", "--ksigma", "1e200"],
-     "k sigma must have a finite square, got 1e+200"),
+    pytest.param(["error", "--delta", "0.01", "--Sigma", "1e160"],
+                 f"(--Sigma/--sigma)^2 out of range: lambda = inf, {_NOT_NORMAL}",
+                 id="argv0-(--Sigma/--sigma)^2 must be positive and finite, got inf"),
+    pytest.param(["error", "--delta", "0.01", "--ksigma", "1e200"],
+                 f"argument --ksigma: must {_K_SIGMA}, got 1e200",
+                 id="argv1-k sigma must have a finite square, got 1e+200"),
     (["entangle", "--delta", "0.01", "--Sigma", "1e200"],
      f"--Sigma out of range: wall spread 1e+200 {_OUT_OF_RANGE.format('wall')}"),
-    (["sweep", "--parameter", "lambda", "--start", "0.1", "--stop", "1", "--points", "3",
-      "--delta", "0.01", "--ksigma", "1e200"],
-     "--ksigma must have a finite square, got 1e+200"),
+    pytest.param(["sweep", "--parameter", "lambda", "--start", "0.1", "--stop", "1",
+                  "--points", "3", "--delta", "0.01", "--ksigma", "1e200"],
+                 f"argument --ksigma: must {_K_SIGMA}, got 1e200",
+                 id="argv3---ksigma must have a finite square, got 1e+200"),
     (["entangle", "--delta", "0.01", "--Sigma", "1e-200"],
      f"--Sigma out of range: wall spread 1e-200 {_OUT_OF_RANGE.format('wall')}"),
-    (["error", "--delta", "0.01", "--Sigma", "abc"],
-     "--Sigma must be a number or 'auto', got 'abc'"),
-    (["entangle", "--delta", "0.01", "--Sigma", "1", "--grid", "1"],
-     "--grid must be at least 2 on entangle, got 1"),
-    (["entangle", "--delta", "0.01", "--Sigma", "1", "--n-spectrum", "1000001"],
-     "--n-spectrum must be at most 1000000, got 1000001"),
-    (["entangle", "--delta", "0.01", "--Sigma", "1", "--n-spectrum", "100000000000"],
-     "--n-spectrum must be at most 1000000, got 100000000000"),
-    (["entangle", "--delta", "0.01", "--Sigma", "1", "--n-spectrum", "0"],
-     "--n-spectrum must be at least 1, got 0"),
-    (["entangle", "--delta", "0.01", "--Sigma", "1", "--n-spectrum", "-1"],
-     "--n-spectrum must be at least 1, got -1"),
+    pytest.param(["error", "--delta", "0.01", "--Sigma", "abc"],
+                 "argument --Sigma: invalid float or 'auto' value: 'abc'",
+                 id="argv5---Sigma must be a number or 'auto', got 'abc'"),
+    pytest.param(["entangle", "--delta", "0.01", "--Sigma", "1", "--grid", "1"],
+                 "argument --grid: must be at least 2, got 1",
+                 id="argv6---grid must be at least 2 on entangle, got 1"),
+    pytest.param(["entangle", "--delta", "0.01", "--Sigma", "1", "--n-spectrum", "1000001"],
+                 f"argument --n-spectrum: must {_N_SPECTRUM}, got 1000001",
+                 id="argv7---n-spectrum must be at most 1000000, got 1000001"),
+    pytest.param(["entangle", "--delta", "0.01", "--Sigma", "1",
+                  "--n-spectrum", "100000000000"],
+                 f"argument --n-spectrum: must {_N_SPECTRUM}, got 100000000000",
+                 id="argv8---n-spectrum must be at most 1000000, got 100000000000"),
+    pytest.param(["entangle", "--delta", "0.01", "--Sigma", "1", "--n-spectrum", "0"],
+                 f"argument --n-spectrum: must {_N_SPECTRUM}, got 0",
+                 id="argv9---n-spectrum must be at least 1, got 0"),
+    pytest.param(["entangle", "--delta", "0.01", "--Sigma", "1", "--n-spectrum", "-1"],
+                 f"argument --n-spectrum: must {_N_SPECTRUM}, got -1",
+                 id="argv10---n-spectrum must be at least 1, got -1"),
     # entangle applies error's rule to k sigma: nan ran as k sigma = nan,
     # 1e308 ended in an SVD traceback, 1e200 printed an SVD F0 of 0.909
     # beside the closed form's 0.632
@@ -674,16 +803,22 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
      "k sigma must have a finite square, got 1e+200"),
     # a subnormal lambda printed numpy's overflow warning and A = 0, or the
     # library's wall spread message, which names no flag
-    (["error", "--delta", "0.01", "--ksigma", "1", "--lambda", "1e-320"],
-     f"--lambda out of range: lambda = 9.99989e-321, {_NOT_NORMAL}"),
+    pytest.param(["error", "--delta", "0.01", "--ksigma", "1", "--lambda", "1e-320"],
+                 f"argument --lambda: must {_NORMAL}, got 1e-320",
+                 id=f"argv14---lambda out of range: lambda = 9.99989e-321, {_NOT_NORMAL}"),
     (["error", "--delta", "0.01", "--ksigma", "1", "--Sigma", "1e-160"],
      f"(--Sigma/--sigma)^2 out of range: lambda = 9.99989e-321, {_NOT_NORMAL}"),
-    (["entangle", "--delta", "0.01", "--lambda", "1e-320"],
-     f"--lambda out of range: lambda = 9.99989e-321, {_NOT_NORMAL}"),
-    (["sweep", "--parameter", "lambda", "--start", "1e-320", "--stop", "1", "--points", "3",
-      "--delta", "0.01"], f"--start out of range: lambda = 9.99989e-321, {_NOT_NORMAL}"),
-    (["sweep", "--parameter", "lambda", "--start", "1", "--stop", "1e-320", "--points", "3",
-      "--delta", "0.01"], f"--stop out of range: lambda = 9.99989e-321, {_NOT_NORMAL}"),
+    pytest.param(["entangle", "--delta", "0.01", "--lambda", "1e-320"],
+                 f"argument --lambda: must {_NORMAL}, got 1e-320",
+                 id=f"argv16---lambda out of range: lambda = 9.99989e-321, {_NOT_NORMAL}"),
+    pytest.param(["sweep", "--parameter", "lambda", "--start", "1e-320", "--stop", "1",
+                  "--points", "3", "--delta", "0.01"],
+                 f"--start must {_NORMAL} for a lambda sweep, got 1e-320",
+                 id=f"argv17---start out of range: lambda = 9.99989e-321, {_NOT_NORMAL}"),
+    pytest.param(["sweep", "--parameter", "lambda", "--start", "1", "--stop", "1e-320",
+                  "--points", "3", "--delta", "0.01"],
+                 f"--stop must {_NORMAL} for a lambda sweep, got 1e-320",
+                 id=f"argv18---stop out of range: lambda = 9.99989e-321, {_NOT_NORMAL}"),
     # below about 5e-161 delta^2 * 1e-3, the low end of the optimum's
     # bracket, underflowed to 0 and ended in `math domain error`
     (["error", "--m", "1e-300", "--M", "1e10", "--ksigma", "1"],
@@ -720,10 +855,14 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     (["error", "--delta", "1e-30", "--ksigma", "1", "--sigma", "1e-150", "--grid", "8"],
      f"--sigma out of range: wall spread 6.6874e-166 {_OUT_OF_RANGE.format('wall')}"),
     # a sweep holds every row until it writes the table
-    (["sweep", "--parameter", "w", "--start", "1", "--stop", "2", "--points", "1000001"],
-     "--points must be at most 1000000, got 1000001"),
-    (["sweep", "--parameter", "w", "--start", "1", "--stop", "2", "--points", "1000000000000"],
-     "--points must be at most 1000000, got 1000000000000"),
+    pytest.param(["sweep", "--parameter", "w", "--start", "1", "--stop", "2",
+                  "--points", "1000001"],
+                 f"argument --points: must {_POINTS}, got 1000001",
+                 id="argv34---points must be at most 1000000, got 1000001"),
+    pytest.param(["sweep", "--parameter", "w", "--start", "1", "--stop", "2",
+                  "--points", "1000000000000"],
+                 f"argument --points: must {_POINTS}, got 1000000000000",
+                 id="argv35---points must be at most 1000000, got 1000000000000"),
 ])
 def test_out_of_range_input_exits_2_with_a_message(capsys, argv, message):
     """Squares that overflow or underflow a float, a subnormal lambda, a
@@ -732,10 +871,8 @@ def test_out_of_range_input_exits_2_with_a_message(capsys, argv, message):
     than 10^6 points (10^12 asked numpy for 7.28 TiB), a spread out of
     range and a mass fraction too small for the optimum's bracket end in a
     message naming its flags, not a traceback; a sweep checks before its
-    first row."""
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err == f"error: {message}\n"
+    first row.  A case whose message changed keeps its test id."""
+    rejected(capsys, argv, message)
 
 
 def test_entangle_grid_is_exactly_n_by_n(capsys, monkeypatch):
@@ -773,37 +910,64 @@ def test_entangle_forced_grid_at_a_vast_spread_ratio(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["thermal", "--mu-kg", "-1", "--T", "300"], "--mu-kg must be positive and finite, got -1.0"),
-    (["thermal", "--mu-kg", "1e-27", "--T", "-1"], "--T must be positive and finite, got -1.0"),
-    (["thermal", "--T", "-1", "--report-length-scale"],
-     "--T must be positive and finite, got -1.0"),
-    (["thermal", "--mu-kg", "1e-27", "--T", "300", "--delta", "2"],
-     "--delta must lie in (0, 1), got 2.0"),
-    (["error", "--delta", "2", "--ksigma", "1"], "--delta must lie in (0, 1), got 2.0"),
-    (["entangle", "--delta", "0", "--Sigma", "1"], "--delta must lie in (0, 1), got 0.0"),
-    (["error", "--delta", "0.01", "--ksigma", "-1"], "--ksigma must be non-negative, got -1.0"),
-    (["thermal", "--T", "1", "--report-length-scale", "--F0", "2"],
-     "--F0 must lie in (0, 1], got 2.0"),
-    (["thermal", "--T", "1", "--report-length-scale", "--F0", "0"],
-     "--F0 must lie in (0, 1], got 0.0"),
-    (["thermal", "--T", "1", "--report-length-scale", "--collisions", "3", "--F0", "2"],
-     "--F0 must lie in (0, 1], got 2.0"),
-    (["error", "--m", "0", "--M", "1"], "--m must be positive and finite, got 0.0"),
-    (["error", "--m", "1", "--M", "-1"], "--M must be positive and finite, got -1.0"),
-    (["thermal", "--T", "1", "--report-length-scale", "--collisions", "-3"],
-     "--collisions must be non-negative, got -3"),
-    (["sweep", "--parameter", "delta", "--start", "0.01", "--stop", "0.1", "--points", "3",
-      "--ksigma", "-1"], "--ksigma must be non-negative, got -1.0"),
-    (["sweep", "--parameter", "lambda", "--start", "0.1", "--stop", "1", "--points", "3",
-      "--delta", "0.01", "--ksigma", "-1"], "--ksigma must be non-negative, got -1.0"),
+    pytest.param(["thermal", "--mu-kg", "-1", "--T", "300"],
+                 f"argument --mu-kg: must {_POSITIVE}, got -1",
+                 id="argv0---mu-kg must be positive and finite, got -1.0"),
+    pytest.param(["thermal", "--mu-kg", "1e-27", "--T", "-1"],
+                 f"argument --T: must {_POSITIVE}, got -1",
+                 id="argv1---T must be positive and finite, got -1.0"),
+    pytest.param(["thermal", "--T", "-1", "--report-length-scale"],
+                 f"argument --T: must {_POSITIVE}, got -1",
+                 id="argv2---T must be positive and finite, got -1.0"),
+    pytest.param(["thermal", "--mu-kg", "1e-27", "--T", "300", "--delta", "2"],
+                 "argument --delta: must lie in (0, 1), got 2",
+                 id="argv3---delta must lie in (0, 1), got 2.0"),
+    pytest.param(["error", "--delta", "2", "--ksigma", "1"],
+                 "argument --delta: must lie in (0, 1), got 2",
+                 id="argv4---delta must lie in (0, 1), got 2.0"),
+    pytest.param(["entangle", "--delta", "0", "--Sigma", "1"],
+                 "argument --delta: must lie in (0, 1), got 0",
+                 id="argv5---delta must lie in (0, 1), got 0.0"),
+    pytest.param(["error", "--delta", "0.01", "--ksigma", "-1"],
+                 f"argument --ksigma: must {_K_SIGMA}, got -1",
+                 id="argv6---ksigma must be non-negative, got -1.0"),
+    pytest.param(["thermal", "--T", "1", "--report-length-scale", "--F0", "2"],
+                 "argument --F0: must lie in (0, 1], got 2",
+                 id="argv7---F0 must lie in (0, 1], got 2.0"),
+    pytest.param(["thermal", "--T", "1", "--report-length-scale", "--F0", "0"],
+                 "argument --F0: must lie in (0, 1], got 0",
+                 id="argv8---F0 must lie in (0, 1], got 0.0"),
+    pytest.param(["thermal", "--T", "1", "--report-length-scale", "--collisions", "3",
+                  "--F0", "2"],
+                 "argument --F0: must lie in (0, 1], got 2",
+                 id="argv9---F0 must lie in (0, 1], got 2.0"),
+    pytest.param(["error", "--m", "0", "--M", "1"],
+                 f"argument --m: must {_POSITIVE}, got 0",
+                 id="argv10---m must be positive and finite, got 0.0"),
+    pytest.param(["error", "--m", "1", "--M", "-1"],
+                 f"argument --M: must {_POSITIVE}, got -1",
+                 id="argv11---M must be positive and finite, got -1.0"),
+    pytest.param(["thermal", "--T", "1", "--report-length-scale", "--collisions", "-3"],
+                 f"argument --collisions: must {_COLLISIONS}, got -3",
+                 id="argv12---collisions must be non-negative, got -3"),
+    pytest.param(["sweep", "--parameter", "delta", "--start", "0.01", "--stop", "0.1",
+                  "--points", "3", "--ksigma", "-1"],
+                 f"argument --ksigma: must {_K_SIGMA}, got -1",
+                 id="argv13---ksigma must be non-negative, got -1.0"),
+    pytest.param(["sweep", "--parameter", "lambda", "--start", "0.1", "--stop", "1",
+                  "--points", "3", "--delta", "0.01", "--ksigma", "-1"],
+                 f"argument --ksigma: must {_K_SIGMA}, got -1",
+                 id="argv14---ksigma must be non-negative, got -1.0"),
     (["sweep", "--parameter", "k_sigma", "--start", "-1", "--stop", "1", "--points", "3",
       "--delta", "0.01"],
      "--start must be non-negative with a finite square for a k_sigma sweep, got -1.0"),
     (["sweep", "--parameter", "k_sigma", "--start", "1", "--stop", "1e200", "--points", "3",
       "--delta", "0.01"],
      "--stop must be non-negative with a finite square for a k_sigma sweep, got 1e+200"),
-    (["sweep", "--parameter", "lambda", "--start", "-1", "--stop", "1", "--points", "3",
-      "--delta", "0.01"], "--start must be positive and finite for a lambda sweep, got -1.0"),
+    pytest.param(["sweep", "--parameter", "lambda", "--start", "-1", "--stop", "1",
+                  "--points", "3", "--delta", "0.01"],
+                 f"--start must {_NORMAL} for a lambda sweep, got -1.0",
+                 id="argv17---start must be positive and finite for a lambda sweep, got -1.0"),
     (["sweep", "--parameter", "delta", "--start", "0", "--stop", "0.5", "--points", "3"],
      "--start must lie in (0, 1) for a delta sweep, got 0.0"),
     (["sweep", "--parameter", "delta", "--start", "0.1", "--stop", "1", "--points", "3"],
@@ -812,10 +976,14 @@ def test_entangle_forced_grid_at_a_vast_spread_ratio(capsys):
      "--start must be non-negative and finite for a w sweep, got -1.0"),
     (["sweep", "--parameter", "T", "--start", "-1", "--stop", "1", "--points", "3",
       "--mu-kg", "1e-27"], "--start must be positive and finite for a T sweep, got -1.0"),
-    (["sweep", "--parameter", "T", "--start", "1", "--stop", "2", "--points", "3",
-      "--mu-kg", "-1"], "--mu-kg must be positive and finite, got -1.0"),
-    (["thermal", "--T", "1", "--report-length-scale", "--collisions", "1" + "0" * 309],
-     f"--collisions must be at most {sys.float_info.max:g}"),
+    pytest.param(["sweep", "--parameter", "T", "--start", "1", "--stop", "2", "--points", "3",
+                  "--mu-kg", "-1"],
+                 f"argument --mu-kg: must {_POSITIVE}, got -1",
+                 id="argv22---mu-kg must be positive and finite, got -1.0"),
+    pytest.param(["thermal", "--T", "1", "--report-length-scale",
+                  "--collisions", "1" + "0" * 309],
+                 f"argument --collisions: must {_COLLISIONS}, got 1{'0' * 309}",
+                 id=f"argv23---collisions must be at most {sys.float_info.max:g}"),
     # m + M = inf gave delta = gamma = 0: a matched state with F0 = 1, rows
     # of A = 1, or a math domain error
     (["entangle", "--Sigma", "1", *_HUGE_MASSES], _HUGE_SUM),
@@ -827,10 +995,9 @@ def test_entangle_forced_grid_at_a_vast_spread_ratio(capsys):
 ])
 def test_exit_2_messages_name_the_flag(capsys, argv, message):
     """A rejected input is named by its flag, not by the library's word for
-    it; --F0 is checked whether or not --collisions is given."""
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err == f"error: {message}\n"
+    it; --F0 is checked whether or not --collisions is given.  A case whose
+    message changed keeps its test id."""
+    rejected(capsys, argv, message)
 
 
 _T_SWEEP = ["sweep", "--parameter", "T", "--points", "2"]
@@ -856,15 +1023,14 @@ _T_SWEEP = ["sweep", "--parameter", "T", "--points", "2"]
     ([*_T_SWEEP, "--start", "1", "--stop", "1e308", "--mu-kg", "1e-27"],
      f"--stop out of range: hbar c/(k_B T) = 2.28988e-311, {_NOT_NORMAL}"),
     # the range checks come after every other check
-    (["thermal", "--mu-kg", "1e-300", "--T", "1e-300", "--delta", "2"],
-     "--delta must lie in (0, 1), got 2.0"),
+    pytest.param(["thermal", "--mu-kg", "1e-300", "--T", "1e-300", "--delta", "2"],
+                 "argument --delta: must lie in (0, 1), got 2",
+                 id="argv9---delta must lie in (0, 1), got 2.0"),
 ])
 def test_thermal_lengths_outside_the_normal_range_exit_2(capsys, argv, message):
     """A reported length, or a product behind it, that is zero, subnormal or
     infinite exits 2 naming its flags, not with a traceback, a 0 or a nan."""
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err == f"error: {message}\n"
+    rejected(capsys, argv, message)
 
 
 @pytest.mark.parametrize("scale", [[], ["--scale", "log"]])
@@ -976,20 +1142,22 @@ def test_entangle_keeps_a_signed_momentum(capsys):
 @pytest.mark.parametrize("argv, option, message", [
     (["entangle", "--delta", "0.01", "--Sigma", "1"], ["--k", "-1e3"], None),
     (["entangle", "--delta", "0.01", "--Sigma", "1"], ["--ksigma", "-1E-2"], None),
-    (["error", "--delta", "0.01"], ["--ksigma", "-1e3"], "--ksigma must be non-negative"),
+    pytest.param(["error", "--delta", "0.01"], ["--ksigma", "-1e3"],
+                 "argument --ksigma: must be non-negative",
+                 id="argv2-option2---ksigma must be non-negative"),
     (["sweep", "--parameter", "k_sigma", "--stop", "1", "--points", "3", "--delta", "0.01"],
      ["--start", "-1e-3"], "--start must be non-negative"),
 ])
 def test_a_negative_number_in_exponent_form_is_a_value(capsys, argv, option, message):
     """argparse alone takes -1e3 for an option and exits 2 with `expected
     one argument`; every flag takes it as its value, the same as after `=`,
-    and the command's own range check then speaks."""
-    code, out, err = run_cli(capsys, *argv, *option)
-    assert run_cli(capsys, *argv, "=".join(option)) == (code, out, err)
+    and the flag's domain or the command's own range check then speaks."""
+    code, out, err = outcome(capsys, *argv, *option)
+    assert outcome(capsys, *argv, "=".join(option)) == (code, out, err)
     if message is None:
         assert code == 0 and err == ""
     else:
-        assert code == 2 and out == "" and err.startswith(f"error: {message}")
+        assert code == 2 and out == "" and f"error: {message}" in err
 
 
 @pytest.mark.filterwarnings("error")
