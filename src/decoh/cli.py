@@ -204,20 +204,23 @@ def _with_config(argv: list[str]) -> list[str]:
     subcommand, so that flags given on the command line override them.
 
     --config is found the way the subcommand's parser finds it, abbreviations
-    included, and the last one wins; the argument after it is its path.
+    included, and the last one wins; the argument after it is its path,
+    unless that parser reads it as an option.
     """
-    options = _parser()[1].get(argv[0]) if argv else None
-    if options is None:
+    sub = _parser()[1].get(argv[0]) if argv else None
+    if sub is None:
         return argv
+    options = sub._option_string_actions
     path, rest = None, iter(argv[1:])
     for arg in rest:
         name, sep, value = arg.partition("=")
         # --config, or an abbreviation of it that names no other option
         if "--config".startswith(name) and sum(o.startswith(name) for o in options) == 1:
             path = value if sep else next(rest, None)
-            # argparse reads an argument that looks like an option as no path
-            if (not sep and path and re.fullmatch(r"-[^ ]+", path)
-                    and not _NEGATIVE_NUMBER.match(path)):
+            # an argument the subcommand's parser reads as an option, or "--",
+            # is no path: argparse then finds --config without its argument
+            if not sep and path is not None and (
+                    path == "--" or sub._parse_optional(path) is not None):
                 return argv  # for the parser to report
     return argv if path is None else argv[:1] + _config_options(path, options) + argv[1:]
 
@@ -541,8 +544,8 @@ def _add_output(sub: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, frozenset[str]]]:
-    """The argument parser and the option strings of each subcommand."""
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and the parser of each subcommand."""
     parser = argparse.ArgumentParser(
         prog="decoh",
         description="decoherence and error bounds for a particle bouncing off a quantum wall",
@@ -589,9 +592,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, frozenset[str]]]:
     # argparse takes "-1e3" for an option, so "--k -1e3" would lack its value
     for p in (parser, *subs.choices.values()):
         p._negative_number_matcher = _NEGATIVE_NUMBER
-    # argparse keeps no public list of a parser's options
-    return parser, {name: frozenset(sub._option_string_actions)
-                    for name, sub in subs.choices.items()}
+    return parser, subs.choices
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -166,6 +166,7 @@ class PostCollisionState:
         a += b
         a *= -1.0
         env = np.exp(a)
+        del a, b  # free the two N^2 arguments before the complex sample is built
         psi = env * (np.sqrt(self.norm) * np.exp(1j * self.k * (1.0 - 2.0 * self.gamma) * x))
         psi *= np.exp(2j * self.gamma * self.k * X)
         return psi

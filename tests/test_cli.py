@@ -682,6 +682,28 @@ def test_config_path_may_start_like_a_negative_number(tmp_path, capsys, monkeypa
         assert err == "error: [Errno 2] No such file or directory: '-.5x'\n"
 
 
+@pytest.mark.parametrize("command", ["error", "entangle", "thermal"])
+def test_config_path_is_read_as_argparse_reads_it(tmp_path, capsys, monkeypatch, command):
+    """A --config argument that starts with a short option and holds a
+    space: argparse reads -v x and -h x as an option, so --config lacks its
+    argument, and -x y or -1 x as a path; _with_config splices the file in
+    exactly when argparse reads a path."""
+    monkeypatch.chdir(tmp_path)
+    base = [command, "--delta", "0.01"]
+    for path in ("-v x", "-h x", "-vx y", "-v=x y", "--delta=1 x", "-x y", "-1 x", "-. x"):
+        (tmp_path / path).write_text("format=json\n")
+        argv = [*base, "--config", path]
+        try:
+            cli.build_parser().parse_args(argv)
+            as_path = True
+        except SystemExit:
+            as_path = False
+        capsys.readouterr()
+        assert (cli._with_config(argv) != argv) == as_path, (command, path)
+    err = usage_error(capsys, "error", "--delta", "0.01", "--config", "-v x")
+    assert err.endswith("argument --config: expected one argument\n")
+
+
 _MAX = repr(sys.float_info.max)
 _SQRT_MAX = repr(math.sqrt(sys.float_info.max))
 _PAST_SQRT_MAX = repr(math.nextafter(math.sqrt(sys.float_info.max), math.inf))
