@@ -302,12 +302,15 @@ def run_verification(grid_n: int | None = None) -> list[VerificationCheck]:
     checks, image_f0 and image_vs_fft, size their own grids and ignore it.
     A grid_n grid is not judged in advance: each check's deviation from its
     closed form measures what the grid resolves.  grid_n is validated before
-    any check runs.  Checks that sample the same state on the same grid
+    any check runs, and refused when its N x N sample would exceed
+    oracles.MAX_SAMPLE_BYTES.  Checks that sample the same state on the same grid
     share one SVD within the call; nothing is kept between calls.
     """
     if grid_n is not None and grid_n < _LEVELS:
         raise ValueError(f"grid must have at least {_LEVELS} points per axis, got {grid_n}: "
                          f"the checks compare {_LEVELS} spectrum levels")
+    if grid_n is not None:
+        oracles._check_sample_bytes(grid_n, grid_n)
     token = _svd_memo.set({})
     try:
         return [fn(grid_n) for fn in _CHECKS]

@@ -245,8 +245,9 @@ def _mass_flags(args) -> str:
 def _named(flags: str, fn, *args):
     """fn(*args), its ValueError named by flags: the library words a float
     outside the normal range (decoh.thermal), a spread out of range
-    (decoh.kinematics) or a mass fraction too small for the optimum's
-    bracket (decoh.error_bounds) in its own terms, not by a flag."""
+    (decoh.kinematics), a mass fraction too small for the optimum's
+    bracket (decoh.error_bounds) or a sample over the oracles' byte cap
+    (decoh.oracles) in its own terms, not by a flag."""
     try:
         return fn(*args)
     except ValueError as exc:
@@ -361,7 +362,7 @@ def cmd_entangle(args) -> int:
         f"  spectrum = {', '.join(f'{v:.6g}' for v in spectrum)}",
     ]
     if args.grid:
-        sv = oracles.schmidt_decompose(sf, n=args.grid).singular_values
+        sv = _named("--grid", oracles.schmidt_decompose, sf, args.grid).singular_values
         results["F0_svd"] = float(sv[0] ** 2)
         results["F0_svd_deviation"] = abs(float(sv[0] ** 2) - F0)
         # the sampled norm sum s_i^2 is 1 only where the grid resolves the state
@@ -444,6 +445,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.grid is not None:
+        # run_verification refuses this too, in the library's words
+        _named("--grid", oracles._check_sample_bytes, args.grid, args.grid)
     results = run_verification(grid_n=args.grid)
     ok = all(c.passed for c in results)
 

@@ -10,6 +10,7 @@ functions of their inputs and deterministic for a fixed grid.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,6 +41,16 @@ ALIAS_EPS = 1e-16
 HERM_TOL = 1e-10
 # samples per row block of a quadrature: 128 KiB of complex128 per temporary
 BLOCK_POINTS = 2**13
+# largest complex128 sample, in bytes, that the SVD or a kernel eigensolve
+# may allocate; a larger one is refused before anything is sampled
+MAX_SAMPLE_BYTES = 2**30
+# largest ||Im||_F / ||m||_F of a phase-stripped sample that is dropped: by
+# Weyl's inequality no singular value moves by more than this times ||m||_F.
+# The separable samples of the query workload's entangle --grid calls read at
+# most 0.43 eps; a non-separable phase, such as a free-flight chirp, reads
+# about 0.2.  sys.float_info, not np.finfo: an finfo built at import added
+# about 30 page faults to every later 256 x 256 k = 0 SVD call
+_REAL_TOL = 8.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -238,18 +249,63 @@ class SchmidtResult:
     grid: GridSpec
 
 
+def _check_sample_bytes(rows: int, cols: int) -> None:
+    """Raise ValueError if a rows x cols complex128 sample exceeds MAX_SAMPLE_BYTES."""
+    nbytes = 16 * rows * cols
+    if nbytes > MAX_SAMPLE_BYTES:
+        raise ValueError(f"a {rows} x {cols} sample takes {nbytes} bytes, more than "
+                         f"the {MAX_SAMPLE_BYTES} bytes of oracles.MAX_SAMPLE_BYTES")
+
+
+def _strip_one_body_phases(m: np.ndarray) -> np.ndarray:
+    """m's singular values in a real matrix where m's phase is one-body.
+
+    A sample m_ij = e^{i (a_i + b_j)} r_ij with r real, such as a bounced
+    state's carrier e^{i k [(1 - 2 gamma) x + 2 gamma X]} times its envelope,
+    becomes real under the diagonal unitaries that make the pivot's row and
+    column, at the largest |m|, real and positive: conj(m[r, :]) / |m[r, :]|
+    on the columns and conj(m[:, c]) / |m[:, c]| m[r, c] / |m[r, c]| on the
+    rows.  They are applied in place and keep the singular values.  When
+    the imaginary part left is at most _REAL_TOL of the whole, the real part
+    goes to real LAPACK, about twice as fast as complex.  Otherwise the
+    scaling is undone and m stays complex, as it does when a pivot row or
+    column entry is below the smallest normal float and has no reliable
+    phase.  An exactly real sample (k = 0) returns its real part untouched.
+    """
+    if not m.imag.any():
+        return m.real
+    r, c = np.unravel_index(np.argmax(np.abs(m)), m.shape)
+    row_abs, col_abs = np.abs(m[r]), np.abs(m[:, c])
+    if min(row_abs.min(), col_abs.min()) < sys.float_info.min:
+        return m
+    cols = np.conj(m[r]) / row_abs
+    rows = np.conj(m[:, c]) / col_abs * (m[r, c] / abs(m[r, c]))
+    m *= cols
+    m *= rows[:, None]
+    flat = m.reshape(-1)
+    if flat.imag @ flat.imag <= _REAL_TOL**2 * np.vdot(flat, flat).real:
+        return m.real
+    m *= np.conj(cols)
+    m *= np.conj(rows)[:, None]
+    return m
+
+
 def schmidt_decompose(state, n: int | None = None) -> SchmidtResult:
     """Schmidt coefficients of a two-body wave function by dense SVD.
 
     The state is sampled on grid_for_state(state, n=n) as a matrix (row =
     wall index, column = particle index) and scaled by sqrt(dx dX) so the
     squared singular values sum to its squared norm, 1 when normalized.
+    A grid whose sample would exceed MAX_SAMPLE_BYTES raises ValueError
+    before anything is sampled.  A sample whose phase is a sum of one-body
+    phases is stripped of them and goes to real LAPACK
+    (_strip_one_body_phases).
     """
     grid = grid_for_state(state, n=n)
+    _check_sample_bytes(grid.nX, grid.nx)
     m = state(*grid.axes())
     m *= math.sqrt(grid.dx * grid.dX)
-    if not m.imag.any():
-        m = m.real  # a k = 0 sample is exactly real, and real LAPACK is faster
+    m = _strip_one_body_phases(m)
     try:
         sv = np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -260,11 +316,13 @@ def schmidt_decompose(state, n: int | None = None) -> SchmidtResult:
 def hermitian_kernel_eigenvalues(kernel_fn, nodes: np.ndarray) -> np.ndarray:
     """Eigenvalues (descending) of a discretized Hermitian integral kernel.
 
-    Builds K[i, j] = kernel_fn(nodes[i], nodes[j]) * dx on a uniform grid.
+    Builds K[i, j] = kernel_fn(nodes[i], nodes[j]) * dx on a uniform grid,
+    unless K would exceed MAX_SAMPLE_BYTES, which raises ValueError first.
     A Hermiticity defect beyond HERM_TOL means the kernel function itself is
     wrong, so that raises rather than being silently symmetrized away.
     """
     nodes = np.asarray(nodes, dtype=float)
+    _check_sample_bytes(nodes.size, nodes.size)
     dx = nodes[1] - nodes[0]
     K = kernel_fn(nodes[:, None], nodes[None, :]) * dx
     defect = float(np.abs(K - K.conj().T).max())

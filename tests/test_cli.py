@@ -546,6 +546,27 @@ def test_verify_grid_below_five_exits_2_with_a_message(capsys, grid):
                    "the checks compare 5 spectrum levels\n")
 
 
+@pytest.mark.parametrize("command", [
+    ["entangle", "--delta", "0.01", "--Sigma", "1"],
+    ["verify"],
+])
+def test_a_grid_over_the_sample_cap_exits_2_naming_grid(capsys, monkeypatch, command):
+    """--grid 100000 asks the SVD for 160 GB and is refused before any check
+    or sample runs; a monkeypatched cap moves the edge."""
+    ran = []
+    monkeypatch.setattr(cli, "run_verification", lambda grid_n: ran.append(grid_n) or [])
+    code, out, err = run_cli(capsys, *command, "--grid", "100000")
+    assert code == 2 and out == "" and ran == []
+    assert err == ("error: --grid out of range: a 100000 x 100000 sample takes "
+                   "160000000000 bytes, more than the 1073741824 bytes of "
+                   "oracles.MAX_SAMPLE_BYTES\n")
+    monkeypatch.setattr(cli.oracles, "MAX_SAMPLE_BYTES", 16 * 64 * 64)
+    code, _, err = run_cli(capsys, *command, "--grid", "65")
+    assert code == 2 and err.startswith("error: --grid out of range: a 65 x 65 sample")
+    code, _, err = run_cli(capsys, *command, "--grid", "64")
+    assert code == 0 and err == ""
+
+
 def test_verify_grid_five_runs_every_check(capsys):
     code, out, err = run_cli(capsys, "verify", "--grid", "5", "--format", "json")
     assert code in (0, 1) and err == ""

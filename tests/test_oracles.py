@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from decoh import oracles
+from decoh import checks, oracles, propagation
 from decoh.entanglement import (
     kernel_params,
     largest_eigenvalue,
@@ -16,6 +16,7 @@ from decoh.entanglement import (
 )
 from decoh.error_bounds import overlap_amplitude
 from decoh.kinematics import (
+    PostCollisionState,
     collision_params,
     collision_params_from_delta,
     ideal_reflected_state,
@@ -373,6 +374,165 @@ def test_real_samples_take_real_lapack(monkeypatch, state_equal_spreads):
     assert dtypes == [np.float64, np.float64]
     assert np.abs(sv[:5] - sv_complex[:5]).max() <= 1e-14
     assert np.abs(eigs[:5] - eigs_complex[:5]).max() <= 1e-14
+
+
+def _svd_spy(monkeypatch):
+    """The dtypes that reach oracles' np.linalg.svd, appended per call."""
+    dtypes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        dtypes.append(a.dtype)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(oracles.np.linalg, "svd", spy)
+    return dtypes
+
+
+def _complex_svd(state, n=None):
+    """Singular values of state's sample as schmidt_decompose scales it, by
+    complex LAPACK, and whether its pivot row or column underflows."""
+    g = grid_for_state(state, n=n)
+    m = state(*g.axes()) * np.sqrt(g.dx * g.dX)
+    r, c = np.unravel_index(np.argmax(np.abs(m)), m.shape)
+    underflow = min(np.abs(m[r]).min(), np.abs(m[:, c]).min()) < np.finfo(float).tiny
+    return np.linalg.svd(m, compute_uv=False), underflow
+
+
+# Weyl's bound for the dropped imaginary part, 8 eps ||m||_F, plus the two
+# SVDs' rounding; separable query samples read at most 6.3e-16
+_REAL_ROUTE_ATOL = 4e-15
+
+
+def test_one_body_phases_take_real_lapack(monkeypatch):
+    """A k != 0 post-collision sample has the one-body phase of its carrier:
+    the oracle strips it, hands LAPACK a float64 matrix and reads the
+    complex SVD's values to rounding."""
+    sf = post_collision_state(initial_state(2.1, 1.3, 0.4), collision_params_from_delta(0.01))
+    sv_complex, _ = _complex_svd(sf, n=256)
+    dtypes = _svd_spy(monkeypatch)
+    sv = schmidt_decompose(sf, n=256).singular_values
+    assert dtypes == [np.float64]
+    norm = math.sqrt(np.sum(sv_complex**2))
+    assert np.abs(sv - sv_complex).max() <= _REAL_ROUTE_ATOL * norm
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(delta=st.floats(1e-4, 0.5), sigma=st.floats(-1.0, 1.0).map(lambda e: 10.0**e),
+       ratio=st.floats(-4.0, 1.0).map(lambda e: 10.0**e),
+       k_sigma=st.floats(-3.0, 6.0).map(lambda e: 10.0**e), sign=st.sampled_from((1.0, -1.0)),
+       n=st.sampled_from((8, 32, 64, 128, 256)))
+@example(delta=0.01, sigma=1.0, ratio=1.0, k_sigma=1e6, sign=1.0, n=16)
+@example(delta=1e-4, sigma=10.0, ratio=10.0, k_sigma=1e6, sign=-1.0, n=8)
+def test_real_route_over_the_query_domain(delta, sigma, ratio, k_sigma, sign, n):
+    """Every post-collision sample over query's entangle --grid ranges
+    (delta, sigma, Sigma^2/sigma^2 and signed k sigma from 1e-3 to 1 on 64-
+    to 256-point grids), and with |k sigma| up to 1e6 and grids down to 8
+    points, reaches LAPACK as float64 unless its pivot row or column
+    underflows, and reads the complex SVD's singular values to
+    _REAL_ROUTE_ATOL of its norm: the carrier's phases grow with k, the
+    stripped remainder does not."""
+    s0 = initial_state(sigma * math.sqrt(ratio), sigma, sign * k_sigma / sigma)
+    sf = post_collision_state(s0, collision_params_from_delta(delta))
+    sv_complex, underflow = _complex_svd(sf, n=n)
+    with pytest.MonkeyPatch.context() as mp:
+        dtypes = _svd_spy(mp)
+        sv = schmidt_decompose(sf, n=n).singular_values
+    assert dtypes == [np.complex128 if underflow else np.float64]
+    norm = math.sqrt(np.sum(sv_complex**2))
+    assert np.abs(sv - sv_complex).max() <= _REAL_ROUTE_ATOL * norm
+
+
+def _entangling_carrier(monkeypatch, eps=0.01):
+    """Fault: the post-collision carrier gains exp(i eps k x X), a phase no
+    one-body unitary removes, which vanishes at k = 0."""
+    call = PostCollisionState.__call__
+
+    def faulty(self, x, X):
+        return call(self, x, X) * np.exp(1j * eps * self.k * x * X)
+
+    monkeypatch.setattr(PostCollisionState, "__call__", faulty)
+
+
+def test_a_non_separable_phase_stays_complex(monkeypatch):
+    """With an entangling carrier the stripped sample keeps an imaginary
+    part far above the tolerance: the scaling is undone, the sample goes
+    to complex LAPACK and reads the complex SVD's values to rounding."""
+    _entangling_carrier(monkeypatch)
+    sf = post_collision_state(initial_state(1.0, 1.0, 3.0), collision_params_from_delta(0.01))
+    sv_complex, underflow = _complex_svd(sf)
+    assert not underflow
+    dtypes = _svd_spy(monkeypatch)
+    sv = schmidt_decompose(sf).singular_values
+    assert dtypes == [np.complex128]
+    assert np.abs(sv - sv_complex).max() <= 1e-15
+
+
+def test_k_independence_still_kills_an_entangling_carrier(monkeypatch):
+    """The check samples the carrier at k = 3/sigma; the fault moves its F0
+    by about 1.7e-4, far past the check's 1e-6."""
+    assert checks.check_k_independence(None).passed
+    _entangling_carrier(monkeypatch)
+    result = checks.check_k_independence(None)
+    assert not result.passed and result.deviation > 1e-4
+
+
+def test_the_image_term_keeps_its_chirp(monkeypatch):
+    """Free flight is a product of one-body unitaries, but not diagonal
+    ones: the image_f0 check's image term carries the bilinear chirp
+    -2 Im(A_xX) x X, which no diagonal unitary strips.  Its sample goes to
+    complex LAPACK and reads the complex SVD's values to rounding."""
+    _, _, wave0, t = checks._bounce(k_sigma=6.0, x0_sigmas=8.0, Sigma=0.3)
+    image = propagation.image_term(wave0, t)
+    assert image.A[0, 1].imag != 0.0
+    sv_complex, underflow = _complex_svd(image)
+    assert not underflow
+    dtypes = _svd_spy(monkeypatch)
+    sv = schmidt_decompose(image).singular_values
+    assert dtypes == [np.complex128]
+    assert np.abs(sv - sv_complex).max() <= 1e-15
+
+
+def test_an_underflowing_pivot_keeps_the_complex_sample(monkeypatch):
+    """A strongly correlated state (Sigma = sigma / 100, delta = 0.3) has
+    pivot-row entries that underflow to 0, whose phase is lost: nothing is
+    scaled, and complex LAPACK reads exactly the complex SVD's values."""
+    sf = post_collision_state(initial_state(0.01, 1.0, 0.5), collision_params_from_delta(0.3))
+    sv_complex, underflow = _complex_svd(sf, n=64)
+    assert underflow
+    dtypes = _svd_spy(monkeypatch)
+    sv = schmidt_decompose(sf, n=64).singular_values
+    assert dtypes == [np.complex128]
+    assert np.array_equal(sv, sv_complex)
+
+
+def test_a_sample_over_the_byte_cap_is_refused_unsampled(monkeypatch, state_equal_spreads):
+    """The SVD and the kernel eigensolve refuse a sample over
+    MAX_SAMPLE_BYTES before they sample anything, and say its size."""
+    monkeypatch.setattr(oracles, "MAX_SAMPLE_BYTES", 16 * 64 * 64)
+    calls = []
+    call = PostCollisionState.__call__
+    monkeypatch.setattr(PostCollisionState, "__call__",
+                        lambda self, x, X: calls.append(1) or call(self, x, X))
+    with pytest.raises(ValueError, match="a 65 x 65 sample takes 67600 bytes"):
+        schmidt_decompose(state_equal_spreads, n=65)
+    with pytest.raises(ValueError, match="65536 bytes of oracles.MAX_SAMPLE_BYTES"):
+        kernel_eigensolve(state_equal_spreads, n=65)
+    with pytest.raises(ValueError, match="a 65 x 65 sample"):
+        hermitian_kernel_eigenvalues(oscillator_kernel(1.0, 0.7), oscillator_grid(1.0, 0.7, n=65))
+    assert calls == []
+    assert len(schmidt_decompose(state_equal_spreads, n=64).singular_values) == 64
+    assert len(kernel_eigensolve(state_equal_spreads, n=64).eigenvalues) == 64
+
+
+def test_the_default_cap_refuses_a_self_sized_correlated_state():
+    """Sigma = 1000 sigma needs a 59985 x 59985 spectral grid: 57.6 GB, far
+    over the default cap, refused before anything is allocated."""
+    sf = post_collision_state(initial_state(1e3, 1.0, 0.0), collision_params_from_delta(0.01))
+    g = grid_for_state(sf)
+    assert 16 * g.nx * g.nX > oracles.MAX_SAMPLE_BYTES == 2**30
+    with pytest.raises(ValueError, match=f"a {g.nX} x {g.nx} sample takes"):
+        schmidt_decompose(sf)
 
 
 def test_oracles_deterministic(state_equal_spreads):
