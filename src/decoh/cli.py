@@ -315,10 +315,8 @@ def cmd_error(args) -> int:
                 else "--Sigma" if Sigma is not None else "--sigma")
         s0 = _initial_state(wall, sigma * math.sqrt(lam), sigma, k_sigma / sigma)
         sf = post_collision_state(s0, p)
-        quad = oracles.quadrature_overlap(
-            ideal_reflected_state(s0), sf,
-            grid=oracles.grid_for_state(sf, n=args.grid),
-        )
+        quad = _named("--grid", oracles.quadrature_overlap, ideal_reflected_state(s0), sf,
+                      oracles.grid_for_state(sf, n=args.grid))
         results["A_quadrature"] = abs(quad.value)
         results["A_quadrature_deviation"] = abs(abs(quad.value) - A)
         lines.append(f"  A quadrature = {results['A_quadrature']:.12g} "

@@ -42,7 +42,8 @@ HERM_TOL = 1e-10
 # samples per row block of a quadrature: 128 KiB of complex128 per temporary
 BLOCK_POINTS = 2**13
 # largest complex128 sample, in bytes, that the SVD or a kernel eigensolve
-# may allocate; a larger one is refused before anything is sampled
+# may allocate, or a quadrature compute block by block; a larger one is
+# refused before anything is sampled
 MAX_SAMPLE_BYTES = 2**30
 # largest ||Im||_F / ||m||_F of a phase-stripped sample that is dropped: by
 # Weyl's inequality no singular value moves by more than this times ||m||_F.
@@ -51,6 +52,13 @@ MAX_SAMPLE_BYTES = 2**30
 # about 0.2.  sys.float_info, not np.finfo: an finfo built at import added
 # about 30 page faults to every later 256 x 256 k = 0 SVD call
 _REAL_TOL = 8.0 * sys.float_info.epsilon
+# largest ||m - J m J||_F / (2 ||m||_F) of a real sample that is split into its
+# parity blocks (J reverses both axes): by Weyl's inequality no singular
+# value moves by more than this times ||m||_F.  np.linspace's nodes are
+# symmetric only to an ulp, so the real samples of the query workload's
+# entangle --grid calls read ||m - J m J||_F / ||m||_F of 3.4 eps in the
+# median and 39.2 eps at most: 19.6 eps here, a 3.3x headroom
+_PARITY_TOL = 64.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -212,13 +220,16 @@ def quadrature_overlap(a, b, grid: GridSpec | None = None, n: int | None = None,
     Without n Gauss-Legendre takes ceil(pi/2 m) nodes for each m trapezoid
     steps, because at equal count its central node spacing is pi/2 times
     the uniform step.  It carries no error estimate, because a caller that
-    checks a closed form measures the real error.
+    checks a closed form measures the real error.  A block bounds the
+    memory, not the work: a grid whose nx x nX complex samples would total
+    more than MAX_SAMPLE_BYTES raises ValueError before anything is sampled.
     """
     if grid is None:
         grid = grid_for_state(a, b, n=n)
         if n is None and method == "gauss-legendre":
             grid = replace(grid, nx=math.ceil(0.5 * math.pi * grid.nx),
                            nX=math.ceil(0.5 * math.pi * grid.nX))
+    _check_sample_bytes(grid.nX, grid.nx)
     if method == "trapezoid":
         x, X = grid.axes()
         wx = _trapezoid_weights(grid.nx, grid.dx)
@@ -290,6 +301,47 @@ def _strip_one_body_phases(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _singular_values(m: np.ndarray) -> np.ndarray:
+    """m's singular values, descending; a centrosymmetric m goes to LAPACK
+    as its two parity blocks.
+
+    A real m of even shape 2p x 2q is folded, row i with its mirror row and
+    column j with its mirror column.  Its quadrants, each mirrored onto the
+    top-left one, are a = m[:p, :q], b (top right, columns reversed), c
+    (bottom left, rows reversed) and d (bottom right, both reversed): the
+    even block is a + b + c + d, the odd block a - b - c + d, and the
+    off-diagonal blocks (a - d) -+ (b - c) together have the squared norm
+    2 (||a - d||^2 + ||b - c||^2) = ||m - J m J||_F^2.  The folds are
+    unnormalised, so m's singular values are half the blocks' once the
+    off-diagonal blocks are dropped.  When they hold at most _PARITY_TOL of
+    the folded norm 2 ||m||_F, Weyl's inequality moves no value by more
+    than _PARITY_TOL ||m||_F, and LAPACK takes both blocks in one stacked
+    call: a quarter of the flops of m's own.  Any other m (complex, of an
+    odd size or further from centrosymmetric) goes to LAPACK whole.
+    """
+    rows, cols = m.shape
+    if m.dtype.kind == "c" or rows % 2 or cols % 2:
+        return np.linalg.svd(m, compute_uv=False)
+    p, q = rows // 2, cols // 2
+    a, b = m[:p, :q], m[:p, q:][:, ::-1]
+    c, d = m[p:, :q][::-1], m[p:, q:][::-1, ::-1]
+    diff = np.subtract(a, d)
+    off = 2.0 * np.vdot(diff, diff)
+    np.subtract(b, c, out=diff)
+    off += 2.0 * np.vdot(diff, diff)
+    # einsum reads a stripped sample's strided real view without a copy
+    if off > _PARITY_TOL**2 * 4.0 * np.einsum("ij,ij->", m, m):
+        return np.linalg.svd(m, compute_uv=False)
+    np.add(b, c, out=diff)
+    blocks = np.empty((2, p, q))
+    np.add(a, d, out=blocks[0])
+    np.subtract(blocks[0], diff, out=blocks[1])
+    blocks[0] += diff
+    sv = np.linalg.svd(blocks, compute_uv=False).reshape(-1)
+    sv.sort()
+    return 0.5 * sv[::-1]
+
+
 def schmidt_decompose(state, n: int | None = None) -> SchmidtResult:
     """Schmidt coefficients of a two-body wave function by dense SVD.
 
@@ -299,7 +351,8 @@ def schmidt_decompose(state, n: int | None = None) -> SchmidtResult:
     A grid whose sample would exceed MAX_SAMPLE_BYTES raises ValueError
     before anything is sampled.  A sample whose phase is a sum of one-body
     phases is stripped of them and goes to real LAPACK
-    (_strip_one_body_phases).
+    (_strip_one_body_phases), as its two parity blocks where it is
+    centrosymmetric (_singular_values).
     """
     grid = grid_for_state(state, n=n)
     _check_sample_bytes(grid.nX, grid.nx)
@@ -307,7 +360,7 @@ def schmidt_decompose(state, n: int | None = None) -> SchmidtResult:
     m *= math.sqrt(grid.dx * grid.dX)
     m = _strip_one_body_phases(m)
     try:
-        sv = np.linalg.svd(m, compute_uv=False)
+        sv = _singular_values(m)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"SVD failed on grid {grid}") from exc
     return SchmidtResult(singular_values=sv, grid=grid)

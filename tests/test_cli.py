@@ -12,7 +12,7 @@ import pytest
 
 from decoh import cli
 from decoh import error_bounds as eb
-from decoh.kinematics import collision_params_from_delta
+from decoh.kinematics import PostCollisionState, collision_params_from_delta
 
 
 _NOT_NORMAL = "not a normal positive float"
@@ -565,6 +565,27 @@ def test_a_grid_over_the_sample_cap_exits_2_naming_grid(capsys, monkeypatch, com
     assert code == 2 and err.startswith("error: --grid out of range: a 65 x 65 sample")
     code, _, err = run_cli(capsys, *command, "--grid", "64")
     assert code == 0 and err == ""
+
+
+def test_an_error_grid_over_the_sample_cap_exits_2_naming_grid(capsys, monkeypatch):
+    """error --grid 100000 would compute 10^10 quadrature samples, about 14
+    minutes of work: it is refused before any is sampled, at the same byte
+    cap as the SVD, and a monkeypatched cap moves the edge."""
+    argv = ["error", "--delta", "0.01", "--ksigma", "1", "--grid"]
+    sampled = []
+    call = PostCollisionState.__call__
+    monkeypatch.setattr(PostCollisionState, "__call__",
+                        lambda self, x, X: sampled.append(1) or call(self, x, X))
+    code, out, err = run_cli(capsys, *argv, "100000")
+    assert code == 2 and out == "" and sampled == []
+    assert err == ("error: --grid out of range: a 100000 x 100000 sample takes "
+                   "160000000000 bytes, more than the 1073741824 bytes of "
+                   "oracles.MAX_SAMPLE_BYTES\n")
+    monkeypatch.setattr(cli.oracles, "MAX_SAMPLE_BYTES", 16 * 64 * 64)
+    code, _, err = run_cli(capsys, *argv, "65")
+    assert code == 2 and err.startswith("error: --grid out of range: a 65 x 65 sample")
+    code, out, err = run_cli(capsys, *argv, "64")
+    assert code == 0 and err == "" and "A quadrature" in out and sampled
 
 
 def test_verify_grid_five_runs_every_check(capsys):

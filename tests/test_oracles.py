@@ -299,6 +299,28 @@ def test_blocked_quadrature_matches_one_shot(method):
             == _one_shot_overlap(ideal, post, one_block, method))
 
 
+def test_a_quadrature_over_the_byte_cap_is_refused_unsampled(monkeypatch):
+    """The quadrature holds one block but computes all nx x nX samples: a
+    grid whose 16-byte samples total more than MAX_SAMPLE_BYTES is refused
+    before either state is sampled, also a self-sized Gauss-Legendre grid
+    once it is widened past the trapezoid's."""
+    ideal, post = _bounce()
+    calls = []
+    call = PostCollisionState.__call__
+    monkeypatch.setattr(PostCollisionState, "__call__",
+                        lambda self, x, X: calls.append(1) or call(self, x, X))
+    monkeypatch.setattr(oracles, "MAX_SAMPLE_BYTES", 16 * 64 * 64)
+    with pytest.raises(ValueError, match="a 65 x 65 sample takes 67600 bytes"):
+        quadrature_overlap(ideal, post, n=65)
+    pair = grid_for_state(ideal, post)
+    monkeypatch.setattr(oracles, "MAX_SAMPLE_BYTES", 16 * pair.nx * pair.nX)
+    wide = f"a {math.ceil(0.5 * math.pi * pair.nX)} x {math.ceil(0.5 * math.pi * pair.nx)} sample"
+    with pytest.raises(ValueError, match=wide):
+        quadrature_overlap(ideal, post, method="gauss-legendre")
+    assert calls == []
+    assert quadrature_overlap(ideal, post).grid == pair and calls
+
+
 _RULE_SIZES = [1, 2, 5, 64, 96, 512, 1062, 2048]
 
 
@@ -376,17 +398,18 @@ def test_real_samples_take_real_lapack(monkeypatch, state_equal_spreads):
     assert np.abs(eigs[:5] - eigs_complex[:5]).max() <= 1e-14
 
 
-def _svd_spy(monkeypatch):
-    """The dtypes that reach oracles' np.linalg.svd, appended per call."""
-    dtypes = []
+def _svd_spy(monkeypatch, key=lambda a: a.dtype):
+    """key(a) of each array a that reaches oracles' np.linalg.svd, appended
+    per call: by default its dtype."""
+    seen = []
     svd = np.linalg.svd
 
     def spy(a, *args, **kwargs):
-        dtypes.append(a.dtype)
+        seen.append(key(a))
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(oracles.np.linalg, "svd", spy)
-    return dtypes
+    return seen
 
 
 def _complex_svd(state, n=None):
@@ -466,6 +489,51 @@ def test_a_non_separable_phase_stays_complex(monkeypatch):
     sv = schmidt_decompose(sf).singular_values
     assert dtypes == [np.complex128]
     assert np.abs(sv - sv_complex).max() <= 1e-15
+
+
+def _dtype_and_shape(a):
+    return a.dtype, a.shape
+
+
+@pytest.mark.parametrize("n", [256, 64])
+def test_a_centred_sample_takes_its_parity_blocks(monkeypatch, n):
+    """A centred post-collision state is even under (x, X) -> (-x, -X): its
+    stripped sample on the origin-centred box is centrosymmetric to an ulp
+    of the nodes.  LAPACK takes its two n/2 x n/2 parity blocks in one
+    stacked float64 call, and the halved values read the complex SVD's."""
+    sf = post_collision_state(initial_state(2.1, 1.3, 0.4), collision_params_from_delta(0.01))
+    sv_complex, _ = _complex_svd(sf, n=n)
+    calls = _svd_spy(monkeypatch, key=_dtype_and_shape)
+    sv = schmidt_decompose(sf, n=n).singular_values
+    assert calls == [(np.float64, (2, n // 2, n // 2))]
+    assert sv.shape == sv_complex.shape and np.all(np.diff(sv) <= 0.0)
+    norm = math.sqrt(np.sum(sv_complex**2))
+    assert np.abs(sv - sv_complex).max() <= _REAL_ROUTE_ATOL * norm
+
+
+def _parity_breaking_envelope(monkeypatch):
+    """Fault: the post-collision sample gains the real factor 1 + 1e-6 x,
+    odd in x, which keeps its phase one-body but breaks its parity."""
+    call = PostCollisionState.__call__
+    monkeypatch.setattr(PostCollisionState, "__call__",
+                        lambda self, x, X: call(self, x, X) * (1.0 + 1e-6 * x))
+
+
+@pytest.mark.parametrize("case", ["odd size", "parity fault"])
+def test_other_real_samples_reach_lapack_whole(monkeypatch, case):
+    """A real sample of odd size (63), or one whose parity a real fault
+    breaks far beyond _PARITY_TOL, goes to LAPACK as one 2-D float64 array
+    and reads the complex SVD's values."""
+    n = 63 if case == "odd size" else 64
+    if case == "parity fault":
+        _parity_breaking_envelope(monkeypatch)
+    sf = post_collision_state(initial_state(2.1, 1.3, 0.4), collision_params_from_delta(0.01))
+    sv_complex, _ = _complex_svd(sf, n=n)
+    calls = _svd_spy(monkeypatch, key=_dtype_and_shape)
+    sv = schmidt_decompose(sf, n=n).singular_values
+    assert calls == [(np.float64, (n, n))]
+    norm = math.sqrt(np.sum(sv_complex**2))
+    assert np.abs(sv - sv_complex).max() <= _REAL_ROUTE_ATOL * norm
 
 
 def test_k_independence_still_kills_an_entangling_carrier(monkeypatch):
