@@ -9,8 +9,12 @@ functions of their inputs and deterministic for a fixed grid.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import sys
+import threading
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,6 +45,11 @@ ALIAS_EPS = 1e-16
 HERM_TOL = 1e-10
 # samples per row block of a quadrature: 128 KiB of complex128 per temporary
 BLOCK_POINTS = 2**13
+# largest sample, in points, whose SVD runs on one BLAS thread
+# (_one_blas_thread); a larger one keeps OpenBLAS's default count.  On a
+# 2-core host one thread was faster up to 512 x 512 and slower for the
+# whole-sample SVD from 767 x 767 up (1023 x 1023: 363 against 269 ms)
+_ONE_THREAD_SVD_POINTS = 2**18
 # largest complex128 sample, in bytes, that the SVD or a kernel eigensolve
 # may allocate, or a quadrature compute block by block; a larger one is
 # refused before anything is sampled
@@ -202,6 +211,58 @@ def gauss_legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((-x, x[::-1][n % 2:])), np.concatenate((w, w[::-1][n % 2:]))
 
 
+@functools.cache
+def _blas_thread_setter():
+    """OpenBLAS's openblas_set_num_threads_local, or None where numpy links
+    another BLAS or an OpenBLAS without it.  dlsym on the handle of numpy's
+    linalg extension also searches the libraries it links, numpy's bundled
+    OpenBLAS among them."""
+    try:
+        setter = ctypes.CDLL(np.linalg._umath_linalg.__file__).openblas_set_num_threads_local
+    except (OSError, AttributeError):
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+_blas_lock = threading.Lock()
+_blas_scopes = 0  # _one_blas_thread scopes open in the process
+_blas_restore = 1  # the thread count the first of them found
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body's BLAS and LAPACK calls on one OpenBLAS thread.
+
+    An oracle's BLAS calls are short: a quadrature block's products, an
+    SVD sample's vdots and LAPACK calls of up to a few hundred rows.  OpenBLAS
+    hands each to its other threads, which then busy-wait through the whole
+    call and make it slower, not faster.  The setter returns the count it
+    replaces.  In numpy's pthreads OpenBLAS that count is the process's,
+    despite the setter's name, so BLAS calls on other threads also run on
+    one thread while a scope is open.  Open scopes are counted under a lock:
+    the first sets one thread and the last restores the count the first
+    found, also when the body raises.  Without the setter the body runs as
+    it is.
+    """
+    global _blas_scopes, _blas_restore
+    setter = _blas_thread_setter()
+    if setter is None:
+        yield
+        return
+    with _blas_lock:
+        if _blas_scopes == 0:
+            _blas_restore = setter(1)
+        _blas_scopes += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_scopes -= 1
+            if _blas_scopes == 0:
+                setter(_blas_restore)
+
+
 def quadrature_overlap(a, b, grid: GridSpec | None = None, n: int | None = None,
                        method: str = "trapezoid") -> OverlapResult:
     """Tensor-product quadrature of the overlap integral int int a* b dx dX.
@@ -223,6 +284,8 @@ def quadrature_overlap(a, b, grid: GridSpec | None = None, n: int | None = None,
     checks a closed form measures the real error.  A block bounds the
     memory, not the work: a grid whose nx x nX complex samples would total
     more than MAX_SAMPLE_BYTES raises ValueError before anything is sampled.
+    The blocks are summed on one OpenBLAS thread (_one_blas_thread): no
+    product of a block is long enough to pay for a second.
     """
     if grid is None:
         grid = grid_for_state(a, b, n=n)
@@ -245,9 +308,10 @@ def quadrature_overlap(a, b, grid: GridSpec | None = None, n: int | None = None,
         raise ValueError(f"unknown quadrature method {method!r}")
     rows = max(1, BLOCK_POINTS // grid.nx)
     value = 0j
-    for i in range(0, grid.nX, rows):
-        blk = slice(i, i + rows)
-        value += complex(wX[blk] @ (np.conj(a(x, X[blk])) * b(x, X[blk])) @ wx)
+    with _one_blas_thread():
+        for i in range(0, grid.nX, rows):
+            blk = slice(i, i + rows)
+            value += complex(wX[blk] @ (np.conj(a(x, X[blk])) * b(x, X[blk])) @ wx)
     return OverlapResult(value=value, grid=grid)
 
 
@@ -352,17 +416,21 @@ def schmidt_decompose(state, n: int | None = None) -> SchmidtResult:
     before anything is sampled.  A sample whose phase is a sum of one-body
     phases is stripped of them and goes to real LAPACK
     (_strip_one_body_phases), as its two parity blocks where it is
-    centrosymmetric (_singular_values).
+    centrosymmetric (_singular_values).  A sample of at most
+    _ONE_THREAD_SVD_POINTS points is sampled, stripped and decomposed on one
+    OpenBLAS thread (_one_blas_thread).
     """
     grid = grid_for_state(state, n=n)
     _check_sample_bytes(grid.nX, grid.nx)
-    m = state(*grid.axes())
-    m *= math.sqrt(grid.dx * grid.dX)
-    m = _strip_one_body_phases(m)
-    try:
-        sv = _singular_values(m)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"SVD failed on grid {grid}") from exc
+    small = grid.nX * grid.nx <= _ONE_THREAD_SVD_POINTS
+    with _one_blas_thread() if small else nullcontext():
+        m = state(*grid.axes())
+        m *= math.sqrt(grid.dx * grid.dX)
+        m = _strip_one_body_phases(m)
+        try:
+            sv = _singular_values(m)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"SVD failed on grid {grid}") from exc
     return SchmidtResult(singular_values=sv, grid=grid)
 
 

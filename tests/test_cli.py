@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -1253,3 +1254,16 @@ def test_inputs_inside_the_range_checks_keep_their_output(capsys):
                  ["error", "--delta", "0.01", "--ksigma", "1", "--sigma", "1e-160"]):
         code, _, err = run_cli(capsys, *argv)
         assert code == 0 and err == "", argv
+
+
+def test_cli_diff_records_an_invocation_past_its_time_limit(monkeypatch):
+    """tools/cli_diff.py kills an invocation that outlives TIMEOUT_S and
+    records that as the outcome on its tree, so one slow tree cannot stall
+    the diff."""
+    spec = importlib.util.spec_from_file_location(
+        "cli_diff", Path(__file__).resolve().parents[1] / "tools" / "cli_diff.py")
+    cli_diff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_diff)
+    monkeypatch.setattr(cli_diff, "TIMEOUT_S", 0.01)
+    src = Path(cli.__file__).parents[1]
+    assert cli_diff.run(src, "verify") == {"exit": "timed out after 0.01 s\n"}

@@ -1,4 +1,7 @@
 import math
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -601,6 +604,137 @@ def test_the_default_cap_refuses_a_self_sized_correlated_state():
     assert 16 * g.nx * g.nX > oracles.MAX_SAMPLE_BYTES == 2**30
     with pytest.raises(ValueError, match=f"a {g.nX} x {g.nx} sample takes"):
         schmidt_decompose(sf)
+
+
+def _blas_recorder(monkeypatch, previous=7):
+    """Every count oracles hands the BLAS thread setter, which answers with
+    the count it replaces: previous for the first, 1 for a restore."""
+    calls = []
+
+    def setter(n):
+        calls.append(n)
+        return previous if len(calls) == 1 else 1
+
+    monkeypatch.setattr(oracles, "_blas_thread_setter", lambda: setter)
+    return calls
+
+
+def _blas_scoped_calls():
+    """The two oracle calls the query workload's --grid calls make: an SVD
+    at 256^2 and a quadrature at 512^2 (both k = 0.5)."""
+    ideal, post = _bounce(k=0.5)
+    return {"schmidt_decompose": lambda: schmidt_decompose(post, n=256).singular_values,
+            "quadrature_overlap": lambda: quadrature_overlap(ideal, post, n=512).value}
+
+
+@pytest.mark.parametrize("oracle", ["schmidt_decompose", "quadrature_overlap"])
+def test_an_oracle_runs_on_one_blas_thread_and_restores_the_count(monkeypatch, oracle):
+    calls = _blas_recorder(monkeypatch)
+    _blas_scoped_calls()[oracle]()
+    assert calls == [1, 7]
+
+
+def test_the_blas_count_is_restored_when_the_svd_raises(monkeypatch):
+    calls = _blas_recorder(monkeypatch)
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(oracles.np.linalg, "svd", fail)
+    with pytest.raises(RuntimeError, match="SVD failed on grid"):
+        schmidt_decompose(_bounce(k=0.5)[1], n=256)
+    assert calls == [1, 7]
+
+
+def test_an_svd_over_the_one_thread_size_keeps_the_blas_count(monkeypatch):
+    calls = _blas_recorder(monkeypatch)
+    monkeypatch.setattr(oracles, "_ONE_THREAD_SVD_POINTS", 64 * 64)
+    post = _bounce(k=0.5)[1]
+    schmidt_decompose(post, n=128)
+    assert calls == []
+    schmidt_decompose(post, n=64)
+    assert calls == [1, 7]
+
+
+def test_overlapping_scopes_set_and_restore_the_count_once(monkeypatch):
+    """The setter's count is the process's in numpy's OpenBLAS, so scopes
+    open on two threads at once set it on the first entry and restore it on
+    the last exit; one restore per scope would leave it at 1."""
+    calls = _blas_recorder(monkeypatch)
+    entered, release = threading.Event(), threading.Event()
+
+    def hold():
+        with oracles._one_blas_thread():
+            entered.set()
+            release.wait(10.0)
+
+    other = threading.Thread(target=hold)
+    other.start()
+    try:
+        assert entered.wait(10.0)
+        with oracles._one_blas_thread():
+            pass
+        assert calls == [1]
+    finally:
+        release.set()
+        other.join(10.0)
+    assert not other.is_alive()
+    assert calls == [1, 7]
+
+
+@pytest.mark.parametrize("setter", ["recorder", "OpenBLAS"])
+def test_without_the_setter_the_oracles_read_exactly_the_same(monkeypatch, setter):
+    """No setter runs the same code; with OpenBLAS's own setter, one thread
+    reads the same bits as the default count."""
+    if setter == "recorder":
+        _blas_recorder(monkeypatch)
+    elif oracles._blas_thread_setter() is None:
+        pytest.skip("numpy's BLAS has no openblas_set_num_threads_local")
+    scoped = {name: call() for name, call in _blas_scoped_calls().items()}
+    monkeypatch.setattr(oracles, "_blas_thread_setter", lambda: None)
+    for name, call in _blas_scoped_calls().items():
+        np.testing.assert_array_equal(call(), scoped[name], err_msg=name)
+
+
+def _thread_cpu_seconds() -> dict[int, float]:
+    """User plus system CPU time of each thread of this process."""
+    tick = os.sysconf("SC_CLK_TCK")
+    times = {}
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            with open(f"/proc/self/task/{tid}/stat", encoding="ascii") as f:
+                fields = f.read().rsplit(")", 1)[1].split()
+        except FileNotFoundError:  # the thread ended
+            continue
+        times[int(tid)] = (int(fields[11]) + int(fields[12])) / tick
+    return times
+
+
+def test_no_blas_worker_spins_through_a_quadrature():
+    """At 512^2 each block's wX @ f @ wx went to OpenBLAS's other threads,
+    which busy-waited through the whole call: on a 2-core host they used as
+    much CPU as the calling thread (0.64 s against 0.64 s per 100 calls).
+    A worker also spins for about 0.1 s after the last call handed to it,
+    so the count starts after 0.25 s of quadratures."""
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no per-thread CPU times in /proc")
+    if oracles._blas_thread_setter() is None:
+        pytest.skip("numpy's BLAS has no openblas_set_num_threads_local")
+    ideal, post = _bounce(k=0.5)
+    me = threading.get_native_id()
+    warm = time.monotonic() + 0.25
+    while time.monotonic() < warm:
+        quadrature_overlap(ideal, post, n=512)
+    before = _thread_cpu_seconds()
+    deadline = time.monotonic() + 60.0
+    while True:
+        quadrature_overlap(ideal, post, n=512)
+        used = {tid: t - before.get(tid, 0.0) for tid, t in _thread_cpu_seconds().items()}
+        if used[me] >= 0.5 or time.monotonic() > deadline:
+            break
+    others = sum(t for tid, t in used.items() if tid != me)
+    assert used[me] >= 0.5
+    assert others <= 0.25 * used[me], (used[me], others)
 
 
 def test_oracles_deterministic(state_equal_spreads):

@@ -8,7 +8,10 @@ the src/ of two checkouts.  The invocations are the lines of
 tools/cli_invocations.txt; each runs as `python -m decoh ...`, two at a time,
 in a fresh directory holding a copy of tools/cli_configs/, with COLUMNS=80
 so help text wraps the same way.  A Python traceback is compared by its
-last line only, because its frames name source paths and line numbers.
+last line only, because its frames name source paths and line numbers.  An
+invocation that runs past TIMEOUT_S seconds is killed, and its outcome on
+that tree is `timed out after TIMEOUT_S s`, so one slow tree cannot stall
+the whole diff.
 Exit status: 0 when every invocation matches, 1 when any differs.
 Standard library only.
 """
@@ -30,6 +33,7 @@ HERE = Path(__file__).resolve().parent
 CONFIGS = HERE / "cli_configs"
 INVOCATIONS = HERE / "cli_invocations.txt"
 JOBS = 2  # invocations at once: verify holds about 300 MB
+TIMEOUT_S = 600  # per invocation, far above what any listed line takes
 MAX_DIFF_LINES = 40  # per stream, so a differing 2000-row sweep stays readable
 
 
@@ -45,8 +49,12 @@ def run(src: Path, line: str) -> dict[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp) / "run"
         shutil.copytree(CONFIGS, work)
-        proc = subprocess.run([sys.executable, "-m", "decoh", *argv], cwd=work,
-                              env=env, capture_output=True, text=True, check=False)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "decoh", *argv], cwd=work, env=env,
+                                  capture_output=True, text=True, check=False,
+                                  timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return {"exit": f"timed out after {TIMEOUT_S} s\n"}
         err = proc.stderr
         if "Traceback (most recent call last):" in err:
             err = "Traceback ... " + err.rstrip().splitlines()[-1] + "\n"
