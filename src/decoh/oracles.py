@@ -14,7 +14,7 @@ import functools
 import math
 import sys
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,11 +45,6 @@ ALIAS_EPS = 1e-16
 HERM_TOL = 1e-10
 # samples per row block of a quadrature: 128 KiB of complex128 per temporary
 BLOCK_POINTS = 2**13
-# largest sample, in points, whose SVD runs on one BLAS thread
-# (_one_blas_thread); a larger one keeps OpenBLAS's default count.  On a
-# 2-core host one thread was faster up to 512 x 512 and slower for the
-# whole-sample SVD from 767 x 767 up (1023 x 1023: 363 against 269 ms)
-_ONE_THREAD_SVD_POINTS = 2**18
 # largest complex128 sample, in bytes, that the SVD or a kernel eigensolve
 # may allocate, or a quadrature compute block by block; a larger one is
 # refused before anything is sampled
@@ -212,17 +207,25 @@ def gauss_legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _blas_thread_setter():
-    """OpenBLAS's openblas_set_num_threads_local, or None where numpy links
-    another BLAS or an OpenBLAS without it.  dlsym on the handle of numpy's
-    linalg extension also searches the libraries it links, numpy's bundled
-    OpenBLAS among them."""
+def _blas_threads():
+    """OpenBLAS's openblas_set_num_threads_local and its thread count getter
+    (named as the plain, 64-bit and scipy-openblas builds name it), or None
+    where numpy links another BLAS or an OpenBLAS without them.  dlsym on
+    the handle of numpy's linalg extension also searches the libraries it
+    links, numpy's bundled OpenBLAS among them."""
     try:
-        setter = ctypes.CDLL(np.linalg._umath_linalg.__file__).openblas_set_num_threads_local
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        setter = lib.openblas_set_num_threads_local
     except (OSError, AttributeError):
         return None
+    names = [f"{prefix}openblas_get_num_threads{suffix}"
+             for prefix in ("", "scipy_") for suffix in ("", "64_")]
+    getter = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
+    if getter is None:
+        return None
     setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-    return setter
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return setter, getter
 
 
 _blas_lock = threading.Lock()
@@ -241,15 +244,17 @@ def _one_blas_thread():
     replaces.  In numpy's pthreads OpenBLAS that count is the process's,
     despite the setter's name, so BLAS calls on other threads also run on
     one thread while a scope is open.  Open scopes are counted under a lock:
-    the first sets one thread and the last restores the count the first
-    found, also when the body raises.  Without the setter the body runs as
-    it is.
+    the first sets one thread, and the last, also when the body raises,
+    restores the count the first found, but only if the count still reads
+    the scope's 1; a count that other code set meanwhile stands.  Without
+    the setter and getter the body runs as it is.
     """
     global _blas_scopes, _blas_restore
-    setter = _blas_thread_setter()
-    if setter is None:
+    blas = _blas_threads()
+    if blas is None:
         yield
         return
+    setter, getter = blas
     with _blas_lock:
         if _blas_scopes == 0:
             _blas_restore = setter(1)
@@ -259,7 +264,7 @@ def _one_blas_thread():
     finally:
         with _blas_lock:
             _blas_scopes -= 1
-            if _blas_scopes == 0:
+            if _blas_scopes == 0 and getter() == 1:
                 setter(_blas_restore)
 
 
@@ -416,14 +421,12 @@ def schmidt_decompose(state, n: int | None = None) -> SchmidtResult:
     before anything is sampled.  A sample whose phase is a sum of one-body
     phases is stripped of them and goes to real LAPACK
     (_strip_one_body_phases), as its two parity blocks where it is
-    centrosymmetric (_singular_values).  A sample of at most
-    _ONE_THREAD_SVD_POINTS points is sampled, stripped and decomposed on one
-    OpenBLAS thread (_one_blas_thread).
+    centrosymmetric (_singular_values).  The sample is taken, stripped
+    and decomposed on one OpenBLAS thread (_one_blas_thread).
     """
-    grid = grid_for_state(state, n=n)
-    _check_sample_bytes(grid.nX, grid.nx)
-    small = grid.nX * grid.nx <= _ONE_THREAD_SVD_POINTS
-    with _one_blas_thread() if small else nullcontext():
+    with _one_blas_thread():
+        grid = grid_for_state(state, n=n)
+        _check_sample_bytes(grid.nX, grid.nx)
         m = state(*grid.axes())
         m *= math.sqrt(grid.dx * grid.dX)
         m = _strip_one_body_phases(m)
