@@ -45,7 +45,6 @@ class CollisionParams:
 
     m: float
     M: float
-    total_mass: float
     delta: float
     gamma: float
 
@@ -66,7 +65,7 @@ def collision_params(m: float, M: float) -> CollisionParams:
     total = m + M
     if not np.isfinite(total):
         raise ValueError(f"total mass must be finite, got {m} + {M}")
-    return CollisionParams(m=m, M=M, total_mass=total, delta=m / total, gamma=M / total)
+    return CollisionParams(m=m, M=M, delta=m / total, gamma=M / total)
 
 
 def collision_params_from_delta(delta: float) -> CollisionParams:

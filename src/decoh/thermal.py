@@ -37,7 +37,6 @@ __all__ = [
     "compton_wavelength",
     "thermal_length",
     "amplitude_budget",
-    "backaction_ratio",
 ]
 
 HBAR = 1.05457181765e-34        # J s
@@ -126,15 +125,3 @@ def amplitude_budget(f0s: Sequence[float] | float, n: int | None = None) -> Coll
     log_amp = count * mean_half_log
     n_half = math.inf if mean_half_log == 0.0 else math.log(0.5) / mean_half_log
     return CollisionBudget(n=count, amplitude=math.exp(log_amp), n_half=n_half)
-
-
-def backaction_ratio(m: float, M: float) -> float:
-    """Momentum-uncertainty back-action on the particle, sqrt(m/M).
-
-    With matched spreads Sigma^2/sigma^2 = m/M, the wall's Delta P feeds a
-    momentum uncertainty ~ m Delta P / M into the particle frame; relative
-    to the particle's own hbar/sigma this is sqrt(m/M) = sqrt(delta/gamma).
-    """
-    m = _check_positive("particle mass", m)
-    M = _check_positive("wall mass", M)
-    return math.sqrt(m / M)

@@ -44,7 +44,7 @@ def test_collision_params_rejects_bad_masses(m, M):
 def test_collision_params_from_delta():
     p = collision_params_from_delta(0.3)
     assert p.delta == pytest.approx(0.3, abs=1e-15)
-    assert p.total_mass == pytest.approx(1.0)
+    assert p.m + p.M == 1.0
     with pytest.raises(ValueError):
         collision_params_from_delta(1.0)
 

@@ -10,7 +10,6 @@ from decoh.kinematics import collision_params, collision_params_from_delta
 from decoh.thermal import (
     ELECTRON_MASS,
     amplitude_budget,
-    backaction_ratio,
     compton_wavelength,
     thermal_k_sigma,
     thermal_length,
@@ -150,24 +149,15 @@ def test_amplitude_budget_validation():
         amplitude_budget(0.9, n=10**400)  # ln amplitude = n ln F0 / 2 needs a float n
 
 
-def test_backaction_ratio_values():
-    assert backaction_ratio(2.0, 2.0) == 1.0
-    assert backaction_ratio(1.0, 1e6) == pytest.approx(1e-3, rel=1e-12)
-    with pytest.raises(ValueError):
-        backaction_ratio(-1.0, 1.0)
-
-
 def test_backaction_equals_matched_spread_ratio():
-    """sqrt(m/M) and sqrt(delta/gamma) are the same number, and both equal
-    the square root of the zero-momentum optimal spread ratio."""
+    """The back-action ratio sqrt(m/M) and sqrt(delta/gamma) are the same
+    number, and both equal the square root of the zero-momentum optimal
+    spread ratio."""
     p = collision_params(3.0, 17.0)
-    assert backaction_ratio(3.0, 17.0) == pytest.approx(
-        math.sqrt(p.delta / p.gamma), rel=1e-12
-    )
+    backaction = math.sqrt(3.0 / 17.0)
+    assert backaction == pytest.approx(math.sqrt(p.delta / p.gamma), rel=1e-12)
     opt = optimal_lambda(0.0, p)
-    assert backaction_ratio(3.0, 17.0) == pytest.approx(
-        math.sqrt(opt.lambda_max), rel=1e-12
-    )
+    assert backaction == pytest.approx(math.sqrt(opt.lambda_max), rel=1e-12)
 
 
 def test_amplitude_budget_of_a_huge_count_is_closed_form():
