@@ -4,7 +4,8 @@ Subcommands: error, entangle, sweep, verify, thermal.  Exit codes: 0 on
 success, 1 when a verification check fails, 2 for usage or domain errors.
 Output is human-readable text by default; --format csv or json switches to
 machine-readable forms with 12 significant digits.  A sweep runs on
-min(8, CPU count) threads.
+min(8, CPU count) threads.  Commands import their oracle modules, and
+numpy, when they run: error, entangle and thermal without --grid load neither.
 
 Every command reads its inputs one way and writes its output one way.  Each
 key=value line of a --config file becomes a --key=value option spliced into
@@ -27,16 +28,11 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
 
 from . import __version__
 from . import entanglement as ent
 from . import error_bounds as eb
-from . import oracles
 from . import thermal as th
-from .checks import run_verification
 from .kinematics import (
     CollisionParams,
     _check_spread,
@@ -131,7 +127,7 @@ def _jsonify(obj):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
+    if hasattr(obj, "item"):  # a numpy scalar, as a Python int or float
         obj = obj.item()
     return _sig12(obj)
 
@@ -311,6 +307,8 @@ def cmd_error(args) -> int:
     ]
     if args.grid:
         # cross-check the closed form on a quadrature grid of the given size
+        from . import oracles
+
         wall = ("--sigma and --lambda" if args.lambda_ is not None
                 else "--Sigma" if Sigma is not None else "--sigma")
         s0 = _initial_state(wall, sigma * math.sqrt(lam), sigma, k_sigma / sigma)
@@ -340,9 +338,9 @@ def cmd_entangle(args) -> int:
     sf = post_collision_state(_initial_state(wall, Sigma, sigma, k), p)
     kp = ent.kernel_params(sf)
     F0 = ent.largest_eigenvalue(kp.w)
-    spectrum = ent.spectrum(kp.w, args.n_spectrum).tolist()
+    spectrum = ent.spectrum_values(kp.w, args.n_spectrum)
     # the eigenvalues past the first n sum to e^{-n u}, 0 on a matched state
-    tail = float(np.exp(-args.n_spectrum * kp.u))
+    tail = math.exp(-args.n_spectrum * kp.u)
     params = {"delta": p.delta, "gamma": p.gamma, "Sigma": Sigma,
               "sigma": sigma, "k": k}
     results = {"D": kp.D, "rho": kp.rho, "w": kp.w, "u": kp.u,
@@ -360,11 +358,13 @@ def cmd_entangle(args) -> int:
         f"  spectrum = {', '.join(f'{v:.6g}' for v in spectrum)}",
     ]
     if args.grid:
+        from . import oracles
+
         sv = _named("--grid", oracles.schmidt_decompose, sf, args.grid).singular_values
         results["F0_svd"] = float(sv[0] ** 2)
         results["F0_svd_deviation"] = abs(float(sv[0] ** 2) - F0)
         # the sampled norm sum s_i^2 is 1 only where the grid resolves the state
-        results["svd_norm"] = float(np.sum(sv**2))
+        results["svd_norm"] = float((sv**2).sum())
         if abs(results["svd_norm"] - 1.0) > 1e-6:
             print(f"warning: the SVD oracle's sampled norm is {results['svd_norm']:.6g}, "
                   f"not 1: the {args.grid} x {args.grid} grid does not resolve the state",
@@ -405,6 +405,10 @@ def _sweep_row(parameter: str, value: float, args, p: CollisionParams | None):
 
 
 def cmd_sweep(args) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+
+    import numpy as np
+
     if args.scale == "log" and (args.start <= 0.0 or args.stop <= 0.0):
         raise ValueError("log scale requires positive start and stop")
     p = _build_params(args) if args.parameter in ("lambda", "k_sigma") else None
@@ -443,6 +447,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import oracles
+    from .checks import run_verification
+
     if args.grid is not None:
         # run_verification refuses this too, in the library's words
         _named("--grid", oracles._check_sample_bytes, args.grid, args.grid)

@@ -25,9 +25,8 @@ Omega delta = omega gamma, i.e. Sigma^2/sigma^2 = delta/gamma.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .kinematics import CollisionParams, PostCollisionState
 
@@ -36,6 +35,7 @@ __all__ = [
     "kernel_params",
     "reduced_kernel_eval",
     "largest_eigenvalue",
+    "spectrum_values",
     "spectrum",
     "oscillator_kernel",
     "oscillator_kernel_spectrum",
@@ -71,17 +71,17 @@ def kernel_params(s: PostCollisionState) -> KernelParams:
     g_minus_d = s.gamma - s.delta
     D = s.Omega * g_minus_d**2 + 4.0 * s.omega * s.gamma**2
     rho = abs(g_minus_d * (s.Omega * s.delta - s.omega * s.gamma))
-    root_ww = np.sqrt(s.omega * s.Omega)
+    root_ww = math.sqrt(s.omega * s.Omega)
     if rho <= MATCHED_RTOL * root_ww:
-        return KernelParams(D=D, rho=rho, w=np.inf, u=np.inf, z=0.0, matched=True)
+        return KernelParams(D=D, rho=rho, w=math.inf, u=math.inf, z=0.0, matched=True)
     w = root_ww / rho
-    u = 2.0 * np.arcsinh(0.5 * w)
+    u = _exponent(w)
     # z = sqrt(w^2/4 + 1) - w/2, rationalized to avoid cancellation at large w
-    z = 1.0 / (np.sqrt(0.25 * w * w + 1.0) + 0.5 * w)
-    return KernelParams(D=D, rho=rho, w=float(w), u=float(u), z=float(z), matched=False)
+    z = 1.0 / (math.sqrt(0.25 * w * w + 1.0) + 0.5 * w)
+    return KernelParams(D=D, rho=rho, w=w, u=u, z=z, matched=False)
 
 
-def reduced_kernel_eval(s: PostCollisionState, x, x_prime) -> np.ndarray:
+def reduced_kernel_eval(s: PostCollisionState, x, x_prime):
     """Closed form of F(x', x).  Broadcasts over x and x_prime.
 
     Hermitian by construction: F(x', x) = conj(F(x, x')).  The momentum
@@ -89,6 +89,8 @@ def reduced_kernel_eval(s: PostCollisionState, x, x_prime) -> np.ndarray:
     which cannot move the eigenvalues; built as two factors, it stays a
     unitary similarity on a grid, where rounding q (x - x') would not.
     """
+    import numpy as np
+
     kp = kernel_params(s)
     pref = np.sqrt(2.0 * s.omega * s.Omega / (np.pi * kp.D))
     diff = x - x_prime
@@ -98,22 +100,25 @@ def reduced_kernel_eval(s: PostCollisionState, x, x_prime) -> np.ndarray:
     return pref * np.exp(expo) * np.exp(1j * q * x) * np.exp(-1j * q * x_prime)
 
 
+def _exponent(w: float) -> float:
+    """u = 2 arcsinh(w/2), inf at w = inf, unless w is NaN or negative."""
+    w = float(w)
+    if math.isnan(w) or w < 0.0:
+        raise ValueError(f"w must be non-negative, got {w}")
+    return 2.0 * math.asinh(0.5 * w)
+
+
 def largest_eigenvalue(w: float) -> float:
     """Largest kernel eigenvalue F0 = 1 - z^2 as a function of w.
 
     Evaluated as -expm1(-u) with u = 2 arcsinh(w/2), which keeps full
     precision in the small-w regime where F0 ~ w.  w = inf gives 1.
     """
-    w = float(w)
-    if np.isnan(w) or w < 0.0:
-        raise ValueError(f"w must be non-negative, got {w}")
-    if np.isinf(w):
-        return 1.0
-    return float(-np.expm1(-2.0 * np.arcsinh(0.5 * w)))
+    return -math.expm1(-_exponent(w))
 
 
-def spectrum(w: float, n: int = 64) -> np.ndarray:
-    """First n eigenvalues F_k = (1 - e^{-u}) e^{-k u}, k = 0..n-1.
+def spectrum_values(w: float, n: int = 64) -> list[float]:
+    """First n eigenvalues F_k = (1 - e^{-u}) e^{-k u}, k = 0..n-1, as floats.
 
     The eigenvalues form a geometric sequence summing to 1; the truncation
     tail is exactly e^{-n u}.  w = 0 has no normalizable spectrum and
@@ -121,18 +126,26 @@ def spectrum(w: float, n: int = 64) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"need at least one eigenvalue, got n={n}")
-    w = float(w)
-    if np.isnan(w) or w < 0.0:
-        raise ValueError(f"w must be non-negative, got {w}")
-    if w == 0.0:
+    u = _exponent(w)
+    if u == 0.0:
         raise ValueError("w = 0 is degenerate: u = 0 gives no normalizable spectrum")
-    if np.isinf(w):
-        out = np.zeros(n)
-        out[0] = 1.0
-        return out
-    u = 2.0 * np.arcsinh(0.5 * w)
-    k = np.arange(n)
-    return -np.expm1(-u) * np.exp(-k * u)
+    if math.isinf(u):
+        return [1.0] + [0.0] * (n - 1)
+    F0 = -math.expm1(-u)
+    values = []
+    for k in range(n):
+        factor = math.exp(-k * u)
+        if factor == 0.0:  # and so is e^{-k u} at every later k
+            break
+        values.append(F0 * factor)
+    return values + [0.0] * (n - len(values))
+
+
+def spectrum(w: float, n: int = 64):
+    """spectrum_values(w, n) as a numpy array."""
+    import numpy as np
+
+    return np.array(spectrum_values(w, n))
 
 
 def oscillator_kernel(beta: float, u: float):
@@ -147,6 +160,8 @@ def oscillator_kernel(beta: float, u: float):
         raise ValueError(f"beta must be positive, got {beta}")
     if u <= 0.0:
         raise ValueError(f"u must be positive, got {u}")
+    import numpy as np
+
     pref = np.sqrt(beta / (np.pi * np.sinh(u)))
     coef = beta / np.sinh(u)
     ch = np.cosh(u)
@@ -157,7 +172,7 @@ def oscillator_kernel(beta: float, u: float):
     return kernel
 
 
-def oscillator_kernel_spectrum(beta: float, u: float, n: int = 16) -> np.ndarray:
+def oscillator_kernel_spectrum(beta: float, u: float, n: int = 16):
     """Spectrum G_k = e^{-u (k + 1/2)} of the oscillator kernel.
 
     Independent of beta, which only rescales the eigenfunctions.  beta is
@@ -169,6 +184,8 @@ def oscillator_kernel_spectrum(beta: float, u: float, n: int = 16) -> np.ndarray
         raise ValueError(f"u must be positive, got {u}")
     if n < 1:
         raise ValueError(f"need at least one eigenvalue, got n={n}")
+    import numpy as np
+
     return np.exp(-u * (np.arange(n) + 0.5))
 
 
@@ -179,7 +196,7 @@ def optimal_spreads(sigma: float, p: CollisionParams) -> float:
     the k = 0 overlap with the fixed-wall idealization is exactly 1.
     """
     sigma = float(sigma)
-    if not (np.isfinite(sigma) and sigma > 0.0):
+    if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"particle spread must be positive and finite, got {sigma}")
-    return sigma * np.sqrt(p.delta / p.gamma)
+    return sigma * math.sqrt(p.delta / p.gamma)
 

@@ -22,9 +22,8 @@ and the two branches mesh near k sigma ~ 1, where 1 - A ~ 1.24 delta.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 from .kinematics import CollisionParams
 
@@ -54,21 +53,30 @@ class ConvergenceError(RuntimeError):
 def overlap_log_inverse_sq(lam, k_sigma: float, p: CollisionParams):
     """ln(A^{-2}) as a function of the spread ratio lam = Sigma^2/sigma^2.
 
-    Vectorized over lam.  The bracket is evaluated as
-    log1p((gamma sqrt(lam) - delta/sqrt(lam))^2) so the value stays accurate
-    when A is within rounding of 1.
+    A real lam gives a float, through math; an array gives an array, through
+    numpy.  The bracket is evaluated as log1p((gamma sqrt(lam) -
+    delta/sqrt(lam))^2) so the value stays accurate when A is within
+    rounding of 1.
     """
+    if isinstance(lam, numbers.Real):
+        lam = float(lam)
+        if not 0.0 < lam < math.inf:
+            raise ValueError("spread ratio lambda must be positive and finite")
+        return _log_inverse_sq(lam, k_sigma, p)
+    import numpy as np
+
     lam = np.asarray(lam, dtype=float)
     if np.any(lam <= 0.0) or not np.all(np.isfinite(lam)):
         raise ValueError("spread ratio lambda must be positive and finite")
-    return _log_inverse_sq(lam, k_sigma, p)
+    return _log_inverse_sq(lam, k_sigma, p, np)
 
 
-def _log_inverse_sq(lam, k_sigma: float, p: CollisionParams):
-    """ln(A^{-2}) for lam already known to be positive and finite."""
-    root = np.sqrt(lam)
+def _log_inverse_sq(lam, k_sigma: float, p: CollisionParams, xp=math):
+    """ln(A^{-2}) for lam already known to be positive and finite: a float
+    through xp = math, an array through xp = numpy."""
+    root = xp.sqrt(lam)
     mismatch = p.gamma * root - p.delta / root
-    return np.log1p(mismatch * mismatch) + 4.0 * k_sigma**2 * lam / (1.0 + lam)
+    return xp.log1p(mismatch * mismatch) + 4.0 * k_sigma**2 * lam / (1.0 + lam)
 
 
 def overlap_error(lam: float, k_sigma: float, p: CollisionParams) -> tuple[float, float]:
@@ -78,7 +86,7 @@ def overlap_error(lam: float, k_sigma: float, p: CollisionParams) -> tuple[float
     where A is within rounding of 1.
     """
     half_log = -0.5 * float(overlap_log_inverse_sq(lam, k_sigma, p))
-    return float(np.exp(half_log)), float(-np.expm1(half_log))
+    return math.exp(half_log), -math.expm1(half_log)
 
 
 def overlap_amplitude(lam: float, k_sigma: float, p: CollisionParams) -> float:
@@ -154,7 +162,7 @@ def optimal_lambda(k_sigma: float, p: CollisionParams) -> Optimum:
     that the bracket's low end underflows to 0 raises ValueError.
     """
     k_sigma = float(k_sigma)
-    if k_sigma < 0.0 or not np.isfinite(k_sigma):
+    if k_sigma < 0.0 or not math.isfinite(k_sigma):
         raise ValueError(f"k sigma must be non-negative and finite, got {k_sigma}")
     if k_sigma == 0.0:
         return Optimum(
@@ -173,13 +181,13 @@ def optimal_lambda(k_sigma: float, p: CollisionParams) -> Optimum:
 
     def objective(t: float) -> float:
         # exp of a finite bracket point is positive and finite: skip the checks
-        return float(_log_inverse_sq(math.exp(t), k_sigma, p))
+        return _log_inverse_sq(math.exp(t), k_sigma, p)
 
     t_min, f_min, iterations = golden_section_minimize(objective, lo, hi, tol=_LN_LAMBDA_TOL)
     return Optimum(
         lambda_max=math.exp(t_min),
-        A_max=float(np.exp(-0.5 * f_min)),
-        one_minus_A=float(-np.expm1(-0.5 * f_min)),
+        A_max=math.exp(-0.5 * f_min),
+        one_minus_A=-math.expm1(-0.5 * f_min),
         regime=classify_regime(k_sigma),
         iterations=iterations,
     )
@@ -220,6 +228,8 @@ def mismatch_penalty(y, k_sigma: float):
     (penalty * delta well below 0.1); beyond that use the exact amplitude.
     Vectorized over y.
     """
+    import numpy as np
+
     y = np.asarray(y, dtype=float)
     # cosh(y) - 1 via sinh(y/2) to keep precision near the matched point
     half = np.sinh(0.5 * y)

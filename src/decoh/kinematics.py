@@ -19,9 +19,8 @@ d = m/(M+m), g = M/(M+m).  Natural units, hbar = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "CollisionParams",
@@ -58,12 +57,12 @@ def collision_params(m: float, M: float) -> CollisionParams:
     """
     m = float(m)
     M = float(M)
-    if not (np.isfinite(m) and m > 0.0):
+    if not (math.isfinite(m) and m > 0.0):
         raise ValueError(f"particle mass must be positive and finite, got {m}")
-    if not (np.isfinite(M) and M > 0.0):
+    if not (math.isfinite(M) and M > 0.0):
         raise ValueError(f"wall mass must be positive and finite, got {M}")
     total = m + M
-    if not np.isfinite(total):
+    if not math.isfinite(total):
         raise ValueError(f"total mass must be finite, got {m} + {M}")
     return CollisionParams(m=m, M=M, delta=m / total, gamma=M / total)
 
@@ -80,19 +79,21 @@ def _check_spread(name: str, s: float) -> float:
     """The wall's or the particle's spread s as a float, unless it or the
     exponent's coefficient 1/4s^2 is not a positive finite number."""
     s = float(s)
-    if not (np.isfinite(s) and s > 0.0):
+    if not (math.isfinite(s) and s > 0.0):
         raise ValueError(f"{name} spread must be positive and finite, got {s}")
-    if not (0.0 < s * s < np.inf and 0.25 / (s * s) < np.inf):
+    if not (0.0 < s * s < math.inf and 0.25 / (s * s) < math.inf):
         raise ValueError(f"{name} spread {s:g} is out of range: 1/(4 {name} spread^2) "
                          "is not a positive finite number")
     return s
 
 
-def _product_sample(s, x, X, sign: float) -> np.ndarray:
+def _product_sample(s, x, X, sign: float):
     """sqrt(N) exp(-X^2/4Sigma^2 - x^2/4sigma^2 + sign i k x) for a product
     state s, as exp(-X^2/4Sigma^2) times sqrt(N) exp(-x^2/4sigma^2 + sign i k x):
     on a grid's broadcast axes each exp is 1-D and one multiply builds the
     N^2 samples."""
+    import numpy as np
+
     wall = np.exp(-(X * X) / (4.0 * s.Sigma**2))
     return wall * (np.sqrt(s.norm) * np.exp(-(x * x) / (4.0 * s.sigma**2) + sign * 1j * s.k * x))
 
@@ -111,7 +112,7 @@ class GaussianProductState:
     k: float
     norm: float
 
-    def __call__(self, x, X) -> np.ndarray:
+    def __call__(self, x, X):
         """Sample the state; broadcasts over x, X.  Built from its one-body
         factors (_product_sample), so on a grid every exp is 1-D."""
         return _product_sample(self, x, X, 1.0)
@@ -123,6 +124,8 @@ class GaussianProductState:
 
     def quadratic_form(self):
         """(A, b) with psi ~ exp(-z^T A z + b^T z), z = (x, X), for grid sizing."""
+        import numpy as np
+
         A = np.diag([0.25 / self.sigma**2, 0.25 / self.Sigma**2])
         return A, np.array([1j * self.k, 0.0])
 
@@ -131,7 +134,7 @@ def initial_state(Sigma: float, sigma: float, k: float = 0.0) -> GaussianProduct
     """Centered Gaussian product state with wall/particle spreads and momentum k."""
     Sigma, sigma = _check_spread("wall", Sigma), _check_spread("particle", sigma)
     return GaussianProductState(
-        Sigma=Sigma, sigma=sigma, k=float(k), norm=1.0 / (2.0 * np.pi * sigma * Sigma)
+        Sigma=Sigma, sigma=sigma, k=float(k), norm=1.0 / (2.0 * math.pi * sigma * Sigma)
     )
 
 
@@ -149,7 +152,7 @@ class PostCollisionState:
     k: float
     norm: float
 
-    def __call__(self, x, X) -> np.ndarray:
+    def __call__(self, x, X):
         """Sample the state; broadcasts over x, X.  The envelope is one real
         exp of -(a^2 + b^2), with sqrt(Omega) and sqrt(omega) folded into
         the coefficients of the wall and particle arguments a and b.  The
@@ -157,6 +160,8 @@ class PostCollisionState:
         it is then a diagonal unitary on each side, which leaves the
         singular values alone at any k, where rounding k b on the full grid
         would not, and costs only 1-D exps."""
+        import numpy as np
+
         rO, ro = np.sqrt(self.Omega), np.sqrt(self.omega)
         a = X * (rO * (1.0 - 2.0 * self.delta)) + x * (rO * 2.0 * self.delta)  # wall argument
         b = x * (ro * (1.0 - 2.0 * self.gamma)) + X * (ro * 2.0 * self.gamma)  # particle argument
@@ -170,7 +175,7 @@ class PostCollisionState:
         psi *= np.exp(2j * self.gamma * self.k * X)
         return psi
 
-    def covariance(self) -> np.ndarray:
+    def covariance(self):
         """Position covariance matrix of |Psi_F|^2 in (x, X).
 
         |Psi_F|^2 is a product of Gaussians of spreads Sigma and sigma in
@@ -179,6 +184,8 @@ class PostCollisionState:
         2 (gamma + delta) - 1 = 1 gives B^{-1} in closed form, with no matrix
         inverse to go singular when one spread dwarfs the other.
         """
+        import numpy as np
+
         B_inv = np.array([[2.0 * self.gamma, -(1.0 - 2.0 * self.delta)],
                           [-(1.0 - 2.0 * self.gamma), 2.0 * self.delta]])
         return (B_inv * [0.25 / self.Omega, 0.25 / self.omega]) @ B_inv.T
@@ -188,13 +195,15 @@ class PostCollisionState:
         covers the centers +- spreads; the wavenumbers are the carrier's, k
         times the particle argument's coefficients."""
         cov = self.covariance()
-        return ((0.0, 0.0), (float(np.sqrt(cov[0, 0])), float(np.sqrt(cov[1, 1]))),
+        return ((0.0, 0.0), (math.sqrt(cov[0, 0]), math.sqrt(cov[1, 1])),
                 (abs(self.k * (1.0 - 2.0 * self.gamma)), abs(2.0 * self.gamma * self.k)))
 
     def quadratic_form(self):
         """(A, b) with psi ~ exp(-z^T A z + b^T z), z = (x, X), for grid sizing:
         Omega and omega times the outer squares of the wall and particle
         arguments' coefficients, and i k times the particle's."""
+        import numpy as np
+
         wall = np.array([2.0 * self.delta, 1.0 - 2.0 * self.delta])
         particle = np.array([1.0 - 2.0 * self.gamma, 2.0 * self.gamma])
         A = self.Omega * np.outer(wall, wall) + self.omega * np.outer(particle, particle)
@@ -211,7 +220,7 @@ def post_collision_state(s: GaussianProductState, p: CollisionParams) -> PostCol
         delta=p.delta,
         gamma=p.gamma,
         k=s.k,
-        norm=(2.0 / np.pi) * np.sqrt(Omega * omega),
+        norm=(2.0 / math.pi) * math.sqrt(Omega * omega),
     )
 
 
@@ -225,7 +234,7 @@ class IdealReflectedState(GaussianProductState):
     product state, so the envelope is inherited.
     """
 
-    def __call__(self, x, X) -> np.ndarray:
+    def __call__(self, x, X):
         """Sample the state; broadcasts over x, X.  Built from its one-body
         factors (_product_sample) with the phase reversed, so on a grid
         every exp is 1-D."""

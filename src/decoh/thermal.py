@@ -20,11 +20,10 @@ normal positive float raises ValueError naming it.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 __all__ = [
     "HBAR",
@@ -47,7 +46,7 @@ ELECTRON_MASS = 9.1093837015e-31  # kg
 
 def _check_positive(name: str, value: float) -> float:
     value = float(value)
-    if not (np.isfinite(value) and value > 0.0):
+    if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
 
@@ -106,7 +105,7 @@ def amplitude_budget(f0s: Sequence[float] | float, n: int | None = None) -> Coll
     amplitude, n_half = ln(1/2)/ln(sqrt(F0)) (using the mean log for
     non-identical collisions); infinite when every F0 is 1.
     """
-    if np.isscalar(f0s):
+    if isinstance(f0s, numbers.Real):
         if n is None:
             raise ValueError("a single F0 needs a collision count n")
         if n < 0:
@@ -118,10 +117,10 @@ def amplitude_budget(f0s: Sequence[float] | float, n: int | None = None) -> Coll
         if n is not None and n != len(f0s):
             raise ValueError(f"n={n} disagrees with {len(f0s)} supplied eigenvalues")
         count = len(f0s)
-    values = np.asarray(f0s, dtype=float)
-    if values.size and (np.any(values <= 0.0) or np.any(values > 1.0)):
+    values = [float(f0) for f0 in f0s]
+    if any(f0 <= 0.0 or f0 > 1.0 for f0 in values):
         raise ValueError("every F0 must lie in (0, 1]")
-    mean_half_log = 0.5 * float(np.mean(np.log(values))) if values.size else 0.0
+    mean_half_log = 0.5 * (math.fsum(map(math.log, values)) / len(values)) if values else 0.0
     log_amp = count * mean_half_log
     n_half = math.inf if mean_half_log == 0.0 else math.log(0.5) / mean_half_log
     return CollisionBudget(n=count, amplitude=math.exp(log_amp), n_half=n_half)

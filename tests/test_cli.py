@@ -1,3 +1,4 @@
+import concurrent.futures
 import importlib.util
 import json
 import math
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from decoh import cli
+from decoh import checks, cli, oracles
 from decoh import error_bounds as eb
 from decoh.kinematics import PostCollisionState, collision_params_from_delta
 
@@ -360,8 +361,6 @@ def test_verify_default_exit_zero(capsys):
 def test_verify_corrupted_tolerance_exits_one(capsys, monkeypatch):
     """A failed check, here matched_overlap judged at a tolerance below any
     deviation, makes verify exit 1 with its FAIL line and all_passed false."""
-    from decoh import checks
-
     real = checks.check_matched_overlap
 
     def corrupted(grid_n):
@@ -555,13 +554,13 @@ def test_a_grid_over_the_sample_cap_exits_2_naming_grid(capsys, monkeypatch, com
     """--grid 100000 asks the SVD for 160 GB and is refused before any check
     or sample runs; a monkeypatched cap moves the edge."""
     ran = []
-    monkeypatch.setattr(cli, "run_verification", lambda grid_n: ran.append(grid_n) or [])
+    monkeypatch.setattr(checks, "run_verification", lambda grid_n: ran.append(grid_n) or [])
     code, out, err = run_cli(capsys, *command, "--grid", "100000")
     assert code == 2 and out == "" and ran == []
     assert err == ("error: --grid out of range: a 100000 x 100000 sample takes "
                    "160000000000 bytes, more than the 1073741824 bytes of "
                    "oracles.MAX_SAMPLE_BYTES\n")
-    monkeypatch.setattr(cli.oracles, "MAX_SAMPLE_BYTES", 16 * 64 * 64)
+    monkeypatch.setattr(oracles, "MAX_SAMPLE_BYTES", 16 * 64 * 64)
     code, _, err = run_cli(capsys, *command, "--grid", "65")
     assert code == 2 and err.startswith("error: --grid out of range: a 65 x 65 sample")
     code, _, err = run_cli(capsys, *command, "--grid", "64")
@@ -582,7 +581,7 @@ def test_an_error_grid_over_the_sample_cap_exits_2_naming_grid(capsys, monkeypat
     assert err == ("error: --grid out of range: a 100000 x 100000 sample takes "
                    "160000000000 bytes, more than the 1073741824 bytes of "
                    "oracles.MAX_SAMPLE_BYTES\n")
-    monkeypatch.setattr(cli.oracles, "MAX_SAMPLE_BYTES", 16 * 64 * 64)
+    monkeypatch.setattr(oracles, "MAX_SAMPLE_BYTES", 16 * 64 * 64)
     code, _, err = run_cli(capsys, *argv, "65")
     assert code == 2 and err.startswith("error: --grid out of range: a 65 x 65 sample")
     code, out, err = run_cli(capsys, *argv, "64")
@@ -1136,7 +1135,7 @@ _W_SWEEP = ["sweep", "--parameter", "w", "--start", "1", "--stop", "2", "--point
 @pytest.mark.parametrize("cpus", [1, 2, 16])
 def test_sweep_pool_is_min_8_cpu_count(capsys, monkeypatch, cpus):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", _SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     code, out, _ = run_cli(capsys, *_W_SWEEP)
     assert code == 0 and len(out.splitlines()) == 10

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from decoh.entanglement import (
     oscillator_kernel_spectrum,
     reduced_kernel_eval,
     spectrum,
+    spectrum_values,
 )
 from decoh.kinematics import (
     collision_params,
@@ -94,6 +96,20 @@ def test_spectrum_degenerate_and_matched():
         spectrum(0.0)
     matched = spectrum(np.inf, n=4)
     np.testing.assert_allclose(matched, [1.0, 0.0, 0.0, 0.0])
+
+
+def test_spectrum_values_past_the_underflow_are_zero():
+    """The list stops evaluating e^{-k u} once it underflows to 0: every
+    value is still F0 e^{-k u}, as floats, and the array spectrum is the
+    same list."""
+    w, n = 3.87, 1000
+    u = 2.0 * math.asinh(0.5 * w)
+    values = spectrum_values(w, n)
+    assert len(values) == n and all(type(v) is float for v in values)
+    assert values == [largest_eigenvalue(w) * math.exp(-k * u) for k in range(n)]
+    assert values[-1] == 0.0 < values[0]
+    assert spectrum(w, n).tolist() == values
+    assert spectrum_values(np.inf, 3) == [1.0, 0.0, 0.0]
 
 
 def test_oscillator_spectrum_value():

@@ -115,8 +115,8 @@ def test_optimum_equals_golden_search_over_public_overlap(log_delta, k_sigma):
     )
     assert optimal_lambda(k_sigma, p) == Optimum(
         lambda_max=math.exp(t),
-        A_max=float(np.exp(-0.5 * f)),
-        one_minus_A=float(-np.expm1(-0.5 * f)),
+        A_max=math.exp(-0.5 * f),
+        one_minus_A=-math.expm1(-0.5 * f),
         regime=classify_regime(k_sigma),
         iterations=steps,
     )

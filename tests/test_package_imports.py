@@ -24,3 +24,27 @@ def test_import_loads_only_its_dependencies(module, expected):
     proc = subprocess.run([sys.executable, "-c", f"import {module}; {LOADED}"],
                           capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.split() == expected
+
+
+
+# what only the oracles, verify and sweep need
+ARRAY_MODULES = ["numpy", "decoh.oracles", "decoh.checks", "decoh.propagation",
+                 "concurrent.futures"]
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["error", "--delta", "0.01", "--ksigma", "1"],
+    ["entangle", "--delta", "0.01", "--Sigma", "0.3", "--k", "2"],
+    ["thermal", "--T", "1", "--mu-kg", "1e-27", "--collisions", "5", "--F0", "0.9"],
+], ids=["import", "error", "entangle", "thermal"])
+def test_closed_form_commands_load_no_array_module(argv):
+    """A fresh interpreter that imports decoh.cli and runs the command (argv
+    None: none) holds none of the modules that only arrays need."""
+    env = {**os.environ, "PYTHONPATH": str(Path(decoh.__file__).parents[1])}
+    run = "" if argv is None else f"assert decoh.cli.main({argv!r}) == 0; "
+    code = (f"import sys, decoh.cli; {run}"
+            f"print([m for m in {ARRAY_MODULES!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"

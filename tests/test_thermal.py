@@ -2,6 +2,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from decoh import cli
@@ -147,6 +148,17 @@ def test_amplitude_budget_validation():
         amplitude_budget([0.9, 0.8], n=3)
     with pytest.raises(ValueError, match="at most 1.79769e"):
         amplitude_budget(0.9, n=10**400)  # ln amplitude = n ln F0 / 2 needs a float n
+
+
+def test_amplitude_budget_takes_numpy_scalars():
+    """A numpy F0 is one collision's eigenvalue, not a sequence, even where
+    it is no float subclass (float32); a numpy integer n is a count."""
+    for f0 in (np.float32(0.9), np.float64(0.9)):
+        b = amplitude_budget(f0, n=np.int64(4))
+        assert b.n == 4 and type(b.n) is int
+        assert b.amplitude == pytest.approx(float(f0) ** 2, rel=1e-15)
+    with pytest.raises(ValueError, match="needs a collision count"):
+        amplitude_budget(np.float32(0.9))
 
 
 def test_backaction_equals_matched_spread_ratio():
