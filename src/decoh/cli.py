@@ -127,8 +127,6 @@ def _jsonify(obj):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    if hasattr(obj, "item"):  # a numpy scalar, as a Python int or float
-        obj = obj.item()
     return _sig12(obj)
 
 
@@ -492,7 +490,7 @@ def cmd_thermal(args) -> int:
     budget = None
     if args.collisions is not None:
         f0 = args.F0 if args.F0 is not None else 1.0
-        budget = th.amplitude_budget(f0, n=args.collisions)
+        budget = th.amplitude_budget(f0, args.collisions)
 
     params = {"mu_kg": args.mu_kg, "T": args.T, "delta": args.delta,
               "collisions": args.collisions, "F0": args.F0}
@@ -511,7 +509,7 @@ def cmd_thermal(args) -> int:
         results.update({"amplitude": budget.amplitude, "n_half": budget.n_half})
     lines.append(f"  (1-A)/delta at ksigma=1 = {coeff:.6g}")
     if budget is not None:
-        lines.append(f"  amplitude after {budget.n} collisions = {budget.amplitude:.12g}")
+        lines.append(f"  amplitude after {args.collisions} collisions = {budget.amplitude:.12g}")
         lines.append(f"  collisions to half amplitude = {budget.n_half:.6g}")
     _render(args, params, results, sorted(results), lines=lines)
     return 0

@@ -87,15 +87,15 @@ def _check_spread(name: str, s: float) -> float:
     return s
 
 
-def _product_sample(s, x, X, sign: float):
-    """sqrt(N) exp(-X^2/4Sigma^2 - x^2/4sigma^2 + sign i k x) for a product
-    state s, as exp(-X^2/4Sigma^2) times sqrt(N) exp(-x^2/4sigma^2 + sign i k x):
-    on a grid's broadcast axes each exp is 1-D and one multiply builds the
-    N^2 samples."""
+def _product_sample(s, x, X):
+    """sqrt(N) exp(-X^2/4Sigma^2 - x^2/4sigma^2 + i k x) for a product state s,
+    as exp(-X^2/4Sigma^2) times sqrt(N) exp(-x^2/4sigma^2 + i k x): on a
+    grid's broadcast axes each exp is 1-D and one multiply builds the N^2
+    samples."""
     import numpy as np
 
     wall = np.exp(-(X * X) / (4.0 * s.Sigma**2))
-    return wall * (np.sqrt(s.norm) * np.exp(-(x * x) / (4.0 * s.sigma**2) + sign * 1j * s.k * x))
+    return wall * (np.sqrt(s.norm) * np.exp(-(x * x) / (4.0 * s.sigma**2) + 1j * s.k * x))
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ class GaussianProductState:
     def __call__(self, x, X):
         """Sample the state; broadcasts over x, X.  Built from its one-body
         factors (_product_sample), so on a grid every exp is 1-D."""
-        return _product_sample(self, x, X, 1.0)
+        return _product_sample(self, x, X)
 
     def envelope(self):
         """(centers, spreads, wavenumbers), each an (x, X) pair: the grid box
@@ -230,21 +230,16 @@ class IdealReflectedState(GaussianProductState):
 
     This is what the outgoing wave would be if the wall were a static
     potential instead of a dynamical body: the particle packet is mirrored,
-    the wall factor untouched.  Only the sign of the phase differs from the
-    product state, so the envelope is inherited.
+    the wall factor untouched.  The mirrored Gaussian packet is the product
+    packet with wavenumber -k, which is what k holds here.
     """
 
     def __call__(self, x, X):
-        """Sample the state; broadcasts over x, X.  Built from its one-body
-        factors (_product_sample) with the phase reversed, so on a grid
-        every exp is 1-D."""
-        return _product_sample(self, x, X, -1.0)
-
-    def quadratic_form(self):
-        A, b = super().quadratic_form()
-        return A, -b
+        """Sample as the product state does; not inherited, because
+        perfbench/tracer.py wraps each state class's own __call__."""
+        return _product_sample(self, x, X)
 
 
 def ideal_reflected_state(s: GaussianProductState) -> IdealReflectedState:
-    """Mirror the particle factor of a product state; norm is preserved."""
-    return IdealReflectedState(Sigma=s.Sigma, sigma=s.sigma, k=s.k, norm=s.norm)
+    """Mirror the particle factor of a product state: k becomes -k."""
+    return IdealReflectedState(Sigma=s.Sigma, sigma=s.sigma, k=-s.k, norm=s.norm)

@@ -457,7 +457,8 @@ def hermitian_kernel_eigenvalues(kernel_fn, nodes: np.ndarray) -> np.ndarray:
     K = 0.5 * (K + K.conj().T)
     if not K.imag.any():
         K = K.real  # a k = 0 kernel is exactly real, and real LAPACK is faster
-    return np.linalg.eigvalsh(K)[::-1]
+    with _one_blas_thread():
+        return np.linalg.eigvalsh(K)[::-1]
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,7 @@ normal positive float raises ValueError naming it.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 __all__ = [
@@ -89,38 +87,26 @@ def thermal_k_sigma(mu: float, T: float) -> float:
 
 @dataclass(frozen=True)
 class CollisionBudget:
-    """Unentangled amplitude surviving a sequence of wall collisions."""
+    """Unentangled amplitude surviving a run of identical wall collisions."""
 
-    n: int
     amplitude: float
     n_half: float
 
 
-def amplitude_budget(f0s: Sequence[float] | float, n: int | None = None) -> CollisionBudget:
-    """Surviving amplitude prod sqrt(F0_i) after independent collisions.
+def amplitude_budget(f0: float, n: int) -> CollisionBudget:
+    """Surviving amplitude sqrt(F0)^n after n collisions of largest eigenvalue F0.
 
-    Pass either a sequence of per-collision largest eigenvalues, or a single
-    F0 with a collision count n, for which ln amplitude = n ln F0 / 2 in
-    closed form at any n.  Also reports the collision count that halves the
-    amplitude, n_half = ln(1/2)/ln(sqrt(F0)) (using the mean log for
-    non-identical collisions); infinite when every F0 is 1.
+    ln amplitude = n ln F0 / 2 in closed form at any n.  Also reports the
+    collision count that halves the amplitude, n_half = ln(1/2)/ln(sqrt(F0));
+    infinite when F0 is 1.
     """
-    if isinstance(f0s, numbers.Real):
-        if n is None:
-            raise ValueError("a single F0 needs a collision count n")
-        if n < 0:
-            raise ValueError(f"collision count must be non-negative, got {n}")
-        if n > sys.float_info.max:
-            raise ValueError(f"collision count must be at most {sys.float_info.max:g}")
-        f0s, count = [f0s], int(n)
-    else:
-        if n is not None and n != len(f0s):
-            raise ValueError(f"n={n} disagrees with {len(f0s)} supplied eigenvalues")
-        count = len(f0s)
-    values = [float(f0) for f0 in f0s]
-    if any(f0 <= 0.0 or f0 > 1.0 for f0 in values):
-        raise ValueError("every F0 must lie in (0, 1]")
-    mean_half_log = 0.5 * (math.fsum(map(math.log, values)) / len(values)) if values else 0.0
-    log_amp = count * mean_half_log
-    n_half = math.inf if mean_half_log == 0.0 else math.log(0.5) / mean_half_log
-    return CollisionBudget(n=count, amplitude=math.exp(log_amp), n_half=n_half)
+    if n < 0:
+        raise ValueError(f"collision count must be non-negative, got {n}")
+    if n > sys.float_info.max:
+        raise ValueError(f"collision count must be at most {sys.float_info.max:g}")
+    f0 = float(f0)
+    if not 0.0 < f0 <= 1.0:
+        raise ValueError(f"F0 must lie in (0, 1], got {f0}")
+    half_log = 0.5 * math.log(f0)
+    n_half = math.inf if half_log == 0.0 else math.log(0.5) / half_log
+    return CollisionBudget(amplitude=math.exp(int(n) * half_log), n_half=n_half)
