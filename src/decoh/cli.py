@@ -16,18 +16,20 @@ its params, results, CSV header and text lines to _render.
 
 The argument parser is built once per process and reused by every call to
 main, so callers that run many commands in one process (tests, notebooks,
-a benchmark loop) pay for it once.
+a benchmark loop) pay for it once.  The arguments after a known subcommand
+go to that subcommand's parser alone, and any it leaves over are reported in
+the top-level parser's words, as argparse reports them.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 
 from . import __version__
 from . import entanglement as ent
@@ -111,29 +113,31 @@ def _float_or_auto(text: str):
 _float_or_auto.__name__ = "float or 'auto'"  # "invalid float or 'auto' value: 'abc'"
 
 
-def _sig12(value):
-    """Round floats to 12 significant digits; map non-finite to None."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return value
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            return None
-        return float(f"{value:.12g}")
-    return value
-
-
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return _sig12(obj)
+def _json_value(v, pad: str) -> str:
+    """v as json.dumps(v, indent=2, sort_keys=True) writes it at indent pad,
+    each float rounded to 12 significant digits and a non-finite one null."""
+    if isinstance(v, float):
+        return repr(float(f"{v:.12g}")) if math.isfinite(v) else "null"
+    if isinstance(v, str):
+        return _json_string(v)
+    if v is None:
+        return "null"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    inner = pad + "  "
+    if isinstance(v, dict):
+        items = [f"{inner}{_json_string(k)}: {_json_value(v[k], inner)}" for k in sorted(v)]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
+    if isinstance(v, (list, tuple)):
+        items = [inner + _json_value(x, inner) for x in v]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
 def format_json(params: dict, results: dict, checks: list[dict]) -> str:
-    doc = {"params": _jsonify(params), "results": _jsonify(results),
-           "checks": _jsonify(checks)}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json_value({"params": params, "results": results, "checks": checks}, "") + "\n"
 
 
 def format_csv(params: dict, header: list[str], rows: list[list]) -> str:
@@ -611,7 +615,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(_with_config(argv))
+        parser = build_parser()
+        sub = _parser()[1].get(argv[0]) if argv else None
+        # with no known command, or with --=x (ambiguous to the top-level
+        # parser: --help or --version?), the top-level parser reads argv; it
+        # would only hand any other list on to the subcommand's parser
+        if sub is None or any(a.startswith("--=") for a in argv):
+            args = parser.parse_args(_with_config(argv))
+        else:
+            args, extra = sub.parse_known_args(_with_config(argv)[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            args.command = argv[0]
         # looked up per call, so a command replaced on the module is the one run
         return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:

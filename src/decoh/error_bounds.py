@@ -62,21 +62,22 @@ def overlap_log_inverse_sq(lam, k_sigma: float, p: CollisionParams):
         lam = float(lam)
         if not 0.0 < lam < math.inf:
             raise ValueError("spread ratio lambda must be positive and finite")
-        return _log_inverse_sq(lam, k_sigma, p)
+        return _log_inverse_sq(lam, p.gamma, p.delta, 4.0 * k_sigma**2)
     import numpy as np
 
     lam = np.asarray(lam, dtype=float)
     if np.any(lam <= 0.0) or not np.all(np.isfinite(lam)):
         raise ValueError("spread ratio lambda must be positive and finite")
-    return _log_inverse_sq(lam, k_sigma, p, np)
+    return _log_inverse_sq(lam, p.gamma, p.delta, 4.0 * k_sigma**2, np)
 
 
-def _log_inverse_sq(lam, k_sigma: float, p: CollisionParams, xp=math):
-    """ln(A^{-2}) for lam already known to be positive and finite: a float
+def _log_inverse_sq(lam, gamma: float, delta: float, c4: float, xp=math):
+    """ln(A^{-2}) for lam already known to be positive and finite, with
+    c4 = 4 (k sigma)^2 and the mass fractions taken once per caller: a float
     through xp = math, an array through xp = numpy."""
     root = xp.sqrt(lam)
-    mismatch = p.gamma * root - p.delta / root
-    return xp.log1p(mismatch * mismatch) + 4.0 * k_sigma**2 * lam / (1.0 + lam)
+    mismatch = gamma * root - delta / root
+    return xp.log1p(mismatch * mismatch) + c4 * lam / (1.0 + lam)
 
 
 def overlap_error(lam: float, k_sigma: float, p: CollisionParams) -> tuple[float, float]:
@@ -178,10 +179,11 @@ def optimal_lambda(k_sigma: float, p: CollisionParams) -> Optimum:
                          f"delta^2 * {_BRACKET_LO_FACTOR:g} underflows to 0")
     lo = math.log(lo)
     hi = math.log(_BRACKET_HI)
+    gamma, delta, c4 = p.gamma, p.delta, 4.0 * k_sigma**2
 
     def objective(t: float) -> float:
         # exp of a finite bracket point is positive and finite: skip the checks
-        return _log_inverse_sq(math.exp(t), k_sigma, p)
+        return _log_inverse_sq(math.exp(t), gamma, delta, c4)
 
     t_min, f_min, iterations = golden_section_minimize(objective, lo, hi, tol=_LN_LAMBDA_TOL)
     return Optimum(

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoh import checks, cli, oracles
 from decoh import error_bounds as eb
@@ -536,6 +538,86 @@ def test_dispatch_reads_the_command_at_call_time(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_error", fake_error)
     code, out, _ = run_cli(capsys, "error", "--delta", "0.25")
     assert code == 7 and seen == [0.25] and out == ""
+
+
+def _through_the_top_level_parser(capsys, argv):
+    """(exit code, stdout, stderr) of argv parsed whole by the top-level
+    parser, which hands a subcommand's arguments on to that command's parser."""
+    try:
+        args = cli.build_parser().parse_args(cli._with_config(argv))
+        code = getattr(cli, f"cmd_{args.command}")(args)
+    except SystemExit as exc:
+        code = exc.code
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--version"], ["-h"], ["bogus"],
+    ["error", "--delta", "0.01", "--ksigma", "1", "--bogus", "x"],
+    ["error", "--delta", "0.01", "--", "--ksigma", "1"],
+    ["entangle", "--delta", "0.01", "--Sigma", "1", "--k", "-1e3"],
+    ["error", "--config", "lambda.cfg", "--lambda", "0.5", "--format", "json"],
+    ["verify", "--tol", "schmidt_f0=1e-5"],
+    ["error", "--delta", "0.01", "--=x"],
+    ["error", "--delta", "0.01", "--", "--=x"],
+    ["thermal", "--T", "300", "--co", "lambda.cfg"],
+    ["error", "-h", "--config", "missing.cfg"],
+], ids=lambda argv: " ".join(argv) or "no argv")
+def test_main_answers_as_the_top_level_parser_does(tmp_path, capsys, monkeypatch, argv):
+    """main reads a known subcommand's arguments with that command's parser
+    alone; every exit code, output and message stays the top-level parser's."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lambda.cfg").write_text("delta=0.01\nlambda=1\nksigma=0\n")
+    want = _through_the_top_level_parser(capsys, argv)
+    assert outcome(capsys, *argv) == want
+
+
+def _rounded_as_before(doc):
+    """doc as format_json rounded it before json.dumps wrote it: each float
+    to 12 significant digits, a non-finite one to None, a tuple to a list."""
+    if isinstance(doc, dict):
+        return {k: _rounded_as_before(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_rounded_as_before(v) for v in doc]
+    if isinstance(doc, float):
+        return float(f"{doc:.12g}") if math.isfinite(doc) else None
+    return doc
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308,
+                # halves and nines at the 12th significant digit
+                0.1234567890125, 9.9999999999995, 999999999999.5, 1.0000000000005e-7]
+_JSON_LEAVES = (st.floats() | st.sampled_from(_EDGE_FLOATS)
+                | st.integers() | st.integers(min_value=2**63, max_value=2**200)
+                | st.booleans() | st.none()
+                | st.text(max_size=8) | st.sampled_from(["\x00\x1f\x7f\t\n", "é ∞ 😀 \ud800", '"\\/']))
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(params=st.dictionaries(st.text(max_size=8), _JSON_DOCS, max_size=3),
+       results=st.dictionaries(st.text(max_size=8), _JSON_DOCS, max_size=3),
+       checks=st.lists(st.dictionaries(st.text(max_size=8), _JSON_DOCS, max_size=3),
+                       max_size=2))
+def test_format_json_writes_what_json_dumps_wrote(params, results, checks):
+    want = json.dumps(_rounded_as_before({"params": params, "results": results,
+                                          "checks": checks}), indent=2, sort_keys=True)
+    assert cli.format_json(params, results, checks) == want + "\n"
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"x", 1j, np.int64(3)])
+def test_format_json_refuses_what_json_cannot_write(value):
+    with pytest.raises(TypeError):
+        json.dumps(_rounded_as_before({"results": {"x": [value]}}))
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        cli.format_json({}, {"x": [value]}, [])
 
 
 @pytest.mark.parametrize("grid", ["0", "1", "2", "4", "-3"])

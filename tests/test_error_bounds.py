@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -120,6 +121,32 @@ def test_optimum_equals_golden_search_over_public_overlap(log_delta, k_sigma):
         regime=classify_regime(k_sigma),
         iterations=steps,
     )
+
+
+def _per_step_log_inverse_sq(lam, k_sigma, p):
+    """ln(A^{-2}) as the solver once evaluated it on every golden-section step:
+    4 (k sigma)^2 and the mass fractions looked up anew each time."""
+    root = math.sqrt(lam)
+    mismatch = p.gamma * root - p.delta / root
+    return math.log1p(mismatch * mismatch) + 4.0 * k_sigma**2 * lam / (1.0 + lam)
+
+
+def test_optimum_is_bit_identical_to_the_per_step_objective():
+    """Taking 4 (k sigma)^2 and the mass fractions once per optimum moves no
+    bit of lambda_max, A_max or 1 - A_max."""
+    rng = random.Random(20261017)
+    for _ in range(500):
+        k_sigma = 10.0 ** rng.uniform(-4.0, 4.0)
+        p = collision_params_from_delta(10.0 ** rng.uniform(-6.0, math.log10(0.5)))
+        t, f, _ = golden_section_minimize(
+            lambda t: _per_step_log_inverse_sq(math.exp(t), k_sigma, p),
+            math.log(p.delta**2 * eb._BRACKET_LO_FACTOR), math.log(eb._BRACKET_HI),
+            tol=eb._LN_LAMBDA_TOL,
+        )
+        opt = optimal_lambda(k_sigma, p)
+        got = [v.hex() for v in (opt.lambda_max, opt.A_max, opt.one_minus_A)]
+        want = [v.hex() for v in (math.exp(t), math.exp(-0.5 * f), -math.expm1(-0.5 * f))]
+        assert got == want, (k_sigma, p.delta)
 
 
 def test_optimal_lambda_rejects_negative(params_1_99):
