@@ -30,8 +30,3 @@ def test_closed_form_calls_match_the_committed_transcript():
     assert len(fresh) == len(committed), (
         f"{tool.TRANSCRIPT.name} has {len(committed)} lines, the calls now print {len(fresh)}")
 
-
-def test_the_transcript_leaves_out_help_and_grid_lines():
-    lines = _tool().closed_form_lines()
-    assert len(lines) == 125
-    assert not any(" -h" in f" {line}" or "--grid" in line for line in lines)
