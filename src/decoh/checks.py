@@ -253,14 +253,15 @@ def check_image_vs_fft(grid_n: int | None) -> VerificationCheck:
     s0, p, wave0, t = _bounce(k_sigma=40.0, x0_sigmas=x0_sigmas, Sigma=0.25)
     ratio = propagation.separation_check(-x0_sigmas, s0.k, s0.Sigma, s0.sigma)
     mirrored = wave0.mirror_u()
-    k0 = mirrored.b.imag
-    shift = t * k0 / np.array([p.m, p.M])
+    k0 = tuple(v.imag for v in mirrored.b)
+    minus_k0 = (-k0[0], -k0[1])
+    shift = (t * k0[0] / p.m, t * k0[1] / p.M)
 
-    envelope = mirrored.modulated(-k0)
+    envelope = mirrored.modulated(minus_k0)
     grid = propagation.grid_for_flight(envelope, t)
     moved = replace(grid, x_min=grid.x_min + shift[0], x_max=grid.x_max + shift[0],
                     X_min=grid.X_min + shift[1], X_max=grid.X_max + shift[1])
-    via_image = propagation.image_term(wave0, t).modulated(-k0).evaluate(*moved.axes())
+    via_image = propagation.image_term(wave0, t).modulated(minus_k0).evaluate(*moved.axes())
     via_fft = propagation.fft_free_evolve(envelope.evaluate(*grid.axes()), grid, p.m, p.M, t)
     np.negative(via_fft, out=via_fft)
     dist, _ = propagation.phase_aligned_l2(via_image, via_fft, grid)

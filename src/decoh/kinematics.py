@@ -123,11 +123,9 @@ class GaussianProductState:
         return (0.0, 0.0), (self.sigma, self.Sigma), (abs(self.k), 0.0)
 
     def quadratic_form(self):
-        """(A, b) with psi ~ exp(-z^T A z + b^T z), z = (x, X), for grid sizing."""
-        import numpy as np
-
-        A = np.diag([0.25 / self.sigma**2, 0.25 / self.Sigma**2])
-        return A, np.array([1j * self.k, 0.0])
+        """(A, b) with psi ~ exp(-z^T A z + b^T z), z = (x, X), for grid
+        sizing; A = (a, c, d) stands for [[a, c], [c, d]] (decoh.gaussian)."""
+        return (0.25 / self.sigma**2, 0.0, 0.25 / self.Sigma**2), (1j * self.k, 0.0)
 
 
 def initial_state(Sigma: float, sigma: float, k: float = 0.0) -> GaussianProductState:
@@ -175,39 +173,33 @@ class PostCollisionState:
         psi *= np.exp(2j * self.gamma * self.k * X)
         return psi
 
-    def covariance(self):
-        """Position covariance matrix of |Psi_F|^2 in (x, X).
-
-        |Psi_F|^2 is a product of Gaussians of spreads Sigma and sigma in
-        (a, b) = B (x, X), B = [[2 delta, 1 - 2 delta], [1 - 2 gamma, 2 gamma]],
-        so the covariance is B^{-1} diag(Sigma^2, sigma^2) B^{-T}.  det B =
-        2 (gamma + delta) - 1 = 1 gives B^{-1} in closed form, with no matrix
-        inverse to go singular when one spread dwarfs the other.
-        """
-        import numpy as np
-
-        B_inv = np.array([[2.0 * self.gamma, -(1.0 - 2.0 * self.delta)],
-                          [-(1.0 - 2.0 * self.gamma), 2.0 * self.delta]])
-        return (B_inv * [0.25 / self.Omega, 0.25 / self.omega]) @ B_inv.T
-
     def envelope(self):
         """(centers, spreads, wavenumbers), each an (x, X) pair: the grid box
         covers the centers +- spreads; the wavenumbers are the carrier's, k
-        times the particle argument's coefficients."""
-        cov = self.covariance()
-        return ((0.0, 0.0), (math.sqrt(cov[0, 0]), math.sqrt(cov[1, 1])),
-                (abs(self.k * (1.0 - 2.0 * self.gamma)), abs(2.0 * self.gamma * self.k)))
+        times the particle argument's coefficients.
+
+        |Psi_F|^2 is a product of Gaussians of spreads Sigma and sigma in
+        (a, b) = B (x, X), B = [[2 delta, 1 - 2 delta], [1 - 2 gamma, 2 gamma]],
+        so the variances are the diagonal of B^{-1} diag(Sigma^2, sigma^2)
+        B^{-T}.  det B = 2 (gamma + delta) - 1 = 1 gives B^{-1} = [[2 gamma,
+        -(1 - 2 delta)], [-(1 - 2 gamma), 2 delta]] in closed form, with no
+        matrix inverse to go singular when one spread dwarfs the other.
+        """
+        g, d = 2.0 * self.gamma, 2.0 * self.delta
+        W, w = 0.25 / self.Omega, 0.25 / self.omega
+        spreads = (math.sqrt(g * (g * W) + (1.0 - d) * ((1.0 - d) * w)),
+                   math.sqrt((1.0 - g) * ((1.0 - g) * W) + d * (d * w)))
+        return (0.0, 0.0), spreads, (abs(self.k * (1.0 - g)), abs(g * self.k))
 
     def quadratic_form(self):
         """(A, b) with psi ~ exp(-z^T A z + b^T z), z = (x, X), for grid sizing:
         Omega and omega times the outer squares of the wall and particle
         arguments' coefficients, and i k times the particle's."""
-        import numpy as np
-
-        wall = np.array([2.0 * self.delta, 1.0 - 2.0 * self.delta])
-        particle = np.array([1.0 - 2.0 * self.gamma, 2.0 * self.gamma])
-        A = self.Omega * np.outer(wall, wall) + self.omega * np.outer(particle, particle)
-        return A, 1j * self.k * particle
+        wall = (2.0 * self.delta, 1.0 - 2.0 * self.delta)
+        particle = (1.0 - 2.0 * self.gamma, 2.0 * self.gamma)
+        A = tuple(self.Omega * (wall[i] * wall[j]) + self.omega * (particle[i] * particle[j])
+                  for i, j in ((0, 0), (0, 1), (1, 1)))
+        return A, tuple(1j * self.k * v for v in particle)
 
 
 def post_collision_state(s: GaussianProductState, p: CollisionParams) -> PostCollisionState:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import gaussian
 from .entanglement import reduced_kernel_eval
 
 __all__ = [
@@ -100,7 +101,8 @@ def spectral_counts(A, b, period: float, widths) -> list[int]:
     """Node counts per axis that sample g(z) = exp(-z^T A z + b^T z) over
     boxes of the given widths.
 
-    A is complex symmetric with positive-definite real part.  Then
+    A = (a, c, d) is complex symmetric with positive-definite real part and
+    b a pair (decoh.gaussian).  Then
 
         |g^(w)| ~ exp(-(w - w0)^T R (w - w0) / 4),  R = Re(A^-1),
         w0 = R^-1 Im(A^-1 b),
@@ -114,10 +116,11 @@ def spectral_counts(A, b, period: float, widths) -> list[int]:
     their own sinc interpolant, and an SVD, eigensolve or FFT step sees the
     continuum operator up to g^'s tail.
     """
-    A_inv = np.linalg.inv(A)
-    R_inv = np.linalg.inv(A_inv.real)
-    w0 = R_inv @ (A_inv @ b).imag
-    reach = np.abs(w0) + 2.0 * np.sqrt(math.log(1.0 / ALIAS_EPS) * np.diag(R_inv))
+    A_inv = gaussian.inverse(A)
+    R_inv = gaussian.inverse(tuple(v.real for v in A_inv))
+    w0 = gaussian.apply(R_inv, tuple(v.imag for v in gaussian.apply(A_inv, b)))
+    L = math.log(1.0 / ALIAS_EPS)
+    reach = (abs(w0[0]) + 2.0 * math.sqrt(L * R_inv[0]), abs(w0[1]) + 2.0 * math.sqrt(L * R_inv[2]))
     return [math.ceil(w * r / period) + 1 for w, r in zip(widths, reach)]
 
 
@@ -146,7 +149,9 @@ def grid_for_state(state, other=None, *, n: int | None = None) -> GridSpec:
         period = math.pi
         if other is not None:
             A2, b2 = other.quadratic_form()
-            A, b, period = np.conj(A) + A2, np.conj(b) + b2, 2.0 * math.pi
+            A = tuple(v.conjugate() + w for v, w in zip(A, A2))
+            b = tuple(v.conjugate() + w for v, w in zip(b, b2))
+            period = 2.0 * math.pi
         nx, nX = spectral_counts(A, b, period, (hi[0] - lo[0], hi[1] - lo[1]))
     return GridSpec(x_min=lo[0], x_max=hi[0], X_min=lo[1], X_max=hi[1], nx=nx, nX=nX)
 
@@ -495,7 +500,8 @@ def oscillator_grid(beta: float, u: float, n: int | None = None) -> np.ndarray:
     """
     half = COVER_SIGMAS * 0.5 / math.sqrt(beta * math.tanh(0.5 * u))
     if n is None:
-        A = beta / math.sinh(u) * np.array([[math.cosh(u), -1.0], [-1.0, math.cosh(u)]])
-        n = spectral_counts(A, np.zeros(2), math.pi, (2.0 * half, 2.0 * half))[0]
+        c = beta / math.sinh(u)
+        A = (c * math.cosh(u), -c, c * math.cosh(u))
+        n = spectral_counts(A, (0.0, 0.0), math.pi, (2.0 * half, 2.0 * half))[0]
     return np.linspace(-half, half, int(n))
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import gaussian
 from .kinematics import CollisionParams, GaussianProductState
 from .oracles import GridSpec, _trapezoid_weights, spectral_counts
 
@@ -63,25 +64,21 @@ def separation_check(x0: float, k: float, Sigma: float, sigma: float) -> float:
     return abs(x0) / (2.0 * abs(k) * (sigma**2 + Sigma**2))
 
 
-def _inv2(mat: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric complex 2x2 matrix."""
-    det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-    return np.array([[mat[1, 1], -mat[0, 1]], [-mat[1, 0], mat[0, 0]]]) / det
-
-
 @dataclass(frozen=True)
 class GaussianWave2D:
     """Complex Gaussian wave exp(-z^T A z + b^T z + c) in the lab coordinates
     z = (x, X) that every state, grid and oracle uses.
 
-    A is complex symmetric with positive-definite real part, so the wave is
-    normalizable.  Free evolution, the bounce and pointwise evaluation are
-    closed-form in this frame; only the image propagator is written in the
-    center-of-mass frame (R, u), where it separates.
+    A = (a, c, d) is the complex symmetric [[a, c], [c, d]] with
+    positive-definite real part, so the wave is normalizable, and b is a
+    complex pair (decoh.gaussian).  Free evolution, the bounce and
+    pointwise evaluation are closed-form in this frame; only the image
+    propagator is written in the center-of-mass frame (R, u), where it
+    separates.
     """
 
-    A: np.ndarray
-    b: np.ndarray
+    A: tuple
+    b: tuple
     c: complex
     params: CollisionParams
 
@@ -90,8 +87,8 @@ class GaussianWave2D:
                            x_center: float = 0.0) -> "GaussianWave2D":
         """Product packet Gamma(X) Phi(x - x0) e^{i k (x - x0)}: A is diagonal."""
         aP = 1.0 / (4.0 * s.sigma**2)
-        A = np.diag([aP, 1.0 / (4.0 * s.Sigma**2)]).astype(complex)
-        b = np.array([2.0 * aP * x_center + 1j * s.k, 0.0])
+        A = (complex(aP), 0j, complex(1.0 / (4.0 * s.Sigma**2)))
+        b = (2.0 * aP * x_center + 1j * s.k, 0j)
         c = -aP * x_center**2 - 1j * s.k * x_center + 0.5 * math.log(s.norm)
         return cls(A=A, b=b, c=complex(c), params=p)
 
@@ -103,43 +100,25 @@ class GaussianWave2D:
         arguments of Psi_F (see kinematics); S^2 = 1.
         """
         p = self.params
-        S = np.array([[1.0 - 2.0 * p.gamma, 2.0 * p.gamma],
-                      [2.0 * p.delta, 1.0 - 2.0 * p.delta]])
-        return replace(self, A=S.T @ self.A @ S, b=S.T @ self.b)
+        S = ((1.0 - 2.0 * p.gamma, 2.0 * p.gamma), (2.0 * p.delta, 1.0 - 2.0 * p.delta))
+        A, b = gaussian.congruence(self.A, self.b, S)
+        return replace(self, A=A, b=b)
 
     def negated(self) -> "GaussianWave2D":
-        return replace(self, c=self.c + 1j * np.pi)
+        return replace(self, c=self.c + 1j * math.pi)
 
     def modulated(self, k) -> "GaussianWave2D":
-        """The wave times the plane wave e^{i k . z}."""
-        return replace(self, b=self.b + 1j * np.asarray(k, dtype=float))
+        """The wave times the plane wave e^{i k . z}, k an (x, X) pair."""
+        return replace(self, b=(self.b[0] + 1j * k[0], self.b[1] + 1j * k[1]))
 
     def free_evolve(self, t: float) -> "GaussianWave2D":
-        """Evolve under H = p_x^2/2m + p_X^2/2M for time t.
-
-        Integrating the free kernels against the Gaussian gives another
-        Gaussian.  Free flight adds 2 i t / mass to the inverse of each
-        coordinate's quadratic coefficient, so with D = diag(1/m, 1/M):
-
-            A'^{-1} = A^{-1} + 2 i t D
-            b'      = A' A^{-1} b
-            c'      = c + b^T A^{-1} b / 4 - b'^T A'^{-1} b' / 4
-                        + ln det(A' A^{-1}) / 2
-
-        No step divides by t, so the form holds down to t -> 0.  The
-        principal branch of the logarithm fixes the global phase.
-        """
+        """Evolve under H = p_x^2/2m + p_X^2/2M for time t
+        (gaussian.free_flight)."""
         if t == 0.0:
             return self
         p = self.params
-        A_inv = _inv2(self.A)
-        A_inv_new = A_inv + 2j * t * np.diag([1.0 / p.m, 1.0 / p.M])
-        A_new = _inv2(A_inv_new)
-        ratio = A_new @ A_inv
-        b_new = ratio @ self.b
-        c_new = (self.c + 0.25 * self.b @ (A_inv @ self.b) - 0.25 * b_new @ (A_inv_new @ b_new)
-                 + 0.5 * np.log(np.linalg.det(ratio)))
-        return replace(self, A=A_new, b=b_new, c=complex(c_new))
+        A, b, c = gaussian.free_flight(self.A, self.b, self.c, (1.0 / p.m, 1.0 / p.M), t)
+        return replace(self, A=A, b=b, c=c)
 
     def evaluate(self, x, X) -> np.ndarray:
         """Sample the wave; broadcasts over x, X.
@@ -155,15 +134,17 @@ class GaussianWave2D:
         the exp so strongly correlated tails cannot underflow factor by
         factor.
         """
-        A = self.A
-        z0 = np.linalg.solve(2.0 * A.real, self.b.real)
-        beta = self.b - 2.0 * A @ z0
-        c0 = self.c + self.b @ z0 - z0 @ A @ z0
+        a, c, d = self.A
+        b = self.b
+        z0, _ = gaussian.moments(self.A, b)
+        Az0 = gaussian.apply(self.A, z0)
+        beta = (b[0] - 2.0 * Az0[0], b[1] - 2.0 * Az0[1])
+        c0 = self.c + (b[0] * z0[0] + b[1] * z0[1]) - (z0[0] * Az0[0] + z0[1] * Az0[1])
         xi = np.asarray(x, dtype=float) - z0[0]
         eta = np.asarray(X, dtype=float) - z0[1]
-        z = (-2.0 * A[0, 1] * xi) * eta
-        z += (beta[0] - A[0, 0] * xi) * xi + c0
-        z += (beta[1] - A[1, 1] * eta) * eta
+        z = (-2.0 * c * xi) * eta
+        z += (beta[0] - a * xi) * xi + c0
+        z += (beta[1] - d * eta) * eta
         return np.exp(z, out=z) if isinstance(z, np.ndarray) else np.exp(z)
 
     def __call__(self, x, X) -> np.ndarray:
@@ -182,11 +163,13 @@ class GaussianWave2D:
         largest magnitude over the box z0 +- 4 sigma is
         |G z0 + Im b| + |G| 4 sigma.
         """
-        z0 = np.linalg.solve(2.0 * self.A.real, self.b.real)
-        spreads = np.sqrt(np.diag(np.linalg.inv(4.0 * self.A.real)))
-        G = -2.0 * self.A.imag
-        k = np.abs(G @ z0 + self.b.imag) + np.abs(G) @ (4.0 * spreads)
-        return tuple(tuple(float(v) for v in pair) for pair in (z0, spreads, k))
+        z0, (vx, _, vX) = gaussian.moments(self.A, self.b)
+        spreads = (math.sqrt(vx), math.sqrt(vX))
+        G = tuple(-2.0 * v.imag for v in self.A)
+        Gz0 = gaussian.apply(G, z0)
+        reach = gaussian.apply(tuple(abs(v) for v in G), (4.0 * spreads[0], 4.0 * spreads[1]))
+        k = tuple(abs(g + v.imag) + r for g, v, r in zip(Gz0, self.b, reach))
+        return z0, spreads, k
 
 
 def fft_size(n: int) -> int:

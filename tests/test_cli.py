@@ -1193,6 +1193,29 @@ def test_sweep_to_infinity_prints_only_its_error(scale):
     assert proc.stderr == "error: --stop must be non-negative and finite for a w sweep, got inf\n"
 
 
+# what sets OpenBLAS's thread count, in the order OpenBLAS reads it
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("args", [
+    "entangle --delta 0.01 --Sigma 1 --k 0.5 --grid 256",
+    "error --delta 0.01 --ksigma 1 --grid 512",
+    "verify",
+    "verify --grid 512",
+])
+def test_one_blas_thread_prints_the_same_bytes(args):
+    """The oracles run their BLAS work on one OpenBLAS thread, so a process
+    that starts with OPENBLAS_NUM_THREADS=1 prints the same JSON bytes as
+    one that starts with OpenBLAS's default count."""
+    env = {key: value for key, value in os.environ.items() if key not in _BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    default, one = (
+        subprocess.run([sys.executable, "-m", "decoh", *args.split(), "--format", "json"],
+                       capture_output=True, env=blas_env, check=True).stdout
+        for blas_env in (env, {**env, "OPENBLAS_NUM_THREADS": "1"}))
+    assert default == one
+
+
 class _SerialPool:
     """ThreadPoolExecutor stand-in that records max_workers and maps serially."""
 

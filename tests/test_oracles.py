@@ -1,8 +1,11 @@
 import math
 import os
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +84,12 @@ def test_spectral_counts_of_a_product_state():
         == spectral_counts(A, b, math.pi, (10.0, 7.0))
 
 
+def _matrix(A):
+    """The symmetric 2x2 array of a form's A = (a, c, d)."""
+    a, c, d = A
+    return np.array([[a, c], [c, d]])
+
+
 _STATE_SETUPS = dict(
     M=st.floats(1.0, 1e4),
     Sigma=st.floats(0.05, 5.0),
@@ -111,6 +120,7 @@ def test_quadratic_form_is_the_state(M, Sigma, sigma, k, x0, t):
     54 standard deviations out, where psi underflows.)"""
     for name, state in _sized_states(M, Sigma, sigma, k, x0, t).items():
         A, b = state.quadratic_form()
+        A, b = _matrix(A), np.array(b)
         centre = np.array(state.envelope()[0])
         variances, axes = np.linalg.eigh(np.linalg.inv(A.real) / 4.0)
         for sign in (1.0, -1.0):
@@ -135,12 +145,84 @@ def test_grid_for_one_state_keeps_its_box_and_samples_its_band(M, Sigma, sigma, 
         assert [g.nx, g.nX] == spectral_counts(*state.quadratic_form(), math.pi, widths), name
 
 
+def _numpy_spectral_counts(A, b, period, widths):
+    """spectral_counts as it was written with numpy: two LAPACK inverses."""
+    A, b = _matrix(A), np.array(b)
+    A_inv = np.linalg.inv(A)
+    R_inv = np.linalg.inv(A_inv.real)
+    w0 = R_inv @ (A_inv @ b).imag
+    reach = np.abs(w0) + 2.0 * np.sqrt(math.log(1.0 / ALIAS_EPS) * np.diag(R_inv))
+    return [math.ceil(w * r / period) + 1 for w, r in zip(widths, reach)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_STATE_SETUPS)
+def test_spectral_counts_are_the_numpy_formula(M, Sigma, sigma, k, x0, t):
+    """The pure-Python counts of every state kind are the numpy formula's."""
+    for name, state in _sized_states(M, Sigma, sigma, k, x0, t).items():
+        g = grid_for_state(state)
+        form = (*state.quadratic_form(), math.pi, (g.x_max - g.x_min, g.X_max - g.X_min))
+        assert spectral_counts(*form) == _numpy_spectral_counts(*form), name
+
+
+def test_verify_sizes_its_grids_as_the_numpy_formula_did(monkeypatch):
+    """All 14 counts a self-sized verify takes, of states, pairs, the
+    oscillator kernel and the flight grid, are the numpy formula's."""
+    calls = []
+
+    def spy(*form):
+        calls.append(form)
+        return spectral_counts(*form)
+
+    monkeypatch.setattr(oracles, "spectral_counts", spy)
+    monkeypatch.setattr(propagation, "spectral_counts", spy)
+    assert all(check.passed for check in checks.run_verification())
+    assert len(calls) == 14
+    for form in calls:
+        assert spectral_counts(*form) == _numpy_spectral_counts(*form), form
+
+
+# grids of product, ideal, post-collision, pair, image-term and flight states
+_GRID_LISTING = """
+import random
+from decoh import oracles, propagation
+from decoh.kinematics import (collision_params, collision_params_from_delta,
+                              ideal_reflected_state, initial_state, post_collision_state)
+rng = random.Random(7)
+for _ in range(40):
+    sigma = 10.0 ** rng.uniform(-1.5, 1.5)
+    s0 = initial_state(sigma * 10.0 ** rng.uniform(-1.5, 1.5), sigma, rng.uniform(-20.0, 20.0))
+    sf = post_collision_state(s0, collision_params_from_delta(10.0 ** rng.uniform(-4.0, -0.3)))
+    wave0 = propagation.GaussianWave2D.from_product_state(
+        s0, collision_params(1.0, 10.0 ** rng.uniform(0.0, 4.0)), x_center=rng.uniform(-10.0, 0.0))
+    t = rng.uniform(0.05, 2.0)
+    for args in ((s0,), (ideal_reflected_state(s0),), (sf,), (ideal_reflected_state(s0), sf),
+                 (propagation.image_term(wave0, t),)):
+        print(oracles.grid_for_state(*args))
+    print(propagation.grid_for_flight(wave0.mirror_u(), t))
+"""
+
+
+def test_grids_do_not_depend_on_the_blas_kernel():
+    """Boxes and counts come from pure-Python 2x2 algebra, so the OpenBLAS
+    kernel picked at run time cannot move their last bit: Prescott, a
+    kernel without FMA, sizes the same grids as the host's default one."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(Path(oracles.__file__).parents[1])
+    default, prescott = (
+        subprocess.run([sys.executable, "-c", _GRID_LISTING], capture_output=True, text=True,
+                       env=kernel_env, check=True).stdout
+        for kernel_env in (env, {**env, "OPENBLAS_CORETYPE": "Prescott"}))
+    assert len(default.splitlines()) == 240
+    assert default == prescott
+
+
 def _gaussian_integral(a, b):
     """Exact int conj(a) b over the plane: the integrand is exp(-z^T A z +
     b^T z + c) with A, b summed from the two forms, and its integral is
     pi / sqrt(det A) exp(b^T A^-1 b / 4 + c), det A's principal root."""
     (Aa, ba), (Ab, bb) = a.quadratic_form(), b.quadratic_form()
-    A, bv = np.conj(Aa) + Ab, np.conj(ba) + bb
+    A, bv = np.conj(_matrix(Aa)) + _matrix(Ab), np.conj(ba) + np.array(bb)
     c = 0.5 * (math.log(a.norm) + math.log(b.norm))
     exponent = 0.25 * bv @ np.linalg.solve(A, bv) + c
     return np.pi / np.sqrt(complex(np.linalg.det(A))) * np.exp(exponent)
@@ -555,7 +637,7 @@ def test_the_image_term_keeps_its_chirp(monkeypatch):
     complex LAPACK and reads the complex SVD's values to rounding."""
     _, _, wave0, t = checks._bounce(k_sigma=6.0, x0_sigmas=8.0, Sigma=0.3)
     image = propagation.image_term(wave0, t)
-    assert image.A[0, 1].imag != 0.0
+    assert image.A[1].imag != 0.0
     sv_complex, underflow = _complex_svd(image)
     assert not underflow
     dtypes = _svd_spy(monkeypatch)

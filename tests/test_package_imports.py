@@ -17,6 +17,7 @@ LOADED = "import sys; print(' '.join(sorted(m for m in sys.modules if m.split('.
     ("decoh", ["decoh"]),
     ("decoh.thermal", ["decoh", "decoh.thermal"]),
     ("decoh.error_bounds", ["decoh", "decoh.error_bounds", "decoh.kinematics"]),
+    ("decoh.gaussian", ["decoh", "decoh.gaussian"]),
 ])
 def test_import_loads_only_its_dependencies(module, expected):
     """Run in a fresh interpreter: this one has imported the whole package."""
@@ -48,3 +49,31 @@ def test_closed_form_commands_load_no_array_module(argv):
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+GAUSSIAN_FORMS = """
+import sys
+from decoh import gaussian
+from decoh.kinematics import (collision_params, ideal_reflected_state, initial_state,
+                              post_collision_state)
+s0 = initial_state(0.5, 1.0, 2.0)
+for state in (s0, ideal_reflected_state(s0), post_collision_state(s0, collision_params(1.0, 99.0))):
+    A, b = state.quadratic_form()
+    state.envelope()
+    gaussian.inverse(A)
+    gaussian.apply(A, b)
+    gaussian.congruence(A, b, ((0.0, 1.0), (1.0, 0.0)))
+    gaussian.free_flight(A, b, 0j, (1.0, 0.01), 1.5)
+    gaussian.moments(A, b)
+print("numpy" in sys.modules)
+"""
+
+
+def test_gaussian_forms_load_no_numpy():
+    """Every state's quadratic_form() and envelope(), and the form algebra
+    applied to them, run in a fresh interpreter without loading numpy, so
+    grid-free oracles built on them can run on a closed-form call."""
+    env = {**os.environ, "PYTHONPATH": str(Path(decoh.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", GAUSSIAN_FORMS],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "False\n"

@@ -112,6 +112,14 @@ def test_mirror_is_involution():
     np.testing.assert_allclose(back.b, w.b)
 
 
+def _post_collision_covariance(sf):
+    """Position covariance of |Psi_F|^2, B^{-1} diag(Sigma^2, sigma^2) B^{-T}
+    with B^{-1} in closed form (see PostCollisionState.envelope)."""
+    B_inv = np.array([[2.0 * sf.gamma, -(1.0 - 2.0 * sf.delta)],
+                      [-(1.0 - 2.0 * sf.gamma), 2.0 * sf.delta]])
+    return (B_inv * [0.25 / sf.Omega, 0.25 / sf.omega]) @ B_inv.T
+
+
 def test_lab_frame_bounce_is_the_papers_post_collision_state(rng):
     """mirror_u of the product packet is Psi_F, the product packet at the
     particle argument (1 - 2 gamma) x + 2 gamma X and the wall argument
@@ -129,7 +137,8 @@ def test_lab_frame_bounce_is_the_papers_post_collision_state(rng):
         s0 = initial_state(Sigma, sigma, k)
         wave = GaussianWave2D.from_product_state(s0, p).mirror_u()
         sf = post_collision_state(s0, p)
-        x, X = np.linalg.cholesky(sf.covariance()) @ rng.uniform(-4.0, 4.0, size=(2, 16))
+        offsets = rng.uniform(-4.0, 4.0, size=(2, 16))
+        x, X = np.linalg.cholesky(_post_collision_covariance(sf)) @ offsets
         np.testing.assert_allclose(wave(x, X), sf(x, X), rtol=1e-12, atol=0.0)
         for got, want in zip(wave.envelope(), sf.envelope()):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -280,14 +289,16 @@ def test_comoving_check_fails_where_the_lab_frame_check_fails(monkeypatch, lab_f
 def _quadratic_form(wave, x, X):
     """Reference: the exponent -z^T A z + b^T z + c, z = (x, X), expanded
     about the origin."""
-    A, b = wave.A, wave.b
-    quad = A[0, 0] * x * x + (A[0, 1] + A[1, 0]) * x * X + A[1, 1] * X * X
+    (a, c, d), b = wave.A, wave.b
+    quad = a * x * x + 2.0 * c * x * X + d * X * X
     return np.exp(-quad + b[0] * x + b[1] * X + wave.c)
 
 
 def _center_cov(wave):
     """Center and covariance of |psi|^2 from the quadratic form."""
-    return np.linalg.solve(2.0 * wave.A.real, wave.b.real), np.linalg.inv(4.0 * wave.A.real)
+    a, c, d = wave.A
+    A = np.array([[a, c], [c, d]])
+    return np.linalg.solve(2.0 * A.real, np.array(wave.b).real), np.linalg.inv(4.0 * A.real)
 
 
 def _wave_family(M, Sigma, k, x0, t):
