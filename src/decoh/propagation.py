@@ -38,30 +38,19 @@ from .oracles import GridSpec, _trapezoid_weights, spectral_counts
 __all__ = [
     "GaussianWave2D",
     "image_term",
-    "separation_check",
     "fft_free_evolve",
     "phase_aligned_l2",
     "grid_for_flight",
-    "fft_size",
 ]
 
 # envelope cover, in standard deviations, of a grid that holds a wave over
-# its whole free flight: the FFT step wraps anything that reaches an edge
+# its whole free flight: the FFT step wraps anything that reaches an edge.
+# The image_vs_fft check's deviation is an L2 distance of amplitudes, so the
+# cut enters it as the square root of the mass left outside: at band-limit
+# counts it read 1.26e-8 at 8 sigma, 1.41e-9 at 8.5 and 1.38e-10 at 9.  The
+# inner-product oracles see the mass itself, so oracles.COVER_SIGMAS = 8
+# leaves them at rounding.
 FLIGHT_COVER_SIGMAS = 8.5
-
-
-def separation_check(x0: float, k: float, Sigma: float, sigma: float) -> float:
-    """Ratio of collision traversal time to relative-packet spreading time
-    for a packet at relative offset x0 with wavenumber k.
-
-    traversal = |x0| mu / k and spreading = 2 mu sigma_rel^2 with
-    sigma_rel^2 = sigma^2 + Sigma^2, so the ratio is |x0|/(2 k sigma_rel^2).
-    Values below 0.1 mean incoming and outgoing waves separate cleanly
-    before dispersion matters.
-    """
-    if k == 0.0:
-        raise ValueError("separation ratio is undefined at k = 0")
-    return abs(x0) / (2.0 * abs(k) * (sigma**2 + Sigma**2))
 
 
 @dataclass(frozen=True)
@@ -172,19 +161,6 @@ class GaussianWave2D:
         return z0, spreads, k
 
 
-def fft_size(n: int) -> int:
-    """Smallest integer >= n whose prime factors are all at most 5."""
-    n = max(int(n), 1)
-    while True:
-        m = n
-        for prime in (2, 3, 5):
-            while m % prime == 0:
-                m //= prime
-        if m == 1:
-            return n
-        n += 1
-
-
 def grid_for_flight(wave: GaussianWave2D, t: float) -> GridSpec:
     """One grid holding a wave over its free flight from time 0 to t.
 
@@ -194,11 +170,10 @@ def grid_for_flight(wave: GaussianWave2D, t: float) -> GridSpec:
     and end) beyond both the start and the end center.  Free flight
     multiplies the wave's Fourier transform by a phase, so the spectrum of
     the wave at time 0 holds for the whole flight: the counts are
-    oracles.spectral_counts for a sampled wave (period pi), rounded up to
-    FFT-friendly sizes (prime factors <= 5), which only refines the grid.
-    The lab-frame wave of the image_vs_fft check, carrier k sigma = 40,
-    needs a fine step along both axes; the check flies its carrier-free
-    envelope instead, which stays put and needs 40 x 40.
+    oracles.spectral_counts for a sampled wave (period pi).  The lab-frame
+    wave of the image_vs_fft check, carrier k sigma = 40, needs 441 x 150;
+    the check flies its carrier-free envelope instead, which stays put and
+    needs 37 x 37.
     """
     (c0, s0, _), (c1, s1, _) = wave.envelope(), wave.free_evolve(t).envelope()
     sx, sX = max(s0[0], s1[0]), max(s0[1], s1[1])
@@ -207,8 +182,7 @@ def grid_for_flight(wave: GaussianWave2D, t: float) -> GridSpec:
     X_lo = min(c0[1], c1[1]) - FLIGHT_COVER_SIGMAS * sX
     X_hi = max(c0[1], c1[1]) + FLIGHT_COVER_SIGMAS * sX
     nx, nX = spectral_counts(wave.A, wave.b, math.pi, (x_hi - x_lo, X_hi - X_lo))
-    return GridSpec(x_min=x_lo, x_max=x_hi, X_min=X_lo, X_max=X_hi,
-                    nx=fft_size(nx), nX=fft_size(nX))
+    return GridSpec(x_min=x_lo, x_max=x_hi, X_min=X_lo, X_max=X_hi, nx=nx, nX=nX)
 
 
 def image_term(wave: GaussianWave2D, t: float) -> GaussianWave2D:
@@ -233,8 +207,7 @@ def fft_free_evolve(psi: np.ndarray, grid: GridSpec, m: float, M: float,
     runs in place on it: the transforms go axis by axis with out= (numpy's
     ifft2 allocates two full-grid intermediates even with out=), and the
     kinetic phase exp(-i t (kx^2/2m + kX^2/2M)) is applied as its two 1-D
-    factors.  psi is left untouched.  Point counts with small prime factors
-    (see fft_size) keep the transforms fast.
+    factors.  psi is left untouched.
     """
     kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, d=grid.dx)
     kX = 2.0 * np.pi * np.fft.fftfreq(grid.nX, d=grid.dX)
@@ -247,10 +220,9 @@ def fft_free_evolve(psi: np.ndarray, grid: GridSpec, m: float, M: float,
 
 
 def phase_aligned_l2(candidate: np.ndarray, reference: np.ndarray,
-                     grid: GridSpec) -> tuple[float, float]:
-    """Relative L2 distance after optimizing away the global phase.
-
-    Returns (distance, theta) where theta maximizes
+                     grid: GridSpec) -> float:
+    """Relative L2 distance after optimizing away the global phase: the
+    candidate is rotated by the theta that maximizes
     Re<reference | candidate e^{-i theta}>.  The 2-D trapezoid rule is the
     product of the two 1-D rules, applied as wX @ f @ wx.
     """
@@ -263,4 +235,4 @@ def phase_aligned_l2(candidate: np.ndarray, reference: np.ndarray,
     num = math.sqrt(float(wX @ (np.abs(diff) ** 2) @ wx))
     del diff
     den = math.sqrt(float(wX @ (np.abs(reference) ** 2) @ wx))
-    return num / den, theta
+    return num / den

@@ -48,8 +48,8 @@ def test_grid_n_is_every_oracle_grid(monkeypatch):
 
 def test_image_vs_fft_runs_on_the_comoving_band_limited_grid(monkeypatch):
     """The check sizes its flight grid for the carrier-free envelope, which
-    does not travel: 40 x 40 at its band limit, where the lab wave needs
-    450 x 150.  Both routes sample that many points: the image route its
+    does not travel: 37 x 37 at its band limit, where the lab wave needs
+    441 x 150.  Both routes sample that many points: the image route its
     bounced wave, the FFT route the mirrored wave it evolves."""
     grids, shapes = [], []
     real_grid = propagation.grid_for_flight
@@ -68,8 +68,8 @@ def test_image_vs_fft_runs_on_the_comoving_band_limited_grid(monkeypatch):
     monkeypatch.setattr(propagation.GaussianWave2D, "evaluate", evaluate)
     check = checks.check_image_vs_fft(None)
     assert check.passed
-    assert [(g.nx, g.nX) for g in grids] == [(40, 40)]
-    assert shapes == [(40, 40), (40, 40)]
+    assert [(g.nx, g.nX) for g in grids] == [(37, 37)]
+    assert shapes == [(37, 37), (37, 37)]
 
 
 def test_self_sized_checks_read_at_rounding():
@@ -85,7 +85,7 @@ def test_self_sized_checks_read_at_rounding():
 def test_a_run_decomposes_each_distinct_state_once(monkeypatch, grid_n):
     """schmidt_f0, schmidt_ratios and the k = 0 leg of k_independence sample
     one state on one grid and share its SVD: four SVDs a run, not six.  A
-    second run makes the same four, so nothing is kept between runs."""
+    second run makes the same four, so no SVD is kept between runs."""
     calls = []
     real = oracles.schmidt_decompose
 
@@ -98,6 +98,19 @@ def test_a_run_decomposes_each_distinct_state_once(monkeypatch, grid_n):
         calls.clear()
         assert all(c.passed for c in checks.run_verification(grid_n=grid_n))
         assert len(calls) == 4
+
+
+def test_verification_builds_each_gauss_legendre_rule_once():
+    """The gauss_legendre_overlap check takes a 51- and a 73-node rule; a
+    second run in the same process reuses both."""
+    rule = oracles.gauss_legendre_rule
+    rule.cache_clear()
+    checks.run_verification()
+    first = rule.cache_info()
+    checks.run_verification()
+    second = rule.cache_info()
+    assert (first.misses, first.currsize) == (2, 2)
+    assert (second.misses, second.hits) == (2, first.hits + 2)
 
 
 def test_the_svd_memo_is_dropped_when_a_check_raises(monkeypatch):
