@@ -305,8 +305,7 @@ def run_verification(grid_n: int | None = None) -> list[VerificationCheck]:
     closed form measures what the grid resolves.  grid_n is validated before
     any check runs, and refused when its N x N sample would exceed
     oracles.MAX_SAMPLE_BYTES.  Checks that sample the same state on the same grid
-    share one SVD within the call; no SVD is kept between calls, only the
-    Gauss-Legendre rules (oracles.gauss_legendre_rule).
+    share one SVD within the call; nothing is kept between calls.
     """
     if grid_n is not None and grid_n < _LEVELS:
         raise ValueError(f"grid must have at least {_LEVELS} points per axis, got {grid_n}: "

@@ -171,7 +171,6 @@ def _trapezoid_weights(n: int, step: float) -> np.ndarray:
     return w
 
 
-@functools.cache
 def gauss_legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Ascending nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
@@ -181,8 +180,7 @@ def gauss_legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     at exactly 0.  Each weight is the Christoffel sum 1 / sum_{k<n} (k+1/2)
     P_k(x)^2 of positive terms.  Only the non-negative half is solved; the
     rule is mirrored from it, so it is exactly symmetric.  O(n^2) work where
-    numpy's leggauss does a dense O(n^3) eigensolve.  Each rule is built
-    once per process and returned read-only.
+    numpy's leggauss does a dense O(n^3) eigensolve.
     """
     if n < 1:
         raise ValueError(f"a Gauss-Legendre rule needs at least 1 node, got {n}")
@@ -210,10 +208,7 @@ def gauss_legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
         p0, p1 = recur(k, p0, p1)
         christoffel += (k + 0.5) * p1 * p1
     w = 1.0 / christoffel
-    rule = np.concatenate((-x, x[::-1][n % 2:])), np.concatenate((w, w[::-1][n % 2:]))
-    for a in rule:
-        a.flags.writeable = False
-    return rule
+    return np.concatenate((-x, x[::-1][n % 2:])), np.concatenate((w, w[::-1][n % 2:]))
 
 
 @functools.cache

@@ -85,7 +85,7 @@ def test_self_sized_checks_read_at_rounding():
 def test_a_run_decomposes_each_distinct_state_once(monkeypatch, grid_n):
     """schmidt_f0, schmidt_ratios and the k = 0 leg of k_independence sample
     one state on one grid and share its SVD: four SVDs a run, not six.  A
-    second run makes the same four, so no SVD is kept between runs."""
+    second run makes the same four, so nothing is kept between runs."""
     calls = []
     real = oracles.schmidt_decompose
 
@@ -98,19 +98,6 @@ def test_a_run_decomposes_each_distinct_state_once(monkeypatch, grid_n):
         calls.clear()
         assert all(c.passed for c in checks.run_verification(grid_n=grid_n))
         assert len(calls) == 4
-
-
-def test_verification_builds_each_gauss_legendre_rule_once():
-    """The gauss_legendre_overlap check takes a 51- and a 73-node rule; a
-    second run in the same process reuses both."""
-    rule = oracles.gauss_legendre_rule
-    rule.cache_clear()
-    checks.run_verification()
-    first = rule.cache_info()
-    checks.run_verification()
-    second = rule.cache_info()
-    assert (first.misses, first.currsize) == (2, 2)
-    assert (second.misses, second.hits) == (2, first.hits + 2)
 
 
 def test_the_svd_memo_is_dropped_when_a_check_raises(monkeypatch):
