@@ -70,8 +70,11 @@ def _singular_values(state, grid_n: int | None) -> np.ndarray:
 
 
 def _state(Sigma, sigma, k, delta):
+    """(s0, sf, p): the product packet, its post-collision state and the
+    collision params at mass fraction delta."""
     p = collision_params_from_delta(delta)
-    return post_collision_state(initial_state(Sigma, sigma, k), p), p
+    s0 = initial_state(Sigma, sigma, k)
+    return s0, post_collision_state(s0, p), p
 
 
 def check_matched_overlap(grid_n: int | None) -> VerificationCheck:
@@ -93,8 +96,7 @@ def check_overlap_closed_form(grid_n: int | None) -> VerificationCheck:
     ]
     worst = 0.0
     for Sigma, sigma, k, delta in cases:
-        sf, p = _state(Sigma, sigma, k, delta)
-        s0 = initial_state(Sigma, sigma, k)
+        s0, sf, p = _state(Sigma, sigma, k, delta)
         res = oracles.quadrature_overlap(ideal_reflected_state(s0), sf, grid=_grid(sf, grid_n))
         closed = eb.overlap_amplitude((Sigma / sigma) ** 2, k * sigma, p)
         worst = max(worst, abs(abs(res.value) - closed))
@@ -108,11 +110,10 @@ def check_gauss_legendre_overlap(grid_n: int | None) -> VerificationCheck:
     At k sigma = 8 the node count genuinely limits accuracy, so this check
     carries the visible grid-refinement signal in coarse --grid runs.
     """
-    sf, p = _state(0.5, 1.0, 8.0, 0.05)
-    s0 = initial_state(0.5, 1.0, 8.0)
+    s0, sf, p = _state(0.5, 1.0, 8.0, 0.05)
     res = oracles.quadrature_overlap(ideal_reflected_state(s0), sf, grid=_grid(sf, grid_n),
                                      method="gauss-legendre")
-    closed = eb.overlap_amplitude(0.25, 8.0, p)
+    closed = eb.overlap_amplitude((s0.Sigma / s0.sigma) ** 2, s0.k * s0.sigma, p)
     dev = abs(abs(res.value) - closed)
     return _result("gauss_legendre_overlap", 1e-8, dev,
                    "|GL quadrature| vs closed form at k sigma = 8")
@@ -120,7 +121,7 @@ def check_gauss_legendre_overlap(grid_n: int | None) -> VerificationCheck:
 
 def check_schmidt_f0(grid_n: int | None) -> VerificationCheck:
     """SVD largest squared singular value against F0 = 1 - z^2."""
-    sf, _ = _state(1.0, 1.0, 0.0, 0.01)
+    _, sf, _ = _state(1.0, 1.0, 0.0, 0.01)
     kp = ent.kernel_params(sf)
     sv = _singular_values(sf, grid_n)
     dev = abs(sv[0] ** 2 - ent.largest_eigenvalue(kp.w))
@@ -129,7 +130,7 @@ def check_schmidt_f0(grid_n: int | None) -> VerificationCheck:
 
 def check_schmidt_ratios(grid_n: int | None) -> VerificationCheck:
     """Successive squared singular values fall geometrically with e^{-u}."""
-    sf, _ = _state(1.0, 1.0, 0.0, 0.01)
+    _, sf, _ = _state(1.0, 1.0, 0.0, 0.01)
     kp = ent.kernel_params(sf)
     sv = _singular_values(sf, grid_n)
     ratios = sv[1:_LEVELS] ** 2 / sv[0:_LEVELS - 1] ** 2
@@ -139,7 +140,7 @@ def check_schmidt_ratios(grid_n: int | None) -> VerificationCheck:
 
 def check_kernel_eigensolve(grid_n: int | None) -> VerificationCheck:
     """Dense eigensolve of the discretized kernel against the geometric law."""
-    sf, _ = _state(1.0, 1.0, 0.0, 0.01)
+    _, sf, _ = _state(1.0, 1.0, 0.0, 0.01)
     kp = ent.kernel_params(sf)
     eigs = oracles.kernel_eigensolve(sf, n=grid_n).eigenvalues
     dev = float(np.max(np.abs(eigs[:_LEVELS] - ent.spectrum(kp.w, _LEVELS))))
@@ -167,25 +168,22 @@ def check_reduced_kernel(grid_n: int | None) -> VerificationCheck:
     """Direct X-integration against the closed-form reduced kernel.  The
     integrand conj(sf(x', X)) sf(x, X) is the overlap integrand of sf with
     itself at fixed particle coordinates, so sf's overlap grid sizes X."""
-    sf, _ = _state(1.0, 1.0, 0.7, 0.01)
-    Xs = oracles.grid_for_state(sf, sf, n=grid_n).X_nodes()
-    _, (sx, _), _ = sf.envelope()
+    _, sf, _ = _state(1.0, 1.0, 0.7, 0.01)
+    g = oracles.grid_for_state(sf, sf, n=grid_n)
+    _, (sx, _) = sf.envelope()
     xs = np.linspace(-2.0 * sx, 2.0 * sx, 5)
-    worst = 0.0
-    for xp in xs:
-        numeric = np.trapezoid(
-            np.conj(sf(xp, Xs)) * sf(xs[:, None], Xs[None, :]), x=Xs, axis=1
-        )
-        closed = ent.reduced_kernel_eval(sf, x=xs, x_prime=xp)
-        worst = max(worst, float(np.max(np.abs(numeric - closed))))
+    rows = sf(xs[:, None], g.X_nodes()[None, :])  # rows[i, j] = sf(xs[i], X_j)
+    numeric = (np.conj(rows) * oracles._trapezoid_weights(g.nX, g.dX)) @ rows.T
+    closed = ent.reduced_kernel_eval(sf, x=xs[None, :], x_prime=xs[:, None])
+    worst = float(np.max(np.abs(numeric - closed)))
     return _result("reduced_kernel", 1e-8, worst,
                    "5x5 pointwise X-integration vs closed form")
 
 
 def check_k_independence(grid_n: int | None) -> VerificationCheck:
     """Momentum leaves the SVD-oracle largest eigenvalue unchanged."""
-    sf, _ = _state(1.0, 1.0, 3.0, 0.01)
-    sf0 = replace(sf, k=0.0)
+    _, sf, _ = _state(1.0, 1.0, 3.0, 0.01)
+    _, sf0, _ = _state(1.0, 1.0, 0.0, 0.01)
     sv_k = _singular_values(sf, grid_n)
     sv_0 = _singular_values(sf0, grid_n)
     dev = abs(sv_k[0] ** 2 - sv_0[0] ** 2)

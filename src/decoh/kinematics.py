@@ -118,9 +118,9 @@ class GaussianProductState:
         return _product_sample(self, x, X)
 
     def envelope(self):
-        """(centers, spreads, wavenumbers), each an (x, X) pair: the grid box
-        covers the centers +- spreads; the wavenumbers are the carrier's."""
-        return (0.0, 0.0), (self.sigma, self.Sigma), (abs(self.k), 0.0)
+        """(centers, spreads), each an (x, X) pair: the center and standard
+        deviations of |psi|^2, which set a grid's box."""
+        return (0.0, 0.0), (self.sigma, self.Sigma)
 
     def quadratic_form(self):
         """(A, b) with psi ~ exp(-z^T A z + b^T z), z = (x, X), for grid
@@ -174,9 +174,8 @@ class PostCollisionState:
         return psi
 
     def envelope(self):
-        """(centers, spreads, wavenumbers), each an (x, X) pair: the grid box
-        covers the centers +- spreads; the wavenumbers are the carrier's, k
-        times the particle argument's coefficients.
+        """(centers, spreads), each an (x, X) pair: the center and standard
+        deviations of |psi|^2, which set a grid's box.
 
         |Psi_F|^2 is a product of Gaussians of spreads Sigma and sigma in
         (a, b) = B (x, X), B = [[2 delta, 1 - 2 delta], [1 - 2 gamma, 2 gamma]],
@@ -189,7 +188,7 @@ class PostCollisionState:
         W, w = 0.25 / self.Omega, 0.25 / self.omega
         spreads = (math.sqrt(g * (g * W) + (1.0 - d) * ((1.0 - d) * w)),
                    math.sqrt((1.0 - g) * ((1.0 - g) * W) + d * (d * w)))
-        return (0.0, 0.0), spreads, (abs(self.k * (1.0 - g)), abs(g * self.k))
+        return (0.0, 0.0), spreads
 
     def quadratic_form(self):
         """(A, b) with psi ~ exp(-z^T A z + b^T z), z = (x, X), for grid sizing:

@@ -128,9 +128,9 @@ def grid_for_state(state, other=None, *, n: int | None = None) -> GridSpec:
     """One grid to sample state, or to integrate the overlap of state and other.
 
     Each axis spans the union of the states' centers +- COVER_SIGMAS
-    standard deviations (their envelope()).  n pins both counts to exactly
-    n; the oracles then sample that grid, and their deviation from the
-    closed form shows what it resolves.  Without n, spectral_counts sizes
+    standard deviations of |psi|^2 (their envelope()).  n pins both counts
+    to exactly n; the oracles then sample that grid, and their deviation
+    from the closed form shows what it resolves.  Without n, spectral_counts sizes
     each axis from the states' quadratic_form(): state alone is a wave,
     sampled to its band limit (period pi); with other the grid integrates
     conj(state) other, whose form is (conj(A) + A', conj(b) + b') (period
@@ -139,7 +139,7 @@ def grid_for_state(state, other=None, *, n: int | None = None) -> GridSpec:
     states = (state,) if other is None else (state, other)
     lo, hi = [math.inf, math.inf], [-math.inf, -math.inf]
     for s in states:
-        for axis, (c, sd, _) in enumerate(zip(*s.envelope())):
+        for axis, (c, sd) in enumerate(zip(*s.envelope())):
             lo[axis] = min(lo[axis], c - COVER_SIGMAS * sd)
             hi[axis] = max(hi[axis], c + COVER_SIGMAS * sd)
     if n is not None:

@@ -144,21 +144,10 @@ class GaussianWave2D:
         return self.A, self.b
 
     def envelope(self):
-        """(centers, spreads, wavenumbers), each an (x, X) pair: the center
-        and standard deviations of |psi|^2, which set a grid's box, and the
-        largest local wavenumbers within 4 standard deviations of the center.
-
-        The local wavenumber G z + Im b, G = -2 Im A, is affine in z, so its
-        largest magnitude over the box z0 +- 4 sigma is
-        |G z0 + Im b| + |G| 4 sigma.
-        """
+        """(centers, spreads), each an (x, X) pair: the center and standard
+        deviations of |psi|^2 (gaussian.moments), which set a grid's box."""
         z0, (vx, _, vX) = gaussian.moments(self.A, self.b)
-        spreads = (math.sqrt(vx), math.sqrt(vX))
-        G = tuple(-2.0 * v.imag for v in self.A)
-        Gz0 = gaussian.apply(G, z0)
-        reach = gaussian.apply(tuple(abs(v) for v in G), (4.0 * spreads[0], 4.0 * spreads[1]))
-        k = tuple(abs(g + v.imag) + r for g, v, r in zip(Gz0, self.b, reach))
-        return z0, spreads, k
+        return z0, (math.sqrt(vx), math.sqrt(vX))
 
 
 def grid_for_flight(wave: GaussianWave2D, t: float) -> GridSpec:
@@ -175,7 +164,7 @@ def grid_for_flight(wave: GaussianWave2D, t: float) -> GridSpec:
     the check flies its carrier-free envelope instead, which stays put and
     needs 37 x 37.
     """
-    (c0, s0, _), (c1, s1, _) = wave.envelope(), wave.free_evolve(t).envelope()
+    (c0, s0), (c1, s1) = wave.envelope(), wave.free_evolve(t).envelope()
     sx, sX = max(s0[0], s1[0]), max(s0[1], s1[1])
     x_lo = min(c0[0], c1[0]) - FLIGHT_COVER_SIGMAS * sx
     x_hi = max(c0[0], c1[0]) + FLIGHT_COVER_SIGMAS * sx

@@ -198,7 +198,7 @@ def test_criterion_10_e2_reconstruction():
     p = collision_params_from_delta(0.01)
     sf = post_collision_state(initial_state(1.0, 1.0, 0.7), p)
     kp = kernel_params(sf)
-    _, (sx, sX), _ = sf.envelope()
+    _, (sx, sX) = sf.envelope()
     Xs = np.linspace(-8.0 * sX, 8.0 * sX, 2048)
     xs = np.linspace(-2.0 * sx, 2.0 * sx, 5)
     numeric = np.empty((5, 5), dtype=complex)

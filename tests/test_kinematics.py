@@ -204,7 +204,7 @@ def test_post_collision_covariance_matches_the_inverse(rng):
         s = post_collision_state(initial_state(Sigma, sigma, 0.0),
                                  collision_params_from_delta(delta))
         ref = _covariance_by_inverse(s)
-        _, (sx, sX), _ = s.envelope()
+        _, (sx, sX) = s.envelope()
         variances = np.array([sx * sx, sX * sX])
         assert np.max(np.abs(variances - np.diag(ref))) <= 1e-7 * np.max(np.abs(ref))
 
@@ -215,7 +215,7 @@ def test_post_collision_covariance_at_a_vast_spread_ratio():
     and (1 - 2 gamma) Sigma on X to leading order."""
     p = collision_params_from_delta(0.01)
     s = post_collision_state(initial_state(1e150, 1.0, 0.0), p)
-    _, (sx, sX), _ = s.envelope()
+    _, (sx, sX) = s.envelope()
     assert sx == pytest.approx(2.0 * p.gamma * 1e150, rel=1e-12)
     assert sX == pytest.approx(abs(1.0 - 2.0 * p.gamma) * 1e150, rel=1e-12)
 

