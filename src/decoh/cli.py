@@ -325,6 +325,8 @@ def cmd_error(args) -> int:
         lines.append(f"  optimizer: {opt.iterations} golden-section steps, "
                      f"1 - A_max = {opt.one_minus_A:.12g}")
     header = ["lambda", "k_sigma", "A", "one_minus_A", "lambda_max", "A_max", "regime"]
+    if args.grid:
+        header += ["A_quadrature", "A_quadrature_deviation"]
     _render(args, params, results, header, lines=lines)
     return 0
 
@@ -376,6 +378,8 @@ def cmd_entangle(args) -> int:
     if args.verbose:
         lines.append(f"  spectrum tail bound = {tail:.3e}")
     header = ["D", "rho", "w", "u", "F0", "measure", "matched"]
+    if args.grid:
+        header += ["F0_svd", "F0_svd_deviation", "svd_norm"]
     _render(args, params, results, header, lines=lines)
     return 0
 

@@ -1,5 +1,4 @@
 import concurrent.futures
-import importlib.util
 import json
 import math
 import os
@@ -487,6 +486,19 @@ def test_each_optimum_is_solved_once(capsys, monkeypatch):
         A, one_minus_A = eb.overlap_error(float(lam), 1.0, p)
         assert row[header.index("A")] == f"{A:.12g}"
         assert row[header.index("one_minus_A")] == f"{one_minus_A:.12g}"
+
+
+def test_grid_adds_the_oracle_columns_to_csv_with_the_values_json_prints(capsys):
+    for argv, oracle in ((["error", "--delta", "0.01", "--ksigma", "1", "--grid", "16"],
+                          ["A_quadrature", "A_quadrature_deviation"]),
+                         (["entangle", "--delta", "0.01", "--Sigma", "1", "--grid", "16"],
+                          ["F0_svd", "F0_svd_deviation", "svd_norm"])):
+        _, header, rows = parse_emitted_csv(run_cli(capsys, *argv, "--format", "csv")[1])
+        results = json.loads(run_cli(capsys, *argv, "--format", "json")[1])["results"]
+        assert header[-len(oracle):] == oracle
+        assert [float(rows[0][header.index(k)]) for k in oracle] == [results[k] for k in oracle]
+        _, header, _ = parse_emitted_csv(run_cli(capsys, *argv[:-2], "--format", "csv")[1])
+        assert not set(oracle) & set(header)
 
 
 def test_repeated_calls_print_the_same_bytes(capsys, tmp_path):
@@ -1359,15 +1371,3 @@ def test_inputs_inside_the_range_checks_keep_their_output(capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 0 and err == "", argv
 
-
-def test_cli_diff_records_an_invocation_past_its_time_limit(monkeypatch):
-    """tools/cli_diff.py kills an invocation that outlives TIMEOUT_S and
-    records that as the outcome on its tree, so one slow tree cannot stall
-    the diff."""
-    spec = importlib.util.spec_from_file_location(
-        "cli_diff", Path(__file__).resolve().parents[1] / "tools" / "cli_diff.py")
-    cli_diff = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(cli_diff)
-    monkeypatch.setattr(cli_diff, "TIMEOUT_S", 0.01)
-    src = Path(cli.__file__).parents[1]
-    assert cli_diff.run(src, "verify") == {"exit": "timed out after 0.01 s\n"}
