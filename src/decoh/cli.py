@@ -11,8 +11,10 @@ Every command reads its inputs one way and writes its output one way.  Each
 key=value line of a --config file becomes a --key=value option spliced into
 argv right after the subcommand, so the one argument parser checks it like
 any flag, against the flag's DOMAINS entry, and a flag given on the command
-line wins; a rule that joins flags is the command's.  Every command hands
-its params, results, CSV header and text lines to _render.
+line wins; a rule that joins flags is the command's.  A command only
+computes its params and results; _render writes them through the command's
+text lines in _TEXT and CSV columns in _CSV, each printed when every field
+it names is present, and a -v line only with -v.
 
 The argument parser is built once per process and reused by every call to
 main, so callers that run many commands in one process (tests, notebooks,
@@ -141,36 +143,102 @@ def format_json(params: dict, results: dict, checks: list[dict]) -> str:
 
 
 def format_csv(params: dict, header: list[str], rows: list[list]) -> str:
-    lines = [f"# version={__version__}"]
-    for key in sorted(params):
-        lines.append(f"# {key}={params[key]}")
-    lines.append(",".join(header))
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, float):
-                cells.append(f"{v:.12g}")
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+    lines = [f"# version={__version__}", *(f"# {key}={params[key]}" for key in sorted(params)),
+             ",".join(header)]
+    lines += [",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def _render(args, params: dict, results: dict, header: list[str], rows=None,
-            lines: list[str] | None = None, checks=()) -> None:
+# Each command's text lines: format strings over its params, its results and
+# the text-only values (_TEXT_ONLY, and those the command hands to _render).
+# verify prints them for each check, then for its summary.
+_TEXT = {
+    "error": """\
+overlap error (delta={delta:.6g}, k sigma={k_sigma:.6g})
+  lambda      = {lambda:.12g}
+  A           = {A:.12g}
+  1 - A       = {one_minus_A:.12g}
+  lambda_max  = {lambda_max:.12g}
+  A_max       = {A_max:.12g}
+  regime      = {regime}
+  A quadrature = {A_quadrature:.12g} (deviation {A_quadrature_deviation:.3e})
+-v  optimizer: {iterations} golden-section steps, 1 - A_max = {one_minus_A_max:.12g}""",
+    "entangle": """\
+entanglement (delta={delta:.6g}, Sigma={Sigma:.6g}, sigma={sigma:.6g}, k={k:.6g})
+  D        = {D:.12g}
+  rho      = {rho:.12g}
+  w        = {w_text}
+  u        = {u:.12g}
+  F0       = {F0:.12g}
+  1 - F0   = {measure:.12g}
+  spectrum = {spectrum_text}
+  F0 (SVD oracle) = {F0_svd:.12g} (deviation {F0_svd_deviation:.3e})
+-v  spectrum tail bound = {spectrum_tail_bound:.3e}""",
+    "verify": """\
+{status}  {name:<24} deviation={deviation:.3e}  tol={tolerance:.1e}  ({detail})
+{n_passed}/{n_checks} checks passed""",
+    "thermal": """\
+thermal design (T={T:.6g} K)
+  hbar c / k_B T        = {thermal_length:.12g} m
+  sigma_mu              = {sigma_mu:.12g} m
+  compton wavelength    = {compton_wavelength:.12g} m
+  k sigma estimate      = {k_sigma_est:.12g}
+  (1-A)/delta at ksigma=1 = {error_per_collision_over_delta:.6g}
+  amplitude after {collisions} collisions = {amplitude:.12g}
+  collisions to half amplitude = {n_half:.6g}""",
+}
+# Each command's CSV columns, in order: one row per check, or else one row
+# of the params and results.  A sweep's columns are its _SWEEPS entry.
+_CSV = {
+    "error": ("lambda", "k_sigma", "A", "one_minus_A", "lambda_max", "A_max", "regime",
+              "A_quadrature", "A_quadrature_deviation"),
+    "entangle": ("D", "rho", "w", "u", "F0", "measure", "matched",
+                 "F0_svd", "F0_svd_deviation", "svd_norm"),
+    "verify": ("name", "tolerance", "deviation", "passed"),
+    "thermal": ("amplitude", "compton_wavelength", "error_per_collision_over_delta",
+                "k_sigma_est", "n_half", "sigma_mu", "thermal_length"),
+}
+# values only text prints, each made from the others when a line names it
+_TEXT_ONLY = {
+    "w_text": lambda v: "inf (matched)" if v["matched"] else f"{v['w']:.12g}",
+    "spectrum_text": lambda v: ", ".join(f"{x:.6g}" for x in v["spectrum"]),
+    "status": lambda v: "PASS" if v["passed"] else "FAIL",
+}
+# the fields a text line names, text-only values aside, found once per line
+_fields = functools.cache(lambda line: set(re.findall(r"\{(\w+)", line)) - _TEXT_ONLY.keys())
+
+
+class _Values(dict):
+    """A command's values by name, each _TEXT_ONLY value made on lookup."""
+
+    def __missing__(self, key):
+        return _TEXT_ONLY[key](self)
+
+
+def _render(args, params: dict, results: dict, header=None, rows=None, checks=(),
+            **text_only) -> None:
     """Write a command's output in args.format to args.out or stdout.
 
-    rows defaults to the one row of header's values, looked up in results
-    and then params; a command without text lines prints CSV for text.
+    JSON holds params, results and checks.  Text and CSV print the command's
+    _TEXT lines and _CSV columns (a sweep's header and rows; CSV for text if
+    the command has no lines), each where every field it names is present,
+    and a line that starts with -v only with -v.
     """
     if args.format == "json":
         text = format_json(params, results, checks)
-    elif args.format == "csv" or lines is None:
-        if rows is None:
-            rows = [[results[h] if h in results else params[h] for h in header]]
-        text = format_csv(params, header, rows)
     else:
-        text = "\n".join(lines) + "\n"
+        values = _Values(params, **results, **text_only)
+        records = [*map(_Values, checks), values]
+        if args.format == "text" and args.command in _TEXT:
+            text = "".join(line.removeprefix("-v").format_map(record) + "\n"
+                           for record in records for line in _TEXT[args.command].split("\n")
+                           if (not line.startswith("-v") or args.verbose)
+                           and record.keys() >= _fields(line))
+        else:
+            header = header or [h for h in _CSV[args.command] if h in records[0]]
+            rows = rows or [[r[h] for h in header] for r in records[:len(checks) or 1]]
+            text = format_csv(params, header, rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -298,15 +366,6 @@ def cmd_error(args) -> int:
                "lambda": lam, "lambda_max": opt.lambda_max,
                "A_max": opt.A_max, "one_minus_A_max": opt.one_minus_A,
                "regime": opt.regime}
-    lines = [
-        f"overlap error (delta={p.delta:.6g}, k sigma={k_sigma:.6g})",
-        f"  lambda      = {lam:.12g}",
-        f"  A           = {A:.12g}",
-        f"  1 - A       = {one_minus_A:.12g}",
-        f"  lambda_max  = {opt.lambda_max:.12g}",
-        f"  A_max       = {opt.A_max:.12g}",
-        f"  regime      = {opt.regime}",
-    ]
     if args.grid:
         # cross-check the closed form on a quadrature grid of the given size
         from . import oracles
@@ -319,15 +378,7 @@ def cmd_error(args) -> int:
                       oracles.grid_for_state(sf, n=args.grid))
         results["A_quadrature"] = abs(quad.value)
         results["A_quadrature_deviation"] = abs(abs(quad.value) - A)
-        lines.append(f"  A quadrature = {results['A_quadrature']:.12g} "
-                     f"(deviation {results['A_quadrature_deviation']:.3e})")
-    if args.verbose:
-        lines.append(f"  optimizer: {opt.iterations} golden-section steps, "
-                     f"1 - A_max = {opt.one_minus_A:.12g}")
-    header = ["lambda", "k_sigma", "A", "one_minus_A", "lambda_max", "A_max", "regime"]
-    if args.grid:
-        header += ["A_quadrature", "A_quadrature_deviation"]
-    _render(args, params, results, header, lines=lines)
+    _render(args, params, results, iterations=opt.iterations)
     return 0
 
 
@@ -342,25 +393,12 @@ def cmd_entangle(args) -> int:
     sf = post_collision_state(_initial_state(wall, Sigma, sigma, k), p)
     kp = ent.kernel_params(sf)
     F0 = ent.largest_eigenvalue(kp.w)
-    spectrum = ent.spectrum_values(kp.w, args.n_spectrum)
-    # the eigenvalues past the first n sum to e^{-n u}, 0 on a matched state
-    tail = math.exp(-args.n_spectrum * kp.u)
-    params = {"delta": p.delta, "gamma": p.gamma, "Sigma": Sigma,
-              "sigma": sigma, "k": k}
+    params = {"delta": p.delta, "gamma": p.gamma, "Sigma": Sigma, "sigma": sigma, "k": k}
     results = {"D": kp.D, "rho": kp.rho, "w": kp.w, "u": kp.u,
                "F0": F0, "measure": kp.z * kp.z, "matched": kp.matched,
-               "spectrum": spectrum, "spectrum_tail_bound": tail}
-    w_str = "inf (matched)" if kp.matched else f"{kp.w:.12g}"
-    lines = [
-        f"entanglement (delta={p.delta:.6g}, Sigma={Sigma:.6g}, sigma={sigma:.6g}, k={k:.6g})",
-        f"  D        = {kp.D:.12g}",
-        f"  rho      = {kp.rho:.12g}",
-        f"  w        = {w_str}",
-        f"  u        = {kp.u:.12g}",
-        f"  F0       = {F0:.12g}",
-        f"  1 - F0   = {results['measure']:.12g}",
-        f"  spectrum = {', '.join(f'{v:.6g}' for v in spectrum)}",
-    ]
+               "spectrum": ent.spectrum_values(kp.w, args.n_spectrum),
+               # the eigenvalues past the first n sum to e^{-n u}, 0 on a matched state
+               "spectrum_tail_bound": math.exp(-args.n_spectrum * kp.u)}
     if args.grid:
         from . import oracles
 
@@ -373,14 +411,7 @@ def cmd_entangle(args) -> int:
             print(f"warning: the SVD oracle's sampled norm is {results['svd_norm']:.6g}, "
                   f"not 1: the {args.grid} x {args.grid} grid does not resolve the state",
                   file=sys.stderr)
-        lines.append(f"  F0 (SVD oracle) = {results['F0_svd']:.12g} "
-                     f"(deviation {results['F0_svd_deviation']:.3e})")
-    if args.verbose:
-        lines.append(f"  spectrum tail bound = {tail:.3e}")
-    header = ["D", "rho", "w", "u", "F0", "measure", "matched"]
-    if args.grid:
-        header += ["F0_svd", "F0_svd_deviation", "svd_norm"]
-    _render(args, params, results, header, lines=lines)
+    _render(args, params, results)
     return 0
 
 
@@ -459,29 +490,12 @@ def cmd_verify(args) -> int:
     if args.grid is not None:
         # run_verification refuses this too, in the library's words
         _named("--grid", oracles._check_sample_bytes, args.grid, args.grid)
-    results = run_verification(grid_n=args.grid)
-    ok = all(c.passed for c in results)
-
-    params = {"grid": args.grid}
-    checks = [
-        {"name": c.name, "tolerance": c.tolerance, "deviation": c.deviation,
-         "passed": c.passed, "detail": c.detail}
-        for c in results
-    ]
-    summary = {"n_checks": len(results), "n_passed": sum(c.passed for c in results),
-               "all_passed": ok}
-    lines = []
-    for c in results:
-        status = "PASS" if c.passed else "FAIL"
-        lines.append(
-            f"{status}  {c.name:<24} deviation={c.deviation:.3e}  "
-            f"tol={c.tolerance:.1e}  ({c.detail})"
-        )
-    lines.append(f"{summary['n_passed']}/{summary['n_checks']} checks passed")
-    header = ["name", "tolerance", "deviation", "passed"]
-    _render(args, params, summary, header, [[c[h] for h in header] for c in checks],
-            lines, checks)
-    return 0 if ok else 1
+    checks = [vars(c) for c in run_verification(grid_n=args.grid)]
+    n_passed = sum(c["passed"] for c in checks)
+    summary = {"n_checks": len(checks), "n_passed": n_passed,
+               "all_passed": n_passed == len(checks)}
+    _render(args, {"grid": args.grid}, summary, checks=checks)
+    return 0 if summary["all_passed"] else 1
 
 
 def cmd_thermal(args) -> int:
@@ -493,33 +507,17 @@ def cmd_thermal(args) -> int:
     # optimized per-collision error coefficient at the thermal momentum
     delta_ref = args.delta if args.delta is not None else 1e-6
     opt = _named("--delta", eb.optimal_lambda, 1.0, collision_params_from_delta(delta_ref))
-    coeff = opt.one_minus_A / delta_ref
-
-    budget = None
-    if args.collisions is not None:
-        f0 = args.F0 if args.F0 is not None else 1.0
-        budget = th.amplitude_budget(f0, args.collisions)
-
-    params = {"mu_kg": args.mu_kg, "T": args.T, "delta": args.delta,
-              "collisions": args.collisions, "F0": args.F0}
     results: dict = {"thermal_length": _named("--T", th.thermal_length, args.T),
-                     "error_per_collision_over_delta": coeff}
-    lines = [f"thermal design (T={args.T:.6g} K)",
-             f"  hbar c / k_B T        = {results['thermal_length']:.12g} m"]
+                     "error_per_collision_over_delta": opt.one_minus_A / delta_ref}
     if args.mu_kg is not None:
         results["compton_wavelength"] = _named("--mu-kg", th.compton_wavelength, args.mu_kg)
         results["sigma_mu"] = _thermal_spread("--T", args.mu_kg, args.T)
         results["k_sigma_est"] = th.thermal_k_sigma(args.mu_kg, args.T)
-        lines += [f"  sigma_mu              = {results['sigma_mu']:.12g} m",
-                  f"  compton wavelength    = {results['compton_wavelength']:.12g} m",
-                  f"  k sigma estimate      = {results['k_sigma_est']:.12g}"]
-    if budget is not None:
+    if args.collisions is not None:
+        budget = th.amplitude_budget(1.0 if args.F0 is None else args.F0, args.collisions)
         results.update({"amplitude": budget.amplitude, "n_half": budget.n_half})
-    lines.append(f"  (1-A)/delta at ksigma=1 = {coeff:.6g}")
-    if budget is not None:
-        lines.append(f"  amplitude after {args.collisions} collisions = {budget.amplitude:.12g}")
-        lines.append(f"  collisions to half amplitude = {budget.n_half:.6g}")
-    _render(args, params, results, sorted(results), lines=lines)
+    params = {key: getattr(args, key) for key in ("mu_kg", "T", "delta", "collisions", "F0")}
+    _render(args, params, results)
     return 0
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import string
 import subprocess
 import sys
 from importlib import resources
@@ -499,6 +500,75 @@ def test_grid_adds_the_oracle_columns_to_csv_with_the_values_json_prints(capsys)
         assert [float(rows[0][header.index(k)]) for k in oracle] == [results[k] for k in oracle]
         _, header, _ = parse_emitted_csv(run_cli(capsys, *argv[:-2], "--format", "csv")[1])
         assert not set(oracle) & set(header)
+
+
+# each command that _TEXT and _CSV table, with every optional group of
+# results switched on
+_EVERY_GROUP = {
+    "error": ["error", "--delta", "0.01", "--ksigma", "1", "--grid", "16", "-v"],
+    "entangle": ["entangle", "--delta", "0.01", "--Sigma", "1", "--grid", "16", "-v"],
+    "verify": ["verify"],
+    "thermal": ["thermal", "--T", "300", "--mu-kg", "1e-27", "--collisions", "5",
+                "--F0", "0.9"],
+}
+
+
+def _looks_up(record, field):
+    try:
+        record[field]
+    except KeyError:
+        return False
+    return True
+
+
+def test_every_command_with_output_tables_is_tabled_here():
+    assert sorted(cli._TEXT) == sorted(cli._CSV) == sorted(_EVERY_GROUP)
+
+
+@pytest.mark.parametrize("command", sorted(_EVERY_GROUP))
+def test_every_field_of_the_output_tables_is_a_value_of_its_command(monkeypatch, command):
+    """_render leaves out a line or column whose field is absent, so a
+    misspelled field would vanish in silence: each field that _TEXT and _CSV
+    name is a param, result, check item or text-only value of the command."""
+    records = []
+
+    def capture(args, params, results, header=None, rows=None, checks=(), **text_only):
+        values = cli._Values(params)
+        values.update(results, **text_only)
+        records.extend([*map(cli._Values, checks), values])
+
+    monkeypatch.setattr(cli, "_render", capture)
+    assert cli.main(_EVERY_GROUP[command]) == 0
+    for line in cli._TEXT[command].split("\n"):
+        for _, field, _, _ in string.Formatter().parse(line):
+            assert field is None or any(_looks_up(r, field) for r in records), (command, field)
+    for field in cli._CSV[command]:
+        assert any(field in r for r in records), (command, field)
+
+
+def _readme_result_keys() -> dict[str, dict[str, str]]:
+    """Each command's README result-key table: its CSV cell by key."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tables, command = {}, None
+    for line in readme.split("### Result keys", 1)[1].split("\n## ", 1)[0].splitlines():
+        if heading := re.match(r"`(\w+)`( \(|:$)", line):
+            command = heading[1]
+            tables[command] = {}
+        elif line.startswith("| `"):
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            tables[command][cells[0].strip("`")] = cells[4]
+    return tables
+
+
+@pytest.mark.parametrize("command", sorted(_EVERY_GROUP))
+def test_readme_tables_exactly_the_result_keys_and_the_csv_columns(capsys, command):
+    documented = _readme_result_keys()[command]
+    argv = _EVERY_GROUP[command]
+    results = json.loads(outcome(capsys, *argv, "--format", "json")[1])["results"]
+    assert sorted(documented) == sorted(results)
+    _, header, _ = parse_emitted_csv(outcome(capsys, *argv, "--format", "csv")[1])
+    assert (sorted(key for key, csv in documented.items() if csv != "no")
+            == sorted(set(header) & set(results)))
 
 
 def test_repeated_calls_print_the_same_bytes(capsys, tmp_path):

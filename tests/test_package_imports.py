@@ -33,12 +33,18 @@ ARRAY_MODULES = ["numpy", "decoh.oracles", "decoh.checks", "decoh.propagation",
                  "concurrent.futures"]
 
 
-@pytest.mark.parametrize("argv", [
-    None,
-    ["error", "--delta", "0.01", "--ksigma", "1"],
-    ["entangle", "--delta", "0.01", "--Sigma", "0.3", "--k", "2"],
-    ["thermal", "--T", "1", "--mu-kg", "1e-27", "--collisions", "5", "--F0", "0.9"],
-], ids=["import", "error", "entangle", "thermal"])
+# one call of each closed-form command, run in text, JSON and CSV
+CLOSED_FORM_CALLS = {
+    "error": ["error", "--delta", "0.01", "--ksigma", "1"],
+    "entangle": ["entangle", "--delta", "0.01", "--Sigma", "0.3", "--k", "2"],
+    "thermal": ["thermal", "--T", "1", "--mu-kg", "1e-27", "--collisions", "5", "--F0", "0.9"],
+}
+
+
+@pytest.mark.parametrize("argv", [None] + [
+    argv + fmt for argv in CLOSED_FORM_CALLS.values()
+    for fmt in ([], ["--format", "json"], ["--format", "csv"])
+], ids=["import"] + [name + fmt for name in CLOSED_FORM_CALLS for fmt in ("", "-json", "-csv")])
 def test_closed_form_commands_load_no_array_module(argv):
     """A fresh interpreter that imports decoh.cli and runs the command (argv
     None: none) holds none of the modules that only arrays need."""
