@@ -229,16 +229,16 @@ def _render(args, params: dict, results: dict, header=None, rows=None, checks=()
         text = format_json(params, results, checks)
     else:
         values = _Values(params, **results, **text_only)
-        records = [*map(_Values, checks), values]
         if args.format == "text" and args.command in _TEXT:
             text = "".join(line.removeprefix("-v").format_map(record) + "\n"
-                           for record in records for line in _TEXT[args.command].split("\n")
+                           for record in [*map(_Values, checks), values]
+                           for line in _TEXT[args.command].split("\n")
                            if (not line.startswith("-v") or args.verbose)
                            and record.keys() >= _fields(line))
         else:
-            header = header or [h for h in _CSV[args.command] if h in records[0]]
-            rows = rows or [[r[h] for h in header] for r in records[:len(checks) or 1]]
-            text = format_csv(params, header, rows)
+            table = checks or [values]
+            header = header or [h for h in _CSV[args.command] if h in table[0]]
+            text = format_csv(params, header, rows or [[r[h] for h in header] for r in table])
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
