@@ -2,3 +2,40 @@
 dynamical wall: closed forms, optimizers and independent numeric oracles."""
 
 __version__ = "0.1.0"
+
+
+class _Record:
+    """Frozen record, in place of a frozen dataclass, whose module would load
+    inspect into every closed-form process.  A subclass's fields are its
+    bases' and then its own annotations, in order; its __init__ over them is
+    generated with one exec, as dataclasses does.  Records compare and hash
+    by class and fields; assigning or deleting an attribute raises
+    AttributeError."""
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = fields = cls._fields + tuple(vars(cls).get("__annotations__", ()))
+        sets = "".join(f"\n    _set(self, {f!r}, {f})" for f in fields)
+        namespace = {"_set": object.__setattr__}
+        exec(f"def __init__(self, {', '.join(fields)}):{sets or ' pass'}", namespace)
+        cls.__init__ = namespace["__init__"]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen record")
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash((type(self), *vars(self).values()))

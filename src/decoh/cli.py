@@ -6,6 +6,7 @@ Output is human-readable text by default; --format csv or json switches to
 machine-readable forms with 12 significant digits.  A sweep runs on
 min(8, CPU count) threads.  Commands import their oracle modules, and
 numpy, when they run: error, entangle and thermal without --grid load neither.
+A closed-form start loads neither numpy nor dataclasses (decoh._Record).
 
 Every command reads its inputs one way and writes its output one way.  Each
 key=value line of a --config file becomes a --key=value option spliced into

@@ -26,8 +26,8 @@ Omega delta = omega gamma, i.e. Sigma^2/sigma^2 = delta/gamma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from . import _Record
 from .kinematics import CollisionParams, PostCollisionState
 
 __all__ = [
@@ -47,8 +47,7 @@ __all__ = [
 MATCHED_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class KernelParams:
+class KernelParams(_Record):
     """Invariants of the reduced kernel.
 
     w = sqrt(omega Omega)/rho sets the spectrum through sinh(u/2) = w/2 and

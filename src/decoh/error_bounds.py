@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
+from . import _Record
 from .kinematics import CollisionParams
 
 __all__ = [
@@ -142,8 +142,7 @@ def classify_regime(k_sigma: float) -> str:
     return "crossover"
 
 
-@dataclass(frozen=True)
-class Optimum:
+class Optimum(_Record):
     """Result of maximizing A over the spread ratio at fixed k sigma."""
 
     lambda_max: float

@@ -20,7 +20,8 @@ d = m/(M+m), g = M/(M+m).  Natural units, hbar = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from . import _Record
 
 __all__ = [
     "CollisionParams",
@@ -35,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CollisionParams:
+class CollisionParams(_Record):
     """Masses of the particle-wall pair and the derived mass fractions.
 
     delta = m/(M+m) and gamma = M/(M+m) add to 1 by construction.
@@ -98,8 +98,7 @@ def _product_sample(s, x, X):
     return wall * (np.sqrt(s.norm) * np.exp(-(x * x) / (4.0 * s.sigma**2) + 1j * s.k * x))
 
 
-@dataclass(frozen=True)
-class GaussianProductState:
+class GaussianProductState(_Record):
     """Pre-collision product state Gamma(X) Phi(x).
 
     Sigma and sigma are the position spreads of wall and particle, k is the
@@ -136,8 +135,7 @@ def initial_state(Sigma: float, sigma: float, k: float = 0.0) -> GaussianProduct
     )
 
 
-@dataclass(frozen=True)
-class PostCollisionState:
+class PostCollisionState(_Record):
     """Wave function after the elastic bounce, parameterized as in the module
     docstring.  Omega = 1/4Sigma^2 and omega = 1/4sigma^2 carry the spreads;
     norm is N = (2/pi) sqrt(Omega omega), identical to the initial norm.
@@ -215,7 +213,6 @@ def post_collision_state(s: GaussianProductState, p: CollisionParams) -> PostCol
     )
 
 
-@dataclass(frozen=True)
 class IdealReflectedState(GaussianProductState):
     """Fixed-wall idealization Gamma(X) Phi(-x).
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+
+from . import _Record
 
 __all__ = [
     "HBAR",
@@ -85,8 +86,7 @@ def thermal_k_sigma(mu: float, T: float) -> float:
     return math.sqrt(mu * K_B * T) / HBAR * sigma_mu
 
 
-@dataclass(frozen=True)
-class CollisionBudget:
+class CollisionBudget(_Record):
     """Unentangled amplitude surviving a run of identical wall collisions."""
 
     amplitude: float
