@@ -144,10 +144,11 @@ def format_json(params: dict, results: dict, checks: list[dict]) -> str:
 
 
 def format_csv(params: dict, header: list[str], rows: list[list]) -> str:
-    lines = [f"# version={__version__}", *(f"# {key}={params[key]}" for key in sorted(params)),
-             ",".join(header)]
-    lines += [",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row)
-              for row in rows]
+    def cell(v):
+        return f"{v:.12g}" if isinstance(v, float) else str(v)
+    lines = [f"# version={__version__}", *(f"# {key}={cell(params[key])}" for key in sorted(params)
+                                           if params[key] is not None), ",".join(header)]
+    lines += [",".join(map(cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 

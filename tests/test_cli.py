@@ -502,6 +502,18 @@ def test_grid_adds_the_oracle_columns_to_csv_with_the_values_json_prints(capsys)
         assert not set(oracle) & set(header)
 
 
+def test_csv_parameter_lines_are_the_set_json_params_written_as_the_rows_are(capsys):
+    """A derived float has 12 digits, not 17, and an unset param (JSON null)
+    has no # line, as no text line names an absent field."""
+    for argv in (["entangle", "--delta", "0.01", "--Sigma", "auto"],
+                 ["thermal", "--T", "1", "--report-length-scale"]):
+        comments, _, _ = parse_emitted_csv(run_cli(capsys, *argv, "--format", "csv")[1])
+        params = json.loads(run_cli(capsys, *argv, "--format", "json")[1])["params"]
+        assert comments[1:] == [f"# {k}={v:.12g}" if isinstance(v, float) else f"# {k}={v}"
+                                for k, v in sorted(params.items()) if v is not None]
+    assert None in params.values()
+
+
 # each command that _TEXT and _CSV table, with every optional group of
 # results switched on
 _EVERY_GROUP = {
