@@ -28,9 +28,11 @@ def test_import_loads_only_its_dependencies(module, expected):
 
 
 
-# what only the oracles, verify and sweep need
+# what only the oracles, verify and sweep need: their result types are
+# dataclasses, which import inspect (and ast, dis and tokenize), while the
+# closed-form ones are decoh._Record subclasses
 ARRAY_MODULES = ["numpy", "decoh.oracles", "decoh.checks", "decoh.propagation",
-                 "concurrent.futures"]
+                 "concurrent.futures", "dataclasses", "inspect"]
 
 
 # one call of each closed-form command, run in text, JSON and CSV
@@ -41,36 +43,20 @@ CLOSED_FORM_CALLS = {
 }
 
 
-closed_form_argv = pytest.mark.parametrize("argv", [None] + [
+@pytest.mark.parametrize("argv", [None] + [
     argv + fmt for argv in CLOSED_FORM_CALLS.values()
     for fmt in ([], ["--format", "json"], ["--format", "csv"])
 ], ids=["import"] + [name + fmt for name in CLOSED_FORM_CALLS for fmt in ("", "-json", "-csv")])
-
-
-def _loaded_after(argv, modules):
-    """Which of modules a fresh interpreter holds after it imports decoh.cli
-    and runs the command (argv None: none)."""
+def test_closed_form_commands_load_no_array_module(argv):
+    """A fresh interpreter that imports decoh.cli and runs the command (argv
+    None: none) holds none of the modules that only arrays need."""
     env = {**os.environ, "PYTHONPATH": str(Path(decoh.__file__).parents[1])}
     run = "" if argv is None else f"assert decoh.cli.main({argv!r}) == 0; "
     code = (f"import sys, decoh.cli; {run}"
-            f"print([m for m in {modules!r} if m in sys.modules])")
+            f"print([m for m in {ARRAY_MODULES!r} if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env, check=True)
-    return proc.stdout.splitlines()[-1]
-
-
-@closed_form_argv
-def test_closed_form_commands_load_no_array_module(argv):
-    """A closed-form process holds none of the modules that only arrays need."""
-    assert _loaded_after(argv, ARRAY_MODULES) == "[]"
-
-
-@closed_form_argv
-def test_closed_form_commands_load_no_dataclasses(argv):
-    """The closed-form result types are decoh._Record subclasses, so a
-    closed-form process loads neither dataclasses nor the inspect it imports
-    (which brings ast, dis and tokenize)."""
-    assert _loaded_after(argv, ["dataclasses", "inspect"]) == "[]"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 GAUSSIAN_FORMS = """
