@@ -33,9 +33,9 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
     def __eq__(self, other):
-        if type(other) is not type(self):
+        if other.__class__ is not self.__class__:
             return NotImplemented
-        return vars(self) == vars(other)
+        return self.__dict__ == other.__dict__
 
     def __hash__(self):
-        return hash((type(self), *vars(self).values()))
+        return hash((self.__class__, tuple(self.__dict__.values())))
