@@ -23,10 +23,10 @@ class _Record:
         cls.__init__ = namespace["__init__"]
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
+        raise AttributeError(f"cannot assign {name!r}: a record is frozen")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a frozen record")
+        raise AttributeError(f"cannot delete {name!r}: a record is frozen")
 
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
