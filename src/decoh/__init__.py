@@ -12,11 +12,10 @@ class _Record:
     by class and fields; assigning or deleting an attribute raises
     AttributeError."""
 
-    _fields = ()
-
     def __init_subclass__(cls):
         super().__init_subclass__()
-        cls._fields = fields = cls._fields + tuple(vars(cls).get("__annotations__", ()))
+        fields = dict.fromkeys(f for c in reversed(cls.__mro__)
+                               for f in vars(c).get("__annotations__", ()))
         sets = "".join(f"\n    _set(self, {f!r}, {f})" for f in fields)
         namespace = {"_set": object.__setattr__}
         exec(f"def __init__(self, {', '.join(fields)}):{sets or ' pass'}", namespace)
@@ -29,7 +28,7 @@ class _Record:
         raise AttributeError(f"cannot delete {name!r}: a record is frozen")
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        fields = ", ".join(f"{f}={v!r}" for f, v in self.__dict__.items())
         return f"{type(self).__qualname__}({fields})"
 
     def __eq__(self, other):
