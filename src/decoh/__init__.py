@@ -1,15 +1,25 @@
 """Decoherence and error bounds for a quantum particle bouncing off a
 dynamical wall: closed forms, optimizers and independent numeric oracles."""
 
+import math
+
 __version__ = "0.1.0"
 
 
+def _positive(name: str, value: float) -> float:
+    """value as a float, unless it is not a positive finite number."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
 class _Record:
-    """Frozen record, in place of a frozen dataclass, whose module would load
-    inspect into every closed-form process.  A subclass's fields are its
-    bases' and then its own annotations, in order; its __init__ over them is
-    generated with one exec, as dataclasses does.  Records compare and hash
-    by class and fields; assigning or deleting an attribute raises
+    """The package's one frozen-record type: every frozen value decoh
+    defines, from collision params to grids and checks, is a subclass.  A
+    subclass's fields are its bases' and then its own annotations, in order;
+    its __init__ takes them by position or keyword.  Records compare and
+    hash by class and fields, and assigning or deleting an attribute raises
     AttributeError."""
 
     def __init_subclass__(cls):

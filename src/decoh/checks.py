@@ -11,10 +11,10 @@ against each other.  All parameters are fixed, so runs are deterministic.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _Record
 from . import entanglement as ent
 from . import error_bounds as eb
 from . import oracles, propagation
@@ -37,8 +37,7 @@ _LEVELS = 5
 _svd_memo: ContextVar[dict | None] = ContextVar("_svd_memo", default=None)
 
 
-@dataclass(frozen=True)
-class VerificationCheck:
+class VerificationCheck(_Record):
     name: str
     tolerance: float
     deviation: float
@@ -258,8 +257,8 @@ def check_image_vs_fft(grid_n: int | None) -> VerificationCheck:
 
     envelope = mirrored.modulated(minus_k0)
     grid = propagation.grid_for_flight(envelope, t)
-    moved = replace(grid, x_min=grid.x_min + shift[0], x_max=grid.x_max + shift[0],
-                    X_min=grid.X_min + shift[1], X_max=grid.X_max + shift[1])
+    moved = oracles.GridSpec(grid.x_min + shift[0], grid.x_max + shift[0],
+                             grid.X_min + shift[1], grid.X_max + shift[1], grid.nx, grid.nX)
     via_image = propagation.image_term(wave0, t).modulated(minus_k0).evaluate(*moved.axes())
     via_fft = propagation.fft_free_evolve(envelope.evaluate(*grid.axes()), grid, p.m, p.M, t)
     dist = propagation.phase_aligned_l2(via_image, via_fft, grid)

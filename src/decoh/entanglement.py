@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 
-from . import _Record
+from . import _Record, _positive
 from .kinematics import CollisionParams, PostCollisionState
 
 __all__ = [
@@ -194,8 +194,5 @@ def optimal_spreads(sigma: float, p: CollisionParams) -> float:
     With this Sigma the post-collision state stays a product for any k, and
     the k = 0 overlap with the fixed-wall idealization is exactly 1.
     """
-    sigma = float(sigma)
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"particle spread must be positive and finite, got {sigma}")
-    return sigma * math.sqrt(p.delta / p.gamma)
+    return _positive("particle spread", sigma) * math.sqrt(p.delta / p.gamma)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from . import _Record
+from . import _Record, _positive
 
 __all__ = [
     "CollisionParams",
@@ -55,12 +55,8 @@ def collision_params(m: float, M: float) -> CollisionParams:
     overflows.  m > M is allowed; nothing below assumes the wall is the
     heavier body.
     """
-    m = float(m)
-    M = float(M)
-    if not (math.isfinite(m) and m > 0.0):
-        raise ValueError(f"particle mass must be positive and finite, got {m}")
-    if not (math.isfinite(M) and M > 0.0):
-        raise ValueError(f"wall mass must be positive and finite, got {M}")
+    m = _positive("particle mass", m)
+    M = _positive("wall mass", M)
     total = m + M
     if not math.isfinite(total):
         raise ValueError(f"total mass must be finite, got {m} + {M}")
@@ -78,9 +74,7 @@ def collision_params_from_delta(delta: float) -> CollisionParams:
 def _check_spread(name: str, s: float) -> float:
     """The wall's or the particle's spread s as a float, unless it or the
     exponent's coefficient 1/4s^2 is not a positive finite number."""
-    s = float(s)
-    if not (math.isfinite(s) and s > 0.0):
-        raise ValueError(f"{name} spread must be positive and finite, got {s}")
+    s = _positive(f"{name} spread", s)
     if not (0.0 < s * s < math.inf and 0.25 / (s * s) < math.inf):
         raise ValueError(f"{name} spread {s:g} is out of range: 1/(4 {name} spread^2) "
                          "is not a positive finite number")

@@ -15,11 +15,10 @@ import math
 import sys
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import gaussian
+from . import _Record, gaussian
 from .entanglement import reduced_kernel_eval
 
 __all__ = [
@@ -66,8 +65,7 @@ _REAL_TOL = 8.0 * sys.float_info.epsilon
 _PARITY_TOL = 64.0 * sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Record):
     """Rectangular sampling grid; x is the particle axis, X the wall axis."""
 
     x_min: float
@@ -156,8 +154,7 @@ def grid_for_state(state, other=None, *, n: int | None = None) -> GridSpec:
     return GridSpec(x_min=lo[0], x_max=hi[0], X_min=lo[1], X_max=hi[1], nx=nx, nX=nX)
 
 
-@dataclass(frozen=True)
-class OverlapResult:
+class OverlapResult(_Record):
     """Quadrature value of an overlap integral and the grid it was taken on."""
 
     value: complex
@@ -300,8 +297,8 @@ def quadrature_overlap(a, b, grid: GridSpec | None = None, n: int | None = None,
     if grid is None:
         grid = grid_for_state(a, b, n=n)
         if n is None and method == "gauss-legendre":
-            grid = replace(grid, nx=math.ceil(0.5 * math.pi * grid.nx),
-                           nX=math.ceil(0.5 * math.pi * grid.nX))
+            grid = GridSpec(grid.x_min, grid.x_max, grid.X_min, grid.X_max,
+                            math.ceil(0.5 * math.pi * grid.nx), math.ceil(0.5 * math.pi * grid.nX))
     _check_sample_bytes(grid.nX, grid.nx)
     if method == "trapezoid":
         x, X = grid.axes()
@@ -325,8 +322,7 @@ def quadrature_overlap(a, b, grid: GridSpec | None = None, n: int | None = None,
     return OverlapResult(value=value, grid=grid)
 
 
-@dataclass(frozen=True)
-class SchmidtResult:
+class SchmidtResult(_Record):
     """Singular values of the sampled state; squares estimate the Schmidt
     spectrum of the continuum wave function."""
 
@@ -466,8 +462,7 @@ def hermitian_kernel_eigenvalues(kernel_fn, nodes: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(K)[::-1]
 
 
-@dataclass(frozen=True)
-class KernelEigsResult:
+class KernelEigsResult(_Record):
     eigenvalues: np.ndarray
     grid: GridSpec
 

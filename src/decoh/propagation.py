@@ -27,11 +27,10 @@ step instead; the two must agree to grid accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import gaussian
+from . import _Record, gaussian
 from .kinematics import CollisionParams, GaussianProductState
 from .oracles import GridSpec, _trapezoid_weights, spectral_counts
 
@@ -53,8 +52,7 @@ __all__ = [
 FLIGHT_COVER_SIGMAS = 8.5
 
 
-@dataclass(frozen=True)
-class GaussianWave2D:
+class GaussianWave2D(_Record):
     """Complex Gaussian wave exp(-z^T A z + b^T z + c) in the lab coordinates
     z = (x, X) that every state, grid and oracle uses.
 
@@ -91,14 +89,15 @@ class GaussianWave2D:
         p = self.params
         S = ((1.0 - 2.0 * p.gamma, 2.0 * p.gamma), (2.0 * p.delta, 1.0 - 2.0 * p.delta))
         A, b = gaussian.congruence(self.A, self.b, S)
-        return replace(self, A=A, b=b)
+        return GaussianWave2D(A, b, self.c, p)
 
     def negated(self) -> "GaussianWave2D":
-        return replace(self, c=self.c + 1j * math.pi)
+        return GaussianWave2D(self.A, self.b, self.c + 1j * math.pi, self.params)
 
     def modulated(self, k) -> "GaussianWave2D":
         """The wave times the plane wave e^{i k . z}, k an (x, X) pair."""
-        return replace(self, b=(self.b[0] + 1j * k[0], self.b[1] + 1j * k[1]))
+        b = (self.b[0] + 1j * k[0], self.b[1] + 1j * k[1])
+        return GaussianWave2D(self.A, b, self.c, self.params)
 
     def free_evolve(self, t: float) -> "GaussianWave2D":
         """Evolve under H = p_x^2/2m + p_X^2/2M for time t
@@ -107,7 +106,7 @@ class GaussianWave2D:
             return self
         p = self.params
         A, b, c = gaussian.free_flight(self.A, self.b, self.c, (1.0 / p.m, 1.0 / p.M), t)
-        return replace(self, A=A, b=b, c=c)
+        return GaussianWave2D(A, b, c, p)
 
     def evaluate(self, x, X) -> np.ndarray:
         """Sample the wave; broadcasts over x, X.

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 
-from . import _Record
+from . import _Record, _positive
 
 __all__ = [
     "HBAR",
@@ -43,13 +43,6 @@ C_LIGHT = 2.99792458e8          # m / s (exact)
 ELECTRON_MASS = 9.1093837015e-31  # kg
 
 
-def _check_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-    return value
-
-
 def _normal(name: str, value: float) -> float:
     """value, unless it is not a normal positive float."""
     if not sys.float_info.min <= value <= sys.float_info.max:
@@ -59,20 +52,20 @@ def _normal(name: str, value: float) -> float:
 
 def thermal_spread(mu: float, T: float) -> float:
     """Packet size sigma_mu = hbar / sqrt(mu k_B T) in meters."""
-    mu = _check_positive("mass", mu)
-    T = _check_positive("temperature", T)
+    mu = _positive("mass", mu)
+    T = _positive("temperature", T)
     return _normal("sigma_mu", HBAR / math.sqrt(_normal("mu k_B T", mu * K_B * T)))
 
 
 def compton_wavelength(mu: float) -> float:
     """Reduced Compton wavelength hbar/(mu c) in meters."""
-    mu = _check_positive("mass", mu)
+    mu = _positive("mass", mu)
     return _normal("hbar/(mu c)", HBAR / _normal("mu c", mu * C_LIGHT))
 
 
 def thermal_length(T: float) -> float:
     """Thermal length hbar c / (k_B T) in meters; 2.29e-3 m at 1 K."""
-    T = _check_positive("temperature", T)
+    T = _positive("temperature", T)
     return _normal("hbar c/(k_B T)", HBAR * C_LIGHT / _normal("k_B T", K_B * T))
 
 

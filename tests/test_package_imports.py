@@ -28,9 +28,9 @@ def test_import_loads_only_its_dependencies(module, expected):
 
 
 
-# what only the oracles, verify and sweep need: their result types are
-# dataclasses, which import inspect (and ast, dis and tokenize), while the
-# closed-form ones are decoh._Record subclasses
+# what only the oracles, verify and sweep need: numpy, inspect (which numpy
+# imports), the modules built on numpy and the thread pool of a sweep.  No
+# command loads dataclasses (test_oracle_commands_load_no_dataclasses)
 ARRAY_MODULES = ["numpy", "decoh.oracles", "decoh.checks", "decoh.propagation",
                  "concurrent.futures", "dataclasses", "inspect"]
 
@@ -57,6 +57,22 @@ def test_closed_form_commands_load_no_array_module(argv):
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["error", "--delta", "0.01", "--ksigma", "1", "--grid", "64"],
+    ["entangle", "--delta", "0.01", "--Sigma", "1", "--grid", "64"],
+], ids=["verify", "error-grid", "entangle-grid"])
+def test_oracle_commands_load_no_dataclasses(argv):
+    """Every frozen type in decoh, the oracles' too, is a decoh._Record: a
+    fresh interpreter that runs an oracle command never loads dataclasses."""
+    env = {**os.environ, "PYTHONPATH": str(Path(decoh.__file__).parents[1])}
+    code = (f"import sys, decoh.cli; assert decoh.cli.main({argv!r}) == 0; "
+            "print('dataclasses' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 GAUSSIAN_FORMS = """

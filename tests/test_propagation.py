@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -199,7 +198,8 @@ def _scaled_delta(p):
 _ARGUMENT_FAULTS = {
     "none": lambda wave, t: (wave, t),
     "t": lambda wave, t: (wave, t * (1.0 + 1e-3)),
-    "delta": lambda wave, t: (dataclasses.replace(wave, params=_scaled_delta(wave.params)), t),
+    "delta": lambda wave, t: (GaussianWave2D(wave.A, wave.b, wave.c,
+                                             _scaled_delta(wave.params)), t),
 }
 
 

@@ -1,14 +1,17 @@
-"""The closed-form result types are frozen records (decoh._Record): built by
-position or keyword, compared and hashed by class and fields, never changed."""
+"""Every frozen type in decoh is a record (decoh._Record): built by position
+or keyword, compared and hashed by class and fields, never changed."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decoh.checks import VerificationCheck
 from decoh.entanglement import KernelParams
 from decoh.error_bounds import Optimum
 from decoh.kinematics import (CollisionParams, GaussianProductState, IdealReflectedState,
                               PostCollisionState)
+from decoh.oracles import GridSpec, KernelEigsResult, OverlapResult, SchmidtResult
+from decoh.propagation import GaussianWave2D
 from decoh.thermal import CollisionBudget
 
 # each record's fields in order; IdealReflectedState keeps its parent's
@@ -20,6 +23,12 @@ FIELDS = {
     KernelParams: ("D", "rho", "w", "u", "z", "matched"),
     Optimum: ("lambda_max", "A_max", "one_minus_A", "regime", "iterations"),
     CollisionBudget: ("amplitude", "n_half"),
+    GridSpec: ("x_min", "x_max", "X_min", "X_max", "nx", "nX"),
+    OverlapResult: ("value", "grid"),
+    SchmidtResult: ("singular_values", "grid"),
+    KernelEigsResult: ("eigenvalues", "grid"),
+    VerificationCheck: ("name", "tolerance", "deviation", "passed", "detail"),
+    GaussianWave2D: ("A", "b", "c", "params"),
 }
 VALUES = st.one_of(st.floats(allow_nan=False), st.integers(), st.booleans(), st.text(max_size=4))
 
