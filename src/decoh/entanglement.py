@@ -36,7 +36,6 @@ __all__ = [
     "reduced_kernel_eval",
     "largest_eigenvalue",
     "spectrum_values",
-    "spectrum",
     "oscillator_kernel",
     "oscillator_kernel_spectrum",
     "optimal_spreads",
@@ -140,13 +139,6 @@ def spectrum_values(w: float, n: int = 64) -> list[float]:
     return values + [0.0] * (n - len(values))
 
 
-def spectrum(w: float, n: int = 64):
-    """spectrum_values(w, n) as a numpy array."""
-    import numpy as np
-
-    return np.array(spectrum_values(w, n))
-
-
 def oscillator_kernel(beta: float, u: float):
     """Evaluator for the oscillator (Mehler) kernel
 
@@ -171,14 +163,9 @@ def oscillator_kernel(beta: float, u: float):
     return kernel
 
 
-def oscillator_kernel_spectrum(beta: float, u: float, n: int = 16):
-    """Spectrum G_k = e^{-u (k + 1/2)} of the oscillator kernel.
-
-    Independent of beta, which only rescales the eigenfunctions.  beta is
-    accepted and validated to mirror the kernel constructor.
-    """
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+def oscillator_kernel_spectrum(u: float, n: int = 16):
+    """Spectrum G_k = e^{-u (k + 1/2)} of the oscillator kernel, the same
+    for every beta, which only rescales the eigenfunctions."""
     if u <= 0.0:
         raise ValueError(f"u must be positive, got {u}")
     if n < 1:

@@ -270,7 +270,7 @@ def _one_blas_thread():
                 setter(_blas_restore)
 
 
-def quadrature_overlap(a, b, grid: GridSpec | None = None, n: int | None = None,
+def quadrature_overlap(a, b, grid: GridSpec | None = None, *,
                        method: str = "trapezoid") -> OverlapResult:
     """Tensor-product quadrature of the overlap integral int int a* b dx dX.
 
@@ -284,10 +284,10 @@ def quadrature_overlap(a, b, grid: GridSpec | None = None, n: int | None = None,
     128 KiB each: they stay in cache and the allocator reuses them without
     page faults, which come back at 2^14, while 2^12 costs more in calls per
     block than it saves.  The quadrature runs once on the grid it is
-    given, or on grid_for_state(a, b, n=n): n x n nodes for either rule.
-    Without n Gauss-Legendre takes ceil(pi/2 m) nodes for each m trapezoid
-    steps, because at equal count its central node spacing is pi/2 times
-    the uniform step.  It carries no error estimate, because a caller that
+    given, nx x nX nodes for either rule, or on grid_for_state(a, b), where
+    Gauss-Legendre takes ceil(pi/2 m) nodes for each m trapezoid steps,
+    because at equal count its central node spacing is pi/2 times the
+    uniform step.  It carries no error estimate, because a caller that
     checks a closed form measures the real error.  A block bounds the
     memory, not the work: a grid whose nx x nX complex samples would total
     more than MAX_SAMPLE_BYTES raises ValueError before anything is sampled.
@@ -295,8 +295,8 @@ def quadrature_overlap(a, b, grid: GridSpec | None = None, n: int | None = None,
     product of a block is long enough to pay for a second.
     """
     if grid is None:
-        grid = grid_for_state(a, b, n=n)
-        if n is None and method == "gauss-legendre":
+        grid = grid_for_state(a, b)
+        if method == "gauss-legendre":
             grid = GridSpec(grid.x_min, grid.x_max, grid.X_min, grid.X_max,
                             math.ceil(0.5 * math.pi * grid.nx), math.ceil(0.5 * math.pi * grid.nX))
     _check_sample_bytes(grid.nX, grid.nx)

@@ -437,6 +437,23 @@ def test_entangle_grid_flag_adds_svd_cross_check(capsys):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
+def test_error_warns_when_the_quadrature_overlap_exceeds_one(capsys, fmt):
+    """Two normalized states overlap by at most 1 (Cauchy-Schwarz); a 3 x 3
+    grid reads 10.19, so the run says so on stderr, and a 64 x 64 grid,
+    which reads 1, stays silent."""
+    argv = ["error", "--delta", "0.01", "--ksigma", "0", "--format", fmt, "--grid"]
+    code, out, err = run_cli(capsys, *argv, "3")
+    assert code == 0
+    assert err == ("warning: the quadrature oracle's overlap is 10.1859, above 1: "
+                   "the 3 x 3 grid does not resolve the states\n")
+    if fmt == "json":
+        assert json.loads(out)["results"]["A_quadrature"] == pytest.approx(10.1859163579,
+                                                                           rel=1e-9)
+    code, out, err = run_cli(capsys, *argv, "64")
+    assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
 def test_entangle_warns_when_the_svd_grid_loses_the_norm(capsys, fmt):
     """A 64 x 64 grid over +-8 sigma of each axis cannot resolve the thin
     ridge of Sigma = 1000 sigma: the sampled norm sum s_i^2 is about 197 and
@@ -718,8 +735,8 @@ def test_format_json_refuses_what_json_cannot_write(value):
 def test_verify_grid_below_five_exits_2_with_a_message(capsys, grid):
     code, out, err = run_cli(capsys, "verify", "--grid", grid)
     assert code == 2 and out == ""
-    assert err == (f"error: grid must have at least 5 points per axis, got {grid}: "
-                   "the checks compare 5 spectrum levels\n")
+    assert err == (f"error: --grid out of range: grid must have at least 5 points per "
+                   f"axis, got {grid}: the checks compare 5 spectrum levels\n")
 
 
 @pytest.mark.parametrize("command", [
@@ -730,7 +747,8 @@ def test_a_grid_over_the_sample_cap_exits_2_naming_grid(capsys, monkeypatch, com
     """--grid 100000 asks the SVD for 160 GB and is refused before any check
     or sample runs; a monkeypatched cap moves the edge."""
     ran = []
-    monkeypatch.setattr(checks, "run_verification", lambda grid_n: ran.append(grid_n) or [])
+    monkeypatch.setattr(checks, "_CHECKS", [
+        lambda grid_n: ran.append(grid_n) or checks._result("spy", 1.0, 0.0, "")])
     code, out, err = run_cli(capsys, *command, "--grid", "100000")
     assert code == 2 and out == "" and ran == []
     assert err == ("error: --grid out of range: a 100000 x 100000 sample takes "
@@ -740,7 +758,7 @@ def test_a_grid_over_the_sample_cap_exits_2_naming_grid(capsys, monkeypatch, com
     code, _, err = run_cli(capsys, *command, "--grid", "65")
     assert code == 2 and err.startswith("error: --grid out of range: a 65 x 65 sample")
     code, _, err = run_cli(capsys, *command, "--grid", "64")
-    assert code == 0 and err == ""
+    assert code == 0 and err == "" and ran == ([64] if command == ["verify"] else [])
 
 
 def test_an_error_grid_over_the_sample_cap_exits_2_naming_grid(capsys, monkeypatch):

@@ -12,7 +12,6 @@ from decoh.entanglement import (
     oscillator_kernel,
     oscillator_kernel_spectrum,
     reduced_kernel_eval,
-    spectrum,
     spectrum_values,
 )
 from decoh.kinematics import (
@@ -75,7 +74,7 @@ def test_largest_eigenvalue_large_w_tail():
 
 
 def test_spectrum_values():
-    values = spectrum(1.0412328196584757, n=8)
+    values = spectrum_values(1.0412328196584757, n=8)
     assert values[0] == pytest.approx(0.6318, abs=5e-5)
     assert values[1] == pytest.approx(0.2326, abs=5e-5)
     u = 2.0 * np.arcsinh(0.5 * 1.0412328196584757)
@@ -85,7 +84,7 @@ def test_spectrum_values():
 def test_spectrum_partial_sum_and_ratio():
     w = 1.0412328196584757
     u = 2.0 * np.arcsinh(0.5 * w)
-    values = spectrum(w, n=64)
+    values = np.array(spectrum_values(w, n=64))
     assert values.sum() == pytest.approx(1.0 - np.exp(-64 * u), abs=1e-12)
     ratios = values[1:21] / values[:20]
     np.testing.assert_allclose(ratios, np.exp(-u), rtol=1e-12)
@@ -93,37 +92,27 @@ def test_spectrum_partial_sum_and_ratio():
 
 def test_spectrum_degenerate_and_matched():
     with pytest.raises(ValueError):
-        spectrum(0.0)
-    matched = spectrum(np.inf, n=4)
+        spectrum_values(0.0)
+    matched = spectrum_values(np.inf, n=4)
     np.testing.assert_allclose(matched, [1.0, 0.0, 0.0, 0.0])
 
 
 def test_spectrum_values_past_the_underflow_are_zero():
     """The list stops evaluating e^{-k u} once it underflows to 0: every
-    value is still F0 e^{-k u}, as floats, and the array spectrum is the
-    same list."""
+    value is still F0 e^{-k u}, as floats."""
     w, n = 3.87, 1000
     u = 2.0 * math.asinh(0.5 * w)
     values = spectrum_values(w, n)
     assert len(values) == n and all(type(v) is float for v in values)
     assert values == [largest_eigenvalue(w) * math.exp(-k * u) for k in range(n)]
     assert values[-1] == 0.0 < values[0]
-    assert spectrum(w, n).tolist() == values
     assert spectrum_values(np.inf, 3) == [1.0, 0.0, 0.0]
 
 
 def test_oscillator_spectrum_value():
-    assert oscillator_kernel_spectrum(1.0, 1.0, 1)[0] == pytest.approx(
-        np.exp(-0.5), rel=1e-15
-    )
-    # beta cannot move the eigenvalues
-    np.testing.assert_array_equal(
-        oscillator_kernel_spectrum(0.1, 0.7, 6), oscillator_kernel_spectrum(10.0, 0.7, 6)
-    )
+    assert oscillator_kernel_spectrum(1.0, 1)[0] == pytest.approx(np.exp(-0.5), rel=1e-15)
     with pytest.raises(ValueError):
-        oscillator_kernel_spectrum(-1.0, 0.7)
-    with pytest.raises(ValueError):
-        oscillator_kernel_spectrum(1.0, 0.0)
+        oscillator_kernel_spectrum(0.0)
 
 
 def test_oscillator_trace_identity():

@@ -26,7 +26,7 @@ from decoh.kinematics import (
     initial_state,
     post_collision_state,
 )
-from decoh.oracles import quadrature_overlap
+from decoh.oracles import grid_for_state, quadrature_overlap
 
 
 def test_matched_ratio_gives_unit_amplitude(rng):
@@ -76,7 +76,8 @@ def test_amplitude_against_quadrature_oracle(rng):
         k = float(rng.uniform(0.0, 2.0)) / sigma
         s = initial_state(Sigma, sigma, k)
         sf = post_collision_state(s, p)
-        quad = quadrature_overlap(ideal_reflected_state(s), sf, n=256)
+        t = ideal_reflected_state(s)
+        quad = quadrature_overlap(t, sf, grid=grid_for_state(t, sf, n=256))
         closed = overlap_amplitude((Sigma / sigma) ** 2, k * sigma, p)
         assert abs(abs(quad.value) - closed) < 1e-8
 

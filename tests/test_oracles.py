@@ -324,8 +324,8 @@ def test_n_is_the_count_even_below_the_rule(state_equal_spreads):
     pair = grid_for_state(state, state)
     assert min(pair.nx, pair.nX) > 8
     for method in ("trapezoid", "gauss-legendre"):
-        res = quadrature_overlap(state, state, n=8, method=method).grid
-        assert res == grid_for_state(state, state, n=8), method
+        g = grid_for_state(state, state, n=8)
+        assert quadrature_overlap(state, state, grid=g, method=method).grid == g, method
     self_sized = quadrature_overlap(state, state, method="gauss-legendre").grid
     assert (self_sized.nx, self_sized.nX) == (math.ceil(0.5 * math.pi * pair.nx),
                                               math.ceil(0.5 * math.pi * pair.nX))
@@ -374,7 +374,7 @@ def test_quadrature_holds_one_block_of_samples():
     ideal, post = _bounce()
     tracemalloc.start()
     try:
-        quadrature_overlap(ideal, post, n=1024)
+        quadrature_overlap(ideal, post, grid=grid_for_state(ideal, post, n=1024))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -414,7 +414,7 @@ def test_a_quadrature_over_the_byte_cap_is_refused_unsampled(monkeypatch):
                         lambda self, x, X: calls.append(1) or call(self, x, X))
     monkeypatch.setattr(oracles, "MAX_SAMPLE_BYTES", 16 * 64 * 64)
     with pytest.raises(ValueError, match="a 65 x 65 sample takes 67600 bytes"):
-        quadrature_overlap(ideal, post, n=65)
+        quadrature_overlap(ideal, post, grid=grid_for_state(ideal, post, n=65))
     pair = grid_for_state(ideal, post)
     monkeypatch.setattr(oracles, "MAX_SAMPLE_BYTES", 16 * pair.nx * pair.nX)
     wide = f"a {math.ceil(0.5 * math.pi * pair.nX)} x {math.ceil(0.5 * math.pi * pair.nx)} sample"
@@ -734,8 +734,9 @@ def _blas_scoped_calls():
     at 256^2 and a quadrature at 512^2, and verify's third LAPACK oracle,
     the kernel eigensolve, at 256 nodes (all k = 0.5)."""
     ideal, post = _bounce(k=0.5)
+    pair = grid_for_state(ideal, post, n=512)
     return {"schmidt_decompose": lambda: schmidt_decompose(post, n=256).singular_values,
-            "quadrature_overlap": lambda: quadrature_overlap(ideal, post, n=512).value,
+            "quadrature_overlap": lambda: quadrature_overlap(ideal, post, grid=pair).value,
             "kernel_eigensolve": lambda: kernel_eigensolve(post, n=256).eigenvalues}
 
 
@@ -844,11 +845,11 @@ def test_no_blas_worker_spins_through_a_quadrature():
     me = threading.get_native_id()
     warm = time.monotonic() + 0.25
     while time.monotonic() < warm:
-        quadrature_overlap(ideal, post, n=512)
+        quadrature_overlap(ideal, post, grid=grid_for_state(ideal, post, n=512))
     before = _thread_cpu_seconds()
     deadline = time.monotonic() + 60.0
     while True:
-        quadrature_overlap(ideal, post, n=512)
+        quadrature_overlap(ideal, post, grid=grid_for_state(ideal, post, n=512))
         used = {tid: t - before.get(tid, 0.0) for tid, t in _thread_cpu_seconds().items()}
         if used[me] >= 0.5 or time.monotonic() > deadline:
             break
@@ -938,7 +939,7 @@ def test_oscillator_kernel_eigensolve(beta):
     u = 0.7
     nodes = oscillator_grid(beta, u, n=512)
     eigs = hermitian_kernel_eigenvalues(oscillator_kernel(beta, u), nodes)
-    np.testing.assert_allclose(eigs[:5], oscillator_kernel_spectrum(beta, u, 5), atol=1e-6)
+    np.testing.assert_allclose(eigs[:5], oscillator_kernel_spectrum(u, 5), atol=1e-6)
 
 
 def test_oscillator_kernel_beta_independent_numerically():

@@ -1,6 +1,7 @@
 """Importing one decoh module loads only that module and what it imports:
 the package itself re-exports nothing."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -26,6 +27,14 @@ def test_import_loads_only_its_dependencies(module, expected):
                           capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.split() == expected
 
+
+@pytest.mark.parametrize("module", ["checks", "entanglement", "error_bounds", "gaussian",
+                                    "kinematics", "oracles", "propagation", "thermal"])
+def test_every_name_in_all_resolves(module):
+    """perfbench's tracer wraps each function a layer lists in __all__; a
+    stale name would otherwise fail only in the benchmark."""
+    mod = importlib.import_module(f"decoh.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 # what only the oracles, verify and sweep need: numpy, inspect (which numpy
