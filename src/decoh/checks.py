@@ -70,17 +70,15 @@ def _singular_values(state, grid_n: int | None) -> np.ndarray:
 
 def _state(Sigma, sigma, k, delta):
     """(s0, sf, p): the product packet, its post-collision state and the
-    collision params at mass fraction delta."""
+    collision params at mass fraction delta; Sigma "auto" is matched to sigma."""
     p = collision_params_from_delta(delta)
-    s0 = initial_state(Sigma, sigma, k)
+    s0 = initial_state(ent.optimal_spreads(sigma, p) if Sigma == "auto" else Sigma, sigma, k)
     return s0, post_collision_state(s0, p), p
 
 
 def check_matched_overlap(grid_n: int | None) -> VerificationCheck:
     """Quadrature overlap is 1 at the matched spread ratio with k = 0."""
-    p = collision_params(1.0, 99.0)
-    s0 = initial_state(ent.optimal_spreads(1.0, p), 1.0, 0.0)
-    sf = post_collision_state(s0, p)
+    s0, sf, _ = _state("auto", 1.0, 0.0, 0.01)
     res = oracles.quadrature_overlap(ideal_reflected_state(s0), sf, grid=_grid(sf, grid_n))
     dev = abs(abs(res.value) - 1.0)
     return _result("matched_overlap", 1e-8, dev, "matched spreads, k=0: |quadrature A| vs 1")
@@ -191,9 +189,7 @@ def check_k_independence(grid_n: int | None) -> VerificationCheck:
 
 def check_matched_momentum(grid_n: int | None) -> VerificationCheck:
     """Matched spreads stay a product state even at high momentum."""
-    p = collision_params_from_delta(0.01)
-    s0 = initial_state(ent.optimal_spreads(1.0, p), 1.0, 10.0)
-    sf = post_collision_state(s0, p)
+    _, sf, _ = _state("auto", 1.0, 10.0, 0.01)
     sv = _singular_values(sf, grid_n)
     dev = abs(1.0 - sv[0] ** 2)
     return _result("matched_momentum", 1e-6, dev,

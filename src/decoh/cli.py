@@ -12,7 +12,8 @@ Every command reads its inputs one way and writes its output one way.  Each
 key=value line of a --config file becomes a --key=value option spliced into
 argv right after the subcommand, so the one argument parser checks it like
 any flag, against the flag's DOMAINS entry, and a flag given on the command
-line wins; a rule that joins flags is the command's.  A command only
+line wins; argparse refuses --Sigma with --lambda (one wall spread), and any
+other rule that joins flags is the command's.  A command only
 computes its params and results; _render writes them through the command's
 text lines in _TEXT and CSV columns in _CSV, each printed when every field
 it names is present, and a -v line only with -v.
@@ -293,21 +294,17 @@ def _with_config(argv: list[str]) -> list[str]:
     return argv if path is None else argv[:1] + _config_options(path, options) + argv[1:]
 
 
-def _build_params(args) -> CollisionParams:
+def _build_params(args) -> tuple[CollisionParams, str]:
+    """(params, flags): the collision params and the flags they were read from."""
     if args.delta is not None:
         if args.m is not None or args.M is not None:
             raise ValueError("give either --delta or --m/--M, not both")
-        return collision_params_from_delta(args.delta)
+        return collision_params_from_delta(args.delta), "--delta"
     if args.m is None or args.M is None:
         raise ValueError("masses are required: --m and --M (or --delta)")
     if not math.isfinite(args.m + args.M):
         raise ValueError(f"--m and --M must have a finite sum, got {args.m:g} + {args.M:g}")
-    return collision_params(args.m, args.M)
-
-
-def _mass_flags(args) -> str:
-    """The flags that _build_params read the mass fraction from."""
-    return "--delta" if args.delta is not None else "--m and --M"
+    return collision_params(args.m, args.M), "--m and --M"
 
 
 def _named(flags: str, fn, *args):
@@ -337,29 +334,33 @@ def _initial_state(wall_flags: str, Sigma: float, sigma: float, k: float):
 
 
 def _resolve_state(args, p: CollisionParams):
-    """(Sigma, sigma, lambda, k, k sigma) from the flags.
-
-    --Sigma auto applies spread matching; Sigma and lambda are None when
-    their flag is not given.  --ksigma beats --k; k is signed, and k sigma
-    from --k is |k| sigma, which must have a finite square.
-    """
+    """(Sigma, wall, k, k sigma) from the flags: the wall spread from --Sigma
+    (auto for spread matching) or sigma sqrt(--lambda), None with neither,
+    and wall, the flags it came from (--sigma with neither).  --ksigma beats
+    --k; k is signed, and k sigma from --k is |k| sigma, which must have a
+    finite square."""
     sigma = args.sigma
-    Sigma = ent.optimal_spreads(sigma, p) if args.Sigma == "auto" else args.Sigma
+    if args.lambda_ is not None:
+        Sigma, wall = sigma * math.sqrt(args.lambda_), "--sigma and --lambda"
+    else:
+        Sigma = ent.optimal_spreads(sigma, p) if args.Sigma == "auto" else args.Sigma
+        wall = "--sigma" if Sigma is None else "--Sigma"
     if args.ksigma is not None:
-        return Sigma, sigma, args.lambda_, args.ksigma / sigma, args.ksigma
+        return Sigma, wall, args.ksigma / sigma, args.ksigma
     k_sigma = abs(args.k) * sigma
     if not math.isfinite(k_sigma * k_sigma):
         raise ValueError(f"k sigma must have a finite square, got {k_sigma:g}")
-    return Sigma, sigma, args.lambda_, args.k, k_sigma
+    return Sigma, wall, args.k, k_sigma
 
 
 def cmd_error(args) -> int:
-    p = _build_params(args)
-    Sigma, sigma, lam, _, k_sigma = _resolve_state(args, p)
+    p, mass = _build_params(args)
+    Sigma, wall, _, k_sigma = _resolve_state(args, p)
+    sigma, lam = args.sigma, args.lambda_
     if lam is None and Sigma is not None:
         lam = _named("(--Sigma/--sigma)^2", th._normal, "lambda",
                      (Sigma / sigma) * (Sigma / sigma))
-    opt = _named(_mass_flags(args), eb.optimal_lambda, k_sigma, p)
+    opt = _named(mass, eb.optimal_lambda, k_sigma, p)
     if lam is None:
         lam = opt.lambda_max
     A, one_minus_A = eb.overlap_error(lam, k_sigma, p)
@@ -372,8 +373,6 @@ def cmd_error(args) -> int:
         # cross-check the closed form on a quadrature grid of the given size
         from . import oracles
 
-        wall = ("--sigma and --lambda" if args.lambda_ is not None
-                else "--Sigma" if Sigma is not None else "--sigma")
         s0 = _initial_state(wall, sigma * math.sqrt(lam), sigma, k_sigma / sigma)
         sf = post_collision_state(s0, p)
         quad = _named("--grid", oracles.quadrature_overlap, ideal_reflected_state(s0), sf,
@@ -390,17 +389,14 @@ def cmd_error(args) -> int:
 
 
 def cmd_entangle(args) -> int:
-    p = _build_params(args)
-    Sigma, sigma, lam, k, _ = _resolve_state(args, p)
-    wall = "--Sigma" if Sigma is not None else "--sigma and --lambda"
-    if Sigma is None and lam is not None:
-        Sigma = sigma * math.sqrt(lam)
+    p, _ = _build_params(args)
+    Sigma, wall, k, _ = _resolve_state(args, p)
     if Sigma is None:
         raise ValueError("wall spread is required: --Sigma (or --lambda)")
-    sf = post_collision_state(_initial_state(wall, Sigma, sigma, k), p)
+    sf = post_collision_state(_initial_state(wall, Sigma, args.sigma, k), p)
     kp = ent.kernel_params(sf)
     F0 = ent.largest_eigenvalue(kp.w)
-    params = {"delta": p.delta, "gamma": p.gamma, "Sigma": Sigma, "sigma": sigma, "k": k}
+    params = {"delta": p.delta, "gamma": p.gamma, "Sigma": Sigma, "sigma": args.sigma, "k": k}
     results = {"D": kp.D, "rho": kp.rho, "w": kp.w, "u": kp.u,
                "F0": F0, "measure": kp.z * kp.z, "matched": kp.matched,
                "spectrum": ent.spectrum_values(kp.w, args.n_spectrum),
@@ -455,7 +451,7 @@ def cmd_sweep(args) -> int:
 
     if args.scale == "log" and (args.start <= 0.0 or args.stop <= 0.0):
         raise ValueError("log scale requires positive start and stop")
-    p = _build_params(args) if args.parameter in ("lambda", "k_sigma") else None
+    p, mass = _build_params(args) if args.parameter in ("lambda", "k_sigma") else (None, None)
     if args.parameter == "T" and args.mu_kg is None:
         raise ValueError("a T sweep needs --mu-kg")
     rule, inside = DOMAINS[args.parameter]
@@ -473,7 +469,7 @@ def cmd_sweep(args) -> int:
             _named(flag, eb.optimal_lambda, args.ksigma or 0.0,
                    collision_params_from_delta(value))
         elif args.parameter == "k_sigma":
-            _named(_mass_flags(args), eb.optimal_lambda, value, p)
+            _named(mass, eb.optimal_lambda, value, p)
     # built after the domain checks: numpy warns on an infinite --start or --stop
     space = np.geomspace if args.scale == "log" else np.linspace
     values = space(args.start, args.stop, args.points)
@@ -538,11 +534,13 @@ def _add_common(sub: argparse.ArgumentParser, command: str) -> None:
     if state:
         sub.add_argument("--sigma", type=_typed("sigma"), default=1.0,
                          help="particle position spread")
-        sub.add_argument("--Sigma", type=_typed("Sigma", _float_or_auto),
-                         help="wall position spread, or 'auto' for spread matching")
+        # one wall spread; with --k between the two, usage prints no [--Sigma | --lambda]
+        wall = sub.add_mutually_exclusive_group()
+        wall.add_argument("--Sigma", type=_typed("Sigma", _float_or_auto),
+                          help="wall position spread, or 'auto' for spread matching")
         sub.add_argument("--k", type=float, default=0.0, help="particle wavenumber")
-        sub.add_argument("--lambda", dest="lambda_", type=_typed("lambda"),
-                         help="spread ratio Sigma^2/sigma^2")
+        wall.add_argument("--lambda", dest="lambda_", type=_typed("lambda"),
+                          help="spread ratio Sigma^2/sigma^2")
     sub.add_argument("--ksigma", type=_typed("signed k_sigma" if entangle else "k_sigma"),
                      help="dimensionless momentum k*sigma")
     if state:

@@ -145,12 +145,7 @@ def oscillator_kernel(beta: float, u: float):
         G(x, y) = sqrt(beta / (pi sinh u))
                   exp[-(beta/sinh u) ((x^2 + y^2) cosh u - 2 x y)].
     """
-    beta = float(beta)
-    u = float(u)
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if u <= 0.0:
-        raise ValueError(f"u must be positive, got {u}")
+    beta, u = _positive("beta", beta), _positive("u", u)
     import numpy as np
 
     pref = np.sqrt(beta / (np.pi * np.sinh(u)))
@@ -166,8 +161,7 @@ def oscillator_kernel(beta: float, u: float):
 def oscillator_kernel_spectrum(u: float, n: int = 16):
     """Spectrum G_k = e^{-u (k + 1/2)} of the oscillator kernel, the same
     for every beta, which only rescales the eigenfunctions."""
-    if u <= 0.0:
-        raise ValueError(f"u must be positive, got {u}")
+    u = _positive("u", u)
     if n < 1:
         raise ValueError(f"need at least one eigenvalue, got n={n}")
     import numpy as np

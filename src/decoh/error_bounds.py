@@ -202,8 +202,8 @@ def error_asymptotic(k_sigma: float, delta: float, regime: str):
     """
     k_sigma = float(k_sigma)
     delta = float(delta)
-    if k_sigma < 0.0:
-        raise ValueError(f"k sigma must be non-negative, got {k_sigma}")
+    if not 0.0 <= k_sigma < math.inf:
+        raise ValueError(f"k sigma must be non-negative and finite, got {k_sigma}")
     if not (0.0 < delta < 1.0):
         raise ValueError(f"mass fraction must lie in (0, 1), got {delta}")
     if regime == "small":

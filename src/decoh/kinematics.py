@@ -123,9 +123,11 @@ class GaussianProductState(_Record):
 
 def initial_state(Sigma: float, sigma: float, k: float = 0.0) -> GaussianProductState:
     """Centered Gaussian product state with wall/particle spreads and momentum k."""
-    Sigma, sigma = _check_spread("wall", Sigma), _check_spread("particle", sigma)
+    Sigma, sigma, k = _check_spread("wall", Sigma), _check_spread("particle", sigma), float(k)
+    if not math.isfinite(k):
+        raise ValueError(f"particle wavenumber must be finite, got {k}")
     return GaussianProductState(
-        Sigma=Sigma, sigma=sigma, k=float(k), norm=1.0 / (2.0 * math.pi * sigma * Sigma)
+        Sigma=Sigma, sigma=sigma, k=k, norm=1.0 / (2.0 * math.pi * sigma * Sigma)
     )
 
 

@@ -112,7 +112,9 @@ def test_the_svd_memo_is_dropped_when_a_check_raises(monkeypatch):
 
 def test_concurrent_runs_keep_their_own_svd_memo(monkeypatch):
     """The memo is per thread: three runs at once, with a short switch
-    interval, each make their own four SVDs."""
+    interval, each make their own four SVDs.  The runs start together behind
+    a barrier: a thread that ended before the next one started could hand
+    its ident on, and two runs' counts would then merge."""
     calls = Counter()
     real = oracles.schmidt_decompose
 
@@ -124,9 +126,14 @@ def test_concurrent_runs_keep_their_own_svd_memo(monkeypatch):
     results = []
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
+    start = threading.Barrier(3)
+
+    def run():
+        start.wait(timeout=60)
+        results.append(checks.run_verification(grid_n=64))
+
     try:
-        threads = [threading.Thread(target=lambda: results.append(
-            checks.run_verification(grid_n=64))) for _ in range(3)]
+        threads = [threading.Thread(target=run) for _ in range(3)]
         for t in threads:
             t.start()
         for t in threads:

@@ -337,6 +337,22 @@ def test_config_file_with_flag_override(tmp_path, capsys):
         assert json.loads(out)["results"]["A"] == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("command", ["error", "entangle"])
+@pytest.mark.parametrize("flags,first,second", [
+    (["--Sigma", "2", "--lambda", "1"], "--Sigma", "--lambda"),
+    (["--Sigma", "auto", "--lambda", "1"], "--Sigma", "--lambda"),
+    (["--config", "lambda.cfg", "--Sigma", "2"], "--lambda", "--Sigma"),
+], ids=["Sigma 2 lambda 1", "Sigma auto lambda 1", "config lambda Sigma 2"])
+def test_sigma_and_lambda_exclude_each_other(tmp_path, capsys, monkeypatch, command, flags,
+                                             first, second):
+    """--Sigma and --lambda set one wall spread, so argparse refuses the two
+    together, a --config file's line included, on both commands alike."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lambda.cfg").write_text("delta=0.01\nlambda=1\nksigma=0\n")
+    rejected(capsys, [command, "--delta", "0.01", *flags],
+             f"argument {second}: not allowed with argument {first}")
+
+
 def test_json_outputs_validate_against_schema(capsys, tmp_path):
     cfg_runs = [
         ["error", "--delta", "0.01", "--lambda", "1", "--format", "json"],

@@ -195,6 +195,14 @@ def test_error_asymptotic_large_rejects_zero_momentum():
         error_asymptotic(1.0, 0.01, "sideways")
 
 
+@pytest.mark.parametrize("regime", ["small", "large"])
+@pytest.mark.parametrize("k_sigma", [-1.0, math.nan, math.inf])
+def test_error_asymptotic_rejects_a_negative_or_non_finite_k_sigma(k_sigma, regime):
+    message = f"k sigma must be non-negative and finite, got {k_sigma}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        error_asymptotic(k_sigma, 0.01, regime)
+
+
 def test_asymptotic_branches_mesh_at_crossover():
     delta = 1e-4
     p = collision_params_from_delta(delta)

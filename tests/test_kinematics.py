@@ -61,6 +61,12 @@ def test_initial_state_rejects_bad_spreads(Sigma, sigma):
         initial_state(Sigma, sigma)
 
 
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+def test_initial_state_rejects_a_non_finite_wavenumber(k):
+    with pytest.raises(ValueError, match=f"^particle wavenumber must be finite, got {k}$"):
+        initial_state(1.0, 1.0, k)
+
+
 def test_initial_state_unit_norm_by_quadrature():
     s = initial_state(0.3, 2.0, 1.5)
     res = quadrature_overlap(s, s, method="gauss-legendre")

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from decoh.entanglement import optimal_spreads
+from decoh.entanglement import optimal_spreads, oscillator_kernel, oscillator_kernel_spectrum
 from decoh.kinematics import collision_params, collision_params_from_delta, initial_state
 from decoh.thermal import compton_wavelength, thermal_length, thermal_spread
 
@@ -20,6 +20,9 @@ CALL_SITES = {
     "initial_state-Sigma": ("wall spread", lambda v: initial_state(v, 1.0, 0.0)),
     "initial_state-sigma": ("particle spread", lambda v: initial_state(1.0, v, 0.0)),
     "optimal_spreads-sigma": ("particle spread", lambda v: optimal_spreads(v, P)),
+    "oscillator_kernel-beta": ("beta", lambda v: oscillator_kernel(v, 0.7)),
+    "oscillator_kernel-u": ("u", lambda v: oscillator_kernel(1.0, v)),
+    "oscillator_kernel_spectrum-u": ("u", lambda v: oscillator_kernel_spectrum(v, 3)),
     "thermal_spread-mu": ("mass", lambda v: thermal_spread(v, 1.0)),
     "thermal_spread-T": ("temperature", lambda v: thermal_spread(1e-27, v)),
     "compton_wavelength-mu": ("mass", compton_wavelength),
