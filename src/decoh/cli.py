@@ -373,7 +373,10 @@ def cmd_error(args) -> int:
         # cross-check the closed form on a quadrature grid of the given size
         from . import oracles
 
-        s0 = _initial_state(wall, sigma * math.sqrt(lam), sigma, k_sigma / sigma)
+        # a given --Sigma (auto too) is the wall spread itself: sigma sqrt(lambda)
+        # of the lambda it set can differ from it by an ulp
+        wall_spread = Sigma if Sigma is not None else sigma * math.sqrt(lam)
+        s0 = _initial_state(wall, wall_spread, sigma, k_sigma / sigma)
         sf = post_collision_state(s0, p)
         quad = _named("--grid", oracles.quadrature_overlap, ideal_reflected_state(s0), sf,
                       oracles.grid_for_state(sf, n=args.grid))

@@ -81,17 +81,6 @@ def _check_spread(name: str, s: float) -> float:
     return s
 
 
-def _product_sample(s, x, X):
-    """sqrt(N) exp(-X^2/4Sigma^2 - x^2/4sigma^2 + i k x) for a product state s,
-    as exp(-X^2/4Sigma^2) times sqrt(N) exp(-x^2/4sigma^2 + i k x): on a
-    grid's broadcast axes each exp is 1-D and one multiply builds the N^2
-    samples."""
-    import numpy as np
-
-    wall = np.exp(-(X * X) / (4.0 * s.Sigma**2))
-    return wall * (np.sqrt(s.norm) * np.exp(-(x * x) / (4.0 * s.sigma**2) + 1j * s.k * x))
-
-
 class GaussianProductState(_Record):
     """Pre-collision product state Gamma(X) Phi(x).
 
@@ -105,10 +94,23 @@ class GaussianProductState(_Record):
     k: float
     norm: float
 
+    # a product state is its one-body factors: it has no two-body envelope
+    two_body_envelope = None
+
+    def one_body_factors(self, x, X):
+        """(sqrt(N) exp(-x^2/4sigma^2 + i k x), exp(-X^2/4Sigma^2)): the
+        particle factor of x and the wall factor of X, whose product is the
+        state.  Elementwise, so 1-D nodes give 1-D factors."""
+        import numpy as np
+
+        wall = np.exp(-(X * X) / (4.0 * self.Sigma**2))
+        return np.sqrt(self.norm) * np.exp(-(x * x) / (4.0 * self.sigma**2) + 1j * self.k * x), wall
+
     def __call__(self, x, X):
-        """Sample the state; broadcasts over x, X.  Built from its one-body
-        factors (_product_sample), so on a grid every exp is 1-D."""
-        return _product_sample(self, x, X)
+        """Sample the state, wall factor times particle factor; broadcasts
+        over x, X, so on a grid's axes every exp is 1-D."""
+        particle, wall = self.one_body_factors(x, X)
+        return wall * particle
 
     def envelope(self):
         """(centers, spreads), each an (x, X) pair: the center and standard
@@ -144,14 +146,10 @@ class PostCollisionState(_Record):
     k: float
     norm: float
 
-    def __call__(self, x, X):
-        """Sample the state; broadcasts over x, X.  The envelope is one real
-        exp of -(a^2 + b^2), with sqrt(Omega) and sqrt(omega) folded into
-        the coefficients of the wall and particle arguments a and b.  The
-        carrier e^{i k b} is built as its two one-body factors: on a grid
-        it is then a diagonal unitary on each side, which leaves the
-        singular values alone at any k, where rounding k b on the full grid
-        would not, and costs only 1-D exps."""
+    def two_body_envelope(self, x, X):
+        """The real envelope exp(-(a^2 + b^2)); broadcasts over x, X.
+        sqrt(Omega) and sqrt(omega) are folded into the coefficients of the
+        wall and particle arguments a and b."""
         import numpy as np
 
         rO, ro = np.sqrt(self.Omega), np.sqrt(self.omega)
@@ -161,10 +159,26 @@ class PostCollisionState(_Record):
         b *= b
         a += b
         a *= -1.0
-        env = np.exp(a)
-        del a, b  # free the two N^2 arguments before the complex sample is built
-        psi = env * (np.sqrt(self.norm) * np.exp(1j * self.k * (1.0 - 2.0 * self.gamma) * x))
-        psi *= np.exp(2j * self.gamma * self.k * X)
+        return np.exp(a)
+
+    def one_body_factors(self, x, X):
+        """(sqrt(N) e^{i k (1 - 2 gamma) x}, e^{2 i gamma k X}): the carrier
+        e^{i k b} with sqrt(N) as its particle factor of x and its wall
+        factor of X.  Elementwise, so 1-D nodes give 1-D factors."""
+        import numpy as np
+
+        return (np.sqrt(self.norm) * np.exp(1j * self.k * (1.0 - 2.0 * self.gamma) * x),
+                np.exp(2j * self.gamma * self.k * X))
+
+    def __call__(self, x, X):
+        """Sample the state, envelope times particle factor times wall
+        factor; broadcasts over x, X.  With the carrier built as its two
+        one-body factors it is, on a grid, a diagonal unitary on each side,
+        which leaves the singular values alone at any k, where rounding
+        k b on the full grid would not, and costs only 1-D exps."""
+        particle, wall = self.one_body_factors(x, X)
+        psi = self.two_body_envelope(x, X) * particle
+        psi *= wall
         return psi
 
     def envelope(self):
@@ -221,7 +235,8 @@ class IdealReflectedState(GaussianProductState):
     def __call__(self, x, X):
         """Sample as the product state does; not inherited, because
         perfbench/tracer.py wraps each state class's own __call__."""
-        return _product_sample(self, x, X)
+        particle, wall = self.one_body_factors(x, X)
+        return wall * particle
 
 
 def ideal_reflected_state(s: GaussianProductState) -> IdealReflectedState:

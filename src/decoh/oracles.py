@@ -1,10 +1,13 @@
 """Brute-force numerical verifiers for the closed-form results.
 
-Everything here treats wave functions as plain evaluators psi(x, X) sampled
-on a rectangular grid: tensor-product quadrature for overlap integrals, SVD
-of the sampled state for Schmidt coefficients, and a dense Hermitian
-eigensolve for discretized integral kernels.  All routines are pure
-functions of their inputs and deterministic for a fixed grid.
+Everything here samples wave functions on a rectangular grid:
+tensor-product quadrature for overlap integrals, SVD of the sampled state
+for Schmidt coefficients, and a dense Hermitian eigensolve for discretized
+integral kernels.  The SVD samples a state as an evaluator psi(x, X).  The
+quadrature takes a decoh.kinematics state as its pieces, the one-body
+factors of x and of X and a real two-body envelope (none for a product
+state), and samples only the envelope on the full grid.  All routines are
+pure functions of their inputs and deterministic for a fixed grid.
 """
 
 from __future__ import annotations
@@ -43,7 +46,12 @@ COVER_SIGMAS = 8.0
 ALIAS_EPS = 1e-16
 # largest |K - K^H| a discretized kernel may show before it counts as a bug
 HERM_TOL = 1e-10
-# samples per row block of a quadrature: 128 KiB of complex128 per temporary
+# envelope samples per row block of a quadrature: 64 KiB of float64 per
+# temporary.  A 512 x 512 quadrature of a bounced state took 1.84 ms in the
+# median here, 2.7 ms at 2^11 and 1.64 ms at 2^14.  2^14 is not taken: its
+# blocks sum rows of up to 2^14 points in one matrix-vector product, which
+# read 1.2e-15 off the exact sum at 17192 points, against 4e-16 row by row
+# (2-core x86-64 host, numpy 2.4 with OpenBLAS, one BLAS thread)
 BLOCK_POINTS = 2**13
 # largest complex128 sample, in bytes, that the SVD or a kernel eigensolve
 # may allocate, or a quadrature compute block by block; a larger one is
@@ -276,23 +284,31 @@ def quadrature_overlap(a, b, grid: GridSpec | None = None, *,
 
     method is "trapezoid" (default; spectral accuracy for smooth decaying
     integrands) or "gauss-legendre" on the grid's box with nx x nX nodes.
-    Either rule is the product of two 1-D rules, applied as wX @ f @ wx to
-    the samples f of a* b and summed over blocks of rows of at most
-    BLOCK_POINTS samples (one row when a row is longer), so a call holds one
-    block, never all nx x nX samples; a grid of at most BLOCK_POINTS samples
-    is one block.  At 2^13 points a block's few complex temporaries are
-    128 KiB each: they stay in cache and the allocator reuses them without
-    page faults, which come back at 2^14, while 2^12 costs more in calls per
-    block than it saves.  The quadrature runs once on the grid it is
-    given, nx x nX nodes for either rule, or on grid_for_state(a, b), where
-    Gauss-Legendre takes ceil(pi/2 m) nodes for each m trapezoid steps,
-    because at equal count its central node spacing is pi/2 times the
-    uniform step.  It carries no error estimate, because a caller that
-    checks a closed form measures the real error.  A block bounds the
-    memory, not the work: a grid whose nx x nX complex samples would total
-    more than MAX_SAMPLE_BYTES raises ValueError before anything is sampled.
-    The blocks are summed on one OpenBLAS thread (_one_blas_thread): no
-    product of a block is long enough to pay for a second.
+    Either rule is the product of two 1-D rules with weights wx and wX.
+    a and b are decoh.kinematics states: each is a real two-body envelope
+    e(x, X), or none for a product state, times its one-body factors p(x)
+    and q(X) (two_body_envelope and one_body_factors).  So the integral is
+    sum_i u_i sum_j E_ij v_j, with u = wX conj(q_a) q_b and v = wx
+    conj(p_a) p_b formed once on the 1-D nodes, and E = e_a e_b real.
+    Only E is sampled on the full grid, in blocks of rows of at most
+    BLOCK_POINTS samples (one row when a row is longer); each block's row
+    sums E @ Re v and E @ Im v are two real matrix-vector products, whose
+    kernels sum a long row to rounding where one two-column product
+    did not (2.3e-15 against 2e-16 relative on a 9000-point row).  The
+    row sums meet u once at the end.  So a call holds one block, never all
+    nx x nX samples, and a product times a product takes no N^2 work: it
+    is (sum u)(sum v).
+
+    The quadrature runs once on the grid it is given, nx x nX nodes for
+    either rule, or on grid_for_state(a, b), where Gauss-Legendre takes
+    ceil(pi/2 m) nodes for each m trapezoid steps, because at equal count
+    its central node spacing is pi/2 times the uniform step.  It carries
+    no error estimate, because a caller that checks a closed form measures
+    the real error.  A block bounds the memory, not the work: a grid whose
+    nx x nX complex samples would total more than MAX_SAMPLE_BYTES raises
+    ValueError before anything is sampled.  The blocks are summed on one
+    OpenBLAS thread (_one_blas_thread): no product of a block is long
+    enough to pay for a second.
     """
     if grid is None:
         grid = grid_for_state(a, b)
@@ -301,24 +317,37 @@ def quadrature_overlap(a, b, grid: GridSpec | None = None, *,
                             math.ceil(0.5 * math.pi * grid.nx), math.ceil(0.5 * math.pi * grid.nX))
     _check_sample_bytes(grid.nX, grid.nx)
     if method == "trapezoid":
-        x, X = grid.axes()
+        x, X = grid.x_nodes(), grid.X_nodes()
         wx = _trapezoid_weights(grid.nx, grid.dx)
         wX = _trapezoid_weights(grid.nX, grid.dX)
     elif method == "gauss-legendre":
         tx, wx = gauss_legendre_rule(grid.nx)
         tX, wX = gauss_legendre_rule(grid.nX)
         half_x, half_X = 0.5 * (grid.x_max - grid.x_min), 0.5 * (grid.X_max - grid.X_min)
-        x = (0.5 * (grid.x_max + grid.x_min) + half_x * tx)[None, :]
-        X = (0.5 * (grid.X_max + grid.X_min) + half_X * tX)[:, None]
+        x = 0.5 * (grid.x_max + grid.x_min) + half_x * tx
+        X = 0.5 * (grid.X_max + grid.X_min) + half_X * tX
         wx, wX = wx * half_x, wX * half_X
     else:
         raise ValueError(f"unknown quadrature method {method!r}")
+    (pa, qa), (pb, qb) = a.one_body_factors(x, X), b.one_body_factors(x, X)
+    u = wX * np.conj(qa) * qb
+    v = wx * np.conj(pa) * pb
+    envelopes = [s.two_body_envelope for s in (a, b) if s.two_body_envelope is not None]
+    if not envelopes:
+        return OverlapResult(value=complex(u.sum() * v.sum()), grid=grid)
+    v = np.stack((v.real, v.imag))
+    sums = np.empty((2, grid.nX))
     rows = max(1, BLOCK_POINTS // grid.nx)
-    value = 0j
+    x = x[None, :]
     with _one_blas_thread():
         for i in range(0, grid.nX, rows):
             blk = slice(i, i + rows)
-            value += complex(wX[blk] @ (np.conj(a(x, X[blk])) * b(x, X[blk])) @ wx)
+            env = envelopes[0](x, X[blk, None])
+            if len(envelopes) == 2:
+                env *= envelopes[1](x, X[blk, None])
+            np.matmul(env, v[0], out=sums[0, blk])
+            np.matmul(env, v[1], out=sums[1, blk])
+    value = complex(u @ (sums[0] + 1j * sums[1]))
     return OverlapResult(value=value, grid=grid)
 
 

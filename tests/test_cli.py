@@ -783,9 +783,9 @@ def test_an_error_grid_over_the_sample_cap_exits_2_naming_grid(capsys, monkeypat
     cap as the SVD, and a monkeypatched cap moves the edge."""
     argv = ["error", "--delta", "0.01", "--ksigma", "1", "--grid"]
     sampled = []
-    call = PostCollisionState.__call__
-    monkeypatch.setattr(PostCollisionState, "__call__",
-                        lambda self, x, X: sampled.append(1) or call(self, x, X))
+    envelope = PostCollisionState.two_body_envelope
+    monkeypatch.setattr(PostCollisionState, "two_body_envelope",
+                        lambda self, x, X: sampled.append(1) or envelope(self, x, X))
     code, out, err = run_cli(capsys, *argv, "100000")
     assert code == 2 and out == "" and sampled == []
     assert err == ("error: --grid out of range: a 100000 x 100000 sample takes "
@@ -796,6 +796,30 @@ def test_an_error_grid_over_the_sample_cap_exits_2_naming_grid(capsys, monkeypat
     assert code == 2 and err.startswith("error: --grid out of range: a 65 x 65 sample")
     code, out, err = run_cli(capsys, *argv, "64")
     assert code == 0 and err == "" and "A quadrature" in out and sampled
+
+
+@pytest.mark.parametrize("Sigma", ["0.5", "auto"])
+def test_an_error_grid_integrates_the_given_wall_spread(capsys, monkeypatch, Sigma):
+    """error --Sigma S --grid N hands the quadrature a wall of spread S
+    exactly: sigma sqrt((S/sigma)^2) is 0.5 + 1 ulp at sigma = 1.9.  So
+    does --Sigma auto, with the matched spread."""
+    from decoh import entanglement
+
+    states = []
+    quadrature = oracles.quadrature_overlap
+
+    def spy(a, b, grid):
+        states.append(a)
+        return quadrature(a, b, grid)
+
+    monkeypatch.setattr(oracles, "quadrature_overlap", spy)
+    code, out, err = run_cli(capsys, "error", "--delta", "0.01", "--sigma", "1.9",
+                             "--Sigma", Sigma, "--ksigma", "1", "--grid", "64")
+    assert code == 0 and err == "" and len(states) == 1
+    expected = 0.5 if Sigma == "0.5" else entanglement.optimal_spreads(
+        1.9, collision_params_from_delta(0.01))
+    assert states[0].Sigma == expected
+    assert 1.9 * math.sqrt((0.5 / 1.9) ** 2) != 0.5
 
 
 def test_verify_grid_five_runs_every_check(capsys):

@@ -22,6 +22,8 @@ from decoh.entanglement import (
 )
 from decoh.error_bounds import overlap_amplitude
 from decoh.kinematics import (
+    GaussianProductState,
+    IdealReflectedState,
     PostCollisionState,
     collision_params,
     collision_params_from_delta,
@@ -352,19 +354,35 @@ def _bounce(delta=0.01, Sigma=1.0, k=1.0):
     return ideal_reflected_state(s), post_collision_state(s, collision_params_from_delta(delta))
 
 
-def _one_shot_overlap(a, b, g, method):
-    """wX @ (conj(a) * b) @ wx on all of g's nx x nX samples at once."""
+def _rule(g, method):
+    """(x, X, wx, wX): g's 1-D nodes and weights under the quadrature rule."""
     if method == "trapezoid":
-        x, X = g.axes()
+        x, X = g.x_nodes(), g.X_nodes()
         wx, wX = np.full(g.nx, g.dx), np.full(g.nX, g.dX)
         wx[[0, -1]] *= 0.5
         wX[[0, -1]] *= 0.5
-    else:
-        (tx, wx), (tX, wX) = gauss_legendre_rule(g.nx), gauss_legendre_rule(g.nX)
-        half_x, half_X = 0.5 * (g.x_max - g.x_min), 0.5 * (g.X_max - g.X_min)
-        x = (0.5 * (g.x_max + g.x_min) + half_x * tx)[None, :]
-        X = (0.5 * (g.X_max + g.X_min) + half_X * tX)[:, None]
-        wx, wX = wx * half_x, wX * half_X
+        return x, X, wx, wX
+    (tx, wx), (tX, wX) = gauss_legendre_rule(g.nx), gauss_legendre_rule(g.nX)
+    half_x, half_X = 0.5 * (g.x_max - g.x_min), 0.5 * (g.X_max - g.X_min)
+    return (0.5 * (g.x_max + g.x_min) + half_x * tx, 0.5 * (g.X_max + g.X_min) + half_X * tX,
+            wx * half_x, wX * half_X)
+
+
+def _one_shot_overlap(a, b, g, method):
+    """sum_i u_i sum_j E_ij v_j on all of g's nx x nX envelope samples at
+    once; a is a product state, so E is b's envelope."""
+    x, X, wx, wX = _rule(g, method)
+    (pa, qa), (pb, qb) = a.one_body_factors(x, X), b.one_body_factors(x, X)
+    u, v = wX * np.conj(qa) * qb, wx * np.conj(pa) * pb
+    re, im = np.stack((v.real, v.imag))
+    env = b.two_body_envelope(x[None, :], X[:, None])
+    return complex(u @ (env @ re + 1j * (env @ im)))
+
+
+def _elementwise_overlap(a, b, g, method):
+    """wX @ (conj(a) * b) @ wx on all of g's nx x nX samples of both states."""
+    x, X, wx, wX = _rule(g, method)
+    x, X = x[None, :], X[:, None]
     return complex(wX @ (np.conj(a(x, X)) * b(x, X)) @ wx)
 
 
@@ -383,21 +401,24 @@ def test_quadrature_holds_one_block_of_samples():
 
 @pytest.mark.parametrize("method", ["trapezoid", "gauss-legendre"])
 def test_blocked_quadrature_matches_one_shot(method):
-    """The sum over row blocks is the one-shot product to rounding (up to
-    4.9e-16 relative measured) on a ragged last block (300 rows, 27 per
+    """The sum over row blocks is the one-shot factored sum to rounding (up
+    to 5.0e-16 relative measured) on a ragged last block (300 rows, 27 per
     block) and on rows longer than a block (one row each), and exactly on a
-    grid of one block."""
+    grid of one block.  It is the elementwise sum of conj(a) b over both
+    states' samples to rounding too (up to 4.3e-16 relative measured)."""
     ideal, post = _bounce()
     box = grid_for_state(ideal, post)
     ragged = grid_for_state(ideal, post, n=300)
     long_rows = GridSpec(box.x_min, box.x_max, box.X_min, box.X_max,
                          nx=oracles.BLOCK_POINTS + 808, nX=20)
     assert oracles.BLOCK_POINTS // ragged.nx == 27 and ragged.nX % 27
-    for g in (ragged, long_rows):
+    one_block = grid_for_state(ideal, post, n=64)
+    for g in (ragged, long_rows, one_block):
         value = quadrature_overlap(ideal, post, grid=g, method=method).value
         exact = _one_shot_overlap(ideal, post, g, method)
         assert abs(value - exact) <= 1e-15 * abs(exact), g
-    one_block = grid_for_state(ideal, post, n=64)
+        elementwise = _elementwise_overlap(ideal, post, g, method)
+        assert abs(value - elementwise) <= 1e-15 * abs(elementwise), g
     assert (quadrature_overlap(ideal, post, grid=one_block, method=method).value
             == _one_shot_overlap(ideal, post, one_block, method))
 
@@ -409,9 +430,9 @@ def test_a_quadrature_over_the_byte_cap_is_refused_unsampled(monkeypatch):
     once it is widened past the trapezoid's."""
     ideal, post = _bounce()
     calls = []
-    call = PostCollisionState.__call__
-    monkeypatch.setattr(PostCollisionState, "__call__",
-                        lambda self, x, X: calls.append(1) or call(self, x, X))
+    envelope = PostCollisionState.two_body_envelope
+    monkeypatch.setattr(PostCollisionState, "two_body_envelope",
+                        lambda self, x, X: calls.append(1) or envelope(self, x, X))
     monkeypatch.setattr(oracles, "MAX_SAMPLE_BYTES", 16 * 64 * 64)
     with pytest.raises(ValueError, match="a 65 x 65 sample takes 67600 bytes"):
         quadrature_overlap(ideal, post, grid=grid_for_state(ideal, post, n=65))
@@ -422,6 +443,63 @@ def test_a_quadrature_over_the_byte_cap_is_refused_unsampled(monkeypatch):
         quadrature_overlap(ideal, post, method="gauss-legendre")
     assert calls == []
     assert quadrature_overlap(ideal, post).grid == pair and calls
+
+
+def test_a_quadrature_computes_the_one_body_factors_once(monkeypatch):
+    """A 512 x 512 quadrature takes each state's 1-D factors once, on the
+    nodes, and samples only the envelope once per block of 16 rows."""
+    ideal, post = _bounce(k=0.5)
+    calls = []
+
+    def spy(cls, name):
+        method = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self, x, X: calls.append(
+            (type(self).__name__, name, np.shape(x), np.shape(X))) or method(self, x, X))
+
+    for cls, name in ((GaussianProductState, "one_body_factors"),
+                      (PostCollisionState, "one_body_factors"),
+                      (PostCollisionState, "two_body_envelope")):
+        spy(cls, name)
+    quadrature_overlap(ideal, post, grid=grid_for_state(ideal, post, n=512))
+    assert calls[:2] == [("IdealReflectedState", "one_body_factors", (512,), (512,)),
+                         ("PostCollisionState", "one_body_factors", (512,), (512,))]
+    assert calls[2:] == [("PostCollisionState", "two_body_envelope", (1, 512), (16, 1))] * 32
+
+
+def test_a_product_by_product_quadrature_samples_no_envelope(monkeypatch):
+    """Two product states have no two-body envelope: their overlap is the
+    product of two 1-D sums, with no sample of the 8192 x 8192 grid, no
+    block and so no BLAS scope, and it meets the exact Gaussian integral."""
+    s0 = initial_state(0.7, 1.3, 2.0)
+    ideal = ideal_reflected_state(s0)
+    assert s0.two_body_envelope is None and ideal.two_body_envelope is None
+    blas = _blas_recorder(monkeypatch)
+    sampled = []
+    for cls in (GaussianProductState, IdealReflectedState):
+        call = cls.__call__
+        monkeypatch.setattr(cls, "__call__",
+                            lambda self, x, X, call=call: sampled.append(1) or call(self, x, X))
+    for a, b in ((s0, ideal), (s0, s0), (ideal, ideal)):
+        value = quadrature_overlap(a, b, grid=grid_for_state(a, b, n=8192)).value
+        assert abs(value - _gaussian_integral(a, b)) <= 1e-13, (a, b)
+    assert sampled == [] and blas.calls == []
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(**_PAIR_SETUPS, n=st.integers(1, 64))
+def test_a_sample_is_its_envelope_times_its_one_body_factors(delta, Sigma, k, n):
+    """Each state's sample is, bitwise, its envelope (none for a product)
+    times its particle factor times its wall factor, so the SVD sees the
+    same samples the pieces give the quadrature."""
+    s0 = initial_state(Sigma, 1.0, k)
+    g = GridSpec(-6.0, 7.0, -5.0, 4.0, nx=n, nX=n + 3)
+    x, X = g.axes()
+    for s in (s0, ideal_reflected_state(s0),
+              post_collision_state(s0, collision_params_from_delta(delta))):
+        particle, wall = s.one_body_factors(x, X)
+        env = s.two_body_envelope
+        pieces = particle * wall if env is None else env(x, X) * particle * wall
+        np.testing.assert_array_equal(s(x, X), pieces)
 
 
 _RULE_SIZES = [1, 2, 5, 64, 96, 512, 1062, 2048]
