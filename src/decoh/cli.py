@@ -10,13 +10,15 @@ No command loads dataclasses: every frozen type is a decoh._Record.
 
 Every command reads its inputs one way and writes its output one way.  Each
 key=value line of a --config file becomes a --key=value option spliced into
-argv right after the subcommand, so the one argument parser checks it like
-any flag, against the flag's DOMAINS entry, and a flag given on the command
-line wins; argparse refuses --Sigma with --lambda (one wall spread), and any
-other rule that joins flags is the command's.  A command only
-computes its params and results; _render writes them through the command's
-text lines in _TEXT and CSV columns in _CSV, each printed when every field
-it names is present, and a -v line only with -v.
+argv right after the subcommand, so the one argument parser checks it like any
+flag, against the flag's DOMAINS entry, and the same flag given on the command
+line wins.  Every flag a command accepts is read: argparse refuses two flags
+that set one input (--Sigma and --lambda, --k and --ksigma, --mu-kg and
+--report-length-scale), a sweep refuses each flag its parameter does not read
+and thermal --F0 without --collisions; any other rule that joins flags is the
+command's.  A command only computes its params and results; _render writes them
+through the command's text lines in _TEXT and CSV columns in _CSV, each printed
+when every field it names is present, and a -v line only with -v.
 
 The argument parser is built once per process and reused by every call to
 main, so callers that run many commands in one process (tests, notebooks,
@@ -49,14 +51,16 @@ from .kinematics import (
     post_collision_state,
 )
 
-# each sweep parameter's row columns; its two ends must lie in its DOMAINS entry
+# each sweep parameter's row columns, and the flags its rows read (cmd_sweep
+# refuses the others); its two ends must lie in its DOMAINS entry
 _SWEEPS = {
-    "lambda": ["lambda", "k_sigma", "A", "one_minus_A", "F0", "measure"],
-    "k_sigma": ["k_sigma", "lambda_max", "A_max", "one_minus_A",
-                "asymptotic_small", "asymptotic_large", "regime"],
-    "delta": ["delta", "lambda_max", "A_max", "one_minus_A"],
-    "w": ["w", "u", "F0", "measure"],
-    "T": ["T", "sigma_mu", "thermal_length", "k_sigma_est"],
+    "lambda": (["lambda", "k_sigma", "A", "one_minus_A", "F0", "measure"],
+               ("--m", "--M", "--delta", "--ksigma")),
+    "k_sigma": (["k_sigma", "lambda_max", "A_max", "one_minus_A",
+                 "asymptotic_small", "asymptotic_large", "regime"], ("--m", "--M", "--delta")),
+    "delta": (["delta", "lambda_max", "A_max", "one_minus_A"], ("--ksigma",)),
+    "w": (["w", "u", "F0", "measure"], ()),
+    "T": (["T", "sigma_mu", "thermal_length", "k_sigma_est"], ("--mu-kg",)),
 }
 SWEEP_PARAMETERS = tuple(_SWEEPS)
 # most eigenvalues entangle lists: the spectrum is built as one array
@@ -336,8 +340,8 @@ def _initial_state(wall_flags: str, Sigma: float, sigma: float, k: float):
 def _resolve_state(args, p: CollisionParams):
     """(Sigma, wall, k, k sigma) from the flags: the wall spread from --Sigma
     (auto for spread matching) or sigma sqrt(--lambda), None with neither,
-    and wall, the flags it came from (--sigma with neither).  --ksigma beats
-    --k; k is signed, and k sigma from --k is |k| sigma, which must have a
+    and wall, the flags it came from (--sigma with neither).  k is --ksigma /
+    sigma or --k, signed, and k sigma from --k is |k| sigma, which must have a
     finite square."""
     sigma = args.sigma
     if args.lambda_ is not None:
@@ -355,7 +359,7 @@ def _resolve_state(args, p: CollisionParams):
 
 def cmd_error(args) -> int:
     p, mass = _build_params(args)
-    Sigma, wall, _, k_sigma = _resolve_state(args, p)
+    Sigma, wall, k, k_sigma = _resolve_state(args, p)
     sigma, lam = args.sigma, args.lambda_
     if lam is None and Sigma is not None:
         lam = _named("(--Sigma/--sigma)^2", th._normal, "lambda",
@@ -376,7 +380,7 @@ def cmd_error(args) -> int:
         # a given --Sigma (auto too) is the wall spread itself: sigma sqrt(lambda)
         # of the lambda it set can differ from it by an ulp
         wall_spread = Sigma if Sigma is not None else sigma * math.sqrt(lam)
-        s0 = _initial_state(wall, wall_spread, sigma, k_sigma / sigma)
+        s0 = _initial_state(wall, wall_spread, sigma, k)
         sf = post_collision_state(s0, p)
         quad = _named("--grid", oracles.quadrature_overlap, ideal_reflected_state(s0), sf,
                       oracles.grid_for_state(sf, n=args.grid))
@@ -452,9 +456,13 @@ def cmd_sweep(args) -> int:
 
     import numpy as np
 
+    header, reads = _SWEEPS[args.parameter]
+    for flag in ("--m", "--M", "--delta", "--ksigma", "--mu-kg"):
+        if flag not in reads and getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ValueError(f"a {args.parameter} sweep does not read {flag}")
     if args.scale == "log" and (args.start <= 0.0 or args.stop <= 0.0):
         raise ValueError("log scale requires positive start and stop")
-    p, mass = _build_params(args) if args.parameter in ("lambda", "k_sigma") else (None, None)
+    p, mass = _build_params(args) if "--delta" in reads else (None, None)
     if args.parameter == "T" and args.mu_kg is None:
         raise ValueError("a T sweep needs --mu-kg")
     rule, inside = DOMAINS[args.parameter]
@@ -484,7 +492,6 @@ def cmd_sweep(args) -> int:
               "points": args.points, "scale": args.scale}
     if p is not None:
         params["delta"] = p.delta
-    header = _SWEEPS[args.parameter]
     _render(args, params, {"columns": header, "rows": rows}, header, rows)
     return 0
 
@@ -506,6 +513,8 @@ def cmd_thermal(args) -> int:
         raise ValueError("temperature is required: --T")
     if args.mu_kg is None and not args.report_length_scale:
         raise ValueError("mass is required: --mu-kg (or use --report-length-scale)")
+    if args.F0 is not None and args.collisions is None:
+        raise ValueError("--F0 is read only with --collisions")
 
     # optimized per-collision error coefficient at the thermal momentum
     delta_ref = args.delta if args.delta is not None else 1e-6
@@ -537,15 +546,17 @@ def _add_common(sub: argparse.ArgumentParser, command: str) -> None:
     if state:
         sub.add_argument("--sigma", type=_typed("sigma"), default=1.0,
                          help="particle position spread")
-        # one wall spread; with --k between the two, usage prints no [--Sigma | --lambda]
-        wall = sub.add_mutually_exclusive_group()
+        # one wall spread and one momentum; each group's two flags are apart in
+        # usage, which so prints no [--Sigma | --lambda] or [--k | --ksigma]
+        wall, momentum = sub.add_mutually_exclusive_group(), sub.add_mutually_exclusive_group()
         wall.add_argument("--Sigma", type=_typed("Sigma", _float_or_auto),
                           help="wall position spread, or 'auto' for spread matching")
-        sub.add_argument("--k", type=float, default=0.0, help="particle wavenumber")
+        momentum.add_argument("--k", type=float, default=0.0, help="particle wavenumber")
         wall.add_argument("--lambda", dest="lambda_", type=_typed("lambda"),
                           help="spread ratio Sigma^2/sigma^2")
-    sub.add_argument("--ksigma", type=_typed("signed k_sigma" if entangle else "k_sigma"),
-                     help="dimensionless momentum k*sigma")
+    (momentum if state else sub).add_argument(
+        "--ksigma", type=_typed("signed k_sigma" if entangle else "k_sigma"),
+        help="dimensionless momentum k*sigma")
     if state:
         sub.add_argument("--grid", type=_typed("SVD grid" if entangle else "grid", int),
                          help="also run the matching numeric oracle on exactly N x N points")
@@ -597,14 +608,15 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     _add_output(p_ver)
 
     p_th = subs.add_parser("thermal", help="thermal packet size and collision budget")
-    p_th.add_argument("--mu-kg", dest="mu_kg", type=_typed("mu_kg"), help="object mass in kg")
+    mass = p_th.add_mutually_exclusive_group()  # a mass, or the length scale alone
+    mass.add_argument("--mu-kg", dest="mu_kg", type=_typed("mu_kg"), help="object mass in kg")
     p_th.add_argument("--T", type=_typed("T"), help="temperature in kelvin")
     p_th.add_argument("--delta", type=_typed("delta"),
                       help="mass fraction for the error coefficient")
     p_th.add_argument("--collisions", type=_typed("collisions", int),
                       help="collision count for the budget")
     p_th.add_argument("--F0", type=_typed("F0"), help="per-collision largest eigenvalue")
-    p_th.add_argument("--report-length-scale", action="store_true",
+    mass.add_argument("--report-length-scale", action="store_true",
                       help="report hbar c/k_B T without needing a mass")
     _add_output(p_th)
     # argparse takes "-1e3" for an option, so "--k -1e3" would lack its value

@@ -828,13 +828,110 @@ def test_verify_grid_five_runs_every_check(capsys):
     assert json.loads(out)["results"]["n_checks"] == 12
 
 
-def test_entangle_honours_ksigma_over_k(capsys):
-    code, out, _ = run_cli(capsys, "entangle", "--delta", "0.01", "--Sigma", "1",
-                           "--ksigma", "3")
-    assert code == 0 and "k=3)" in out
-    code, out, _ = run_cli(capsys, "entangle", "--delta", "0.01", "--Sigma", "1",
-                           "--sigma", "2", "--k", "5", "--ksigma", "3", "--format", "json")
-    assert code == 0 and json.loads(out)["params"]["k"] == 1.5
+@pytest.mark.parametrize("command", [["error", "--delta", "0.01"],
+                                     ["entangle", "--delta", "0.01", "--Sigma", "1"]],
+                         ids=["error", "entangle"])
+def test_k_and_ksigma_exclude_each_other(tmp_path, capsys, command):
+    """--k and --ksigma set one momentum: argparse refuses the two together,
+    in either order and with --ksigma on a config line, where a config
+    file's ksigma once beat a --k given on the command line."""
+    code, out, _ = run_cli(capsys, *command, "--ksigma", "3")
+    assert code == 0 and ("k=3)" in out if command[0] == "entangle" else "k sigma=3)" in out)
+    cfg = tmp_path / "ksigma.cfg"
+    cfg.write_text("ksigma=3\n")
+    for flags, later, first in [(["--k", "5", "--ksigma", "3"], "--ksigma", "--k"),
+                                (["--ksigma", "3", "--k", "5"], "--k", "--ksigma"),
+                                (["--k", "0", "--ksigma", "3"], "--ksigma", "--k"),
+                                (["--k", "5", "--config", str(cfg)], "--k", "--ksigma"),
+                                (["--config", str(cfg), "--k", "5"], "--k", "--ksigma")]:
+        rejected(capsys, [*command, "--sigma", "2", *flags],
+                 f"argument {later}: not allowed with argument {first}")
+
+
+@pytest.mark.parametrize("k", ["3", "-3"])
+def test_error_grid_integrates_the_packet_it_was_given(capsys, monkeypatch, k):
+    """error --grid hands the quadrature the packet at the signed --k itself,
+    not |k| sigma / sigma (2.9999999999999996 at --k 3 --sigma 0.7)."""
+    states = []
+    quadrature = oracles.quadrature_overlap
+    monkeypatch.setattr(oracles, "quadrature_overlap",
+                        lambda a, b, grid: states.append((a, b)) or quadrature(a, b, grid))
+    code, _, err = run_cli(capsys, "error", "--delta", "0.01", f"--k={k}", "--sigma", "0.7",
+                           "--grid", "16")
+    assert code == 0 and err == ""
+    [(ideal, post)] = states
+    assert isinstance(post, PostCollisionState)
+    assert post.k == float(k) and ideal.k == -float(k)
+
+
+# each sweep parameter's passing call, and the flags its rows read of those
+# that only some sweeps read
+_SWEEP_CALLS = {
+    "lambda": (["--start", "0.1", "--stop", "1", "--delta", "0.01", "--ksigma", "1"],
+               {"--m", "--M", "--delta", "--ksigma"}),
+    "k_sigma": (["--start", "1", "--stop", "2", "--delta", "0.01"], {"--m", "--M", "--delta"}),
+    "delta": (["--start", "0.1", "--stop", "0.2", "--ksigma", "1"], {"--ksigma"}),
+    "w": (["--start", "1", "--stop", "2"], set()),
+    "T": (["--start", "1", "--stop", "2", "--mu-kg", "1e-27"], {"--mu-kg"}),
+}
+_SWEEP_FLAG_VALUES = {"--m": "1", "--M": "2", "--delta": "0.3", "--ksigma": "5",
+                      "--mu-kg": "1e-27"}
+_SWEEP_UNREAD = [(parameter, flag) for parameter, (_, reads) in _SWEEP_CALLS.items()
+                 for flag in _SWEEP_FLAG_VALUES if flag not in reads]
+
+
+@pytest.mark.parametrize("parameter, flag", _SWEEP_UNREAD)
+def test_sweep_refuses_each_flag_its_rows_do_not_read(tmp_path, capsys, parameter, flag):
+    """A sweep that runs exits 2 once given a flag its rows do not read,
+    naming it, on the command line or on a config line alike, where it
+    once printed the same table."""
+    base, _ = _SWEEP_CALLS[parameter]
+    argv = ["sweep", "--parameter", parameter, "--points", "2", *base]
+    assert run_cli(capsys, *argv)[0] == 0
+    cfg = tmp_path / "unread.cfg"
+    cfg.write_text(f"{flag[2:]}={_SWEEP_FLAG_VALUES[flag]}\n")
+    message = f"a {parameter} sweep does not read {flag}"
+    rejected(capsys, [*argv, flag, _SWEEP_FLAG_VALUES[flag]], message)
+    rejected(capsys, [*argv, "--config", str(cfg)], message)
+
+
+def test_sweep_refuses_an_unread_flag_before_any_other_rule(capsys):
+    """The refusal comes first: a lambda sweep without masses, or a log
+    delta sweep from -1, names the flag it does not read."""
+    rejected(capsys, ["sweep", "--parameter", "lambda", "--start", "1", "--stop", "2",
+                      "--points", "2", "--mu-kg", "1e-27"],
+             "a lambda sweep does not read --mu-kg")
+    rejected(capsys, ["sweep", "--parameter", "delta", "--start", "-1", "--stop", "2",
+                      "--points", "2", "--scale", "log", "--delta", "0.3"],
+             "a delta sweep does not read --delta")
+
+
+def test_thermal_refuses_F0_without_collisions(tmp_path, capsys):
+    """--F0 sets the collision budget's per-collision F0: without
+    --collisions it exits 2 before any length is computed, where it was
+    once written into params unread."""
+    cfg = tmp_path / "F0.cfg"
+    cfg.write_text("F0=0.5\n")
+    for argv in (["--F0", "0.5"], ["--config", str(cfg)]):
+        rejected(capsys, ["thermal", "--T", "1", "--report-length-scale", *argv],
+                 "--F0 is read only with --collisions")
+    # the rule comes before the lengths: T = 1e-320 is no normal temperature
+    rejected(capsys, ["thermal", "--T", "1e-320", "--mu-kg", "1e-27", "--F0", "0.5"],
+             "--F0 is read only with --collisions")
+
+
+def test_thermal_mass_and_length_scale_exclude_each_other(tmp_path, capsys):
+    """--report-length-scale reports the length scale without a mass, so
+    argparse refuses it beside --mu-kg, on the command line or a config line."""
+    cfg = tmp_path / "mass.cfg"
+    cfg.write_text("mu_kg=1e-27\n")
+    for flags, later, first in [
+            (["--mu-kg", "1e-27", "--report-length-scale"], "--report-length-scale", "--mu-kg"),
+            (["--report-length-scale", "--mu-kg", "1e-27"], "--mu-kg", "--report-length-scale"),
+            (["--config", str(cfg), "--report-length-scale"], "--report-length-scale",
+             "--mu-kg")]:
+        rejected(capsys, ["thermal", "--T", "1", *flags],
+                 f"argument {later}: not allowed with argument {first}")
 
 
 def test_entangle_matched_needs_one_eigenvalue(capsys):
