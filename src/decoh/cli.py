@@ -14,11 +14,13 @@ argv right after the subcommand, so the one argument parser checks it like any
 flag, against the flag's DOMAINS entry, and the same flag given on the command
 line wins.  Every flag a command accepts is read: argparse refuses two flags
 that set one input (--Sigma and --lambda, --k and --ksigma, --mu-kg and
---report-length-scale), a sweep refuses each flag its parameter does not read
-and thermal --F0 without --collisions; any other rule that joins flags is the
-command's.  A command only computes its params and results; _render writes them
-through the command's text lines in _TEXT and CSV columns in _CSV, each printed
-when every field it names is present, and a -v line only with -v.
+--report-length-scale), a sweep refuses each flag its parameter does not read,
+error a --sigma beside --ksigma that neither lambda nor a --grid packet rests
+on, and thermal --F0 without --collisions; any other rule that joins flags is
+the command's.  Each default is resolved once, and params hold the values the
+numbers used.  A command only computes its params and results; _render writes
+them through the command's text lines in _TEXT and CSV columns in _CSV, each
+printed when every field it names is present, and a -v line only with -v.
 
 The argument parser is built once per process and reused by every call to
 main, so callers that run many commands in one process (tests, notebooks,
@@ -338,29 +340,34 @@ def _initial_state(wall_flags: str, Sigma: float, sigma: float, k: float):
 
 
 def _resolve_state(args, p: CollisionParams):
-    """(Sigma, wall, k, k sigma) from the flags: the wall spread from --Sigma
-    (auto for spread matching) or sigma sqrt(--lambda), None with neither,
-    and wall, the flags it came from (--sigma with neither).  k is --ksigma /
-    sigma or --k, signed, and k sigma from --k is |k| sigma, which must have a
-    finite square."""
-    sigma = args.sigma
+    """(sigma, Sigma, wall, k, k sigma) from the flags: sigma is --sigma, 1
+    without it; the wall spread from --Sigma (auto for spread matching) or
+    sigma sqrt(--lambda), None with neither, and wall, the flags it came from
+    (--sigma with neither).  k is --ksigma / sigma or --k, signed, and k sigma
+    from --k is |k| sigma, which must have a finite square."""
+    sigma = 1.0 if args.sigma is None else args.sigma
     if args.lambda_ is not None:
         Sigma, wall = sigma * math.sqrt(args.lambda_), "--sigma and --lambda"
     else:
         Sigma = ent.optimal_spreads(sigma, p) if args.Sigma == "auto" else args.Sigma
         wall = "--sigma" if Sigma is None else "--Sigma"
     if args.ksigma is not None:
-        return Sigma, wall, args.ksigma / sigma, args.ksigma
+        return sigma, Sigma, wall, args.ksigma / sigma, args.ksigma
     k_sigma = abs(args.k) * sigma
     if not math.isfinite(k_sigma * k_sigma):
         raise ValueError(f"k sigma must have a finite square, got {k_sigma:g}")
-    return Sigma, wall, args.k, k_sigma
+    return sigma, Sigma, wall, args.k, k_sigma
 
 
 def cmd_error(args) -> int:
     p, mass = _build_params(args)
-    Sigma, wall, k, k_sigma = _resolve_state(args, p)
-    sigma, lam = args.sigma, args.lambda_
+    # A rests on lambda and k sigma alone: with --ksigma, no numeric --Sigma
+    # and no grid's packet, sigma sets neither
+    if (args.sigma is not None and args.ksigma is not None and args.grid is None
+            and args.Sigma in (None, "auto")):
+        raise ValueError("--sigma is read only with --k, a numeric --Sigma or --grid")
+    sigma, Sigma, wall, k, k_sigma = _resolve_state(args, p)
+    lam = args.lambda_
     if lam is None and Sigma is not None:
         lam = _named("(--Sigma/--sigma)^2", th._normal, "lambda",
                      (Sigma / sigma) * (Sigma / sigma))
@@ -397,13 +404,13 @@ def cmd_error(args) -> int:
 
 def cmd_entangle(args) -> int:
     p, _ = _build_params(args)
-    Sigma, wall, k, _ = _resolve_state(args, p)
+    sigma, Sigma, wall, k, _ = _resolve_state(args, p)
     if Sigma is None:
         raise ValueError("wall spread is required: --Sigma (or --lambda)")
-    sf = post_collision_state(_initial_state(wall, Sigma, args.sigma, k), p)
+    sf = post_collision_state(_initial_state(wall, Sigma, sigma, k), p)
     kp = ent.kernel_params(sf)
     F0 = ent.largest_eigenvalue(kp.w)
-    params = {"delta": p.delta, "gamma": p.gamma, "Sigma": Sigma, "sigma": args.sigma, "k": k}
+    params = {"delta": p.delta, "gamma": p.gamma, "Sigma": Sigma, "sigma": sigma, "k": k}
     results = {"D": kp.D, "rho": kp.rho, "w": kp.w, "u": kp.u,
                "F0": F0, "measure": kp.z * kp.z, "matched": kp.matched,
                "spectrum": ent.spectrum_values(kp.w, args.n_spectrum),
@@ -488,10 +495,12 @@ def cmd_sweep(args) -> int:
     with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
         rows = list(pool.map(lambda v: _sweep_row(args.parameter, float(v), args, p), values))
 
+    # the params key, and the value the rows use, of each flag they may read
+    used = {"--delta": ("delta", p and p.delta), "--ksigma": ("k_sigma", args.ksigma or 0.0),
+            "--mu-kg": ("mu_kg", args.mu_kg)}
     params = {"parameter": args.parameter, "start": args.start, "stop": args.stop,
-              "points": args.points, "scale": args.scale}
-    if p is not None:
-        params["delta"] = p.delta
+              "points": args.points, "scale": args.scale,
+              **dict(used[flag] for flag in reads if flag in used)}
     _render(args, params, {"columns": header, "rows": rows}, header, rows)
     return 0
 
@@ -499,8 +508,7 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     from .checks import run_verification
 
-    checks = [vars(c) for c in (run_verification() if args.grid is None
-                                else _named("--grid", run_verification, args.grid))]
+    checks = [vars(c) for c in _named("--grid", run_verification, args.grid)]
     n_passed = sum(c["passed"] for c in checks)
     summary = {"n_checks": len(checks), "n_passed": n_passed,
                "all_passed": n_passed == len(checks)}
@@ -515,20 +523,22 @@ def cmd_thermal(args) -> int:
         raise ValueError("mass is required: --mu-kg (or use --report-length-scale)")
     if args.F0 is not None and args.collisions is None:
         raise ValueError("--F0 is read only with --collisions")
+    # a budget without --F0 loses nothing per collision
+    F0 = 1.0 if args.F0 is None and args.collisions is not None else args.F0
 
     # optimized per-collision error coefficient at the thermal momentum
-    delta_ref = args.delta if args.delta is not None else 1e-6
-    opt = _named("--delta", eb.optimal_lambda, 1.0, collision_params_from_delta(delta_ref))
+    opt = _named("--delta", eb.optimal_lambda, 1.0, collision_params_from_delta(args.delta))
     results: dict = {"thermal_length": _named("--T", th.thermal_length, args.T),
-                     "error_per_collision_over_delta": opt.one_minus_A / delta_ref}
+                     "error_per_collision_over_delta": opt.one_minus_A / args.delta}
     if args.mu_kg is not None:
         results["compton_wavelength"] = _named("--mu-kg", th.compton_wavelength, args.mu_kg)
         results["sigma_mu"] = _thermal_spread("--T", args.mu_kg, args.T)
         results["k_sigma_est"] = th.thermal_k_sigma(args.mu_kg, args.T)
     if args.collisions is not None:
-        budget = th.amplitude_budget(1.0 if args.F0 is None else args.F0, args.collisions)
+        budget = th.amplitude_budget(F0, args.collisions)
         results.update({"amplitude": budget.amplitude, "n_half": budget.n_half})
-    params = {key: getattr(args, key) for key in ("mu_kg", "T", "delta", "collisions", "F0")}
+    params = {"mu_kg": args.mu_kg, "T": args.T, "delta": args.delta,
+              "collisions": args.collisions, "F0": F0}
     _render(args, params, results)
     return 0
 
@@ -544,8 +554,8 @@ def _add_common(sub: argparse.ArgumentParser, command: str) -> None:
     sub.add_argument("--delta", type=_typed("delta"),
                      help="mass fraction m/(M+m) in place of masses")
     if state:
-        sub.add_argument("--sigma", type=_typed("sigma"), default=1.0,
-                         help="particle position spread")
+        sub.add_argument("--sigma", type=_typed("sigma"),
+                         help="particle position spread (default 1)")
         # one wall spread and one momentum; each group's two flags are apart in
         # usage, which so prints no [--Sigma | --lambda] or [--k | --ksigma]
         wall, momentum = sub.add_mutually_exclusive_group(), sub.add_mutually_exclusive_group()
@@ -611,8 +621,8 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     mass = p_th.add_mutually_exclusive_group()  # a mass, or the length scale alone
     mass.add_argument("--mu-kg", dest="mu_kg", type=_typed("mu_kg"), help="object mass in kg")
     p_th.add_argument("--T", type=_typed("T"), help="temperature in kelvin")
-    p_th.add_argument("--delta", type=_typed("delta"),
-                      help="mass fraction for the error coefficient")
+    p_th.add_argument("--delta", type=_typed("delta"), default=1e-6,
+                      help="mass fraction for the error coefficient (default 1e-6)")
     p_th.add_argument("--collisions", type=_typed("collisions", int),
                       help="collision count for the budget")
     p_th.add_argument("--F0", type=_typed("F0"), help="per-collision largest eigenvalue")

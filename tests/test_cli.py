@@ -864,6 +864,101 @@ def test_error_grid_integrates_the_packet_it_was_given(capsys, monkeypatch, k):
     assert post.k == float(k) and ideal.k == -float(k)
 
 
+_SIGMA_REFUSED = "--sigma is read only with --k, a numeric --Sigma or --grid"
+
+
+@pytest.mark.parametrize("wall", [[], ["--lambda", "0.5"], ["--Sigma", "auto"]],
+                         ids=["optimum", "lambda", "Sigma-auto"])
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_error_refuses_a_sigma_that_sets_nothing(tmp_path, capsys, wall, given):
+    """A rests on lambda and k sigma alone: beside --ksigma, with lambda from
+    the optimum, --lambda or --Sigma auto and no grid, --sigma exits 2 naming
+    itself, as a flag and as a config key, where it once printed the same
+    bytes at every value."""
+    cfg = tmp_path / "sigma.cfg"
+    cfg.write_text("sigma=5\n")
+    sigma = ["--sigma", "5"] if given == "flag" else ["--config", str(cfg)]
+    rejected(capsys, ["error", "--delta", "0.01", "--ksigma", "1", *wall, *sigma],
+             _SIGMA_REFUSED)
+
+
+_SIGMA_READ_TEXT = """\
+overlap error (delta=0.01, k sigma=1)
+  lambda      = {lam}
+  A           = {A}
+  1 - A       = {one_minus_A}
+  lambda_max  = 0.00448480641222
+  A_max       = 0.987711849784
+  regime      = crossover
+"""
+
+
+@pytest.mark.parametrize("read, dropped", [
+    (["--k", "2"], ["--ksigma", "1"]),
+    (["--ksigma", "1", "--Sigma", "2"], ["--ksigma", "1"]),
+    (["--ksigma", "1", "--grid", "16"], ["--ksigma", "1"]),
+], ids=["k", "Sigma", "grid"])
+def test_error_reads_sigma_with_k_a_numeric_Sigma_or_a_grid(capsys, monkeypatch, read, dropped):
+    """--sigma is read where k sigma (--k), lambda ((--Sigma/--sigma)^2) or
+    the oracle's packet (--grid) rests on it: each call prints what it
+    printed before the refusal, and without what makes it read, exits 2."""
+    states = []
+    quadrature = oracles.quadrature_overlap
+    monkeypatch.setattr(oracles, "quadrature_overlap",
+                        lambda a, b, grid: states.append(a) or quadrature(a, b, grid))
+    code, out, err = run_cli(capsys, "error", "--delta", "0.01", *read, "--sigma", "0.5")
+    assert code == 0 and err == ""
+    if "--Sigma" in read:  # lambda = (2 / 0.5)^2
+        assert out == _SIGMA_READ_TEXT.format(lam="16", A="0.0372943862705",
+                                              one_minus_A="0.96270561373")
+    else:
+        assert out.startswith(_SIGMA_READ_TEXT.format(
+            lam="0.00448480641222", A="0.987711849784", one_minus_A="0.0122881502163"))
+    assert [state.sigma for state in states] == ([0.5] if "--grid" in read else [])
+    rejected(capsys, ["error", "--delta", "0.01", *dropped, "--sigma", "0.5"], _SIGMA_REFUSED)
+
+
+@pytest.mark.parametrize("argv, used", [
+    (["--mu-kg", "1e-27"], {"delta": 1e-06, "F0": None}),
+    (["--report-length-scale", "--collisions", "5"], {"delta": 1e-06, "F0": 1.0}),
+    (["--report-length-scale", "--delta", "0.01", "--collisions", "5", "--F0", "0.5"],
+     {"delta": 0.01, "F0": 0.5}),
+])
+def test_thermal_params_hold_the_delta_and_F0_its_numbers_used(capsys, argv, used):
+    """thermal's coefficient uses delta = 1e-6 without --delta, and a budget
+    F0 = 1 without --F0: params print both in JSON and CSV, and no F0 where
+    no budget is computed."""
+    argv = ["thermal", "--T", "1", *argv]
+    params = json.loads(run_cli(capsys, *argv, "--format", "json")[1])["params"]
+    assert {key: params[key] for key in used} == used
+    comments, _, _ = parse_emitted_csv(run_cli(capsys, *argv, "--format", "csv")[1])
+    assert f"# delta={used['delta']:g}" in comments
+    assert [c for c in comments if c.startswith("# F0=")] == (
+        [] if used["F0"] is None else [f"# F0={used['F0']:g}"])
+
+
+@pytest.mark.parametrize("parameter, base, used", [
+    ("delta", ["--start", "0.1", "--stop", "0.2"], {"k_sigma": 0.0}),
+    ("delta", ["--start", "0.1", "--stop", "0.2", "--ksigma", "2"], {"k_sigma": 2.0}),
+    ("lambda", ["--start", "0.1", "--stop", "1", "--delta", "0.01"],
+     {"k_sigma": 0.0, "delta": 0.01}),
+    ("lambda", ["--start", "0.1", "--stop", "1", "--delta", "0.01", "--ksigma", "2"],
+     {"k_sigma": 2.0, "delta": 0.01}),
+    ("T", ["--start", "1", "--stop", "2", "--mu-kg", "1e-27"], {"mu_kg": 1e-27}),
+    ("k_sigma", ["--start", "1", "--stop", "2", "--delta", "0.01"], {"delta": 0.01}),
+    ("w", ["--start", "1", "--stop", "2"], {}),
+])
+def test_sweep_params_hold_the_values_its_rows_used(capsys, parameter, base, used):
+    """A sweep records in params each value its _SWEEPS entry reads, as its
+    rows use it: k sigma (0 without --ksigma), delta and mu_kg."""
+    argv = ["sweep", "--parameter", parameter, "--points", "2", *base]
+    params = json.loads(run_cli(capsys, *argv, "--format", "json")[1])["params"]
+    fixed = {"parameter", "start", "stop", "points", "scale"}
+    assert {key: value for key, value in params.items() if key not in fixed} == used
+    comments, _, _ = parse_emitted_csv(run_cli(capsys, *argv)[1])
+    assert all(f"# {key}={value:g}" in comments for key, value in used.items())
+
+
 # each sweep parameter's passing call, and the flags its rows read of those
 # that only some sweeps read
 _SWEEP_CALLS = {
@@ -1604,7 +1699,8 @@ def test_inputs_inside_the_range_checks_keep_their_output(capsys):
                  ["sweep", "--parameter", "delta", "--start", "1e-200", "--stop", "0.5",
                   "--points", "3"],
                  ["entangle", "--delta", "1e-200", "--Sigma", "1"],
-                 ["error", "--delta", "0.01", "--ksigma", "1", "--sigma", "1e-160"]):
+                 ["error", "--delta", "0.01", "--ksigma", "1", "--sigma", "1e-160",
+                  "--Sigma", "1e-160"]):
         code, _, err = run_cli(capsys, *argv)
         assert code == 0 and err == "", argv
 

@@ -18,8 +18,10 @@ each of them marked, as {~FIELD VALUE}, and first_difference accepts a new
 value within its field's band.  Every other byte must match exactly.
 tests/test_cli_transcript.py regenerates the transcript in memory and names
 the first line or marked number that differs from the committed file, so a
-change to any printed number shows in the diff of that file.  Standard
-library only.
+change to any printed number shows in the diff of that file.  A regeneration
+keeps each committed block that its fresh text matches within the bands, so
+moving to another machine rewrites only the blocks whose output changed.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ BANDS = {
 }
 NUMBER = r"-?(?:\d+(?:\.\d*)?(?:e[-+]?\d+)?|inf|nan|null)"
 MARK = re.compile(r"\{~([\w-]+) ([^ }]*)\}")
+# what starts each block after the header: no output line starts with "$"
+BLOCK = "\n\n$ decoh "
 
 
 def invocations(path: Path = INVOCATIONS) -> list[str]:
@@ -218,9 +222,23 @@ def first_difference(committed: str, fresh: str) -> str | None:
     return None
 
 
+def merge(committed: str, fresh: str) -> str:
+    """fresh, with each block taken as committed where first_difference finds
+    the committed block of the same invocation within its bands."""
+    old = {block.split("\n", 1)[0]: block for block in committed.rstrip("\n").split(BLOCK)[1:]}
+
+    def kept(block: str) -> str:
+        before = old.get(block.split("\n", 1)[0])
+        return before if before is not None and first_difference(before, block) is None else block
+
+    head, *blocks = fresh.rstrip("\n").split(BLOCK)
+    return BLOCK.join([head, *map(kept, blocks)]) + "\n"
+
+
 def main() -> int:
     sys.path.insert(0, str(HERE.parent / "src"))
-    TRANSCRIPT.write_text(transcript(), encoding="utf-8", newline="\n")
+    committed = TRANSCRIPT.read_text(encoding="utf-8") if TRANSCRIPT.exists() else ""
+    TRANSCRIPT.write_text(merge(committed, transcript()), encoding="utf-8", newline="\n")
     count = sum(not prints_help(line) for line in invocations())
     print(f"wrote {TRANSCRIPT.relative_to(HERE.parent)}: {count} invocations")
     return 0
