@@ -404,6 +404,9 @@ def cmd_error(args) -> int:
 
 def cmd_entangle(args) -> int:
     p, _ = _build_params(args)
+    if args.n_spectrum is not None and args.format == "csv":
+        raise ValueError("--n-spectrum is not read with --format csv, which prints no spectrum")
+    n_spectrum = 8 if args.n_spectrum is None else args.n_spectrum
     sigma, Sigma, wall, k, _ = _resolve_state(args, p)
     if Sigma is None:
         raise ValueError("wall spread is required: --Sigma (or --lambda)")
@@ -413,9 +416,9 @@ def cmd_entangle(args) -> int:
     params = {"delta": p.delta, "gamma": p.gamma, "Sigma": Sigma, "sigma": sigma, "k": k}
     results = {"D": kp.D, "rho": kp.rho, "w": kp.w, "u": kp.u,
                "F0": F0, "measure": kp.z * kp.z, "matched": kp.matched,
-               "spectrum": ent.spectrum_values(kp.w, args.n_spectrum),
+               "spectrum": ent.spectrum_values(kp.w, n_spectrum),
                # the eigenvalues past the first n sum to e^{-n u}, 0 on a matched state
-               "spectrum_tail_bound": math.exp(-args.n_spectrum * kp.u)}
+               "spectrum_tail_bound": math.exp(-n_spectrum * kp.u)}
     if args.grid:
         from . import oracles
 
@@ -597,9 +600,9 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
 
     p_ent = subs.add_parser("entangle", help="reduced-kernel entanglement report")
     _add_common(p_ent, "entangle")
-    p_ent.add_argument("--n-spectrum", type=_typed("n_spectrum", int), default=8,
+    p_ent.add_argument("--n-spectrum", type=_typed("n_spectrum", int),
                        help=f"eigenvalues to list (default 8, at least 1, "
-                            f"at most {MAX_N_SPECTRUM})")
+                            f"at most {MAX_N_SPECTRUM}); not with --format csv")
 
     p_sw = subs.add_parser("sweep", help="parameter sweep to CSV/JSON")
     _add_common(p_sw, "sweep")

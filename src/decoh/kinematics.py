@@ -181,6 +181,14 @@ class PostCollisionState(_Record):
         psi *= wall
         return psi
 
+    def schmidt_matrix(self, x, X):
+        """sqrt(N) times the envelope, real: the state without its carrier,
+        whose two one-body factors are diagonal unitaries on a grid, so it
+        has the state's singular values.  Broadcasts over x, X."""
+        psi = self.two_body_envelope(x, X)
+        psi *= math.sqrt(self.norm)
+        return psi
+
     def envelope(self):
         """(centers, spreads), each an (x, X) pair: the center and standard
         deviations of |psi|^2, which set a grid's box.

@@ -3,11 +3,12 @@
 Everything here samples wave functions on a rectangular grid:
 tensor-product quadrature for overlap integrals, SVD of the sampled state
 for Schmidt coefficients, and a dense Hermitian eigensolve for discretized
-integral kernels.  The SVD samples a state as an evaluator psi(x, X).  The
-quadrature takes a decoh.kinematics state as its pieces, the one-body
-factors of x and of X and a real two-body envelope (none for a product
-state), and samples only the envelope on the full grid.  All routines are
-pure functions of their inputs and deterministic for a fixed grid.
+integral kernels.  The SVD samples a state's Schmidt matrix, the state
+without its one-body phases (schmidt_matrix(x, X)).  The quadrature takes
+a decoh.kinematics state as its pieces, the one-body factors of x and of
+X and a real two-body envelope (none for a product state), and samples
+only the envelope on the full grid.  All routines are pure functions of
+their inputs and deterministic for a fixed grid.
 """
 
 from __future__ import annotations
@@ -53,23 +54,18 @@ HERM_TOL = 1e-10
 # read 1.2e-15 off the exact sum at 17192 points, against 4e-16 row by row
 # (2-core x86-64 host, numpy 2.4 with OpenBLAS, one BLAS thread)
 BLOCK_POINTS = 2**13
-# largest complex128 sample, in bytes, that the SVD or a kernel eigensolve
-# may allocate, or a quadrature compute block by block; a larger one is
-# refused before anything is sampled
+# largest sample, in bytes at 16 (complex128) a point, that the SVD or a
+# kernel eigensolve may allocate, or a quadrature compute block by block; a
+# larger one is refused before anything is sampled
 MAX_SAMPLE_BYTES = 2**30
-# largest ||Im||_F / ||m||_F of a phase-stripped sample that is dropped: by
-# Weyl's inequality no singular value moves by more than this times ||m||_F.
-# The separable samples of the query workload's entangle --grid calls read at
-# most 0.43 eps; a non-separable phase, such as a free-flight chirp, reads
-# about 0.2.  sys.float_info, not np.finfo: an finfo built at import added
-# about 30 page faults to every later 256 x 256 k = 0 SVD call
-_REAL_TOL = 8.0 * sys.float_info.epsilon
 # largest ||m - J m J||_F / (2 ||m||_F) of a real sample that is split into its
 # parity blocks (J reverses both axes): by Weyl's inequality no singular
 # value moves by more than this times ||m||_F.  np.linspace's nodes are
-# symmetric only to an ulp, so the real samples of the query workload's
-# entangle --grid calls read ||m - J m J||_F / ||m||_F of 3.4 eps in the
-# median and 39.2 eps at most: 19.6 eps here, a 3.3x headroom
+# symmetric only to an ulp, so the 678 real samples of the query workload's
+# entangle --grid calls (seed 1) read ||m - J m J||_F / ||m||_F of 3.4 eps in
+# the median and 53.2 eps at most: 26.6 eps here, a 2.4x headroom.
+# sys.float_info, not np.finfo: an finfo built at import added about 30 page
+# faults to every later 256 x 256 SVD call
 _PARITY_TOL = 64.0 * sys.float_info.epsilon
 
 
@@ -367,39 +363,6 @@ def _check_sample_bytes(rows: int, cols: int) -> None:
                          f"the {MAX_SAMPLE_BYTES} bytes of oracles.MAX_SAMPLE_BYTES")
 
 
-def _strip_one_body_phases(m: np.ndarray) -> np.ndarray:
-    """m's singular values in a real matrix where m's phase is one-body.
-
-    A sample m_ij = e^{i (a_i + b_j)} r_ij with r real, such as a bounced
-    state's carrier e^{i k [(1 - 2 gamma) x + 2 gamma X]} times its envelope,
-    becomes real under the diagonal unitaries that make the pivot's row and
-    column, at the largest |m|, real and positive: conj(m[r, :]) / |m[r, :]|
-    on the columns and conj(m[:, c]) / |m[:, c]| m[r, c] / |m[r, c]| on the
-    rows.  They are applied in place and keep the singular values.  When
-    the imaginary part left is at most _REAL_TOL of the whole, the real part
-    goes to real LAPACK, about twice as fast as complex.  Otherwise the
-    scaling is undone and m stays complex, as it does when a pivot row or
-    column entry is below the smallest normal float and has no reliable
-    phase.  An exactly real sample (k = 0) returns its real part untouched.
-    """
-    if not m.imag.any():
-        return m.real
-    r, c = np.unravel_index(np.argmax(np.abs(m)), m.shape)
-    row_abs, col_abs = np.abs(m[r]), np.abs(m[:, c])
-    if min(row_abs.min(), col_abs.min()) < sys.float_info.min:
-        return m
-    cols = np.conj(m[r]) / row_abs
-    rows = np.conj(m[:, c]) / col_abs * (m[r, c] / abs(m[r, c]))
-    m *= cols
-    m *= rows[:, None]
-    flat = m.reshape(-1)
-    if flat.imag @ flat.imag <= _REAL_TOL**2 * np.vdot(flat, flat).real:
-        return m.real
-    m *= np.conj(cols)
-    m *= np.conj(rows)[:, None]
-    return m
-
-
 def _singular_values(m: np.ndarray) -> np.ndarray:
     """m's singular values, descending; a centrosymmetric m goes to LAPACK
     as its two parity blocks.
@@ -428,8 +391,7 @@ def _singular_values(m: np.ndarray) -> np.ndarray:
     off = 2.0 * np.vdot(diff, diff)
     np.subtract(b, c, out=diff)
     off += 2.0 * np.vdot(diff, diff)
-    # einsum reads a stripped sample's strided real view without a copy
-    if off > _PARITY_TOL**2 * 4.0 * np.einsum("ij,ij->", m, m):
+    if off > _PARITY_TOL**2 * 4.0 * np.vdot(m, m):
         return np.linalg.svd(m, compute_uv=False)
     np.add(b, c, out=diff)
     blocks = np.empty((2, p, q))
@@ -444,22 +406,20 @@ def _singular_values(m: np.ndarray) -> np.ndarray:
 def schmidt_decompose(state, n: int | None = None) -> SchmidtResult:
     """Schmidt coefficients of a two-body wave function by dense SVD.
 
-    The state is sampled on grid_for_state(state, n=n) as a matrix (row =
-    wall index, column = particle index) and scaled by sqrt(dx dX) so the
-    squared singular values sum to its squared norm, 1 when normalized.
-    A grid whose sample would exceed MAX_SAMPLE_BYTES raises ValueError
-    before anything is sampled.  A sample whose phase is a sum of one-body
-    phases is stripped of them and goes to real LAPACK
-    (_strip_one_body_phases), as its two parity blocks where it is
-    centrosymmetric (_singular_values).  The sample is taken, stripped
-    and decomposed on one OpenBLAS thread (_one_blas_thread).
+    The state's Schmidt matrix, state.schmidt_matrix (the state without
+    its one-body phases, real unless it carries a two-body chirp), is
+    sampled on grid_for_state(state, n=n) (row = wall index, column =
+    particle index) and scaled by sqrt(dx dX) so the squared singular
+    values sum to its squared norm, 1 when normalized.  A grid whose sample
+    would exceed MAX_SAMPLE_BYTES raises ValueError before anything is
+    sampled.  The sample is taken and decomposed (_singular_values) on one
+    OpenBLAS thread (_one_blas_thread).
     """
     with _one_blas_thread():
         grid = grid_for_state(state, n=n)
         _check_sample_bytes(grid.nX, grid.nx)
-        m = state(*grid.axes())
+        m = state.schmidt_matrix(*grid.axes())
         m *= math.sqrt(grid.dx * grid.dX)
-        m = _strip_one_body_phases(m)
         try:
             sv = _singular_values(m)
         except np.linalg.LinAlgError as exc:

@@ -138,6 +138,17 @@ class GaussianWave2D(_Record):
     def __call__(self, x, X) -> np.ndarray:
         return self.evaluate(x, X)
 
+    def schmidt_matrix(self, x, X) -> np.ndarray:
+        """The wave without its one-body phases: the imaginary parts of a,
+        d, b and c make phases of x or X alone, diagonal unitaries on a
+        grid, so dropping them keeps the singular values.  What is left is
+        the modulus times the chirp e^{-2 i Im(A_xX) x X}, real exactly when
+        Im A_xX = 0.  Broadcasts over x, X."""
+        a, c, d = self.A
+        A = (a.real, c if c.imag else c.real, d.real)
+        wave = GaussianWave2D(A, (self.b[0].real, self.b[1].real), self.c.real, self.params)
+        return wave.evaluate(x, X)
+
     def quadratic_form(self):
         """(A, b), for grid sizing as for the kinematics states."""
         return self.A, self.b

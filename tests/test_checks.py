@@ -84,8 +84,10 @@ def test_self_sized_checks_read_at_rounding():
 @pytest.mark.parametrize("grid_n", [None, 64])
 def test_a_run_decomposes_each_distinct_state_once(monkeypatch, grid_n):
     """schmidt_f0, schmidt_ratios and the k = 0 leg of k_independence sample
-    one state on one grid and share its SVD: four SVDs a run, not six.  A
-    second run makes the same four, so nothing is kept between runs."""
+    one state on one grid and share its SVD, and k_independence's k = 3 leg
+    samples the carrier outside the oracle: three oracle SVDs a run, not
+    five.  A second run makes the same three, so nothing is kept between
+    runs."""
     calls = []
     real = oracles.schmidt_decompose
 
@@ -97,7 +99,7 @@ def test_a_run_decomposes_each_distinct_state_once(monkeypatch, grid_n):
     for _ in range(2):
         calls.clear()
         assert all(c.passed for c in checks.run_verification(grid_n=grid_n))
-        assert len(calls) == 4
+        assert len(calls) == 3
 
 
 def test_the_svd_memo_is_dropped_when_a_check_raises(monkeypatch):
@@ -112,7 +114,7 @@ def test_the_svd_memo_is_dropped_when_a_check_raises(monkeypatch):
 
 def test_concurrent_runs_keep_their_own_svd_memo(monkeypatch):
     """The memo is per thread: three runs at once, with a short switch
-    interval, each make their own four SVDs.  The runs start together behind
+    interval, each make their own three oracle SVDs.  The runs start together behind
     a barrier: a thread that ended before the next one started could hand
     its ident on, and two runs' counts would then merge."""
     calls = Counter()
@@ -142,7 +144,7 @@ def test_concurrent_runs_keep_their_own_svd_memo(monkeypatch):
         sys.setswitchinterval(switch)
     assert not any(t.is_alive() for t in threads)
     assert len(results) == 3 and all(c.passed for r in results for c in r)
-    assert sorted(calls.values()) == [4, 4, 4]
+    assert sorted(calls.values()) == [3, 3, 3]
 
 
 def test_each_check_runs_at_its_own_tolerance():

@@ -918,6 +918,26 @@ def test_error_reads_sigma_with_k_a_numeric_Sigma_or_a_grid(capsys, monkeypatch,
     rejected(capsys, ["error", "--delta", "0.01", *dropped, "--sigma", "0.5"], _SIGMA_REFUSED)
 
 
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_entangle_csv_refuses_n_spectrum(tmp_path, capsys, given):
+    """CSV has no spectrum column: --n-spectrum with --format csv exits 2
+    naming itself, as a flag and as a config key, where it once printed the
+    same bytes as without it.  CSV without it, and text and JSON with it,
+    still print."""
+    cfg = tmp_path / "spectrum.cfg"
+    cfg.write_text("n_spectrum=3\n")
+    spectrum = ["--n-spectrum", "3"] if given == "flag" else ["--config", str(cfg)]
+    call = ["entangle", "--delta", "0.01", "--Sigma", "1"]
+    rejected(capsys, [*call, "--format", "csv", *spectrum],
+             "--n-spectrum is not read with --format csv, which prints no spectrum")
+    code, out, err = run_cli(capsys, *call, "--format", "csv")
+    assert code == 0 and err == "" and "\nD,rho,w,u,F0,measure,matched\n" in out
+    code, out, err = run_cli(capsys, *call, *spectrum)
+    assert code == 0 and err == "" and "  spectrum = 0.631808, 0.232627, 0.0856513\n" in out
+    code, out, err = run_cli(capsys, *call, "--format", "json", *spectrum)
+    assert code == 0 and err == "" and len(json.loads(out)["results"]["spectrum"]) == 3
+
+
 @pytest.mark.parametrize("argv, used", [
     (["--mu-kg", "1e-27"], {"delta": 1e-06, "F0": None}),
     (["--report-length-scale", "--collisions", "5"], {"delta": 1e-06, "F0": 1.0}),

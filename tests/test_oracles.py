@@ -551,8 +551,9 @@ def test_gauss_legendre_rule_integrates_to_rounding(n):
 
 def test_real_samples_take_real_lapack(monkeypatch, state_equal_spreads):
     """At k = 0 the sampled state and the reduced kernel are complex arrays
-    with an imaginary part of exactly 0; the oracles hand LAPACK their real
-    part, and the leading values match the complex route to rounding."""
+    with an imaginary part of exactly 0; the SVD samples the real Schmidt
+    matrix, the eigensolve hands LAPACK the kernel's real part, and the
+    leading values match the complex route to rounding."""
     g = grid_for_state(state_equal_spreads)
     m = state_equal_spreads(*g.axes()) * np.sqrt(g.dx * g.dX)
     nodes = g.x_nodes()
@@ -594,26 +595,52 @@ def _svd_spy(monkeypatch, key=lambda a: a.dtype):
 
 
 def _complex_svd(state, n=None):
-    """Singular values of state's sample as schmidt_decompose scales it, by
-    complex LAPACK, and whether its pivot row or column underflows."""
+    """Singular values of state's own sample, carrier and all, scaled as
+    schmidt_decompose scales its Schmidt matrix, by complex LAPACK."""
     g = grid_for_state(state, n=n)
     m = state(*g.axes()) * np.sqrt(g.dx * g.dX)
-    r, c = np.unravel_index(np.argmax(np.abs(m)), m.shape)
-    underflow = min(np.abs(m[r]).min(), np.abs(m[:, c]).min()) < np.finfo(float).tiny
-    return np.linalg.svd(m, compute_uv=False), underflow
+    return np.linalg.svd(m, compute_uv=False)
 
 
-# Weyl's bound for the dropped imaginary part, 8 eps ||m||_F, plus the two
-# SVDs' rounding; separable query samples read at most 6.3e-16
+# no imaginary part is dropped: the Schmidt matrix has the sample's singular
+# values, so what is left is the two SVDs' rounding; the query workload's
+# entangle --grid samples read at most 1.1e-15
 _REAL_ROUTE_ATOL = 4e-15
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(delta=st.floats(1e-4, 0.5), sigma=st.floats(-1.0, 1.0).map(lambda e: 10.0**e),
+       ratio=st.floats(-4.0, 1.0).map(lambda e: 10.0**e),
+       k_sigma=st.floats(-3.0, 6.0).map(lambda e: 10.0**e), sign=st.sampled_from((1.0, -1.0)),
+       M=st.floats(0.0, 3.0).map(lambda e: 10.0**e), x0=st.floats(0.0, 10.0),
+       t=st.floats(0.0, 5.0))
+def test_a_schmidt_matrix_has_the_modulus_of_its_state(delta, sigma, ratio, k_sigma, sign,
+                                                       M, x0, t):
+    """Each type's Schmidt matrix is its state with the one-body phases
+    dropped: its modulus is |state(x, X)| to 4 ulps on a 64 x 64 grid (4
+    was also the most over 900 log-uniform draws of each type).  A
+    post-collision state's is real; a wave's is real exactly when its
+    quadratic form has no imaginary cross term, as the image term's chirp
+    has."""
+    s0 = initial_state(sigma * math.sqrt(ratio), sigma, sign * k_sigma / sigma)
+    wave = GaussianWave2D.from_product_state(s0, collision_params(1.0, M), x_center=-x0 * sigma)
+    t *= sigma**2
+    states = [post_collision_state(s0, collision_params_from_delta(delta)), wave,
+              wave.mirror_u(), wave.free_evolve(t), propagation.image_term(wave, t)]
+    for state in states:
+        x, X = grid_for_state(state, n=64).axes()
+        m, psi = np.abs(state.schmidt_matrix(x, X)), np.abs(state(x, X))
+        assert np.all(np.abs(m - psi) <= 4.0 * np.spacing(np.maximum(m, psi))), state
+        real = isinstance(state, PostCollisionState) or state.A[1].imag == 0.0
+        assert state.schmidt_matrix(x, X).dtype == (np.float64 if real else np.complex128)
 
 
 def test_one_body_phases_take_real_lapack(monkeypatch):
     """A k != 0 post-collision sample has the one-body phase of its carrier:
-    the oracle strips it, hands LAPACK a float64 matrix and reads the
-    complex SVD's values to rounding."""
+    the oracle samples the state without it, hands LAPACK a float64 matrix
+    and reads the complex SVD's values to rounding."""
     sf = post_collision_state(initial_state(2.1, 1.3, 0.4), collision_params_from_delta(0.01))
-    sv_complex, _ = _complex_svd(sf, n=256)
+    sv_complex = _complex_svd(sf, n=256)
     dtypes = _svd_spy(monkeypatch)
     sv = schmidt_decompose(sf, n=256).singular_values
     assert dtypes == [np.float64]
@@ -628,21 +655,23 @@ def test_one_body_phases_take_real_lapack(monkeypatch):
        n=st.sampled_from((8, 32, 64, 128, 256)))
 @example(delta=0.01, sigma=1.0, ratio=1.0, k_sigma=1e6, sign=1.0, n=16)
 @example(delta=1e-4, sigma=10.0, ratio=10.0, k_sigma=1e6, sign=-1.0, n=8)
+# Sigma = sigma / 100 at delta = 0.3: so correlated that entries of the
+# row and column through the sample's largest entry underflow to 0
+@example(delta=0.3, sigma=1.0, ratio=1e-4, k_sigma=0.5, sign=1.0, n=64)
 def test_real_route_over_the_query_domain(delta, sigma, ratio, k_sigma, sign, n):
     """Every post-collision sample over query's entangle --grid ranges
     (delta, sigma, Sigma^2/sigma^2 and signed k sigma from 1e-3 to 1 on 64-
     to 256-point grids), and with |k sigma| up to 1e6 and grids down to 8
-    points, reaches LAPACK as float64 unless its pivot row or column
-    underflows, and reads the complex SVD's singular values to
-    _REAL_ROUTE_ATOL of its norm: the carrier's phases grow with k, the
-    stripped remainder does not."""
+    points, reaches LAPACK as float64 and reads the complex SVD's singular
+    values to _REAL_ROUTE_ATOL of its norm: the carrier's phases grow with
+    k, the Schmidt matrix, which has none, does not."""
     s0 = initial_state(sigma * math.sqrt(ratio), sigma, sign * k_sigma / sigma)
     sf = post_collision_state(s0, collision_params_from_delta(delta))
-    sv_complex, underflow = _complex_svd(sf, n=n)
+    sv_complex = _complex_svd(sf, n=n)
     with pytest.MonkeyPatch.context() as mp:
         dtypes = _svd_spy(mp)
         sv = schmidt_decompose(sf, n=n).singular_values
-    assert dtypes == [np.complex128 if underflow else np.float64]
+    assert dtypes == [np.float64]
     norm = math.sqrt(np.sum(sv_complex**2))
     assert np.abs(sv - sv_complex).max() <= _REAL_ROUTE_ATOL * norm
 
@@ -658,20 +687,6 @@ def _entangling_carrier(monkeypatch, eps=0.01):
     monkeypatch.setattr(PostCollisionState, "__call__", faulty)
 
 
-def test_a_non_separable_phase_stays_complex(monkeypatch):
-    """With an entangling carrier the stripped sample keeps an imaginary
-    part far above the tolerance: the scaling is undone, the sample goes
-    to complex LAPACK and reads the complex SVD's values to rounding."""
-    _entangling_carrier(monkeypatch)
-    sf = post_collision_state(initial_state(1.0, 1.0, 3.0), collision_params_from_delta(0.01))
-    sv_complex, underflow = _complex_svd(sf)
-    assert not underflow
-    dtypes = _svd_spy(monkeypatch)
-    sv = schmidt_decompose(sf).singular_values
-    assert dtypes == [np.complex128]
-    assert np.abs(sv - sv_complex).max() <= 1e-15
-
-
 def _dtype_and_shape(a):
     return a.dtype, a.shape
 
@@ -679,11 +694,11 @@ def _dtype_and_shape(a):
 @pytest.mark.parametrize("n", [256, 64])
 def test_a_centred_sample_takes_its_parity_blocks(monkeypatch, n):
     """A centred post-collision state is even under (x, X) -> (-x, -X): its
-    stripped sample on the origin-centred box is centrosymmetric to an ulp
+    Schmidt matrix on the origin-centred box is centrosymmetric to an ulp
     of the nodes.  LAPACK takes its two n/2 x n/2 parity blocks in one
     stacked float64 call, and the halved values read the complex SVD's."""
     sf = post_collision_state(initial_state(2.1, 1.3, 0.4), collision_params_from_delta(0.01))
-    sv_complex, _ = _complex_svd(sf, n=n)
+    sv_complex = _complex_svd(sf, n=n)
     calls = _svd_spy(monkeypatch, key=_dtype_and_shape)
     sv = schmidt_decompose(sf, n=n).singular_values
     assert calls == [(np.float64, (2, n // 2, n // 2))]
@@ -693,11 +708,12 @@ def test_a_centred_sample_takes_its_parity_blocks(monkeypatch, n):
 
 
 def _parity_breaking_envelope(monkeypatch):
-    """Fault: the post-collision sample gains the real factor 1 + 1e-6 x,
-    odd in x, which keeps its phase one-body but breaks its parity."""
-    call = PostCollisionState.__call__
-    monkeypatch.setattr(PostCollisionState, "__call__",
-                        lambda self, x, X: call(self, x, X) * (1.0 + 1e-6 * x))
+    """Fault: the post-collision envelope, which the sample and the Schmidt
+    matrix both read, gains the real factor 1 + 1e-6 x, odd in x, which
+    keeps the phase one-body but breaks the parity."""
+    envelope = PostCollisionState.two_body_envelope
+    monkeypatch.setattr(PostCollisionState, "two_body_envelope",
+                        lambda self, x, X: envelope(self, x, X) * (1.0 + 1e-6 * x))
 
 
 @pytest.mark.parametrize("case", ["odd size", "parity fault"])
@@ -709,7 +725,7 @@ def test_other_real_samples_reach_lapack_whole(monkeypatch, case):
     if case == "parity fault":
         _parity_breaking_envelope(monkeypatch)
     sf = post_collision_state(initial_state(2.1, 1.3, 0.4), collision_params_from_delta(0.01))
-    sv_complex, _ = _complex_svd(sf, n=n)
+    sv_complex = _complex_svd(sf, n=n)
     calls = _svd_spy(monkeypatch, key=_dtype_and_shape)
     sv = schmidt_decompose(sf, n=n).singular_values
     assert calls == [(np.float64, (n, n))]
@@ -729,30 +745,16 @@ def test_k_independence_still_kills_an_entangling_carrier(monkeypatch):
 def test_the_image_term_keeps_its_chirp(monkeypatch):
     """Free flight is a product of one-body unitaries, but not diagonal
     ones: the image_f0 check's image term carries the bilinear chirp
-    -2 Im(A_xX) x X, which no diagonal unitary strips.  Its sample goes to
-    complex LAPACK and reads the complex SVD's values to rounding."""
+    -2 Im(A_xX) x X, which no diagonal unitary removes.  Its Schmidt matrix
+    goes to complex LAPACK and reads the complex SVD's values to rounding."""
     _, _, wave0, t = checks._bounce(k_sigma=6.0, x0_sigmas=8.0, Sigma=0.3)
     image = propagation.image_term(wave0, t)
     assert image.A[1].imag != 0.0
-    sv_complex, underflow = _complex_svd(image)
-    assert not underflow
+    sv_complex = _complex_svd(image)
     dtypes = _svd_spy(monkeypatch)
     sv = schmidt_decompose(image).singular_values
     assert dtypes == [np.complex128]
     assert np.abs(sv - sv_complex).max() <= 1e-15
-
-
-def test_an_underflowing_pivot_keeps_the_complex_sample(monkeypatch):
-    """A strongly correlated state (Sigma = sigma / 100, delta = 0.3) has
-    pivot-row entries that underflow to 0, whose phase is lost: nothing is
-    scaled, and complex LAPACK reads exactly the complex SVD's values."""
-    sf = post_collision_state(initial_state(0.01, 1.0, 0.5), collision_params_from_delta(0.3))
-    sv_complex, underflow = _complex_svd(sf, n=64)
-    assert underflow
-    dtypes = _svd_spy(monkeypatch)
-    sv = schmidt_decompose(sf, n=64).singular_values
-    assert dtypes == [np.complex128]
-    assert np.array_equal(sv, sv_complex)
 
 
 def test_a_sample_over_the_byte_cap_is_refused_unsampled(monkeypatch, state_equal_spreads):
@@ -760,9 +762,9 @@ def test_a_sample_over_the_byte_cap_is_refused_unsampled(monkeypatch, state_equa
     MAX_SAMPLE_BYTES before they sample anything, and say its size."""
     monkeypatch.setattr(oracles, "MAX_SAMPLE_BYTES", 16 * 64 * 64)
     calls = []
-    call = PostCollisionState.__call__
-    monkeypatch.setattr(PostCollisionState, "__call__",
-                        lambda self, x, X: calls.append(1) or call(self, x, X))
+    envelope = PostCollisionState.two_body_envelope
+    monkeypatch.setattr(PostCollisionState, "two_body_envelope",
+                        lambda self, x, X: calls.append(1) or envelope(self, x, X))
     with pytest.raises(ValueError, match="a 65 x 65 sample takes 67600 bytes"):
         schmidt_decompose(state_equal_spreads, n=65)
     with pytest.raises(ValueError, match="65536 bytes of oracles.MAX_SAMPLE_BYTES"):
@@ -1046,14 +1048,15 @@ def test_forced_grid_spectra_do_not_depend_on_k(delta, Sigma, k, n):
     """The post-collision phase k [x(1 - 2 gamma) + 2 gamma X] is separable:
     on one forced grid it multiplies the sampled state by a diagonal unitary
     on each side, and the kernel by a unitary similarity, so the leading
-    singular values and kernel eigenvalues match those at k = 0 however
-    coarse the grid.  Levels below about 1e-12 sit at the rounding floor of
-    the phase, which grows like k, so only the leading five are compared."""
+    singular values of the sample, carrier and all, and the kernel
+    eigenvalues match the oracles' at k = 0 however coarse the grid.
+    Levels below about 1e-12 sit at the rounding floor of the phase, which
+    grows like k, so only the leading five are compared."""
     p = collision_params_from_delta(delta)
     moving = post_collision_state(initial_state(Sigma, 1.0, k), p)
     still = post_collision_state(initial_state(Sigma, 1.0, 0.0), p)
     assert grid_for_state(moving, n=n) == grid_for_state(still, n=n)
-    np.testing.assert_allclose(schmidt_decompose(moving, n=n).singular_values[:5],
+    np.testing.assert_allclose(_complex_svd(moving, n=n)[:5],
                                schmidt_decompose(still, n=n).singular_values[:5],
                                rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(kernel_eigensolve(moving, n=n).eigenvalues[:5],
